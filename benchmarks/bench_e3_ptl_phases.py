@@ -6,7 +6,7 @@ from repro.experiments.e3_ptl_phases import (
     _all_p_prefix,
     _cycle_formula,
     _cycle_prefix,
-    _obligation_formula,
+    _ring_formula,
 )
 from repro.ptl.progression import progress_sequence
 from repro.ptl.sat import is_satisfiable
@@ -23,7 +23,7 @@ def test_e3_progression_phase(benchmark, length):
 
 @pytest.mark.parametrize("width", [2, 4, 6])
 def test_e3_satisfiability_phase(benchmark, width):
-    formula = _obligation_formula(width)
+    formula = _ring_formula(width)
     prefix = _all_p_prefix(10, width)
     remainder = progress_sequence(formula, prefix)
     assert benchmark.pedantic(

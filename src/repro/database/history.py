@@ -50,12 +50,7 @@ class History:
         if not self.states:
             raise StateError("a history must contain at least one state")
         for state in self.states:
-            if state.vocabulary is not self.vocabulary and (
-                state.vocabulary != self.vocabulary
-            ):
-                raise SchemaError(
-                    "all states of a history must share its vocabulary"
-                )
+            self._check_state(state)
         for symbol, value in self.constant_bindings.items():
             if symbol not in self.vocabulary.constant_symbols:
                 raise SchemaError(f"undeclared constant symbol {symbol!r}")
@@ -70,6 +65,14 @@ class History:
             raise SchemaError(
                 "constants without interpretation: "
                 + ", ".join(sorted(missing))
+            )
+
+    def _check_state(self, state: DatabaseState) -> None:
+        if state.vocabulary is not self.vocabulary and (
+            state.vocabulary != self.vocabulary
+        ):
+            raise SchemaError(
+                "all states of a history must share its vocabulary"
             )
 
     # -- construction -------------------------------------------------------
@@ -164,12 +167,21 @@ class History:
     # -- growth -------------------------------------------------------------
 
     def extended(self, state: DatabaseState) -> "History":
-        """A new history with one more state appended."""
-        return History(
-            vocabulary=self.vocabulary,
-            states=self.states + (state,),
-            constant_bindings=self.constant_bindings,
+        """A new history with one more state appended.
+
+        Only ``state`` is validated: the earlier states and the constant
+        bindings were checked when this history was built, so re-running
+        ``__post_init__`` over all of them would make every append O(t)
+        vocabulary comparisons.
+        """
+        self._check_state(state)
+        history = object.__new__(History)
+        object.__setattr__(history, "vocabulary", self.vocabulary)
+        object.__setattr__(history, "states", self.states + (state,))
+        object.__setattr__(
+            history, "constant_bindings", self.constant_bindings
         )
+        return history
 
     def updated(self, update: Update) -> "History":
         """A new history whose final state is the update applied to ``Dt``.

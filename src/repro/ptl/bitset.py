@@ -17,7 +17,9 @@ set manipulations down to integer masks:
   per-state fairness verdict across every formula the kernel decides —
   monitoring workloads decide long runs of structurally-overlapping
   remainders, and the shared kernel turns each re-decision into graph
-  reuse;
+  reuse; a top-level conjunction is decided one letter-connected group
+  of conjuncts at a time, so the automaton never spans the product of
+  parts that share no letter;
 * :class:`TableauKernel` compiles the atom-graph tableau of
   :func:`repro.ptl.tableau.build_tableau` into truth tables over the full
   ``2^n`` atom space: each base subformula's truth table is one big int
@@ -48,6 +50,7 @@ from .formulas import (
     PTLTrue,
     PUntil,
     Prop,
+    pand,
 )
 from .nnf import ptl_nnf
 
@@ -128,6 +131,34 @@ def _pick(new: set[PTLFormula]) -> PTLFormula:
     return best
 
 
+def _letter_groups(conjuncts: Sequence[PTLFormula]) -> list[PTLFormula]:
+    """The conjunctions of ``conjuncts`` grouped by shared letters.
+
+    Union-find over conjunct positions: two conjuncts join when they share
+    a proposition, so distinct groups mention disjoint letter sets.  Groups
+    come out in order of their first conjunct; a single group is the
+    original conjunction (formulas are interned).
+    """
+    parent = list(range(len(conjuncts)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict[Prop, int] = {}
+    for i, conjunct in enumerate(conjuncts):
+        for letter in conjunct.propositions():
+            a, b = find(owner.setdefault(letter, i)), find(i)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[PTLFormula]] = {}
+    for i, conjunct in enumerate(conjuncts):
+        groups.setdefault(find(i), []).append(conjunct)
+    return [pand(*members) for members in groups.values()]
+
+
 class BuchiKernel:
     """A shared, incrementally-growing bitset GPVW automaton.
 
@@ -168,7 +199,7 @@ class BuchiKernel:
         self._good: dict[int, bool] = {}
         #: NNF formula -> initial state ids.
         self._initials: dict[PTLFormula, tuple[int, ...]] = {}
-        #: formula (pre-NNF) -> satisfiability verdict.
+        #: formula (pre-NNF, or an NNF letter group) -> verdict.
         self._verdicts: dict[PTLFormula, bool] = {}
         #: closure bit of an eventuality -> (acceptance slot, bit of right).
         self._eventualities: dict[int, tuple[int, int]] = {}
@@ -406,18 +437,14 @@ class BuchiKernel:
                         good[member] = verdict
         return any(good[root] for root in roots)
 
-    # -- public surface ------------------------------------------------------
-
-    def is_satisfiable(self, formula: PTLFormula) -> bool:
-        """Satisfiability of ``formula``, sharing state with every prior
-        decision of this kernel.  Agrees with the reference engines."""
-        verdict = self._verdicts.get(formula)
+    def _decide(self, normal: PTLFormula) -> bool:
+        """Satisfiability of the NNF formula ``normal`` over the shared
+        state space, memoized alongside the public verdicts."""
+        verdict = self._verdicts.get(normal)
         if verdict is not None:
             return verdict
-        self.decisions += 1
         if len(self._old) > self.max_states:
             self.reset()
-        normal = ptl_nnf(formula)
         if isinstance(normal, PTLTrue):
             verdict = True
         elif isinstance(normal, PTLFalse):
@@ -428,6 +455,33 @@ class BuchiKernel:
                 roots = self._expand((normal,), 0, 0)
                 self._initials[normal] = roots
             verdict = self._has_fair_path(roots)
+        self._verdicts[normal] = verdict
+        return verdict
+
+    # -- public surface ------------------------------------------------------
+
+    def is_satisfiable(self, formula: PTLFormula) -> bool:
+        """Satisfiability of ``formula``, sharing state with every prior
+        decision of this kernel.  Agrees with the reference engines.
+
+        A top-level conjunction is decided per letter-connected group of
+        conjuncts (:func:`_letter_groups`): groups over disjoint letters
+        have models that merge letter by letter, so the conjunction is
+        satisfiable iff every group is, and the automaton only ever spans
+        one group's letters.
+        """
+        verdict = self._verdicts.get(formula)
+        if verdict is not None:
+            return verdict
+        self.decisions += 1
+        normal = ptl_nnf(formula)
+        if isinstance(normal, PAnd):
+            verdict = all(
+                self._decide(group)
+                for group in _letter_groups(normal.operands)
+            )
+        else:
+            verdict = self._decide(normal)
         self._verdicts[formula] = verdict
         return verdict
 

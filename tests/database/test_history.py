@@ -3,6 +3,8 @@
 import pytest
 
 from repro.database import DatabaseState, History, Update, vocabulary
+from repro.database.serialize import history_from_dict, history_to_dict
+from repro.database.vocabulary import Vocabulary
 from repro.errors import SchemaError, StateError
 
 V = vocabulary({"p": 1, "edge": 2}, constants=["c"])
@@ -44,6 +46,43 @@ class TestGrowth:
         h2 = h.extended(DatabaseState.from_facts(VPLAIN, [("p", (1,))]))
         assert len(h) == 1 and len(h2) == 2
         assert h2.current.holds("p", (1,))
+
+    def test_extended_compares_only_the_new_state(self, monkeypatch):
+        """After a restore the history's vocabulary is a new object, so
+        each check is a structural comparison; an append makes at most
+        one, however long the history."""
+        original = History.from_facts(
+            VPLAIN, [[("p", (i,))] for i in range(50)]
+        )
+        restored = history_from_dict(history_to_dict(original))
+        assert restored.vocabulary is not VPLAIN
+        appended = [
+            DatabaseState.from_facts(VPLAIN, [("p", (i,))])
+            for i in range(20)
+        ]
+        comparisons = 0
+        real_eq = Vocabulary.__eq__
+
+        def counting_eq(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return real_eq(self, other)
+
+        monkeypatch.setattr(Vocabulary, "__eq__", counting_eq)
+        history = restored
+        for state in appended:
+            history = history.extended(state)
+        assert len(history) == 70
+        assert history.current is appended[-1]
+        assert comparisons <= len(appended)
+
+    def test_extended_rejects_a_foreign_state(self):
+        history = History.from_facts(VPLAIN, [[("p", (1,))], []])
+        foreign = DatabaseState.from_facts(V, [("edge", (1, 2))])
+        with pytest.raises(SchemaError, match="share its vocabulary"):
+            history.extended(foreign)
+        with pytest.raises(SchemaError, match="share its vocabulary"):
+            history.updated(Update.insert(("p", (2,)))).extended(foreign)
 
     def test_updated_applies_delta(self):
         h = History.from_facts(VPLAIN, [[("p", (1,))]])
