@@ -26,7 +26,6 @@ parent's warm caches for free.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
@@ -87,6 +86,10 @@ def parallel_map(
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(items) <= 1:
         return [function(item) for item in items]
+    # Imported here: the pool pulls in multiprocessing, which serial
+    # callers (every plain ``import repro``) never need.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(function, items))
 

@@ -444,7 +444,7 @@ class PlannedMonitor:
 
     # -- checkpoint / resume -------------------------------------------------
 
-    def snapshot(self) -> dict[str, Any]:
+    def snapshot(self, with_history: bool = True) -> dict[str, Any]:
         """JSON-ready checkpoint of this planned monitor.
 
         The progression side delegates to
@@ -455,11 +455,15 @@ class PlannedMonitor:
         with no grounding or satisfiability calls.  Restoring with
         :meth:`from_snapshot` yields a monitor whose future verdicts are
         identical to the uninterrupted run (property-tested).
+
+        ``with_history=False`` leaves the history out at both levels:
+        :class:`repro.service.MonitorService` stores one copy for all its
+        shards and passes it back to :meth:`from_snapshot`.
         """
         from ..database.serialize import history_to_dict, monitor_to_dict
         from ..logic import to_str
 
-        return {
+        data: dict[str, Any] = {
             "format": PLANNED_SNAPSHOT_FORMAT,
             "config": dict(self._config),
             "order": list(self._order),
@@ -467,17 +471,26 @@ class PlannedMonitor:
                 name: to_str(self._constraints[name])
                 for name in self._order
             },
-            "history": history_to_dict(self._history),
             "full": (
-                monitor_to_dict(self._full)
+                monitor_to_dict(self._full, with_history)
                 if self._full is not None
                 else None
             ),
         }
+        if with_history:
+            data["history"] = history_to_dict(self._history)
+        return data
 
     @classmethod
-    def from_snapshot(cls, data: Mapping[str, Any]) -> "PlannedMonitor":
-        """Rebuild a :class:`PlannedMonitor` from :meth:`snapshot` output."""
+    def from_snapshot(
+        cls, data: Mapping[str, Any], history: History | None = None
+    ) -> "PlannedMonitor":
+        """Rebuild a :class:`PlannedMonitor` from :meth:`snapshot` output.
+
+        A given ``history`` (for a snapshot taken ``with_history=False``)
+        is handed as it is to both engines, in place of the document's
+        own.
+        """
         from ..database.serialize import (
             history_from_dict,
             monitor_from_dict,
@@ -500,7 +513,6 @@ class PlannedMonitor:
             config = dict(data["config"])
             order = tuple(data["order"])
             texts = data["constraints"]
-            history_data = data["history"]
             full_data = data["full"]
         except KeyError as exc:
             raise StateError(
@@ -513,7 +525,13 @@ class PlannedMonitor:
                 f"source text: {missing}"
             )
         constraints = {name: parse(texts[name]) for name in order}
-        history = history_from_dict(history_data)
+        shared = history
+        if history is None:
+            if "history" not in data:
+                raise StateError(
+                    "planned snapshot is missing the 'history' key"
+                )
+            history = history_from_dict(data["history"])
         monitor = cls.__new__(cls)
         monitor._constraints = constraints
         monitor._config = config
@@ -535,7 +553,9 @@ class PlannedMonitor:
             for state in history.states:
                 monitor._past.append_state(state)
         monitor._full = (
-            monitor_from_dict(full_data) if full_data is not None else None
+            monitor_from_dict(full_data, shared)
+            if full_data is not None
+            else None
         )
         return monitor
 

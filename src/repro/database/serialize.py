@@ -520,7 +520,9 @@ def _entry_from_jsonable(data: Any) -> Any:
         ) from None
 
 
-def monitor_to_dict(monitor: Any) -> dict[str, Any]:
+def monitor_to_dict(
+    monitor: Any, with_history: bool = True
+) -> dict[str, Any]:
     """Serialize a running :class:`repro.core.IntegrityMonitor`.
 
     The snapshot holds the monitored history plus, per constraint, the
@@ -528,25 +530,32 @@ def monitor_to_dict(monitor: Any) -> dict[str, Any]:
     everything :meth:`repro.core.IntegrityMonitor.from_snapshot` needs to
     resume with verdicts identical to an uninterrupted run.  Derived
     caches are deliberately not persisted; see
-    :class:`repro.core.EntrySnapshot`.
+    :class:`repro.core.EntrySnapshot`.  ``with_history=False`` leaves
+    the history out, for a container that stores one copy for all its
+    monitors and hands it back to :func:`monitor_from_dict`.
     """
-    return {
+    data: dict[str, Any] = {
         "format": MONITOR_SNAPSHOT_FORMAT,
         "config": monitor.snapshot_config(),
-        "history": history_to_dict(monitor.history),
         "entries": [
             _entry_to_jsonable(snap) for snap in monitor.snapshot_entries()
         ],
     }
+    if with_history:
+        data["history"] = history_to_dict(monitor.history)
+    return data
 
 
-def monitor_from_dict(data: dict[str, Any]) -> Any:
+def monitor_from_dict(
+    data: dict[str, Any], history: History | None = None
+) -> Any:
     """Inverse of :func:`monitor_to_dict`: rebuild the monitor, resumed.
 
     Validates the format tag and config before touching any entry, so a
     checkpoint from a different format (or a truncated file) fails with
     :class:`repro.errors.StateError` instead of an attribute error
-    mid-restore.
+    mid-restore.  A given ``history`` is used as it is, in place of the
+    document's own.
     """
     from ..core.monitor import IntegrityMonitor
 
@@ -577,9 +586,10 @@ def monitor_from_dict(data: dict[str, Any]) -> Any:
             raise StateError(
                 f"monitor snapshot config is missing the {key!r} key"
             )
-    if "history" not in data:
-        raise StateError("monitor snapshot is missing the 'history' key")
-    history = history_from_dict(data["history"])
+    if history is None:
+        if "history" not in data:
+            raise StateError("monitor snapshot is missing the 'history' key")
+        history = history_from_dict(data["history"])
     entries = [
         _entry_from_jsonable(entry) for entry in data.get("entries", ())
     ]

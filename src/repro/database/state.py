@@ -13,6 +13,7 @@ States are immutable; updates produce new states (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from ..errors import SchemaError
@@ -21,8 +22,23 @@ from .vocabulary import Vocabulary
 #: A ground fact: predicate name and argument tuple.
 Fact = tuple[str, tuple[int, ...]]
 
+#: Relations of at most this many tuples are shared between states.
+_SHARED_ROWS = 8
 
-@dataclass(frozen=True)
+
+@lru_cache(maxsize=256)
+def _shared(rows: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+    """One frozenset per distinct small relation content.
+
+    A stream over a small domain repeats the same few-row relations at
+    almost every instant; sharing them keeps a long history's states at
+    a fraction of their size.  Bounded: at most 256 contents of at most
+    :data:`_SHARED_ROWS` tuples each are held.
+    """
+    return rows
+
+
+@dataclass(frozen=True, slots=True)
 class DatabaseState:
     """An interpretation of the vocabulary at one time instant.
 
@@ -46,8 +62,10 @@ class DatabaseState:
             frozen = frozenset(tuple(t) for t in tuples)
             for args in frozen:
                 self.vocabulary.check_fact(pred, args)
-            if frozen:
+            if len(frozen) > _SHARED_ROWS:
                 normalized[pred] = frozen
+            elif frozen:
+                normalized[pred] = _shared(frozen)
         object.__setattr__(self, "relations", normalized)
 
     @classmethod

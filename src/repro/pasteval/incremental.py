@@ -27,17 +27,31 @@ interchangeable, so each table is stored over ``seen ∪ {g1..gm}`` where the
 .Anon`).  When an element is seen for the first time, its past coincides
 with a generic's past, so lookups into the previous table canonicalize
 through the *previous* seen-set — no table rewriting on domain growth.
+
+The formula is compiled once into a post-order list of its distinct
+subformulas (*slots*), and each instant fills one table per slot a whole
+set at a time: atoms are read from the state's relation tuples, boolean
+connectives are set algebra over the slot's assignments (children whose
+variables are a subset are lifted by a projection), ``∃`` projects and
+``∀`` complements the projected complement.  While the seen-set stays
+put, every table is closed under permuting the generics, so the past
+connectives read the previous tables as they are; the domain, the
+per-arity assignment sets, the lift projections and the canonical forms
+are rebuilt only when the seen-set grows, and like the tables they hold
+``O(|adom|^m)`` rows per arity.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from itertools import product as cartesian
-from typing import Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Collection, Mapping
 
 from ..core.grounding import Anon, GroundElement
 from ..database.state import DatabaseState
 from ..database.vocabulary import BUILTIN_PREDICATES, Vocabulary
-from ..errors import ClassificationError, EvaluationError
+from ..errors import ClassificationError, EvaluationError, SchemaError
 from ..logic.classify import is_past_formula
 from ..logic.formulas import (
     And,
@@ -57,9 +71,16 @@ from ..logic.formulas import (
     Since,
     TrueFormula,
 )
-from ..logic.terms import Constant, Term, Variable
+from ..logic.terms import Constant, Variable
 
 Assignment = tuple[GroundElement, ...]
+Table = frozenset[Assignment]
+
+_UNIT: Table = frozenset({()})
+_EMPTY: Table = frozenset()
+
+#: Connectives whose children may have fewer variables than the node.
+_LIFTING = (And, Or, Implies, Iff, Since)
 
 
 def _sorted_vars(formula: Formula) -> tuple[Variable, ...]:
@@ -81,6 +102,129 @@ def _canonicalize(
                 mapping[value] = Anon(len(mapping) + 1)
             result.append(mapping[value])
     return tuple(result)
+
+
+def _getter(positions: tuple[int, ...]) -> Callable[[tuple], Assignment]:
+    """A function picking ``positions`` out of a row, always as a tuple."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
+class _Slot:
+    """One distinct subformula, compiled.
+
+    ``kind`` is the subformula's node class, ``variables`` its sorted
+    free variables (its table's columns) and ``children`` the slot
+    numbers of its operands.  ``lifts`` holds, per child, the columns of
+    this slot that carry the child's variables, or ``None`` when they are
+    the same columns.  ``keep`` (quantifiers) picks the body columns left
+    after dropping the bound variable; it is ``None`` when that variable
+    is not free in the body.  Atoms read ``pred`` through ``select``,
+    after the ``same`` (repeated variable) and ``fixed`` (constant
+    argument) filters; ``select`` is ``None`` when the relation rows
+    already are the table.  Equalities keep their two ``terms``.
+    """
+
+    __slots__ = (
+        "kind", "variables", "children", "lifts", "keep",
+        "pred", "select", "same", "fixed", "terms",
+    )
+
+    def __init__(
+        self, kind: type[Formula], variables: tuple[Variable, ...]
+    ) -> None:
+        self.kind = kind
+        self.variables = variables
+        self.children: tuple[int, ...] = ()
+        self.lifts: tuple[tuple[int, ...] | None, ...] = ()
+        self.keep: Callable[[tuple], Assignment] | None = None
+        self.pred = ""
+        self.select: Callable[[tuple], Assignment] | None = None
+        self.same: tuple[tuple[int, int], ...] = ()
+        self.fixed: tuple[tuple[int, str], ...] = ()
+        self.terms: tuple = ()
+
+
+def _compile(formula: Formula, vocabulary: Vocabulary) -> list[_Slot]:
+    """Post-order slots of the distinct subformulas of ``formula``; the
+    last one is ``formula`` itself.
+
+    Atoms are checked against ``vocabulary`` here, so a misspelt relation
+    or a wrong arity fails at construction, not at the first state that
+    carries an element.
+    """
+    slots: list[_Slot] = []
+    index: dict[Formula, int] = {}
+
+    def visit(node: Formula) -> int:
+        found = index.get(node)
+        if found is not None:
+            return found
+        children = tuple(visit(child) for child in node.children)
+        variables = _sorted_vars(node)
+        slot = _Slot(type(node), variables)
+        slot.children = children
+        if isinstance(node, _LIFTING):
+            slot.lifts = tuple(
+                None
+                if slots[child].variables == variables
+                else tuple(variables.index(v) for v in slots[child].variables)
+                for child in children
+            )
+        if isinstance(node, Atom):
+            _compile_atom(slot, node, vocabulary)
+        elif isinstance(node, Eq):
+            slot.terms = (node.left, node.right)
+        elif isinstance(node, (Exists, Forall)):
+            body = slots[children[0]].variables
+            if node.var in body:
+                slot.keep = _getter(
+                    tuple(i for i, v in enumerate(body) if v != node.var)
+                )
+        index[node] = len(slots)
+        slots.append(slot)
+        return index[node]
+
+    visit(formula)
+    return slots
+
+
+def _compile_atom(slot: _Slot, atom: Atom, vocabulary: Vocabulary) -> None:
+    if atom.pred in BUILTIN_PREDICATES:
+        raise EvaluationError(
+            "extended-vocabulary predicates are not supported "
+            "by the incremental evaluator"
+        )
+    if not vocabulary.has_predicate(atom.pred):
+        raise SchemaError(
+            f"constraint uses undeclared predicate {atom.pred!r}"
+        )
+    arity = vocabulary.arity(atom.pred)
+    if len(atom.args) != arity:
+        raise SchemaError(
+            f"constraint uses {atom.pred!r} with arity {len(atom.args)}, "
+            f"declared {arity}"
+        )
+    slot.pred = atom.pred
+    first: dict[Variable, int] = {}
+    same: list[tuple[int, int]] = []
+    fixed: list[tuple[int, str]] = []
+    for position, term in enumerate(atom.args):
+        if not isinstance(term, Variable):
+            fixed.append((position, term.name))
+        elif term in first:
+            same.append((first[term], position))
+        else:
+            first[term] = position
+    slot.same = tuple(same)
+    slot.fixed = tuple(fixed)
+    columns = tuple(first[v] for v in slot.variables)
+    if columns != tuple(range(arity)):
+        slot.select = _getter(columns)
 
 
 class IncrementalPastEvaluator:
@@ -105,8 +249,7 @@ class IncrementalPastEvaluator:
                 "the incremental evaluator handles past formulas only "
                 "(no future-tense connectives)"
             )
-        self._formula = formula
-        self._vocabulary = vocabulary
+        self._slots = _compile(formula, vocabulary)
         # Width: enough generic placeholders for every variable in scope.
         variables = {
             node.var
@@ -115,13 +258,25 @@ class IncrementalPastEvaluator:
         }
         variables |= formula.free_variables()
         self._width = max(1, len(variables))
-        self._free = _sorted_vars(formula)
+        self._arities = {len(slot.variables) for slot in self._slots}
+        self._constants = sorted(c.name for c in formula.constants())
         self._seen: frozenset[int] = frozenset()
         self._constant_bindings: dict[str, int] = {}
-        # Previous-instant tables: subformula -> set of satisfying canonical
-        # assignments to its sorted free variables.
-        self._previous: dict[Formula, frozenset[Assignment]] | None = None
-        self._previous_seen: frozenset[int] = frozenset()
+        # Per seen-set: the domain, every assignment per arity (as rows in
+        # a fixed order and as a set) and the child-column projections of
+        # those rows.
+        self._domain: tuple[GroundElement, ...] = ()
+        self._rows: dict[int, tuple[Assignment, ...]] = {}
+        self._all: dict[int, Table] = {}
+        self._projections: dict[
+            tuple[int, tuple[int, ...]], list[Assignment]
+        ] = {}
+        # Canonical forms of the rows against the previous seen-set; only
+        # read at the instant the seen-set grew.
+        self._canonical: dict[int, list[Assignment]] = {}
+        # Previous-instant tables, one per slot: the satisfying canonical
+        # assignments to the slot's sorted free variables.
+        self._previous: list[Table] | None = None
         self._instant = -1
 
     # -- configuration -------------------------------------------------------
@@ -146,7 +301,7 @@ class IncrementalPastEvaluator:
         """Stored table entries — the history-less memory footprint."""
         if self._previous is None:
             return 0
-        return sum(len(table) for table in self._previous.values())
+        return sum(len(table) for table in self._previous)
 
     def advance(self, state: DatabaseState) -> bool:
         """Consume the next state; return the formula's truth value there.
@@ -154,33 +309,34 @@ class IncrementalPastEvaluator:
         For an open formula the return value is whether *all* assignments
         satisfy it (use :meth:`satisfying_assignments` for the table).
         """
-        self._instant += 1
-        new_seen = self._seen | state.active_domain() | frozenset(
-            self._constant_bindings.values()
-        )
-        domain: tuple[GroundElement, ...] = tuple(sorted(new_seen)) + tuple(
-            Anon(i + 1) for i in range(self._width)
-        )
-        tables: dict[Formula, frozenset[Assignment]] = {}
-        self._compute(self._formula, state, domain, new_seen, tables)
+        if self._previous is None:
+            for symbol in self._constants:
+                if symbol not in self._constant_bindings:
+                    raise EvaluationError(
+                        f"constant symbol {symbol!r} is not bound"
+                    )
+        active = state.active_domain()
+        grown = self._previous is None or not active <= self._seen
+        if grown:
+            self._rebuild(
+                self._seen
+                | active
+                | frozenset(self._constant_bindings.values())
+            )
+        tables = self._fill(state.relations, grown)
         self._previous = tables
-        # The stored tables are keyed over assignments built from new_seen;
-        # cross-instant lookups must canonicalize against that same set.
-        self._previous_seen = new_seen
-        self._seen = new_seen
-        table = tables[self._formula]
-        total = len(domain) ** len(self._free)
-        return len(table) == total
+        self._instant += 1
+        return len(tables[-1]) == len(self._all[len(self._slots[-1].variables)])
 
     def current_value(self) -> bool:
         """Truth of the (closed) formula at the last consumed instant."""
         if self._previous is None:
             raise EvaluationError("no state has been consumed yet")
-        if self._free:
+        if self._slots[-1].variables:
             raise EvaluationError(
                 "formula has free variables; use satisfying_assignments()"
             )
-        return () in self._previous[self._formula]
+        return () in self._previous[-1]
 
     def satisfying_assignments(self) -> frozenset[Assignment]:
         """Canonical satisfying assignments of the formula's free variables.
@@ -190,152 +346,161 @@ class IncrementalPastEvaluator:
         """
         if self._previous is None:
             raise EvaluationError("no state has been consumed yet")
-        return self._previous[self._formula]
+        return self._previous[-1]
 
     # -- internals ------------------------------------------------------------
 
-    def _assignments(
-        self, variables: tuple[Variable, ...], domain: tuple[GroundElement, ...]
-    ) -> Iterator[dict[Variable, GroundElement]]:
-        for values in cartesian(domain, repeat=len(variables)):
-            yield dict(zip(variables, values))
+    def _rebuild(self, seen: frozenset[int]) -> None:
+        """Re-derive every per-domain structure for a grown seen-set."""
+        previous_seen = self._seen
+        self._seen = seen
+        self._domain = tuple(sorted(seen)) + tuple(
+            Anon(i + 1) for i in range(self._width)
+        )
+        self._rows = {
+            n: tuple(cartesian(self._domain, repeat=n)) for n in self._arities
+        }
+        self._all = {n: frozenset(rows) for n, rows in self._rows.items()}
+        self._projections = {}
+        self._canonical = {}
+        if self._previous is not None:
+            self._canonical = {
+                n: [_canonicalize(row, previous_seen) for row in rows]
+                for n, rows in self._rows.items()
+            }
 
-    def _resolve(
-        self, term: Term, env: Mapping[Variable, GroundElement]
-    ) -> GroundElement:
-        if isinstance(term, Variable):
-            return env[term]
-        assert isinstance(term, Constant)
-        try:
-            return self._constant_bindings[term.name]
-        except KeyError:
-            raise EvaluationError(
-                f"constant symbol {term.name!r} is not bound"
-            ) from None
+    def _equality(self, slot: _Slot) -> Table:
+        left, right = slot.terms
+        bindings = self._constant_bindings
+        if isinstance(left, Constant) and isinstance(right, Constant):
+            return _UNIT if bindings[left.name] == bindings[right.name] else _EMPTY
+        if isinstance(left, Constant) or isinstance(right, Constant):
+            constant = left if isinstance(left, Constant) else right
+            return frozenset({(bindings[constant.name],)})
+        if left == right:
+            return self._all[1]
+        return frozenset((value, value) for value in self._domain)
 
-    def _lookup_previous(
-        self, formula: Formula, values: Assignment
-    ) -> bool:
-        """Truth of a subformula at the previous instant under an assignment.
+    def _lift(self, slot: _Slot, position: int, tables: list[Table]) -> Table:
+        """The ``position``-th child's table over the slot's variables."""
+        child = tables[slot.children[position]]
+        columns = slot.lifts[position]
+        if columns is None:
+            return child
+        arity = len(slot.variables)
+        projected = self._projections.get((arity, columns))
+        if projected is None:
+            projected = list(map(_getter(columns), self._rows[arity]))
+            self._projections[arity, columns] = projected
+        return frozenset(
+            compress(self._rows[arity], map(child.__contains__, projected))
+        )
 
-        Elements not seen *by the previous instant* are canonicalized to
-        generics — their past is a generic's past.
-        """
+    def _before(self, number: int, grown: bool) -> Table:
+        """Slot ``number``'s table at the previous instant, over the
+        current domain: a new element's past is a generic's past."""
         if self._previous is None:
-            return False  # instant 0: strong past operators are false
-        canonical = _canonicalize(values, self._previous_seen)
-        return canonical in self._previous[formula]
+            return _EMPTY  # instant 0: strong past operators are false
+        table = self._previous[number]
+        if not grown:
+            return table
+        arity = len(self._slots[number].variables)
+        return frozenset(
+            compress(
+                self._rows[arity],
+                map(table.__contains__, self._canonical[arity]),
+            )
+        )
 
-    def _compute(
-        self,
-        formula: Formula,
-        state: DatabaseState,
-        domain: tuple[GroundElement, ...],
-        seen: frozenset[int],
-        tables: dict[Formula, frozenset[Assignment]],
-    ) -> frozenset[Assignment]:
-        cached = tables.get(formula)
-        if cached is not None:
-            return cached
-        for child in formula.children:
-            self._compute(child, state, domain, seen, tables)
-        free = _sorted_vars(formula)
-        satisfying: set[Assignment] = set()
-        for env in self._assignments(free, domain):
-            if self._holds(formula, env, state, domain, tables):
-                satisfying.add(tuple(env[v] for v in free))
-        result = frozenset(satisfying)
-        tables[formula] = result
-        return result
+    def _atom(
+        self, slot: _Slot, relations: Mapping[str, frozenset[tuple[int, ...]]]
+    ) -> Table:
+        rows: Collection[tuple[int, ...]] = relations.get(slot.pred, ())
+        if not rows:
+            return _EMPTY
+        if slot.same or slot.fixed:
+            bindings = self._constant_bindings
+            rows = [
+                row
+                for row in rows
+                if all(row[i] == row[j] for i, j in slot.same)
+                and all(row[i] == bindings[name] for i, name in slot.fixed)
+            ]
+            if not slot.variables:
+                return _UNIT if rows else _EMPTY
+        if slot.select is None:
+            return frozenset(rows)
+        return frozenset(map(slot.select, rows))
 
-    def _child_value(
-        self,
-        child: Formula,
-        env: Mapping[Variable, GroundElement],
-        tables: dict[Formula, frozenset[Assignment]],
-    ) -> bool:
-        values = tuple(env[v] for v in _sorted_vars(child))
-        return values in tables[child]
-
-    def _holds(
-        self,
-        formula: Formula,
-        env: dict[Variable, GroundElement],
-        state: DatabaseState,
-        domain: tuple[GroundElement, ...],
-        tables: dict[Formula, frozenset[Assignment]],
-    ) -> bool:
-        match formula:
-            case TrueFormula():
-                return True
-            case FalseFormula():
-                return False
-            case Atom(pred=pred, args=args):
-                values = tuple(self._resolve(a, env) for a in args)
-                if pred in BUILTIN_PREDICATES:
-                    raise EvaluationError(
-                        "extended-vocabulary predicates are not supported "
-                        "by the incremental evaluator"
-                    )
-                if not all(isinstance(v, int) for v in values):
-                    return False  # generics never occur in relations
-                return state.holds(pred, values)  # type: ignore[arg-type]
-            case Eq(left=left, right=right):
-                return self._resolve(left, env) == self._resolve(right, env)
-            case Not(operand=op):
-                return not self._child_value(op, env, tables)
-            case And(operands=ops):
-                return all(self._child_value(op, env, tables) for op in ops)
-            case Or(operands=ops):
-                return any(self._child_value(op, env, tables) for op in ops)
-            case Implies(antecedent=a, consequent=c):
-                return not self._child_value(
-                    a, env, tables
-                ) or self._child_value(c, env, tables)
-            case Iff(left=left, right=right):
-                return self._child_value(
-                    left, env, tables
-                ) == self._child_value(right, env, tables)
-            case Exists(var=v, body=body):
-                body_free = _sorted_vars(body)
-                for value in domain:
-                    extended = {**env, v: value}
-                    values = tuple(extended[u] for u in body_free)
-                    if values in tables[body]:
-                        return True
-                return False
-            case Forall(var=v, body=body):
-                body_free = _sorted_vars(body)
-                for value in domain:
-                    extended = {**env, v: value}
-                    values = tuple(extended[u] for u in body_free)
-                    if values not in tables[body]:
-                        return False
-                return True
-            case Prev(body=body):
-                values = tuple(env[v] for v in _sorted_vars(body))
-                return self._lookup_previous(body, values)
-            case Since(left=left, right=right):
-                if self._child_value(right, env, tables):
-                    return True
-                if not self._child_value(left, env, tables):
-                    return False
-                values = tuple(env[v] for v in _sorted_vars(formula))
-                return self._lookup_previous(formula, values)
-            case Once(body=body):
-                if self._child_value(body, env, tables):
-                    return True
-                values = tuple(env[v] for v in _sorted_vars(formula))
-                return self._lookup_previous(formula, values)
-            case Historically(body=body):
-                if not self._child_value(body, env, tables):
-                    return False
-                values = tuple(env[v] for v in _sorted_vars(formula))
-                if self._previous is None:
-                    return True  # instant 0: H A == A
-                return self._lookup_previous(formula, values)
-            case _:
-                raise ClassificationError(
-                    f"unsupported connective for incremental past "
-                    f"evaluation: {type(formula).__name__}"
+    def _fill(
+        self, relations: Mapping[str, frozenset[tuple[int, ...]]], grown: bool
+    ) -> list[Table]:
+        """One table per slot at the new instant, children first."""
+        tables: list[Table] = []
+        lift = self._lift
+        for number, slot in enumerate(self._slots):
+            kind = slot.kind
+            if kind is Atom:
+                table = self._atom(slot, relations)
+            elif kind is Or:
+                table = _EMPTY.union(
+                    *(lift(slot, k, tables) for k in range(len(slot.children)))
                 )
+            elif kind is And:
+                table = lift(slot, 0, tables).intersection(
+                    *(
+                        lift(slot, k, tables)
+                        for k in range(1, len(slot.children))
+                    )
+                )
+            elif kind is Not:
+                table = self._all[len(slot.variables)] - tables[slot.children[0]]
+            elif kind is Implies:
+                table = (
+                    self._all[len(slot.variables)] - lift(slot, 0, tables)
+                ) | lift(slot, 1, tables)
+            elif kind is Iff:
+                table = self._all[len(slot.variables)] - (
+                    lift(slot, 0, tables) ^ lift(slot, 1, tables)
+                )
+            elif kind is Prev:
+                table = self._before(slot.children[0], grown)
+            elif kind is Once:
+                table = tables[slot.children[0]] | self._before(number, grown)
+            elif kind is Historically:
+                table = tables[slot.children[0]]
+                if self._previous is not None:
+                    table = table & self._before(number, grown)
+            elif kind is Since:
+                table = lift(slot, 1, tables) | (
+                    lift(slot, 0, tables) & self._before(number, grown)
+                )
+            elif kind is Exists:
+                body = tables[slot.children[0]]
+                if slot.keep is None:
+                    table = body
+                elif slot.variables:
+                    table = frozenset(map(slot.keep, body))
+                else:
+                    table = _UNIT if body else _EMPTY
+            elif kind is Forall:
+                body = tables[slot.children[0]]
+                if slot.keep is None:
+                    table = body
+                else:
+                    arity = len(slot.variables) + 1
+                    failing = self._all[arity] - body
+                    if slot.variables:
+                        table = self._all[arity - 1] - frozenset(
+                            map(slot.keep, failing)
+                        )
+                    else:
+                        table = _EMPTY if failing else _UNIT
+            elif kind is Eq:
+                table = self._equality(slot)
+            elif kind is TrueFormula:
+                table = _UNIT
+            else:  # FalseFormula
+                table = _EMPTY
+            tables.append(table)
+        return tables

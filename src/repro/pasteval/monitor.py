@@ -35,7 +35,7 @@ from ..database.history import History
 from ..database.state import DatabaseState
 from ..database.updates import Update
 from ..database.vocabulary import Vocabulary
-from ..errors import ClassificationError
+from ..errors import ClassificationError, EvaluationError
 from ..logic.classify import is_past_formula
 from ..logic.formulas import Always, Forall, Formula
 from ..logic.transform import strip_universal_prefix
@@ -85,6 +85,12 @@ class PastReport:
 class PastMonitor:
     """Monitor ``forall* G (past)`` constraints at history-less cost.
 
+    Construction rejects a body that names an undeclared relation or
+    uses one with the wrong arity (:class:`~repro.errors.SchemaError`),
+    or that mentions a constant missing from ``constant_bindings``
+    (:class:`~repro.errors.EvaluationError`), so no state is consumed
+    by a monitor that would fail on it.
+
     >>> from ..logic import parse
     >>> from ..database import DatabaseState, vocabulary
     >>> v = vocabulary({"Sub": 1, "Fill": 1})
@@ -112,10 +118,17 @@ class PastMonitor:
         self._violated_at: dict[str, int] = {}
         self._stats: dict[str, MonitorStats] = {}
         self._instant = -1
+        bindings = dict(constant_bindings or {})
         for name, constraint in constraints.items():
             body = past_body(constraint)
+            for symbol in sorted(c.name for c in body.constants()):
+                if symbol not in bindings:
+                    raise EvaluationError(
+                        f"constant symbol {symbol!r} of constraint "
+                        f"{name!r} is not bound"
+                    )
             evaluator = IncrementalPastEvaluator(body, vocabulary)
-            for symbol, value in (constant_bindings or {}).items():
+            for symbol, value in bindings.items():
                 evaluator.bind_constant(symbol, value)
             self._evaluators[name] = evaluator
             self._stats[name] = MonitorStats()

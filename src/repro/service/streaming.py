@@ -31,13 +31,13 @@ entirely from pieces the repo already has:
 * **checkpoint/resume** — :meth:`~MonitorService.snapshot` captures
   each shard's Lemma 4.2 state (progressed remainders and grounding
   bookkeeping via :func:`repro.database.serialize.monitor_to_dict`;
-  past-closed constraints need only the shared history, replayed
-  through the history-less tables on restore).  A killed service
-  resumed with :meth:`~MonitorService.restore` produces verdicts
-  identical to the uninterrupted run — the whole point of progression
-  monitoring is that the remainder *is* the sufficient statistic, so
-  resuming costs O(1) decisions, not a re-progression of the prefix
-  (DESIGN.md §12).
+  past-closed constraints need only the history, stored once for all
+  shards and replayed through the history-less tables on restore).  A
+  killed service resumed with :meth:`~MonitorService.restore` produces
+  verdicts identical to the uninterrupted run — the whole point of
+  progression monitoring is that the remainder *is* the sufficient
+  statistic, so resuming costs O(1) decisions, not a re-progression of
+  the prefix (DESIGN.md §12).
 
 The synchronous surface (:meth:`~MonitorService.apply`,
 :meth:`~MonitorService.apply_state`) works without an event loop; the
@@ -67,7 +67,7 @@ from ..logic.formulas import Formula
 __all__ = ["SERVICE_SNAPSHOT_FORMAT", "MonitorService"]
 
 #: Format tag stamped into :meth:`MonitorService.snapshot` payloads.
-SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v1"
+SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v2"
 
 #: Queue sentinel + item shape: (session, update, state, future).
 _QueueItem = tuple[
@@ -317,18 +317,37 @@ class MonitorService:
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready checkpoint of the whole service.
 
-        Contains one :meth:`PlannedMonitor.snapshot` per shard plus the
-        service-level bookkeeping (session counters, registration
-        order).  Call between updates — from the consumer's thread or
-        while the service is stopped — so no update is half-applied.
+        Contains the history once, one :meth:`PlannedMonitor.snapshot`
+        per shard without its own copy of it, and the service-level
+        bookkeeping (session counters, registration order).  Call
+        between updates — from the consumer's thread or while the
+        service is stopped.
+
+        Raises
+        ------
+        StateError
+            If a shard is at another instant than the service: an update
+            that failed half-way cannot be saved against one history.
         """
+        adrift = {
+            index: shard.now
+            for index, shard in enumerate(self._shards)
+            if shard.now != self.now
+        }
+        if adrift:
+            raise StateError(
+                f"cannot checkpoint: the service is at instant {self.now} "
+                f"but shard(s) are at {adrift} (a half-applied update)"
+            )
         return {
             "format": SERVICE_SNAPSHOT_FORMAT,
             "config": {"shards": len(self._shards), "jobs": self._jobs},
             "order": list(self._order),
             "service_stats": self._stats.as_dict(),
             "history": history_to_dict(self._history),
-            "shards": [shard.snapshot() for shard in self._shards],
+            "shards": [
+                shard.snapshot(with_history=False) for shard in self._shards
+            ],
         }
 
     @classmethod
@@ -337,7 +356,9 @@ class MonitorService:
 
         The restored service produces verdicts identical to the
         uninterrupted run (property-tested), resumes its session
-        counters, and keeps the original shard layout.
+        counters, and keeps the original shard layout.  The history is
+        decoded once and the same :class:`History` is handed to every
+        shard.
         """
         if not isinstance(data, Mapping):
             raise StateError(
@@ -362,10 +383,12 @@ class MonitorService:
             ) from None
         service = cls.__new__(cls)
         service._order = order
-        service._history = history_from_dict(history_data)
+        history = history_from_dict(history_data)
+        service._history = history
         service._jobs = int(config.get("jobs", 1))
         service._shards = [
-            PlannedMonitor.from_snapshot(shard) for shard in shard_data
+            PlannedMonitor.from_snapshot(shard, history)
+            for shard in shard_data
         ]
         service._stats = MonitorStats.from_dict(stats_data)
         service._queue = None

@@ -8,6 +8,9 @@ detail, never a semantic one.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import run_monitor
@@ -48,6 +51,14 @@ class TestChunking:
         items = list(range(7))
         assert parallel_map(str, items, jobs=1) == [str(i) for i in items]
         assert parallel_map(str, items, jobs=3) == [str(i) for i in items]
+
+    def test_import_leaves_process_pool_unloaded(self):
+        script = "import sys, repro; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 def _monitor_fixture():

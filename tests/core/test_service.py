@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import PlannedMonitor, partition_constraints
 from repro.database import DatabaseState, History, Update, vocabulary
-from repro.errors import StateError
+from repro.errors import EvaluationError, SchemaError, StateError
 from repro.logic import parse
 from repro.ptl.caches import clear_all_caches
 from repro.service import SERVICE_SNAPSHOT_FORMAT, MonitorService
@@ -264,6 +264,45 @@ class TestServiceSnapshot:
         data = json.loads(path.read_text())
         assert data["format"] == SERVICE_SNAPSHOT_FORMAT
 
+    def test_history_written_once_and_shared_on_restore(self):
+        service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
+        service.apply(Update.insert(("Sub", (1,))))
+        data = json.loads(json.dumps(service.snapshot()))
+        assert data["format"] == "repro-service-snapshot/v2"
+        for shard in data["shards"]:
+            assert "history" not in shard
+            assert "history" not in shard["full"]
+            assert shard["full"]["entries"]
+        restored = MonitorService.restore(data)
+        assert restored.shard_count == 2
+        for shard in restored._shards:
+            assert shard.history is restored.history
+            assert shard._full.history is restored.history
+        assert restored.now == service.now
+        state = DatabaseState.from_facts(V, [("Fill", (2,))])
+        assert _report_key(restored.apply_state(state)) == _report_key(
+            service.apply_state(state)
+        )
+
+    def test_restore_rejects_v1_document(self):
+        data = MonitorService(CONSTRAINTS, History.empty(V)).snapshot()
+        data["format"] = "repro-service-snapshot/v1"
+        with pytest.raises(StateError, match="format"):
+            MonitorService.restore(data)
+
+    def test_snapshot_refuses_half_applied_update(self, monkeypatch):
+        service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
+
+        def failing(state):
+            raise RuntimeError("shard failure")
+
+        monkeypatch.setattr(service._shards[1], "append_state", failing)
+        with pytest.raises(RuntimeError):
+            service.apply(Update.insert(("Sub", (1,))))
+        assert service._shards[0].now != service.now
+        with pytest.raises(StateError, match="half-applied"):
+            service.snapshot()
+
     def test_restore_rejects_wrong_format(self):
         with pytest.raises(StateError, match="format"):
             MonitorService.restore({"format": "bogus"})
@@ -274,3 +313,26 @@ class TestServiceSnapshot:
         del data["shards"]
         with pytest.raises(StateError, match="shards"):
             MonitorService.restore(data)
+
+
+class TestMalformedPastConstraints:
+    """A pasteval-routed constraint with a schema mistake is refused at
+    construction, as the progression route refuses it, so no update is
+    ever half-applied on its account."""
+
+    @pytest.mark.parametrize(
+        ("text", "error"),
+        [
+            ("forall x . G (Fil(x) -> Y O Sub(x))", SchemaError),
+            ("forall x . G (Fill(x, x) -> Y O Sub(x))", SchemaError),
+            (
+                "forall x . G (Fill(x) -> Y O (Sub(x) | x = Vip))",
+                EvaluationError,
+            ),
+        ],
+        ids=["undeclared-relation", "wrong-arity", "unbound-constant"],
+    )
+    @pytest.mark.parametrize("front", [PlannedMonitor, MonitorService])
+    def test_rejected_at_construction(self, front, text, error):
+        with pytest.raises(error):
+            front({"audit": parse(text)}, History.empty(V))

@@ -6,14 +6,35 @@ histories whose active domain grows — while its memory footprint stays
 independent of the history length.
 """
 
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.grounding import Anon
 from repro.database import DatabaseState, History, vocabulary
-from repro.errors import ClassificationError, EvaluationError
+from repro.errors import ClassificationError, EvaluationError, SchemaError
 from repro.eval import evaluate_past
 from repro.logic import parse
+from repro.logic.formulas import (
+    And,
+    Atom,
+    Eq,
+    Exists,
+    FalseFormula,
+    Forall,
+    Historically,
+    Iff,
+    Implies,
+    Not,
+    Once,
+    Or,
+    Prev,
+    Since,
+    TrueFormula,
+)
+from repro.logic.terms import Constant, Variable
 from repro.pasteval import IncrementalPastEvaluator
 
 V = vocabulary({"Sub": 1, "Fill": 1})
@@ -101,6 +122,152 @@ class TestAgainstReference:
             assert incremental == reference
 
 
+# -- random formulas ----------------------------------------------------------
+
+RV = vocabulary({"Mark": 1, "Link": 2}, constants=["c"])
+BINDINGS = {"c": 1}
+NAMES = ("x", "y", "z")
+#: Generic g_i of a table row is checked as the natural FRESH + i, which
+#: no trace below ever mentions.
+FRESH = 10_000
+
+
+def _terms(scope):
+    return st.sampled_from(
+        [Variable(name) for name in scope] + [Constant("c")]
+    )
+
+
+@st.composite
+def past_formulas(draw, scope=(), depth=4):
+    """Random past formulas over ``Mark/1``, ``Link/2``, equality and the bound
+    constant ``c``, free variables drawn from ``scope``; quantifiers open
+    nested scopes of up to three variables."""
+    ops = (
+        "S", "Y", "O", "H", "and", "or", "implies", "iff", "not",
+        "exists", "forall", "leaf",
+    )
+    op = draw(st.sampled_from(ops)) if depth else "leaf"
+    if op == "leaf":
+        kind = draw(st.sampled_from(("Link", "Mark", "eq", "true", "false")))
+        if kind == "Mark":
+            return Atom("Mark", (draw(_terms(scope)),))
+        if kind == "Link":
+            return Atom("Link", (draw(_terms(scope)), draw(_terms(scope))))
+        if kind == "eq":
+            return Eq(draw(_terms(scope)), draw(_terms(scope)))
+        return TrueFormula() if kind == "true" else FalseFormula()
+    if op in ("exists", "forall"):
+        name = draw(st.sampled_from(NAMES))
+        body = draw(past_formulas(tuple(sorted({*scope, name})), depth - 1))
+        return (Exists if op == "exists" else Forall)(Variable(name), body)
+    sub = past_formulas(scope, depth - 1)
+    if op == "not":
+        return Not(draw(sub))
+    if op == "Y":
+        return Prev(draw(sub))
+    if op == "O":
+        return Once(draw(sub))
+    if op == "H":
+        return Historically(draw(sub))
+    left, right = draw(sub), draw(sub)
+    binary = {"and": And, "or": Or}
+    if op in binary:
+        return binary[op]((left, right))
+    return {"implies": Implies, "iff": Iff, "S": Since}[op](left, right)
+
+
+@st.composite
+def growing_traces(draw):
+    """Traces whose element range widens by one each instant."""
+    trace = []
+    for instant in range(draw(st.integers(1, 5))):
+        element = st.integers(0, 1 + instant)
+        trace.append(
+            draw(
+                st.lists(
+                    st.one_of(
+                        st.tuples(st.just("Mark"), st.tuples(element)),
+                        st.tuples(
+                            st.just("Link"), st.tuples(element, element)
+                        ),
+                    ),
+                    max_size=2,
+                )
+            )
+        )
+    return trace
+
+
+def _reference_table(formula, prefix, width):
+    """Every row over ``seen ∪ {g1..g_width}`` and whether
+    :func:`evaluate_past` satisfies it on ``prefix``."""
+    seen = sorted(prefix.active_domain() | frozenset(BINDINGS.values()))
+    domain = seen + [Anon(i + 1) for i in range(width)]
+    variables = sorted(formula.free_variables(), key=lambda v: v.name)
+    table = {}
+    for row in product(domain, repeat=len(variables)):
+        valuation = {
+            variable: FRESH + value.index if isinstance(value, Anon) else value
+            for variable, value in zip(variables, row)
+        }
+        table[row] = evaluate_past(formula, prefix, valuation=valuation)
+    return table
+
+
+class TestRandomFormulas:
+    @given(
+        formula=st.sampled_from([("x", "y"), ("x",), ()]).flatmap(
+            past_formulas
+        ),
+        trace=growing_traces(),
+    )
+    # One closed child lifted into slots of two arities.
+    @example(
+        formula=Or(
+            (
+                And((Atom("Mark", (Variable("x"),)), TrueFormula())),
+                And(
+                    (
+                        Atom("Link", (Variable("x"), Variable("y"))),
+                        TrueFormula(),
+                    )
+                ),
+            )
+        ),
+        trace=[[("Link", (0, 1))], [("Mark", (2,))]],
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tables_match_reference(self, formula, trace):
+        evaluator = IncrementalPastEvaluator(formula, RV)
+        evaluator.bind_constant("c", BINDINGS["c"])
+        bound = {
+            node.var
+            for node in formula.walk()
+            if isinstance(node, (Exists, Forall))
+        }
+        width = max(1, len(bound | formula.free_variables()))
+        subformulas = set(formula.walk())
+        for instant in range(len(trace)):
+            verdict = evaluator.advance(
+                DatabaseState.from_facts(RV, trace[instant])
+            )
+            prefix = History.from_facts(
+                RV, trace[: instant + 1], constant_bindings=BINDINGS
+            )
+            table = _reference_table(formula, prefix, width)
+            assert evaluator.satisfying_assignments() == {
+                row for row, holds in table.items() if holds
+            }
+            assert verdict == all(table.values())
+            if formula.is_closed():
+                assert verdict == evaluate_past(formula, prefix)
+            assert evaluator.memory_size == sum(
+                sum(_reference_table(sub, prefix, width).values())
+                for sub in subformulas
+            )
+
+
 class TestHistoryLessness:
     def test_memory_independent_of_length(self):
         formula = parse(AUDIT)
@@ -130,6 +297,11 @@ class TestAPI:
     def test_future_formula_rejected(self):
         with pytest.raises(ClassificationError):
             IncrementalPastEvaluator(parse("F (exists x . Sub(x))"), V)
+
+    @pytest.mark.parametrize("formula", ["O Fil(x)", "O Sub(x, x)"])
+    def test_schema_checked_at_construction(self, formula):
+        with pytest.raises(SchemaError):
+            IncrementalPastEvaluator(parse(formula), V)
 
     def test_current_value_requires_closed(self):
         evaluator = IncrementalPastEvaluator(parse("O Sub(x)"), V)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.database import DatabaseState, History, vocabulary
-from repro.errors import ClassificationError
+from repro.errors import ClassificationError, EvaluationError, SchemaError
 from repro.logic import parse
 from repro.pasteval import PastMonitor, past_body
 
@@ -129,3 +129,21 @@ class TestConstants:
             DatabaseState.from_facts(vc, [("Fill", (3,))])
         )
         assert report.new_violations == ("vip",)
+
+    def test_unbound_constant_rejected_at_construction(self):
+        vc = vocabulary({"Fill": 1}, constants=["Vip"])
+        constraint = parse("G (Fill(Vip) -> Y Fill(Vip))")
+        with pytest.raises(EvaluationError, match="Vip"):
+            PastMonitor({"vip": constraint}, vc)
+
+
+class TestSchema:
+    def test_undeclared_relation_rejected_at_construction(self):
+        constraint = parse("forall x . G (Fil(x) -> Y O Sub(x))")
+        with pytest.raises(SchemaError, match="undeclared predicate 'Fil'"):
+            PastMonitor({"audit": constraint}, V)
+
+    def test_wrong_arity_rejected_at_construction(self):
+        constraint = parse("forall x y . G (Fill(x, y) -> Y O Sub(x))")
+        with pytest.raises(SchemaError, match="arity"):
+            PastMonitor({"audit": constraint}, V)
