@@ -51,7 +51,7 @@ from repro.workloads.orders import (  # noqa: E402
     submit_once,
 )
 
-SCHEMA = "repro-bench-core/v8"
+SCHEMA = "repro-bench-core/v9"
 
 #: Schemas ``--validate`` accepts: v2 added the ``sat_*`` engine-comparison
 #: and ``parallel_triggers`` shapes (with their extra record keys); v3 adds
@@ -74,8 +74,13 @@ SCHEMA = "repro-bench-core/v8"
 #: cleared and garbage collected to simulate a fresh process, and the
 #: restored monitor finishes the trace — with ``snapshot_bytes`` /
 #: ``restore_latency_s`` and the asserted ``resumed_match`` /
-#: ``remainders_identical`` equality fields).  Each version is otherwise
-#: backward compatible, so v1-v7 reports stay usable as baselines.
+#: ``remainders_identical`` equality fields); v9 follows the monitor's
+#: single progression engine: the ``e6_monitoring_compiled`` shape (compiled
+#: against reference) is gone, every E6 shape runs the compiled kernel, and
+#: ``e6_monitoring_planned`` drops ``planned_fast_decisions`` /
+#: ``planned_fallbacks`` and the E6 shapes ``progress_cache_hit_rate`` (the
+#: reference progression memo the monitor no longer uses).  Each version is
+#: otherwise backward compatible, so v1-v8 reports stay usable as baselines.
 ACCEPTED_SCHEMAS = (
     "repro-bench-core/v1",
     "repro-bench-core/v2",
@@ -84,6 +89,7 @@ ACCEPTED_SCHEMAS = (
     "repro-bench-core/v5",
     "repro-bench-core/v6",
     "repro-bench-core/v7",
+    "repro-bench-core/v8",
     SCHEMA,
 )
 
@@ -137,29 +143,11 @@ def _sum_stats(monitor: IntegrityMonitor) -> dict[str, Any]:
             stats, "skipped_constraints", 0
         )
         totals["idle_steps"] += getattr(stats, "idle_steps", 0)
-        totals["shared_obligations"] += getattr(
-            stats, "shared_obligations", 0
-        )
-        totals["fanout"] += getattr(stats, "fanout", 0)
-        totals["planned_fast_decisions"] += getattr(
-            stats, "planned_fast_decisions", 0
-        )
-        totals["planned_fallbacks"] += getattr(
-            stats, "planned_fallbacks", 0
-        )
         totals["retired_steps"] += getattr(stats, "retired_steps", 0)
         totals["past_updates"] += getattr(stats, "past_updates", 0)
         totals["sat_time_s"] += getattr(stats, "sat_time", 0.0)
         totals["progress_time_s"] += getattr(stats, "progress_time", 0.0)
     return totals
-
-
-def _progress_hit_rate() -> float:
-    """The process-wide progression-memo hit rate since the last cache
-    clear (the satellite cache-health signal benchmark reports carry)."""
-    from repro.ptl.progression import progress_cache_info
-
-    return round(progress_cache_info().hit_rate, 4)
 
 
 def _result(
@@ -248,11 +236,8 @@ def bench_e3_progression(smoke: bool) -> dict[str, dict[str, Any]]:
     return {"e3_progression": _result(wall, length, totals)}
 
 
-def _run_e6(
-    smoke: bool, prune: bool, engine: str = "bitset"
-) -> tuple[float, int, IntegrityMonitor]:
-    """One E6 monitoring loop; ``prune`` toggles dependence pruning,
-    ``engine`` selects the monitor's decision machinery."""
+def _run_e6(smoke: bool, prune: bool) -> tuple[float, int, IntegrityMonitor]:
+    """One E6 monitoring loop; ``prune`` toggles dependence pruning."""
     length = 12 if smoke else 200
     spare = 4 if smoke else 16
     trace = generate_orders(
@@ -265,7 +250,6 @@ def _run_e6(
         strategy="spare",
         spare=spare,
         prune=prune,
-        engine=engine,
     )
     start = time.perf_counter()
     for state in trace.states():
@@ -275,8 +259,8 @@ def _run_e6(
 
 
 #: Cross-validation handoff from ``bench_e6_monitoring`` (the reference
-#: engine run) to ``bench_e6_monitoring_compiled``: violations, final
-#: remainders and the progression time to compare against.
+#: run) to the planned and resumed shapes: violations and final
+#: remainders to compare against.
 _E6_REFERENCE: dict[str, Any] = {}
 
 
@@ -286,17 +270,21 @@ def bench_e6_monitoring(smoke: bool) -> dict[str, dict[str, Any]]:
     The full size runs at history length 200 — the headline monitoring
     loop the PR's speedup target is measured on.  This record is the
     *unpruned* baseline (``prune=False``); ``e6_monitoring_pruned`` runs
-    the identical trace with dependence pruning on, and
-    ``e6_monitoring_compiled`` with the table-driven progression kernel.
+    the identical trace with dependence pruning on.  The harness asserts
+    the progression kernel never fell back to the recursive reference
+    engine (``reference_delegations == 0``).
     """
     wall, length, monitor = _run_e6(smoke, prune=False)
     totals = _sum_stats(monitor)
-    hit_rate = _progress_hit_rate()
+    kernel_info = monitor.progression_kernel_info()
+    assert kernel_info.reference_delegations == 0, (
+        "progression kernel fell back to the reference engine "
+        f"{kernel_info.reference_delegations} times"
+    )
     _E6_REFERENCE.clear()
     _E6_REFERENCE.update(
         violations=dict(monitor.violations()),
         remainders=dict(monitor.remainders()),
-        progress_time_s=totals["progress_time_s"],
     )
     return {
         "e6_monitoring": _result(
@@ -306,7 +294,7 @@ def bench_e6_monitoring(smoke: bool) -> dict[str, dict[str, Any]]:
             ms_per_update=round(1e3 * wall / length, 3),
             regrounds=totals["regrounds"],
             violations=len(monitor.violations()),
-            progress_cache_hit_rate=hit_rate,
+            reference_delegations=kernel_info.reference_delegations,
         )
     }
 
@@ -330,86 +318,13 @@ def bench_e6_monitoring_pruned(smoke: bool) -> dict[str, dict[str, Any]]:
             violations=len(monitor.violations()),
             skipped_constraints=totals["skipped_constraints"],
             idle_steps=totals["idle_steps"],
-            progress_cache_hit_rate=_progress_hit_rate(),
-        )
-    }
-
-
-def bench_e6_monitoring_compiled(smoke: bool) -> dict[str, dict[str, Any]]:
-    """E6 through the compiled progression kernel + shared obligation
-    ledger (``engine="compiled"``), cross-validated in the same run.
-
-    Same trace, constraints and strategy as ``e6_monitoring`` — that
-    record is this one's in-run reference: violations must be identical
-    and the final remainders pointer-identical (hash-consing makes the
-    comparison exact), which the harness asserts before writing the
-    report.  ``progress_speedup`` is the headline number: the reference
-    engine's cumulative progression seconds over the compiled engine's,
-    on the identical workload.
-
-    The kernel runs every rewrite rule natively on ids, so the harness
-    also asserts ``reference_delegations == 0`` — the compiled run never
-    fell back to the recursive engine — and records the per-rule miss
-    split (``misses_by_rule``).  ``kernel_row_hits`` counts satisfied
-    transition-row probes; ``progress_cache_hits`` counts reference
-    formula-memo hits and is zero here, the two engines' caches being
-    fully isolated.
-    """
-    wall, length, monitor = _run_e6(smoke, prune=False, engine="compiled")
-    totals = _sum_stats(monitor)
-    assert _E6_REFERENCE, "bench_e6_monitoring must run first"
-    kernel_info = monitor.progression_kernel_info()
-    assert kernel_info is not None
-    assert kernel_info.reference_delegations == 0, (
-        "compiled kernel fell back to the reference engine "
-        f"{kernel_info.reference_delegations} times"
-    )
-    violations = dict(monitor.violations())
-    assert violations == _E6_REFERENCE["violations"], (
-        "compiled and reference engines disagree on violations: "
-        f"{violations} vs {_E6_REFERENCE['violations']}"
-    )
-    remainders = monitor.remainders()
-    remainders_match = all(
-        remainders[name] is formula
-        for name, formula in _E6_REFERENCE["remainders"].items()
-    )
-    assert remainders_match, (
-        "compiled and reference engines disagree on final remainders"
-    )
-    reference_progress = _E6_REFERENCE["progress_time_s"]
-    compiled_progress = totals["progress_time_s"]
-    return {
-        "e6_monitoring_compiled": _result(
-            wall,
-            length,
-            totals,
-            ms_per_update=round(1e3 * wall / length, 3),
-            regrounds=totals["regrounds"],
-            violations=len(violations),
-            shared_obligations=totals["shared_obligations"],
-            fanout=totals["fanout"],
-            remainders_match=remainders_match,
-            reference_delegations=kernel_info.reference_delegations,
-            misses_by_rule={
-                rule: count
-                for rule, count in kernel_info.misses_by_rule.items()
-                if count
-            },
-            kernel_transitions=kernel_info.transitions,
-            reference_progress_time_s=round(reference_progress, 6),
-            progress_speedup=round(
-                reference_progress / compiled_progress, 2
-            )
-            if compiled_progress > 0
-            else None,
         )
     }
 
 
 def bench_e6_monitoring_planned(smoke: bool) -> dict[str, dict[str, Any]]:
     """E6 through the temporal-hierarchy dispatch planner
-    (``PlannedMonitor`` over the compiled kernel).
+    (``PlannedMonitor``).
 
     Same trace and constraints as ``e6_monitoring`` — that record is the
     in-run reference: violations must be identical (the planner may only
@@ -451,7 +366,6 @@ def bench_e6_monitoring_planned(smoke: bool) -> dict[str, dict[str, Any]]:
         strategy="spare",
         spare=spare,
         prune=False,
-        engine="compiled",
     )
     plan = monitor.plan
     assert plan.routed_off_full() >= 1, (
@@ -480,12 +394,9 @@ def bench_e6_monitoring_planned(smoke: bool) -> dict[str, dict[str, Any]]:
             backends={
                 entry.name: entry.backend for entry in plan.entries
             },
-            planned_fast_decisions=totals["planned_fast_decisions"],
-            planned_fallbacks=totals["planned_fallbacks"],
             retired_steps=totals["retired_steps"],
             past_updates=totals["past_updates"],
             tic131=tic131,
-            progress_cache_hit_rate=_progress_hit_rate(),
         )
     }
 
@@ -494,7 +405,7 @@ def bench_e6_monitoring_resumed(smoke: bool) -> dict[str, dict[str, Any]]:
     """E6 with a mid-stream kill: checkpoint, simulated process death,
     restore, finish — asserted equal to the uninterrupted run.
 
-    Same trace, constraints, strategy and engine as ``e6_monitoring`` —
+    Same trace, constraints and strategy as ``e6_monitoring`` —
     that record is the in-run reference.  The run is snapshotted through
     the monitor snapshot codec at the trace midpoint and serialized to
     JSON text; the live monitor is then dropped and every derived cache
@@ -569,7 +480,6 @@ def bench_e6_monitoring_resumed(smoke: bool) -> dict[str, dict[str, Any]]:
             restore_latency_s=round(restore_latency, 6),
             resumed_match=resumed_match,
             remainders_identical=remainders_identical,
-            progress_cache_hit_rate=_progress_hit_rate(),
         )
     }
 
@@ -656,10 +566,6 @@ def _zero_totals() -> dict[str, Any]:
         "regrounds": 0,
         "skipped_constraints": 0,
         "idle_steps": 0,
-        "shared_obligations": 0,
-        "fanout": 0,
-        "planned_fast_decisions": 0,
-        "planned_fallbacks": 0,
         "retired_steps": 0,
         "past_updates": 0,
         "sat_time_s": 0.0,
@@ -875,7 +781,6 @@ BENCHMARKS: tuple[Callable[[bool], dict[str, dict[str, Any]]], ...] = (
     bench_e3_progression,
     bench_e6_monitoring,
     bench_e6_monitoring_pruned,
-    bench_e6_monitoring_compiled,
     bench_e6_monitoring_planned,
     bench_e6_monitoring_resumed,
     bench_e7_detection,

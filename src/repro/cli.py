@@ -18,8 +18,9 @@ Subcommands:
   emit the backend-dispatch plan (:mod:`repro.core.plan`) with the TIC13x
   diagnostics as JSON; ``--strict`` fails on warnings too.
 * ``monitor``  — replay a history state by state through the online monitor
-  and report violations with their detection instants (``--no-prune``
-  disables the static dependence pruning).
+  (compiled progression kernel, bitset Büchi decisions) and report
+  violations with their detection instants (``--no-prune`` disables the
+  static dependence pruning).
 * ``serve``    — stream a history through the sharded
   :class:`repro.service.MonitorService`; ``--stop-at``/``--snapshot-out``
   checkpoint mid-stream and ``--resume-from`` resumes a killed run with
@@ -481,7 +482,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         assume_safety=args.assume_safety,
         strategy=args.strategy,
-        engine=args.engine,
         prune=not args.no_prune,
     )
     for report in run.reports:
@@ -526,10 +526,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             constraints,
             initial,
             shards=args.shards,
-            jobs=max(args.jobs, 1),
             assume_safety=args.assume_safety,
             strategy=args.strategy,
-            engine=args.engine,
             prune=not args.no_prune,
         )
         states = history.states[1:]
@@ -701,7 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan.set_defaults(func=_cmd_plan)
 
     mon = sub.add_parser("monitor", help="replay a history through the "
-                         "online monitor")
+                         "online monitor (compiled progression kernel, "
+                         "bitset Büchi decisions)")
     mon.add_argument("history", help="path to a history JSON file")
     mon.add_argument("--constraint", action="append", required=True,
                      help="constraint (repeatable)")
@@ -709,13 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("scratch", "incremental", "spare"),
                      default="incremental")
     mon.add_argument("--assume-safety", action="store_true")
-    mon.add_argument("--engine",
-                     choices=("compiled", "bitset", "reference"),
-                     default="bitset",
-                     help="decision machinery: 'compiled' adds the "
-                     "table-driven progression kernel and shared "
-                     "obligation ledger on top of the bitset "
-                     "satisfiability kernel (default bitset)")
     mon.add_argument("--jobs", type=int, default=1,
                      help="worker processes for independent constraints "
                      "(1 = serial, 0 = one per CPU)")
@@ -736,9 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=1,
                        help="max relation-disjoint constraint shards "
                        "(default 1)")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker threads fanning each update across "
-                       "shards (default 1 = serial)")
     serve.add_argument("--session", default="cli",
                        help="session name for the stream counters "
                        "(default 'cli')")
@@ -746,9 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("scratch", "incremental", "spare"),
                        default="incremental")
     serve.add_argument("--assume-safety", action="store_true")
-    serve.add_argument("--engine",
-                       choices=("compiled", "bitset", "reference"),
-                       default="bitset")
     serve.add_argument("--no-prune", action="store_true")
     serve.add_argument("--stop-at", type=int, metavar="T",
                        help="stop after instant T (simulates a kill; "

@@ -46,8 +46,7 @@ from ..logic.formulas import Formula
 from ..ptl.bitset import BuchiKernel
 from ..ptl.formulas import PTLFalse, PTLFormula, PTLTrue, Prop
 from ..ptl.progkernel import ProgKernelInfo, ProgressionKernel
-from ..ptl.progression import progress, progress_cache_info
-from ..ptl.sat import is_satisfiable, quick_model_check
+from ..ptl.sat import quick_model_check
 from .checker import validate_constraint
 from .grounding import GroundElement, RelAtom
 from .reduction import (
@@ -58,7 +57,6 @@ from .reduction import (
 )
 
 _STRATEGIES = ("scratch", "incremental", "spare")
-_ENGINES = ("compiled", "bitset", "reference")
 # Progression-side backends a dispatch plan may assign to an entry of
 # this monitor ("pasteval" never reaches IntegrityMonitor — the planner
 # routes past-closed constraints to repro.pasteval before construction).
@@ -73,16 +71,9 @@ _BACKENDS = (
 class MonitorStats:
     """Work counters for one monitored constraint.
 
-    ``progressions`` counts top-level progression steps.  With the
-    reference engines, the formula-level memo in
-    :mod:`repro.ptl.progression` may satisfy (parts of) a step from cache,
-    which ``progress_cache_hits`` accounts (including sub-formula hits).
-    With ``engine="compiled"``, the analogous counter is
-    ``kernel_row_hits`` — satisfied transition-row probes in the
-    :class:`~repro.ptl.progkernel.ProgressionKernel` — and
-    ``progress_cache_hits`` stays zero: the two engines' caches are
-    disjoint and the counters are kept apart so neither readout conflates
-    kernel-row probes with formula-memo hits.
+    ``progressions`` counts top-level progression steps; ``kernel_row_hits``
+    counts the satisfied transition-row probes of the monitor's
+    :class:`~repro.ptl.progkernel.ProgressionKernel` behind them.
     ``sat_time``/``progress_time`` are cumulative ``perf_counter`` seconds
     spent in the two Lemma 4.2 phases, so experiments and the benchmark
     harness can report where time goes.
@@ -93,21 +84,9 @@ class MonitorStats:
     was skipped because the remainder did not move.  Both stay zero with
     ``prune=False`` and under the scratch strategy.
 
-    ``shared_obligations``/``fanout`` account the shared obligation ledger
-    (``engine="compiled"`` only): at each instant, entries whose
-    (obligation, sliced state) pair coincides with an already-progressed
-    one receive the fanned-out result instead of progressing themselves
-    (``shared_obligations``), and the entry that did the work counts how
-    many sharers it served (``fanout``) — so the two totals are equal
-    across a monitor.
-
-    The dispatch-planner counters (see :mod:`repro.core.plan`) stay zero
-    on unplanned monitors: ``planned_fast_decisions`` counts decisions a
-    non-default backend resolved without the Büchi fairness machinery
-    (constant-true/false remainder or the linear quick model check);
-    ``planned_fallbacks`` counts decisions that did reach the full
-    satisfiability engine despite the plan; ``retired_steps`` counts
-    instants a discharged co-safety constraint skipped entirely.
+    ``retired_steps`` (dispatch planner, see :mod:`repro.core.plan`; zero
+    on unplanned monitors) counts instants a discharged co-safety
+    constraint skipped entirely.
     ``past_updates``/``past_memory`` are filled by the
     :class:`repro.pasteval.monitor.PastMonitor` backend — updates
     evaluated by the incremental past evaluator and its current table
@@ -128,14 +107,9 @@ class MonitorStats:
     renames: int = 0
     sat_calls: int = 0
     sat_cache_hits: int = 0
-    progress_cache_hits: int = 0
     kernel_row_hits: int = 0
     skipped_constraints: int = 0
     idle_steps: int = 0
-    shared_obligations: int = 0
-    fanout: int = 0
-    planned_fast_decisions: int = 0
-    planned_fallbacks: int = 0
     retired_steps: int = 0
     past_updates: int = 0
     past_memory: int = 0
@@ -194,14 +168,6 @@ class _ConstraintEntry:
     idle_memo: dict[
         tuple[PTLFormula, frozenset[Prop]], PTLFormula
     ] = field(default_factory=dict)
-    # Chain finals of the last compiled reground replay (top conjunct id
-    # -> final id) and the encoded mask sequence they were computed over.
-    # A later replay whose mask sequence extends replay_masks resumes each
-    # cached chain from its final instead of re-running the whole prefix;
-    # any mismatch drops the cache and replays from scratch, so no
-    # assumption about grounding stability is baked in.
-    replay_finals: dict[int, int] = field(default_factory=dict)
-    replay_masks: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -214,12 +180,8 @@ class EntrySnapshot:
     it (:meth:`IntegrityMonitor.from_snapshot`) and continuing produces
     the same verdicts as never having stopped (property-tested).
 
-    Everything here is engine-independent: formulas are actual (interned)
-    nodes, and the compiled engine's replay caches are decoded from
-    monitor-local kernel ids/masks into formulas and letter sets
-    (:meth:`~repro.ptl.progkernel.ProgressionKernel.formula` /
-    :meth:`~repro.ptl.progkernel.ProgressionKernel.decode_state`), so a
-    snapshot taken under one engine can be restored under the same engine
+    Everything here is kernel-independent: formulas are actual (interned)
+    nodes, never monitor-local kernel ids, so a snapshot can be restored
     in a process whose kernel assigns different ids.  JSON encoding lives
     in :mod:`repro.database.serialize` (``monitor_to_dict`` /
     ``monitor_from_dict``).
@@ -229,9 +191,10 @@ class EntrySnapshot:
     spare strategy the reduction's relevant set reflects the *last
     reground's* history, not the current one, so rebuilding it at restore
     time would change which elements count as fresh and diverge from the
-    uninterrupted run.  Pure caches (the idle-transition memo and the
-    monitor-wide satisfiability memo) are deliberately absent — dropping
-    them cannot change any verdict, only cache-hit counters.
+    uninterrupted run.  Pure caches (the idle-transition memo, the
+    monitor-wide satisfiability memo and the kernels' tables) are
+    deliberately absent — dropping them cannot change any verdict, only
+    cache-hit counters.
     """
 
     name: str
@@ -248,8 +211,6 @@ class EntrySnapshot:
     violated_at: int | None
     stats: MonitorStats
     last_props: frozenset[Prop] | None
-    replay_finals: tuple[tuple[PTLFormula, PTLFormula], ...]
-    replay_masks: tuple[frozenset[Prop], ...]
 
 
 @dataclass(frozen=True)
@@ -285,6 +246,18 @@ class IntegrityMonitor:
     constraint with error diagnostics (:class:`repro.errors.LintError`
     listing all of them), ``lint="off"`` skips the gate.
 
+    Each update takes the Lemma 4.2 step once per live constraint:
+    progress the remainder, then decide it.  Progression runs through one
+    table-driven :class:`repro.ptl.progkernel.ProgressionKernel` and
+    decisions through one bitset :class:`repro.ptl.bitset.BuchiKernel`,
+    both shared by every constraint, so ground instances with overlapping
+    closures share compiled rows, states and verdicts across constraints
+    and updates.  The recursive reference engines
+    (:mod:`repro.ptl.progression`, :mod:`repro.ptl.sat`) are the test
+    oracles: verdicts match :func:`repro.core.checker.check_extension` at
+    every instant, and under the scratch and incremental strategies the
+    remainders are pointer-identical to its own (property-tested).
+
     ``prune=True`` (default) enables static dependence pruning: a
     registration-time :class:`repro.analysis.UpdateDependencyIndex` tells
     the monitor which constraints each instant's delta can even reach, so
@@ -292,33 +265,17 @@ class IntegrityMonitor:
     transition and their unchanged decisions are skipped (counters
     ``idle_steps`` / ``skipped_constraints``).  ``prune=False`` keeps the
     exhaustive per-instant path; both produce identical verdicts and
-    remainders (property-tested), mirroring the ``engine="reference"``
-    oracle pattern.  The scratch strategy is never pruned.
-
-    ``engine`` selects the decision machinery: ``"compiled"`` runs the
-    bitset satisfiability kernel *and* the table-driven
-    :class:`repro.ptl.progkernel.ProgressionKernel` behind a shared
-    obligation ledger — each instant, the per-constraint obligations are
-    grouped by (obligation id, sliced state mask), every distinct group is
-    progressed exactly once through the kernel's transition table, and the
-    result is fanned back out to all constraint instances sharing it
-    (hash-consing makes structurally equal remainders pointer-identical
-    across constraints, so sharing is an identity test).  ``"bitset"``
-    keeps the compiled satisfiability kernel but the reference recursive
-    progression; ``"reference"`` uses the reference engines for both.  All
-    three produce identical verdicts, violations and remainders
-    (property-tested).
+    remainders (property-tested).  The scratch strategy is never pruned.
 
     ``backends`` (optional) carries per-constraint assignments from a
     dispatch plan (:func:`repro.core.plan.plan_constraints`):
-    ``"progression-safety"`` marks decisions that should resolve without
-    the Büchi fairness search (counted via ``planned_fast_decisions`` /
-    ``planned_fallbacks``), ``"progression-cosafety"`` additionally
-    *retires* the constraint once its remainder is discharged to ``true``
-    — quiet bookkeeping only, no progression or decision — un-retiring
-    (by reground) when a fresh element introduces a new obligation.
-    Verdicts, violations and remainders are identical with and without a
-    plan (property-tested): progression of ``true`` is ``true``, so the
+    ``"progression-cosafety"`` *retires* the constraint once its
+    remainder is discharged to ``true`` — quiet bookkeeping only, no
+    progression or decision — un-retiring (by reground) when a fresh
+    element introduces a new obligation.  ``"progression-safety"`` and
+    ``"progression-full"`` take the ordinary step.  Verdicts, violations
+    and remainders are identical with and without a plan
+    (property-tested): progression of ``true`` is ``true``, so the
     retired fast path only skips provably idempotent work.
 
     >>> from ..logic import parse
@@ -340,22 +297,16 @@ class IntegrityMonitor:
         constraints: Mapping[str, Formula] | Sequence[Formula],
         initial: History,
         assume_safety: bool = False,
-        method: str = "buchi",
         strategy: str = "incremental",
         spare: int = 2,
         fold: bool = True,
         lint: str = "warn",
-        engine: str = "bitset",
         prune: bool = True,
         backends: Mapping[str, str] | None = None,
     ) -> None:
         if strategy not in _STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
-            )
-        if engine not in _ENGINES:
-            raise ValueError(
-                f"engine must be one of {_ENGINES}, got {engine!r}"
             )
         for backend in (backends or {}).values():
             if backend not in _BACKENDS:
@@ -371,41 +322,15 @@ class IntegrityMonitor:
                 f"constraint_{index}": formula
                 for index, formula in enumerate(constraints)
             }
-        self._method = method
-        self._strategy = strategy
-        self._spare = spare
-        self._fold = fold
-        self._engine = engine
-        self._assume_safety = assume_safety
-        self._history = initial
-        # Static dependence pruning (see repro.analysis and DESIGN.md §9):
-        # instants whose delta touches none of a constraint's relations go
-        # through the idle transition, and decisions whose remainder did
-        # not move are skipped.  The scratch strategy stays fully naive —
-        # it is the ablation baseline and must pay for every instant.
-        self._prune = prune and strategy != "scratch"
-        self._index = UpdateDependencyIndex(constraints)
-        # Monitor-wide satisfiability memo, shared across constraints and
-        # keyed by the interned remainder: the same ground obligation shows
-        # up under several constraints (and across regrounds), and interned
-        # identity makes the lookup O(1) instead of a structural re-hash.
-        self._sat_cache: dict[PTLFormula, bool] = {}
-        # Batched decision layer: every remainder of every constraint is
-        # decided through one shared bitset kernel, so ground instances
-        # with overlapping closures share compiled states, successor masks
-        # and fairness verdicts across constraints and updates.
-        self._kernel: BuchiKernel | None = (
-            BuchiKernel()
-            if engine in ("compiled", "bitset") and method == "buchi"
-            else None
+        self._setup(
+            initial,
+            constraints,
+            assume_safety=assume_safety,
+            strategy=strategy,
+            spare=spare,
+            fold=fold,
+            prune=prune,
         )
-        # Compiled progression: one kernel (and its transition table) is
-        # shared by every constraint, and _recheck batches the per-entry
-        # steps through the obligation ledger.
-        self._progkernel: ProgressionKernel | None = (
-            ProgressionKernel() if engine == "compiled" else None
-        )
-        self._entries: list[_ConstraintEntry] = []
         for name, formula in constraints.items():
             info = validate_constraint(
                 formula, assume_safety=assume_safety, lint=lint
@@ -421,6 +346,40 @@ class IntegrityMonitor:
         for entry in self._entries:
             self._reground(entry)
             self._decide(entry, instant=self._history.now)
+
+    def _setup(
+        self,
+        history: History,
+        constraints: Mapping[str, Formula],
+        *,
+        assume_safety: bool,
+        strategy: str,
+        spare: int,
+        fold: bool,
+        prune: bool,
+    ) -> None:
+        """The settings and empty caches shared by construction and
+        restore; entries are added by the caller."""
+        self._strategy = strategy
+        self._spare = spare
+        self._fold = fold
+        self._assume_safety = assume_safety
+        self._history = history
+        # Static dependence pruning (see repro.analysis and DESIGN.md §9):
+        # instants whose delta touches none of a constraint's relations go
+        # through the idle transition, and decisions whose remainder did
+        # not move are skipped.  The scratch strategy stays fully naive —
+        # it is the ablation baseline and must pay for every instant.
+        self._prune = prune and strategy != "scratch"
+        self._index = UpdateDependencyIndex(constraints)
+        # Monitor-wide satisfiability memo, shared across constraints and
+        # keyed by the interned remainder: the same ground obligation shows
+        # up under several constraints (and across regrounds), and interned
+        # identity makes the lookup O(1) instead of a structural re-hash.
+        self._sat_cache: dict[PTLFormula, bool] = {}
+        self._buchi = BuchiKernel()
+        self._progkernel = ProgressionKernel()
+        self._entries: list[_ConstraintEntry] = []
 
     # -- public surface ------------------------------------------------------
 
@@ -445,13 +404,10 @@ class IntegrityMonitor:
         """Per-constraint work counters."""
         return {entry.name: entry.stats for entry in self._entries}
 
-    def progression_kernel_info(self) -> ProgKernelInfo | None:
-        """Counters of this monitor's shared progression kernel
-        (``engine="compiled"`` only, ``None`` otherwise): table sizes,
-        row hits/misses split per rewrite rule, and the
+    def progression_kernel_info(self) -> ProgKernelInfo:
+        """Counters of this monitor's shared progression kernel: table
+        sizes, row hits/misses split per rewrite rule, and the
         ``reference_delegations`` count the benchmark asserts is zero."""
-        if self._progkernel is None:
-            return None
         return self._progkernel.info()
 
     def reset(self) -> None:
@@ -488,11 +444,9 @@ class IntegrityMonitor:
         """
         return {
             "assume_safety": self._assume_safety,
-            "method": self._method,
             "strategy": self._strategy,
             "spare": self._spare,
             "fold": self._fold,
-            "engine": self._engine,
             "prune": self._prune,
         }
 
@@ -500,26 +454,13 @@ class IntegrityMonitor:
         """Export every constraint's resume state (see
         :class:`EntrySnapshot`).
 
-        The compiled engine's replay caches are decoded out of the
-        monitor-local kernel id/mask space here; everything else is
-        carried as-is.  The monitor itself is left untouched — taking a
-        snapshot is observationally free.
+        The monitor itself is left untouched — taking a snapshot is
+        observationally free.
         """
-        kernel = self._progkernel
         out: list[EntrySnapshot] = []
         for entry in self._entries:
             assert entry.remainder is not None
             assert entry.reduction is not None
-            finals: tuple[tuple[PTLFormula, PTLFormula], ...] = ()
-            masks: tuple[frozenset[Prop], ...] = ()
-            if kernel is not None and entry.replay_masks:
-                finals = tuple(
-                    (kernel.formula(cid), kernel.formula(fid))
-                    for cid, fid in sorted(entry.replay_finals.items())
-                )
-                masks = tuple(
-                    kernel.decode_state(mask) for mask in entry.replay_masks
-                )
             out.append(
                 EntrySnapshot(
                     name=entry.name,
@@ -536,8 +477,6 @@ class IntegrityMonitor:
                     violated_at=entry.violated_at,
                     stats=MonitorStats.from_dict(entry.stats.as_dict()),
                     last_props=entry.last_props,
-                    replay_finals=finals,
-                    replay_masks=masks,
                 )
             )
         return out
@@ -549,11 +488,9 @@ class IntegrityMonitor:
         entries: Sequence[EntrySnapshot],
         *,
         assume_safety: bool = False,
-        method: str = "buchi",
         strategy: str = "incremental",
         spare: int = 2,
         fold: bool = True,
-        engine: str = "bitset",
         prune: bool = True,
     ) -> "IntegrityMonitor":
         """Rebuild a monitor from snapshot state, resuming mid-history.
@@ -570,40 +507,24 @@ class IntegrityMonitor:
         property test asserts with ``is``).
 
         Pure caches are rebuilt empty: the satisfiability memo, the idle
-        memo and the compiled kernel's transition rows refill on demand,
-        so only cache-hit counters — never verdicts, violations or
-        remainders — can differ from the uninterrupted run.
+        memo and the kernels' tables refill on demand, so only cache-hit
+        counters — never verdicts, violations or remainders — can differ
+        from the uninterrupted run.
         """
         if strategy not in _STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
             )
-        if engine not in _ENGINES:
-            raise ValueError(
-                f"engine must be one of {_ENGINES}, got {engine!r}"
-            )
         monitor = cls.__new__(cls)
-        monitor._method = method
-        monitor._strategy = strategy
-        monitor._spare = spare
-        monitor._fold = fold
-        monitor._engine = engine
-        monitor._assume_safety = assume_safety
-        monitor._history = history
-        monitor._prune = prune and strategy != "scratch"
-        monitor._index = UpdateDependencyIndex(
-            {snap.name: snap.constraint for snap in entries}
+        monitor._setup(
+            history,
+            {snap.name: snap.constraint for snap in entries},
+            assume_safety=assume_safety,
+            strategy=strategy,
+            spare=spare,
+            fold=fold,
+            prune=prune,
         )
-        monitor._sat_cache = {}
-        monitor._kernel = (
-            BuchiKernel()
-            if engine in ("compiled", "bitset") and method == "buchi"
-            else None
-        )
-        monitor._progkernel = (
-            ProgressionKernel() if engine == "compiled" else None
-        )
-        monitor._entries = []
         for snap in entries:
             if snap.backend not in _BACKENDS:
                 raise ValueError(
@@ -627,21 +548,6 @@ class IntegrityMonitor:
                 history=history,
                 scope=snap.scope,
             )
-            replay_finals: dict[int, int] = {}
-            replay_masks: list[int] = []
-            progkernel = monitor._progkernel
-            if progkernel is not None and snap.replay_masks:
-                # Re-encode the replay cache into *this* kernel's id and
-                # bit space; encode_state is also what the next reground
-                # uses, so the resume check compares like with like.
-                replay_finals = {
-                    progkernel.intern(conjunct): progkernel.intern(final)
-                    for conjunct, final in snap.replay_finals
-                }
-                replay_masks = [
-                    progkernel.encode_state(props)
-                    for props in snap.replay_masks
-                ]
             monitor._entries.append(
                 _ConstraintEntry(
                     name=snap.name,
@@ -656,8 +562,6 @@ class IntegrityMonitor:
                     violated_at=snap.violated_at,
                     stats=MonitorStats.from_dict(snap.stats.as_dict()),
                     last_props=snap.last_props,
-                    replay_finals=replay_finals,
-                    replay_masks=replay_masks,
                 )
             )
         return monitor
@@ -685,22 +589,15 @@ class IntegrityMonitor:
         touched = self._touched_now()
         new_violations: list[str] = []
         satisfied: dict[str, bool] = {}
-        # Advance phase.  With the compiled engine the per-entry steps are
-        # collected and batched through the shared obligation ledger; the
-        # reference engines advance entry by entry.  Entries that reground
-        # (or take the idle transition) progress inside the first loop
-        # either way.
-        active: list[tuple[_ConstraintEntry, PTLFormula | None]] = []
-        batch: list[tuple[_ConstraintEntry, frozenset[Prop]]] = []
         for entry in self._entries:
             if entry.violated_at is not None:
                 satisfied[entry.name] = False
                 continue
-            active.append((entry, entry.remainder))
+            before = entry.remainder
             if (
                 entry.backend == "progression-cosafety"
                 and self._strategy != "scratch"
-                and isinstance(entry.remainder, PTLTrue)
+                and isinstance(before, PTLTrue)
             ):
                 # Discharged co-safety constraint: the remainder is the
                 # absorbing true, so progression could not move it.  Only
@@ -714,16 +611,8 @@ class IntegrityMonitor:
                 and entry.last_props is not None
             ):
                 self._advance_idle(entry)
-            elif self._progkernel is not None:
-                props = self._prepare_advance(entry)
-                if props is not None:
-                    batch.append((entry, props))
             else:
                 self._advance(entry)
-        if batch:
-            self._ledger_step(batch)
-        # Decide phase, in registration order.
-        for entry, before in active:
             if self._prune and entry.remainder is before:
                 # The remainder did not move, so its satisfiability did
                 # not either: the previous instant's verdict (OK, or this
@@ -742,56 +631,6 @@ class IntegrityMonitor:
             satisfied=satisfied,
             new_violations=tuple(new_violations),
         )
-
-    def _ledger_step(
-        self, batch: Sequence[tuple["_ConstraintEntry", frozenset[Prop]]]
-    ) -> None:
-        """One instant of the shared obligation ledger.
-
-        Hash-consing makes structurally equal remainders pointer-identical
-        across every monitored constraint, so the kernel id of a remainder
-        plus the state sliced to its letters fully determines the
-        progression step.  Entries are grouped by that pair, each distinct
-        group is progressed exactly once (by its first member, which pays
-        the — usually table-hit — cost), and the successor is fanned back
-        out to every sharing instance.  ``shared_obligations``/``fanout``
-        account the sharing; per-group work lands on the group leader's
-        timers so totals stay comparable with the reference engines.
-        """
-        kernel = self._progkernel
-        assert kernel is not None
-        groups: dict[
-            tuple[int, int],
-            list[tuple[_ConstraintEntry, frozenset[Prop]]],
-        ] = {}
-        masks: dict[tuple[int, int], int] = {}
-        for entry, props in batch:
-            assert entry.remainder is not None
-            oid = kernel.intern(entry.remainder)
-            state_mask = kernel.encode_state(props)
-            key = (oid, kernel.sliced(oid, state_mask))
-            group = groups.get(key)
-            if group is None:
-                groups[key] = group = []
-                masks[key] = state_mask
-            group.append((entry, props))
-        for key, group in groups.items():
-            leader = group[0][0]
-            stats = leader.stats
-            hits_before = kernel.hits
-            start = time.perf_counter()
-            # Materializing the successor formula counts as progression
-            # work, like the reference engine's result construction.
-            result = kernel.formula(kernel.progress_id(key[0], masks[key]))
-            stats.progress_time += time.perf_counter() - start
-            stats.kernel_row_hits += kernel.hits - hits_before
-            stats.fanout += len(group) - 1
-            for index, (entry, props) in enumerate(group):
-                entry.remainder = result
-                entry.last_props = props
-                entry.stats.progressions += 1
-                if index:
-                    entry.stats.shared_obligations += 1
 
     def _touched_now(self) -> frozenset[str] | None:
         """Constraints whose relations the newest delta touches.
@@ -827,13 +666,9 @@ class IntegrityMonitor:
             entry.idle_memo[key] = cached
         else:
             # Count the step as a (fully cached) progression so pruned and
-            # unpruned runs report comparable totals — against the cache
-            # counter the entry's engine would have bumped.
+            # unpruned runs report comparable totals.
             entry.stats.progressions += 1
-            if self._progkernel is not None:
-                entry.stats.kernel_row_hits += 1
-            else:
-                entry.stats.progress_cache_hits += 1
+            entry.stats.kernel_row_hits += 1
         entry.stats.idle_steps += 1
         entry.remainder = cached
 
@@ -842,20 +677,35 @@ class IntegrityMonitor:
 
         ``progress(true, s) = true`` for every state ``s``, so the
         remainder provably cannot move; what must still run is the
-        strategy bookkeeping of :meth:`_prepare_advance` — spare-slot
-        claiming and fresh-element detection — because a fresh element
-        introduces a brand-new ground obligation that the collapsed
-        remainder no longer represents.  A fresh element is renamed onto
-        an unused spare when possible (sound for the same reason as the
-        live path: before its first appearance the fresh element is
-        interchangeable with a spare whose fact letters were false
-        throughout, so its instance progressed to the same discharged
-        ``true``), and regrounds otherwise, which un-retires the entry.
+        strategy bookkeeping of :meth:`_advance` — spare-slot claiming and
+        fresh-element detection — because a fresh element introduces a
+        brand-new ground obligation that the collapsed remainder no longer
+        represents.  A fresh element is renamed onto an unused spare when
+        possible (sound for the same reason as the live path: before its
+        first appearance the fresh element is interchangeable with a spare
+        whose fact letters were false throughout, so its instance
+        progressed to the same discharged ``true``), and regrounds
+        otherwise, which un-retires the entry.
+        """
+        if self._track_elements(entry):
+            entry.stats.retired_steps += 1
+
+    def _track_elements(self, entry: _ConstraintEntry) -> bool:
+        """Strategy bookkeeping for the newest state: spare claiming and
+        renaming, and fresh-element detection.
+
+        Returns ``False`` when the entry had to reground — its remainder
+        then already includes the new instant — and ``True`` when the
+        current grounding still covers every visible element.
         """
         assert entry.reduction is not None
-        new_state = self._history.current
-        visible = self._entry_domain(entry, new_state)
+        visible = self._entry_domain(entry, self._history.current)
         if self._strategy == "spare":
+            # A real element whose id coincides with a spare id claims that
+            # spare (identity mapping) so no fresh element is renamed onto
+            # an occupied slot.  If the slot is already consumed by a
+            # renamed element, the grounding would conflate the two:
+            # rebuild instead.
             taken = set(entry.spare_map.values())
             for element in visible:
                 if element in entry.spare_pool and (
@@ -863,17 +713,19 @@ class IntegrityMonitor:
                 ):
                     if element in taken:
                         self._reground(entry)
-                        return
+                        return False
                     entry.spare_map[element] = element
         fresh = visible - entry.known_elements
+        # Elements already in the grounding's relevant set (e.g. spares of
+        # this entry) are not fresh.
         fresh -= entry.reduction.relevant
         if fresh and not (
             self._strategy == "spare" and self._try_rename(entry, fresh)
         ):
             self._reground(entry)
-            return
+            return False
         entry.known_elements |= visible
-        entry.stats.retired_steps += 1
+        return True
 
     def _entry_domain(
         self, entry: _ConstraintEntry, state: DatabaseState
@@ -903,13 +755,10 @@ class IntegrityMonitor:
             self._history, entry.info
         )
         remainder = reduction.formula
-        if self._progkernel is not None and reduction.prefix:
+        if reduction.prefix:
             remainder = self._replay_compiled(
                 entry, remainder, reduction.prefix
             )
-        else:
-            for props in reduction.prefix:
-                remainder = self._progress(entry, remainder, props)
         entry.remainder = remainder
         entry.last_props = (
             frozenset(reduction.prefix[-1]) if reduction.prefix else None
@@ -924,41 +773,22 @@ class IntegrityMonitor:
         """Replay a reground prefix entirely in kernel id-space.
 
         Intermediate remainders stay unmaterialized ids — nothing observes
-        them — and only the final remainder is built as a formula.  Counts
-        one progression per prefix state, like the step-by-step path, so
-        totals stay comparable across engines.
-
-        Successive regrounds of one entry replay a growing prefix whose
-        conjuncts are mostly shared (hash-consing keeps unchanged ground
-        conjuncts pointer-identical, hence id-identical), so the chain
-        finals of the previous replay are kept on the entry and resumed
-        instead of re-chaining from instant 0.  The cache self-validates:
-        it is used only when the previous encoded mask sequence is exactly
-        a prefix of the new one, and dropped otherwise, so a grounding
-        that rewrites history encodings just falls back to a full replay.
+        them — and only the final remainder is built as a formula.  The
+        kernel chains each top-level conjunct through the prefix on its
+        own (:meth:`~repro.ptl.progkernel.ProgressionKernel.progress_replay`).
+        Counts one progression per prefix state, like the step-by-step
+        path.
         """
         kernel = self._progkernel
-        assert kernel is not None
         stats = entry.stats
         start = time.perf_counter()
         hits_before = kernel.hits
-        oid = kernel.intern(formula)
         encode = kernel.encode_state
-        masks = [encode(props) for props in prefix]
-        finals = entry.replay_finals
-        resume_from = len(entry.replay_masks)
-        if resume_from and (
-            resume_from > len(masks)
-            or masks[:resume_from] != entry.replay_masks
-        ):
-            finals.clear()
-            resume_from = 0
         result = kernel.formula(
             kernel.progress_replay(
-                oid, masks, finals=finals, resume_from=resume_from
+                kernel.intern(formula), [encode(props) for props in prefix]
             )
         )
-        entry.replay_masks = masks
         stats.progress_time += time.perf_counter() - start
         stats.kernel_row_hits += kernel.hits - hits_before
         stats.progressions += len(prefix)
@@ -974,18 +804,10 @@ class IntegrityMonitor:
         stats = entry.stats
         kernel = self._progkernel
         start = time.perf_counter()
-        if kernel is not None:
-            hits_before = kernel.hits
-            result = kernel.progress_formula(formula, props)
-            stats.progress_time += time.perf_counter() - start
-            stats.kernel_row_hits += kernel.hits - hits_before
-        else:
-            hits_before = progress_cache_info().hits
-            result = progress(formula, props)
-            stats.progress_time += time.perf_counter() - start
-            stats.progress_cache_hits += (
-                progress_cache_info().hits - hits_before
-            )
+        hits_before = kernel.hits
+        result = kernel.progress_formula(formula, props)
+        stats.progress_time += time.perf_counter() - start
+        stats.kernel_row_hits += kernel.hits - hits_before
         stats.progressions += 1
         return result
 
@@ -1002,64 +824,19 @@ class IntegrityMonitor:
         entry.spare_map = {}
         return frozenset(pool)
 
-    def _prepare_advance(
-        self, entry: _ConstraintEntry
-    ) -> frozenset[Prop] | None:
-        """Strategy bookkeeping for one update; the progression input.
-
-        Runs everything *except* the progression step itself — scratch
-        regrounds, spare claiming/renaming, fresh-element detection and
-        the state-to-letters restriction — and returns the propositional
-        state the entry's remainder must progress through.  ``None`` means
-        the entry regrounded (remainder already includes the new instant).
-        Split from :meth:`_advance` so the compiled engine can collect
-        these per-entry steps and batch them through the ledger.
-        """
+    def _advance(self, entry: _ConstraintEntry) -> None:
+        """Incorporate the newest state into the entry's remainder."""
         if self._strategy == "scratch":
             self._reground(entry)
-            return None
+            return
+        if not self._track_elements(entry):
+            return
         assert entry.reduction is not None and entry.remainder is not None
-        new_state = self._history.current
-        visible = self._entry_domain(entry, new_state)
-        if self._strategy == "spare":
-            # A real element whose id coincides with a spare id claims that
-            # spare (identity mapping) so no fresh element is renamed onto
-            # an occupied slot.  If the slot is already consumed by a
-            # renamed element, the grounding would conflate the two:
-            # rebuild instead.
-            taken = set(entry.spare_map.values())
-            for element in visible:
-                if element in entry.spare_pool and (
-                    element not in entry.spare_map
-                ):
-                    if element in taken:
-                        self._reground(entry)
-                        return None
-                    entry.spare_map[element] = element
-        fresh = visible - entry.known_elements
-        # Elements already in the grounding's relevant set (e.g. spares of
-        # this entry) are not fresh.
-        fresh -= entry.reduction.relevant
-        if fresh:
-            if self._strategy == "spare" and self._try_rename(entry, fresh):
-                pass
-            else:
-                self._reground(entry)
-                return None
-        entry.known_elements |= visible
         props = state_to_props(
-            new_state, entry.reduction.domain, fold=self._fold
+            self._history.current, entry.reduction.domain, fold=self._fold
         )
         if self._strategy == "spare":
             props = _rename_props(props, entry.spare_map)
-        return props
-
-    def _advance(self, entry: _ConstraintEntry) -> None:
-        """Incorporate the newest state into the entry's remainder."""
-        props = self._prepare_advance(entry)
-        if props is None:
-            return
-        assert entry.remainder is not None
         entry.remainder = self._progress(entry, entry.remainder, props)
         entry.last_props = props
 
@@ -1077,23 +854,11 @@ class IntegrityMonitor:
         return True
 
     def _decide(self, entry: _ConstraintEntry, instant: int) -> bool:
-        assert entry.remainder is not None
         remainder = entry.remainder
-        # Plan accounting: a non-default backend promises most decisions
-        # resolve on the constant-remainder test or the linear quick
-        # model check (planned_fast_decisions); reaching the full
-        # satisfiability engine anyway is a planned_fallback.  The
-        # decision logic itself is identical across backends — that is
-        # what makes planned and unplanned verdicts equal by
-        # construction.
-        planned = entry.backend != "progression-full"
+        assert remainder is not None
         if isinstance(remainder, PTLTrue):
-            if planned:
-                entry.stats.planned_fast_decisions += 1
             return True
         if isinstance(remainder, PTLFalse):
-            if planned:
-                entry.stats.planned_fast_decisions += 1
             entry.violated_at = instant
             return False
         cached = self._sat_cache.get(remainder)
@@ -1103,29 +868,9 @@ class IntegrityMonitor:
         else:
             entry.stats.sat_calls += 1
             start = time.perf_counter()
-            if quick_model_check(remainder):
-                ok = True
-                if planned:
-                    entry.stats.planned_fast_decisions += 1
-            else:
-                if planned:
-                    entry.stats.planned_fallbacks += 1
-                if self._kernel is not None:
-                    ok = self._kernel.is_satisfiable(remainder)
-                else:
-                    # The satisfiability facade knows
-                    # "bitset"/"reference"; "compiled" (a
-                    # progression-side distinction) decides through the
-                    # bitset engine.
-                    ok = is_satisfiable(
-                        remainder,
-                        method=self._method,
-                        engine=(
-                            "bitset"
-                            if self._engine == "compiled"
-                            else self._engine
-                        ),
-                    )
+            ok = quick_model_check(remainder) or self._buchi.is_satisfiable(
+                remainder
+            )
             entry.stats.sat_time += time.perf_counter() - start
             self._sat_cache[remainder] = ok
         if not ok:

@@ -15,18 +15,16 @@ hierarchy class           backend                    what it saves
                                                      satisfiability calls
                                                      (Proposition 2.1 /
                                                      Section 6)
-``safety``                ``progression-safety``     the Büchi fairness
-                                                     search: decisions
-                                                     resolve on the
-                                                     constant-remainder
-                                                     test or the linear
-                                                     quick model check
-                                                     (counted, with
-                                                     fallbacks)
-``bounded-future`` /      ``progression-cosafety``   like safety, plus the
-``co-safety``                                        whole per-update step
-                                                     once discharged: a
-                                                     ``true`` remainder
+``safety``                ``progression-safety``     nothing beyond
+                                                     ``progression-full``
+                                                     (a label: every
+                                                     decision already
+                                                     tries the constant
+                                                     and quick-model-
+                                                     check paths first)
+``bounded-future`` /      ``progression-cosafety``   the whole per-update
+``co-safety``                                        step once discharged:
+                                                     a ``true`` remainder
                                                      retires the entry
 ``general``               ``progression-full``       nothing — the full
                                                      compiled kernel
@@ -39,8 +37,8 @@ connectives raise ``NotUniversalError`` there), everything else to one
 :class:`repro.core.monitor.IntegrityMonitor` carrying the per-entry
 backend assignments.  Verdicts and violations are identical to an
 unplanned monitor on the shared fragment (hypothesis-tested over
-strategies × prune, like bitset and compiled were pinned to reference);
-DESIGN.md section 11 carries the soundness argument per backend.
+strategies × prune); DESIGN.md section 11 carries the soundness argument
+per backend.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ __all__ = [
 ]
 
 #: Format tag stamped into :meth:`PlannedMonitor.snapshot` payloads.
-PLANNED_SNAPSHOT_FORMAT = "repro-planned-snapshot/v1"
+PLANNED_SNAPSHOT_FORMAT = "repro-planned-snapshot/v2"
 
 
 @dataclass(frozen=True)
@@ -276,9 +274,8 @@ class PlannedMonitor:
     history-less :class:`repro.pasteval.monitor.PastMonitor` (no
     grounding, no satisfiability engine), the rest to one shared
     :class:`IntegrityMonitor` whose entries carry their planned backend
-    (safety fast-decision accounting, co-safety retirement).  Reports
-    merge both engines in registration order, so callers see a single
-    monitor.
+    (co-safety retirement).  Reports merge both engines in registration
+    order, so callers see a single monitor.
 
     Because past-closed constraints bypass the Theorem 4.1 pipeline,
     a :class:`PlannedMonitor` accepts mixed sets that
@@ -311,12 +308,10 @@ class PlannedMonitor:
         constraints: Mapping[str, Formula] | Sequence[Formula],
         initial: History,
         assume_safety: bool = False,
-        method: str = "buchi",
         strategy: str = "incremental",
         spare: int = 2,
         fold: bool = True,
         lint: str = "warn",
-        engine: str = "bitset",
         prune: bool = True,
     ) -> None:
         from ..pasteval.monitor import PastMonitor
@@ -329,11 +324,9 @@ class PlannedMonitor:
         self._constraints = dict(constraints)
         self._config: dict[str, Any] = {
             "assume_safety": assume_safety,
-            "method": method,
             "strategy": strategy,
             "spare": spare,
             "fold": fold,
-            "engine": engine,
             "prune": prune,
         }
         self._plan = plan_constraints(constraints)
@@ -366,12 +359,10 @@ class PlannedMonitor:
                 full,
                 initial,
                 assume_safety=assume_safety,
-                method=method,
                 strategy=strategy,
                 spare=spare,
                 fold=fold,
                 lint=lint,
-                engine=engine,
                 prune=prune,
                 backends={
                     entry.name: entry.backend
@@ -449,7 +440,7 @@ class PlannedMonitor:
 
         The progression side delegates to
         :func:`repro.database.serialize.monitor_to_dict` (structural
-        remainders, grounding bookkeeping, replay caches); the pasteval
+        remainders and grounding bookkeeping); the pasteval
         side needs no state beyond the shared history — its evaluators
         are rebuilt by replaying it, which is history-less table updates
         with no grounding or satisfiability calls.  Restoring with

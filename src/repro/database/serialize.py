@@ -58,7 +58,7 @@ from .state import DatabaseState
 from .vocabulary import Vocabulary
 
 #: Format tag written into (and required from) monitor snapshots.
-MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v1"
+MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v2"
 
 
 def vocabulary_to_dict(vocabulary: Vocabulary) -> dict[str, Any]:
@@ -460,13 +460,6 @@ def _entry_to_jsonable(snap: Any) -> dict[str, Any]:
             if snap.last_props is None
             else _props_to_jsonable(snap.last_props)
         ),
-        "replay_finals": [
-            [ptl_to_jsonable(conjunct), ptl_to_jsonable(final)]
-            for conjunct, final in snap.replay_finals
-        ],
-        "replay_masks": [
-            _props_to_jsonable(props) for props in snap.replay_masks
-        ],
     }
 
 
@@ -501,17 +494,6 @@ def _entry_from_jsonable(data: Any) -> Any:
                 None
                 if data["last_props"] is None
                 else _props_from_jsonable(data["last_props"], where)
-            ),
-            replay_finals=tuple(
-                (
-                    ptl_from_jsonable(conjunct, where),
-                    ptl_from_jsonable(final, where),
-                )
-                for conjunct, final in data["replay_finals"]
-            ),
-            replay_masks=tuple(
-                _props_from_jsonable(props, where)
-                for props in data["replay_masks"]
             ),
         )
     except KeyError as missing:
@@ -572,15 +554,7 @@ def monitor_from_dict(
     config = data.get("config")
     if not isinstance(config, Mapping):
         raise StateError("monitor snapshot is missing its 'config' object")
-    required = (
-        "assume_safety",
-        "method",
-        "strategy",
-        "spare",
-        "fold",
-        "engine",
-        "prune",
-    )
+    required = ("assume_safety", "strategy", "spare", "fold", "prune")
     for key in required:
         if key not in config:
             raise StateError(
@@ -597,11 +571,9 @@ def monitor_from_dict(
         history,
         entries,
         assume_safety=bool(config["assume_safety"]),
-        method=config["method"],
         strategy=config["strategy"],
         spare=int(config["spare"]),
         fold=bool(config["fold"]),
-        engine=config["engine"],
         prune=bool(config["prune"]),
     )
 

@@ -30,10 +30,9 @@ This module compiles that lookup away, the same move
   :func:`~repro.ptl.formulas.por`, ...) — the table only ever contains
   rows the workload actually exercised, exactly like the Büchi kernel's
   lazily grown state space;
-* :meth:`ProgressionKernel.progress_batch` progresses a whole array of
-  obligation ids through one state mask in a single pass, the primitive
-  the monitor's shared obligation ledger batches per-constraint
-  obligations through.
+* :meth:`ProgressionKernel.progress_replay` progresses an obligation
+  through a whole state sequence (the monitor's reground replay) by
+  chaining each top-level conjunct on its own, in id space.
 
 The recursive reference engine is *oracle-only*: the kernel never
 consults (nor populates) the reference progression memo on the supported
@@ -100,6 +99,9 @@ __all__ = [
     _K_ALWAYS,
     _K_OTHER,
 ) = range(14)
+
+#: Bound of :meth:`ProgressionKernel.encode_state`'s memo, in states.
+_STATE_MEMO_SIZE = 256
 
 #: Stable rule names, indexed by kind tag (the ``misses_by_rule`` keys).
 _RULE_NAMES = (
@@ -232,7 +234,8 @@ class ProgressionKernel:
         self._conjuncts: list[tuple[int, ...] | None] = []
         #: id -> disjunct ids when the obligation is a top-level POr.
         self._disjuncts: list[tuple[int, ...] | None] = []
-        #: encoded-state memo: props frozenset -> full state mask.
+        #: encoded-state memo: props frozenset -> full state mask, emptied
+        #: whenever it reaches ``_STATE_MEMO_SIZE`` entries.
         self._state_masks: dict[frozenset[Prop], int] = {}
         #: canonical conjunction index: flat conjunct ids -> id.  Id-space
         #: metadata like ``_conjuncts`` (grows with the closure, survives
@@ -421,34 +424,26 @@ class ProgressionKernel:
         Every letter of the state is indexed (bits are stable, so encoding
         can never go stale); letters no indexed formula mentions are
         sliced away by the per-row ``&`` anyway.
+
+        The memo pays off within an instant (entries over the same domain
+        encode the same state) and across the prefix replays of regrounds.
+        A monitored stream rarely repeats a state otherwise, so the memo is
+        bounded: it is emptied once it holds ``_STATE_MEMO_SIZE`` states,
+        instead of growing with the stream.
         """
         if not isinstance(props, frozenset):
             props = frozenset(props)
-        mask = self._state_masks.get(props)
+        memo = self._state_masks
+        mask = memo.get(props)
         if mask is None:
+            if len(memo) >= _STATE_MEMO_SIZE:
+                memo.clear()
             bit = self._letters.bit
             mask = 0
             for letter in props:
                 mask |= 1 << bit(letter)
-            self._state_masks[props] = mask
+            memo[props] = mask
         return mask
-
-    def decode_state(self, state_mask: int) -> frozenset[Prop]:
-        """Inverse of :meth:`encode_state`: a state mask back as letters.
-
-        Kernel ids and letter bits are monitor-local, so checkpointing
-        code (:meth:`repro.core.IntegrityMonitor.snapshot_entries`) uses
-        this to export cached mask sequences in a kernel-independent
-        form; the restoring monitor re-encodes them through its own
-        kernel's :meth:`encode_state`.
-        """
-        members = self._letters.members
-        return frozenset(members[i] for i in _iter_bits(state_mask))
-
-    def sliced(self, oid: int, state_mask: int) -> int:
-        """The state restricted to obligation ``oid``'s letters (the
-        transition-row key, and the ledger's sharing key)."""
-        return self._letter_masks[oid] & state_mask
 
     # -- progression --------------------------------------------------------
 
@@ -462,38 +457,7 @@ class ProgressionKernel:
         self.hits += 1
         return succ
 
-    def progress_batch(
-        self, ids: Sequence[int], state_mask: int
-    ) -> list[int]:
-        """Progress a whole batch of obligations through one instant.
-
-        The single vectorized pass: an array of obligation ids × one state
-        mask → the array of successor ids, one table probe each.
-        """
-        masks = self._letter_masks
-        trans = self._trans
-        miss = self._miss
-        out: list[int] = []
-        append = out.append
-        hits = 0
-        for oid in ids:
-            masked = masks[oid] & state_mask
-            succ = trans[oid].get(masked)
-            if succ is None:
-                succ = miss(oid, masked)
-            else:
-                hits += 1
-            append(succ)
-        self.hits += hits
-        return out
-
-    def progress_replay(
-        self,
-        oid: int,
-        state_masks: Sequence[int],
-        finals: dict[int, int] | None = None,
-        resume_from: int = 0,
-    ) -> int:
+    def progress_replay(self, oid: int, state_masks: Sequence[int]) -> int:
         """Progress ``oid`` through a whole state sequence (reground
         replay), distributing over top-level conjuncts.
 
@@ -506,17 +470,6 @@ class ProgressionKernel:
         conjunct touches one small transition row at a time and skips the
         per-step reassembly of the (large) intermediate conjunctions
         entirely; a conjunct that reaches a constant stops early.
-
-        ``finals`` (optional) persists chain finals across replays of a
-        growing sequence: a conjunct found in it resumes from its cached
-        final at instant ``resume_from`` instead of instant 0, and every
-        completed chain is written back.  The caller owns the invariant
-        that cached finals were computed over exactly
-        ``state_masks[:resume_from]`` (the monitor keeps the mask prefix
-        alongside and drops the cache on any mismatch).  Constants are
-        progression fixed points, so a chain parked on ``PTRUE``/``PFALSE``
-        is final for every extension.  On the early ``PFALSE`` exit the
-        cache is cleared instead of left half-updated.
         """
         conjuncts = self._conjuncts[oid]
         masks = self._letter_masks
@@ -531,16 +484,10 @@ class ProgressionKernel:
         miss = self._miss
         if conjuncts is None:
             current = oid
-            tail: Sequence[int] = state_masks
-            if finals is not None:
-                cached = finals.get(oid)
-                if cached is not None:
-                    current = cached
-                    tail = state_masks[resume_from:]
             if current != true_id and current != false_id:
                 row_get = trans[current].get
                 letters = masks[current]
-                for mask in tail:
+                for mask in state_masks:
                     cm = letters & mask
                     sid = row_get(cm)
                     if sid is None:
@@ -554,34 +501,14 @@ class ProgressionKernel:
                         row_get = trans[current].get
                         letters = masks[current]
                 self.hits += hits
-            if finals is not None:
-                finals[oid] = current
             return current
-        resumed: Sequence[int] | None = None
-        if finals is not None:
-            resumed = state_masks[resume_from:]
         chain_finals: list[int] = []
         append_final = chain_finals.append
         for cid in conjuncts:
             current = cid
-            tail = state_masks
-            if finals is not None:
-                cached = finals.get(cid)
-                if cached is not None:
-                    current = cached
-                    assert resumed is not None
-                    tail = resumed
-            if current == false_id:
-                self.hits += hits
-                if finals is not None:
-                    finals.clear()
-                return false_id
-            if current == true_id:
-                append_final(current)
-                continue
             row_get = trans[current].get
             letters = masks[current]
-            for mask in tail:
+            for mask in state_masks:
                 cm = letters & mask
                 sid = row_get(cm)
                 if sid is None:
@@ -593,16 +520,12 @@ class ProgressionKernel:
                         # One falsified conjunct sinks the whole
                         # conjunction, now and at every later instant.
                         self.hits += hits
-                        if finals is not None:
-                            finals.clear()
                         return false_id
                     current = sid
                     if current == true_id:
                         break
                     row_get = trans[current].get
                     letters = masks[current]
-            if finals is not None:
-                finals[cid] = current
             append_final(current)
         self.hits += hits
         # The same fold as _progress_conjunction, over the chain finals.

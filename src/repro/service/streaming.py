@@ -4,8 +4,8 @@ The batch front ends (:class:`repro.core.monitor.IntegrityMonitor`,
 :class:`repro.core.plan.PlannedMonitor`) assume one caller feeding one
 update stream and a process that lives exactly as long as the history.
 Production monitoring is none of that: updates arrive interleaved from
-concurrent *sessions*, the constraint set is wide enough to want
-parallel checking, and the process gets killed and restarted.
+concurrent *sessions*, the constraint set is wide enough to split into
+independent groups, and the process gets killed and restarted.
 :class:`MonitorService` is the paper-faithful answer to all three, built
 entirely from pieces the repo already has:
 
@@ -15,11 +15,7 @@ entirely from pieces the repo already has:
   :class:`~repro.core.plan.PlannedMonitor` executing the hierarchy
   dispatch plan.  Because shards share no relations, their grounding
   domains never interact and the merged verdict stream is identical to
-  an unsharded monitor's (property-tested).  With ``jobs > 1`` the
-  async ingest fans one update across shards via worker threads —
-  sound because hash-consing publishes interned nodes with
-  ``setdefault``, so racing constructions still return the canonical
-  object.
+  an unsharded monitor's (property-tested).
 
 * **sessions** — the async front (:meth:`~MonitorService.start` /
   :meth:`~MonitorService.submit`) funnels every producer through one
@@ -78,15 +74,10 @@ _QueueItem = tuple[
 class MonitorService:
     """A sharded, session-aware, checkpointable streaming monitor.
 
-    Parameters mirror :class:`~repro.core.plan.PlannedMonitor`, plus:
-
-    ``shards``
-        Upper bound on the number of relation-disjoint constraint
-        groups; the actual count is ``min(shards, #components)``.
-    ``jobs``
-        When ``> 1``, the async ingest applies each update to all
-        shards concurrently through worker threads.  Reports still
-        merge in registration order, so verdicts are unaffected.
+    Parameters mirror :class:`~repro.core.plan.PlannedMonitor`, plus
+    ``shards``: an upper bound on the number of relation-disjoint
+    constraint groups; the actual count is ``min(shards, #components)``.
+    Shards are applied one after another in the caller's thread.
     """
 
     def __init__(
@@ -95,18 +86,13 @@ class MonitorService:
         initial: History,
         *,
         shards: int = 1,
-        jobs: int = 1,
         assume_safety: bool = False,
-        method: str = "buchi",
         strategy: str = "incremental",
         spare: int = 2,
         fold: bool = True,
         lint: str = "warn",
-        engine: str = "bitset",
         prune: bool = True,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be positive, got {jobs}")
         if not isinstance(constraints, Mapping):
             constraints = {
                 f"constraint_{index}": formula
@@ -114,18 +100,15 @@ class MonitorService:
             }
         self._order = tuple(constraints)
         self._history = initial
-        self._jobs = jobs
         self._shards = [
             PlannedMonitor(
                 group,
                 initial,
                 assume_safety=assume_safety,
-                method=method,
                 strategy=strategy,
                 spare=spare,
                 fold=fold,
                 lint=lint,
-                engine=engine,
                 prune=prune,
             )
             for group in partition_constraints(constraints, shards)
@@ -192,22 +175,6 @@ class MonitorService:
     ) -> UpdateReport:
         """Append the next database state on behalf of ``session``."""
         reports = [shard.append_state(state) for shard in self._shards]
-        return self._commit(state, session, reports)
-
-    def apply(
-        self, update: Update, session: str = "default"
-    ) -> UpdateReport:
-        """Apply a delta update on behalf of ``session``."""
-        return self.apply_state(
-            update.apply(self._history.current), session
-        )
-
-    def _commit(
-        self,
-        state: DatabaseState,
-        session: str,
-        reports: list[UpdateReport],
-    ) -> UpdateReport:
         self._history = self._history.extended(state)
         self._stats.stream_updates[session] = (
             self._stats.stream_updates.get(session, 0) + 1
@@ -223,6 +190,14 @@ class MonitorService:
             new_violations=tuple(
                 name for name in self._order if name in fresh
             ),
+        )
+
+    def apply(
+        self, update: Update, session: str = "default"
+    ) -> UpdateReport:
+        """Apply a delta update on behalf of ``session``."""
+        return self.apply_state(
+            update.apply(self._history.current), session
         )
 
     # -- async streaming front ----------------------------------------------
@@ -287,7 +262,7 @@ class MonitorService:
                     if state is None:
                         assert update is not None
                         state = update.apply(self._history.current)
-                    report = await self._apply_async(state, session)
+                    report = self.apply_state(state, session)
                 except Exception as exc:  # noqa: BLE001 - forwarded
                     if not future.cancelled():
                         future.set_exception(exc)
@@ -296,21 +271,6 @@ class MonitorService:
                         future.set_result(report)
             finally:
                 self._queue.task_done()
-
-    async def _apply_async(
-        self, state: DatabaseState, session: str
-    ) -> UpdateReport:
-        if self._jobs > 1 and len(self._shards) > 1:
-            reports = list(
-                await asyncio.gather(
-                    *(
-                        asyncio.to_thread(shard.append_state, state)
-                        for shard in self._shards
-                    )
-                )
-            )
-            return self._commit(state, session, reports)
-        return self.apply_state(state, session)
 
     # -- checkpoint / resume -------------------------------------------------
 
@@ -341,7 +301,7 @@ class MonitorService:
             )
         return {
             "format": SERVICE_SNAPSHOT_FORMAT,
-            "config": {"shards": len(self._shards), "jobs": self._jobs},
+            "config": {"shards": len(self._shards)},
             "order": list(self._order),
             "service_stats": self._stats.as_dict(),
             "history": history_to_dict(self._history),
@@ -358,7 +318,8 @@ class MonitorService:
         uninterrupted run (property-tested), resumes its session
         counters, and keeps the original shard layout.  The history is
         decoded once and the same :class:`History` is handed to every
-        shard.
+        shard.  The ``config`` block is informational and is not read
+        back.
         """
         if not isinstance(data, Mapping):
             raise StateError(
@@ -372,7 +333,6 @@ class MonitorService:
                 f"(expected {SERVICE_SNAPSHOT_FORMAT!r})"
             )
         try:
-            config = data["config"]
             order = tuple(data["order"])
             stats_data = data["service_stats"]
             history_data = data["history"]
@@ -385,7 +345,6 @@ class MonitorService:
         service._order = order
         history = history_from_dict(history_data)
         service._history = history
-        service._jobs = int(config.get("jobs", 1))
         service._shards = [
             PlannedMonitor.from_snapshot(shard, history)
             for shard in shard_data

@@ -20,7 +20,7 @@ and a budget ``Δ`` compiles to two complementary temporal constraints:
   dropped within the next ``Δ`` instants —
   ``forall x . G (Stamp(x) -> X (Stamp(x) | Drop(x) | X (...)))``.
   A bounded-future body under ``G`` — the safety class, handled by the
-  progression backends with the planner's fast-decision accounting.
+  progression backend.
 
 Both encodings are *bounded*: the nesting depth is the budget, so the
 formula size is ``O(Δ)`` and the remainder stays inside a fixed closure —

@@ -77,30 +77,27 @@ class TestEvalMemosUnderGC:
 
 class TestMonitorUnderGC:
     def test_compiled_kernel_verdicts_stable(self):
-        """Progression-kernel memos (transition rows, replay caches) key
-        on kernel-interned ids with strong references — GC churn between
+        """Progression-kernel memos (transition rows) key on
+        kernel-interned ids with strong references — GC churn between
         steps must not perturb a single verdict."""
-        for engine in ("bitset", "compiled"):
-            reference = IntegrityMonitor(
-                {"once": parse("forall x . G (Sub(x) -> X G !Sub(x))")},
-                History.empty(V),
-                engine=engine,
+        reference = IntegrityMonitor(
+            {"once": parse("forall x . G (Sub(x) -> X G !Sub(x))")},
+            History.empty(V),
+        )
+        stressed = IntegrityMonitor(
+            {"once": parse("forall x . G (Sub(x) -> X G !Sub(x))")},
+            History.empty(V),
+        )
+        for step, facts in enumerate(TRACE + [[("Sub", (2,))]]):
+            state = DatabaseState.from_facts(V, facts)
+            expected = reference.append_state(state)
+            _churn(step)
+            got = stressed.append_state(state)
+            assert (got.satisfied, got.new_violations) == (
+                expected.satisfied,
+                expected.new_violations,
             )
-            stressed = IntegrityMonitor(
-                {"once": parse("forall x . G (Sub(x) -> X G !Sub(x))")},
-                History.empty(V),
-                engine=engine,
-            )
-            for step, facts in enumerate(TRACE + [[("Sub", (2,))]]):
-                state = DatabaseState.from_facts(V, facts)
-                expected = reference.append_state(state)
-                _churn(step)
-                got = stressed.append_state(state)
-                assert (got.satisfied, got.new_violations) == (
-                    expected.satisfied,
-                    expected.new_violations,
-                )
-            assert stressed.violations() == reference.violations()
+        assert stressed.violations() == reference.violations()
 
 
 class TestTriggersUnderGC:

@@ -4,13 +4,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IntegrityMonitor
+from repro.core import IntegrityMonitor, check_extension
+from repro.core.monitor import MonitorStats
 from repro.database import DatabaseState, History, Update, vocabulary
 from repro.errors import NotUniversalError
 from repro.logic import parse
+from repro.ptl.progression import progress_cache_clear, progress_cache_info
 
 V = vocabulary({"Sub": 1, "Fill": 1})
 SUBMIT_ONCE = parse("forall x . G (Sub(x) -> X G !Sub(x))")
+FIFO_FILL = parse(
+    "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) U "
+    "(Sub(y) & ((!Fill(x)) U (Fill(y) & !Fill(x))))))"
+)
+# A submission is filled within two instants: after Sub the quiescent
+# future fails, so live remainders need the Büchi search.
+FILL_SOON = parse("forall x . G (Sub(x) -> X (Fill(x) | X Fill(x)))")
+CONSTRAINTS = {"once": SUBMIT_ONCE, "fifo": FIFO_FILL, "soon": FILL_SOON}
+
+traces = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["Sub", "Fill"]),
+            st.tuples(st.integers(0, 2)),
+        ),
+        max_size=2,
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 def monitor_with(constraints, strategy="incremental", **kwargs):
@@ -162,9 +184,9 @@ class TestStrategies:
         # monitor-wide satisfiability memo absorbs the later decisions...
         assert stats.sat_calls >= 1
         assert stats.sat_cache_hits >= 3
-        # ...and the progression memo sees the identical
-        # (formula, relevant-state-slice) pair again and again.
-        assert stats.progress_cache_hits >= 3
+        # ...and the progression kernel sees the identical
+        # (obligation, sliced state) row again and again.
+        assert stats.kernel_row_hits >= 3
 
     def test_sat_memo_shared_across_constraints(self, submit_once):
         # Two entries with the same constraint produce identical (interned)
@@ -236,3 +258,89 @@ class TestAgainstChecker:
             assert report.satisfied["once"] == potentially_satisfied(
                 SUBMIT_ONCE, history
             )
+
+    @given(
+        trace=traces,
+        strategy=st.sampled_from(["scratch", "incremental", "spare"]),
+        prune=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_paper_decision_at_every_instant(
+        self, trace, strategy, prune
+    ):
+        # The ground truth is the Theorem 4.1 reduction plus the Lemma 4.2
+        # decision, run from scratch on the whole prefix.  Scratch and
+        # incremental ground over the same relevant set as the oracle, so
+        # their live remainders are the oracle's own interned node; the
+        # spare strategy grounds over extra elements and is compared on
+        # verdicts only.
+        m = monitor_with(CONSTRAINTS, strategy=strategy, prune=prune)
+        for facts in trace:
+            report = m.append_state(DatabaseState.from_facts(V, facts))
+            violations = m.violations()
+            remainders = m.remainders()
+            for name, constraint in CONSTRAINTS.items():
+                oracle = check_extension(constraint, m.history)
+                if name in violations:
+                    # Frozen: a safety violation is irrecoverable, so the
+                    # oracle must stay unsatisfiable from then on.
+                    assert not report.satisfied[name]
+                    assert not oracle.potentially_satisfied
+                    continue
+                assert report.satisfied[name] == (
+                    oracle.potentially_satisfied
+                )
+                if strategy != "spare":
+                    assert remainders[name] is oracle.remainder
+
+
+class TestKernelCounters:
+    """The monitor counts kernel row hits and exposes its progression
+    kernel's per-rule split; the reference progression memo stays cold."""
+
+    @given(trace=traces)
+    @settings(max_examples=50, deadline=None)
+    def test_compiled_run_leaves_reference_lru_cold(self, trace):
+        # Regression (cache isolation): an early kernel delegated
+        # non-conjunction misses to the reference `progress`, polluting
+        # — and evicting from — its LRU.  Native rules must leave it
+        # untouched.
+        progress_cache_clear()
+        m = monitor_with(CONSTRAINTS, lint="off")
+        for facts in trace:
+            m.append_state(DatabaseState.from_facts(V, facts))
+        info = progress_cache_info()
+        assert info.hits == 0
+        assert info.misses == 0
+        assert info.currsize == 0
+
+    def test_counts_row_hits(self):
+        m = monitor_with(CONSTRAINTS)
+        for facts in ([("Sub", (1,))], [("Fill", (1,))], [], []):
+            m.append_state(DatabaseState.from_facts(V, facts))
+        stats = m.stats()
+        assert sum(s.kernel_row_hits for s in stats.values()) > 0
+        assert "kernel_row_hits" in next(iter(stats.values())).as_dict()
+
+    def test_progression_kernel_info_exposure(self):
+        m = monitor_with(CONSTRAINTS)
+        for facts in ([("Sub", (1,))], [("Fill", (1,))]):
+            m.append_state(DatabaseState.from_facts(V, facts))
+        info = m.progression_kernel_info()
+        assert info.reference_delegations == 0
+        assert info.hits + info.misses > 0
+        assert sum(info.misses_by_rule.values()) == info.misses
+
+    def test_counters_survive_the_dict_round_trip(self):
+        m = monitor_with(CONSTRAINTS, prune=False)
+        for facts in ([("Sub", (1,))], [("Sub", (1,)), ("Fill", (1,))]):
+            m.append_state(DatabaseState.from_facts(V, facts))
+        for stats in m.stats().values():
+            assert MonitorStats.from_dict(stats.as_dict()) == stats
+
+    def test_from_dict_tolerates_unknown_keys(self):
+        data = MonitorStats(progressions=3).as_dict()
+        data["future_counter"] = 7
+        restored = MonitorStats.from_dict(data)
+        assert restored.progressions == 3
+        assert not hasattr(restored, "future_counter")

@@ -94,11 +94,15 @@ class TestMonitorEquivalence:
 
     def test_kwargs_forwarded(self):
         constraints, initial, states = _monitor_fixture()
-        reference = run_monitor(
-            constraints, initial, states, jobs=2, engine="reference"
+        scratch = run_monitor(
+            constraints, initial, states, jobs=2, strategy="scratch"
         )
-        bitset = run_monitor(constraints, initial, states, jobs=1)
-        assert reference.reports == bitset.reports
+        serial = run_monitor(constraints, initial, states, jobs=1)
+        assert scratch.reports == serial.reports
+        assert all(
+            stats.regrounds >= len(states)
+            for stats in scratch.stats.values()
+        )
 
 
 def _trigger_sweep(jobs: int):

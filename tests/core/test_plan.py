@@ -4,8 +4,7 @@ The planner may only change *how much work* each verdict costs, never the
 verdict: a :class:`PlannedMonitor` must report exactly the satisfied
 flags, violation instants, and remainders of an unplanned
 :class:`IntegrityMonitor` on the shared (future-only) fragment.  The
-hypothesis sweep below pins that over strategies × prune, the same way
-the pruned and compiled engines were pinned to the reference one.
+hypothesis sweep below pins that over strategies × prune.
 """
 
 from hypothesis import given, settings
@@ -194,15 +193,6 @@ class TestPlannedMonitorSurface:
         assert stats["once"].past_updates == 0
         monitor.reset()
         assert monitor.stats()["audit"].past_updates == 0
-
-    def test_planned_stats_count_fast_decisions(self):
-        monitor = PlannedMonitor(
-            {"once": SUBMIT_ONCE}, History.empty(V), assume_safety=True
-        )
-        monitor.apply(Update.insert(("Sub", (1,))))
-        monitor.apply(Update.insert(("Sub", (2,))))
-        stats = monitor.stats()["once"]
-        assert stats.planned_fast_decisions + stats.planned_fallbacks > 0
 
     def test_retired_entry_unretires_on_fresh_element(self):
         valid = parse("forall x . F (Sub(x) | !Sub(x))")

@@ -4,7 +4,7 @@ Lemma 4.2's whole point is that the progressed remainder is a sufficient
 statistic for the history prefix, so a monitor serialized mid-stream and
 restored (even in a fresh process) must produce the exact verdict stream
 of the uninterrupted run.  The hypothesis sweep below pins that over
-engines × strategies × prune at a random cut point, with every derived
+strategies × prune at a random cut point, with every derived
 cache cleared and a forced GC between snapshot and restore; a subprocess
 test covers the genuinely-fresh-interpreter case.
 """
@@ -68,22 +68,19 @@ class TestResumeEquivalence:
     @given(
         trace=traces,
         cut=st.integers(0, 5),
-        engine=st.sampled_from(["reference", "bitset", "compiled"]),
         strategy=st.sampled_from(["scratch", "incremental", "spare"]),
         prune=st.booleans(),
     )
     def test_kill_and_restore_matches_uninterrupted(
-        self, trace, cut, engine, strategy, prune
+        self, trace, cut, strategy, prune
     ):
         cut = min(cut, len(trace))
         states = _states(trace)
         ref = IntegrityMonitor(
-            CONSTRAINTS, History.empty(V),
-            engine=engine, strategy=strategy, prune=prune,
+            CONSTRAINTS, History.empty(V), strategy=strategy, prune=prune
         )
         live = IntegrityMonitor(
-            CONSTRAINTS, History.empty(V),
-            engine=engine, strategy=strategy, prune=prune,
+            CONSTRAINTS, History.empty(V), strategy=strategy, prune=prune
         )
         for state in states[:cut]:
             ref.append_state(state)
@@ -167,6 +164,32 @@ class TestSnapshotValidation:
         data["format"] = "repro-monitor-snapshot/v0"
         with pytest.raises(StateError, match="format"):
             monitor_from_dict(data)
+
+    def test_v2_documents_carry_no_engine_or_replay_cache(self):
+        monitor = PlannedMonitor(CONSTRAINTS, History.empty(V))
+        monitor.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
+        data = json.loads(json.dumps(monitor.snapshot()))
+        assert data["format"] == "repro-planned-snapshot/v2"
+        assert "engine" not in data["config"]
+        assert "method" not in data["config"]
+        full = data["full"]
+        assert full["format"] == "repro-monitor-snapshot/v2"
+        assert "engine" not in full["config"]
+        assert "method" not in full["config"]
+        assert full["entries"]
+        for entry in full["entries"]:
+            assert "replay_finals" not in entry
+            assert "replay_masks" not in entry
+
+    def test_rejects_v1_documents(self):
+        monitor = PlannedMonitor(CONSTRAINTS, History.empty(V))
+        data = monitor.snapshot()
+        data["full"]["format"] = "repro-monitor-snapshot/v1"
+        with pytest.raises(StateError, match="format"):
+            monitor_from_dict(data["full"])
+        data["format"] = "repro-planned-snapshot/v1"
+        with pytest.raises(StateError, match="format"):
+            PlannedMonitor.from_snapshot(data)
 
     def test_planned_rejects_missing_key(self):
         monitor = PlannedMonitor(CONSTRAINTS, History.empty(V))

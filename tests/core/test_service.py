@@ -134,7 +134,7 @@ class TestSessions:
     def test_interleaved_sessions_apply_in_submission_order(self):
         async def run():
             service = MonitorService(
-                CONSTRAINTS, History.empty(V), shards=2, jobs=2
+                CONSTRAINTS, History.empty(V), shards=2
             )
             await service.start()
             try:

@@ -10,7 +10,7 @@ from repro.core import (
     firings,
     potentially_satisfied,
 )
-from repro.database import History, vocabulary
+from repro.database import DatabaseState, History, vocabulary
 from repro.errors import ClassificationError
 from repro.logic import not_, parse, var
 from repro.logic.transform import nnf
@@ -119,3 +119,34 @@ class TestManager:
         )
         fired = manager.check(h)
         assert {f.trigger for f in fired} == {"resub", "dfill"}
+
+
+class TestEngineSelection:
+    def test_compiled_trigger_manager_matches_bitset(self):
+        trace = [
+            [("Sub", (1,))],
+            [("Sub", (1,))],
+            [("Fill", (1,))],
+            [("Fill", (1,))],
+        ]
+        logs = {}
+        for engine in ("compiled", "bitset", "reference"):
+            manager = TriggerManager(
+                [
+                    Trigger("resub", parse("F (Sub(x) & X F Sub(x))")),
+                    Trigger("refill", parse("F (Fill(x) & X F Fill(x))")),
+                ],
+                engine=engine,
+                lint="off",
+            )
+            h = History.empty(V)
+            for facts in trace:
+                h = h.extended(DatabaseState.from_facts(V, facts))
+                manager.check(h)
+            logs[engine] = manager.log
+        assert logs["compiled"] == logs["bitset"] == logs["reference"]
+        assert logs["compiled"]  # the duplicate submission fires
+
+    def test_trigger_manager_rejects_bad_engine(self):
+        with pytest.raises(ValueError, match="engine"):
+            TriggerManager([], engine="vectorized")

@@ -189,10 +189,10 @@ class TestRoundTrip:
         f = parse(text)
         assert parse(to_str(f)) == f
 
-    @given(st.data())
+    # Deferred so the recursive strategy is built once, not per example.
+    @given(formula=st.deferred(lambda: _fotl_formulas()))
     @settings(max_examples=150, deadline=None)
-    def test_random_roundtrip(self, data):
-        formula = data.draw(_fotl_formulas())
+    def test_random_roundtrip(self, formula):
         assert parse(to_str(formula)) == formula
 
 

@@ -32,6 +32,7 @@ from repro.ptl.formulas import (
     pweak_until,
 )
 from repro.ptl.progkernel import (
+    _STATE_MEMO_SIZE,
     ProgressionKernel,
     progkernel_cache_clear,
     progkernel_cache_info,
@@ -100,37 +101,6 @@ class TestKernelMatchesReference:
         replayed = kernel.formula(kernel.progress_replay(oid, masks))
         assert replayed is progress_sequence(formula, states)
 
-    @given(formula=ptl_formulas(), states=state_seqs, cut=st.integers(0, 6))
-    @settings(max_examples=200, deadline=None)
-    def test_resumed_replay_matches_fresh_replay(self, formula, states, cut):
-        # The finals cache lets a later replay of an extended sequence
-        # resume mid-prefix; the result must be the exact object a fresh
-        # full replay (and the reference sequence) produces.
-        cut = min(cut, len(states))
-        kernel = ProgressionKernel()
-        oid = kernel.intern(formula)
-        masks = [kernel.encode_state(state) for state in states]
-        finals: dict[int, int] = {}
-        kernel.progress_replay(oid, masks[:cut], finals=finals)
-        resumed = kernel.progress_replay(
-            oid, masks, finals=finals, resume_from=cut
-        )
-        assert kernel.formula(resumed) is progress_sequence(formula, states)
-
-    @given(formulas=st.lists(ptl_formulas(), min_size=1, max_size=5),
-           state=prop_states())
-    @settings(max_examples=100, deadline=None)
-    def test_batch_matches_individual(self, formulas, state):
-        kernel = ProgressionKernel()
-        ids = [kernel.intern(f) for f in formulas]
-        mask = kernel.encode_state(state)
-        batch = kernel.progress_batch(ids, mask)
-        individual = [kernel.progress_id(oid, mask) for oid in ids]
-        assert batch == individual
-        assert [kernel.formula(i) for i in batch] == [
-            progress(f, state) for f in formulas
-        ]
-
 
 class TestConjunctionDecomposition:
     def test_ground_conjunction_goes_through_conjunct_rows(self):
@@ -186,6 +156,17 @@ class TestEviction:
         kernel.progress_formula(f, frozenset({prop("p1")}))
         assert kernel.evictions >= 1
         assert kernel.stats()["transitions"] <= 1
+
+    def test_state_memo_is_bounded(self):
+        # A stream of distinct states must not grow the encode memo
+        # without bound, and masks stay stable across the memo's resets.
+        kernel = ProgressionKernel()
+        states = [
+            frozenset({prop(f"q{i}"), prop(f"q{i + 1}")}) for i in range(600)
+        ]
+        first = [kernel.encode_state(state) for state in states]
+        assert len(kernel._state_masks) <= _STATE_MEMO_SIZE
+        assert [kernel.encode_state(state) for state in states] == first
 
     def test_rejects_nonpositive_bound(self):
         try:
