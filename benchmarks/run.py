@@ -51,7 +51,7 @@ from repro.workloads.orders import (  # noqa: E402
     submit_once,
 )
 
-SCHEMA = "repro-bench-core/v9"
+SCHEMA = "repro-bench-core/v10"
 
 #: Schemas ``--validate`` accepts: v2 added the ``sat_*`` engine-comparison
 #: and ``parallel_triggers`` shapes (with their extra record keys); v3 adds
@@ -79,8 +79,11 @@ SCHEMA = "repro-bench-core/v9"
 #: against reference) is gone, every E6 shape runs the compiled kernel, and
 #: ``e6_monitoring_planned`` drops ``planned_fast_decisions`` /
 #: ``planned_fallbacks`` and the E6 shapes ``progress_cache_hit_rate`` (the
-#: reference progression memo the monitor no longer uses).  Each version is
-#: otherwise backward compatible, so v1-v8 reports stay usable as baselines.
+#: reference progression memo the monitor no longer uses); v10 follows the
+#: monitor's single per-update step: the ``e6_monitoring_pruned`` shape
+#: (dependence pruning) is gone, and ``a1_scratch`` sums the counters of a
+#: fresh monitor built on every prefix.  Each version is otherwise
+#: backward compatible, so v1-v9 reports stay usable as baselines.
 ACCEPTED_SCHEMAS = (
     "repro-bench-core/v1",
     "repro-bench-core/v2",
@@ -90,6 +93,7 @@ ACCEPTED_SCHEMAS = (
     "repro-bench-core/v6",
     "repro-bench-core/v7",
     "repro-bench-core/v8",
+    "repro-bench-core/v9",
     SCHEMA,
 )
 
@@ -139,10 +143,6 @@ def _sum_stats(monitor: IntegrityMonitor) -> dict[str, Any]:
             stats, "progress_cache_hits", 0
         )
         totals["kernel_row_hits"] += getattr(stats, "kernel_row_hits", 0)
-        totals["skipped_constraints"] += getattr(
-            stats, "skipped_constraints", 0
-        )
-        totals["idle_steps"] += getattr(stats, "idle_steps", 0)
         totals["retired_steps"] += getattr(stats, "retired_steps", 0)
         totals["past_updates"] += getattr(stats, "past_updates", 0)
         totals["sat_time_s"] += getattr(stats, "sat_time", 0.0)
@@ -177,13 +177,29 @@ def _result(
 
 
 def bench_a1_strategies(smoke: bool) -> dict[str, dict[str, Any]]:
-    """A1-shaped: the three monitoring strategies on a growing orders trace."""
+    """A1-shaped: the two monitoring strategies on a growing orders trace,
+    against the naive baseline of a fresh monitor on every prefix."""
     length = 10 if smoke else 60
     trace = generate_orders(
         OrderWorkloadConfig(length=length, arrival_probability=0.5, seed=1)
     )
-    out: dict[str, dict[str, Any]] = {}
-    for strategy in ("scratch", "incremental", "spare"):
+    prefixes = [History.empty(ORDER_VOCABULARY)]
+    for state in trace.states():
+        prefixes.append(prefixes[-1].extended(state))
+    _clear_caches()
+    totals = _zero_totals()
+    start = time.perf_counter()
+    for history in prefixes:
+        fresh = IntegrityMonitor({"once": submit_once()}, history, lint="off")
+        for key, value in _sum_stats(fresh).items():
+            totals[key] += value
+    wall = time.perf_counter() - start
+    out: dict[str, dict[str, Any]] = {
+        "a1_scratch": _result(
+            wall, length, totals, regrounds=totals["regrounds"]
+        )
+    }
+    for strategy in ("incremental", "spare"):
         _clear_caches()
         monitor = IntegrityMonitor(
             {"once": submit_once()},
@@ -236,8 +252,8 @@ def bench_e3_progression(smoke: bool) -> dict[str, dict[str, Any]]:
     return {"e3_progression": _result(wall, length, totals)}
 
 
-def _run_e6(smoke: bool, prune: bool) -> tuple[float, int, IntegrityMonitor]:
-    """One E6 monitoring loop; ``prune`` toggles dependence pruning."""
+def _run_e6(smoke: bool) -> tuple[float, int, IntegrityMonitor]:
+    """One E6 monitoring loop."""
     length = 12 if smoke else 200
     spare = 4 if smoke else 16
     trace = generate_orders(
@@ -249,7 +265,6 @@ def _run_e6(smoke: bool, prune: bool) -> tuple[float, int, IntegrityMonitor]:
         History.empty(ORDER_VOCABULARY),
         strategy="spare",
         spare=spare,
-        prune=prune,
     )
     start = time.perf_counter()
     for state in trace.states():
@@ -268,13 +283,10 @@ def bench_e6_monitoring(smoke: bool) -> dict[str, dict[str, Any]]:
     """E6-shaped: online monitoring of the paper's order constraints.
 
     The full size runs at history length 200 — the headline monitoring
-    loop the PR's speedup target is measured on.  This record is the
-    *unpruned* baseline (``prune=False``); ``e6_monitoring_pruned`` runs
-    the identical trace with dependence pruning on.  The harness asserts
-    the progression kernel never fell back to the recursive reference
-    engine (``reference_delegations == 0``).
+    loop.  The harness asserts the progression kernel never fell back to
+    the recursive reference engine (``reference_delegations == 0``).
     """
-    wall, length, monitor = _run_e6(smoke, prune=False)
+    wall, length, monitor = _run_e6(smoke)
     totals = _sum_stats(monitor)
     kernel_info = monitor.progression_kernel_info()
     assert kernel_info.reference_delegations == 0, (
@@ -295,29 +307,6 @@ def bench_e6_monitoring(smoke: bool) -> dict[str, dict[str, Any]]:
             regrounds=totals["regrounds"],
             violations=len(monitor.violations()),
             reference_delegations=kernel_info.reference_delegations,
-        )
-    }
-
-
-def bench_e6_monitoring_pruned(smoke: bool) -> dict[str, dict[str, Any]]:
-    """E6 with static dependence pruning (idle transitions + skips).
-
-    Same trace, constraints and strategy as ``e6_monitoring``; verdicts
-    are identical by the pruning soundness property, only the per-instant
-    work differs (``skipped_constraints`` / ``idle_steps`` account it).
-    """
-    wall, length, monitor = _run_e6(smoke, prune=True)
-    totals = _sum_stats(monitor)
-    return {
-        "e6_monitoring_pruned": _result(
-            wall,
-            length,
-            totals,
-            ms_per_update=round(1e3 * wall / length, 3),
-            regrounds=totals["regrounds"],
-            violations=len(monitor.violations()),
-            skipped_constraints=totals["skipped_constraints"],
-            idle_steps=totals["idle_steps"],
         )
     }
 
@@ -365,7 +354,6 @@ def bench_e6_monitoring_planned(smoke: bool) -> dict[str, dict[str, Any]]:
         History.empty(ORDER_VOCABULARY),
         strategy="spare",
         spare=spare,
-        prune=False,
     )
     plan = monitor.plan
     assert plan.routed_off_full() >= 1, (
@@ -436,7 +424,6 @@ def bench_e6_monitoring_resumed(smoke: bool) -> dict[str, dict[str, Any]]:
         History.empty(ORDER_VOCABULARY),
         strategy="spare",
         spare=spare,
-        prune=False,
     )
     for state in states[:cut]:
         monitor.append_state(state)
@@ -564,8 +551,6 @@ def _zero_totals() -> dict[str, Any]:
         "progress_cache_hits": 0,
         "kernel_row_hits": 0,
         "regrounds": 0,
-        "skipped_constraints": 0,
-        "idle_steps": 0,
         "retired_steps": 0,
         "past_updates": 0,
         "sat_time_s": 0.0,
@@ -780,7 +765,6 @@ BENCHMARKS: tuple[Callable[[bool], dict[str, dict[str, Any]]], ...] = (
     bench_a1_strategies,
     bench_e3_progression,
     bench_e6_monitoring,
-    bench_e6_monitoring_pruned,
     bench_e6_monitoring_planned,
     bench_e6_monitoring_resumed,
     bench_e7_detection,

@@ -16,7 +16,7 @@ Two layers live here:
   relation the number of positive and negative literal occurrences.
 * :class:`UpdateDependencyIndex` — the inverted map over a whole monitored
   set: relation -> constraints it can violate (on insert / on delete), plus
-  the coarser "mentions at all" map the monitor uses to recognise idle steps.
+  the coarser "mentions at all" map.
 
 Polarity is computed on the *original* formula with an explicit negation
 flag rather than on the NNF: the repo's :func:`repro.logic.transform.nnf`
@@ -194,8 +194,10 @@ def affect_set(formula: Formula) -> AffectSet:
 class UpdateDependencyIndex:
     """Inverted dependence map over a whole monitored constraint set.
 
-    Built once at registration time; consulted per instant by the monitor
-    to decide which constraints an update can even reach.
+    Built once from a constraint set, before any history arrives.
+    ``repro-tic analyze-deps`` emits it as the dependence matrix; its
+    :meth:`dead` and :meth:`unmonitored` views are the claims behind lint
+    codes TIC120 and TIC121.
     """
 
     def __init__(self, constraints: Mapping[str, Formula]) -> None:

@@ -1,10 +1,9 @@
 """Idle-step classification and registration-time verdicts.
 
 An *idle step* for a constraint is an instant whose delta touches none of
-the relations the constraint mentions.  The progression memo already makes
-such steps cheap; this module makes them *recognisable*, so the monitor can
-route them through a precomputed idle transition instead of re-deriving the
-restricted state formula-by-formula.
+the relations the constraint mentions.  This module classifies how a
+formula behaves across such steps; ``repro-tic analyze-deps`` reports the
+class and lint code TIC123 uses :func:`static_verdict`.
 
 Three static classes (coarsest first):
 

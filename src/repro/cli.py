@@ -19,8 +19,7 @@ Subcommands:
   diagnostics as JSON; ``--strict`` fails on warnings too.
 * ``monitor``  — replay a history state by state through the online monitor
   (compiled progression kernel, bitset Büchi decisions) and report
-  violations with their detection instants (``--no-prune`` disables the
-  static dependence pruning).
+  violations with their detection instants.
 * ``serve``    — stream a history through the sharded
   :class:`repro.service.MonitorService`; ``--stop-at``/``--snapshot-out``
   checkpoint mid-stream and ``--resume-from`` resumes a killed run with
@@ -482,7 +481,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         assume_safety=args.assume_safety,
         strategy=args.strategy,
-        prune=not args.no_prune,
     )
     for report in run.reports:
         for name in report.new_violations:
@@ -528,7 +526,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             shards=args.shards,
             assume_safety=args.assume_safety,
             strategy=args.strategy,
-            prune=not args.no_prune,
         )
         states = history.states[1:]
     names = {}
@@ -704,16 +701,14 @@ def build_parser() -> argparse.ArgumentParser:
     mon.add_argument("history", help="path to a history JSON file")
     mon.add_argument("--constraint", action="append", required=True,
                      help="constraint (repeatable)")
-    mon.add_argument("--strategy",
-                     choices=("scratch", "incremental", "spare"),
-                     default="incremental")
+    mon.add_argument("--strategy", choices=("incremental", "spare"),
+                     default="incremental",
+                     help="on a fresh element: reground (incremental, "
+                     "default) or rename it onto a reserved spare element")
     mon.add_argument("--assume-safety", action="store_true")
     mon.add_argument("--jobs", type=int, default=1,
                      help="worker processes for independent constraints "
                      "(1 = serial, 0 = one per CPU)")
-    mon.add_argument("--no-prune", action="store_true",
-                     help="disable static dependence pruning (exhaustive "
-                     "per-instant progression and decisions)")
     mon.set_defaults(func=_cmd_monitor)
 
     serve = sub.add_parser(
@@ -731,11 +726,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--session", default="cli",
                        help="session name for the stream counters "
                        "(default 'cli')")
-    serve.add_argument("--strategy",
-                       choices=("scratch", "incremental", "spare"),
-                       default="incremental")
+    serve.add_argument("--strategy", choices=("incremental", "spare"),
+                       default="incremental",
+                       help="on a fresh element: reground (incremental, "
+                       "default) or rename it onto a reserved spare element")
     serve.add_argument("--assume-safety", action="store_true")
-    serve.add_argument("--no-prune", action="store_true")
     serve.add_argument("--stop-at", type=int, metavar="T",
                        help="stop after instant T (simulates a kill; "
                        "combine with --snapshot-out)")

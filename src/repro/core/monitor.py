@@ -8,13 +8,15 @@ update — ``O(t)`` progression work per update, ``O(t^2)`` over a run.  The
 constraint as its only history-dependent state, so an update costs one
 progression step plus one satisfiability check, independent of ``t``.
 
+Under the folded grounding the letters of a state are just its facts, the
+same for every constraint, so each update builds them once and every
+constraint progresses through the same set.
+
 The catch is the relevant domain: the reduction is grounded over
 ``R_D ∪ {z1..zk}``, so when an update touches an element the grounding has
 never seen, the ground formula is missing instances and must be rebuilt.
-Three strategies (``strategy=`` argument) handle this:
+Two strategies (``strategy=`` argument) handle this:
 
-* ``"scratch"`` — rebuild and re-progress from the full history on *every*
-  update (the naive baseline; ablation A1 measures it).
 * ``"incremental"`` — keep the remainder; rebuild only when a genuinely new
   element appears.
 * ``"spare"`` — like incremental, but ground with ``spare`` extra concrete
@@ -25,6 +27,9 @@ Three strategies (``strategy=`` argument) handle this:
   the ground domain, hence the per-check satisfiability cost — keep it
   small for constraints with several external quantifiers (the default 2 is
   safe; ablation A1 quantifies the trade-off).
+
+The naive baseline that rebuilds and re-progresses from the full history
+on every update is a fresh monitor per prefix (ablation A1 measures it).
 
 Violations of safety constraints are irrecoverable (once the remainder is
 unsatisfiable it stays unsatisfiable), so a violated constraint is frozen
@@ -37,10 +42,9 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import AbstractSet, Mapping, Sequence
 
-from ..analysis.affect import UpdateDependencyIndex
 from ..database.history import History
 from ..database.state import DatabaseState
-from ..database.updates import Update, diff_states
+from ..database.updates import Update
 from ..logic.classify import FormulaInfo
 from ..logic.formulas import Formula
 from ..ptl.bitset import BuchiKernel
@@ -50,13 +54,12 @@ from ..ptl.sat import quick_model_check
 from .checker import validate_constraint
 from .grounding import GroundElement, RelAtom
 from .reduction import (
-    Reduction,
     constraint_relevant_elements,
     reduce_universal,
     state_to_props,
 )
 
-_STRATEGIES = ("scratch", "incremental", "spare")
+_STRATEGIES = ("incremental", "spare")
 # Progression-side backends a dispatch plan may assign to an entry of
 # this monitor ("pasteval" never reaches IntegrityMonitor — the planner
 # routes past-closed constraints to repro.pasteval before construction).
@@ -77,12 +80,6 @@ class MonitorStats:
     ``sat_time``/``progress_time`` are cumulative ``perf_counter`` seconds
     spent in the two Lemma 4.2 phases, so experiments and the benchmark
     harness can report where time goes.
-
-    ``idle_steps`` counts instants handled through the precomputed idle
-    transition (the update touched none of the constraint's relations);
-    ``skipped_constraints`` counts instants whose satisfiability decision
-    was skipped because the remainder did not move.  Both stay zero with
-    ``prune=False`` and under the scratch strategy.
 
     ``retired_steps`` (dispatch planner, see :mod:`repro.core.plan`; zero
     on unplanned monitors) counts instants a discharged co-safety
@@ -108,8 +105,6 @@ class MonitorStats:
     sat_calls: int = 0
     sat_cache_hits: int = 0
     kernel_row_hits: int = 0
-    skipped_constraints: int = 0
-    idle_steps: int = 0
     retired_steps: int = 0
     past_updates: int = 0
     past_memory: int = 0
@@ -152,22 +147,15 @@ class _ConstraintEntry:
     constraint: Formula
     info: FormulaInfo
     backend: str = "progression-full"
-    reduction: Reduction | None = None
+    # The concrete elements of the last reground's ground domain (the
+    # relevant set plus, under the spare strategy, the spare pool).
+    relevant: frozenset[int] = frozenset()
     remainder: PTLFormula | None = None
     known_elements: frozenset[int] = frozenset()
     spare_pool: tuple[int, ...] = ()
     spare_map: dict[int, int] = field(default_factory=dict)
     violated_at: int | None = None
     stats: MonitorStats = field(default_factory=MonitorStats)
-    # Restricted propositional state used by the last progression step;
-    # on an idle instant the entry-visible state is unchanged, so this is
-    # exactly what the normal path would recompute.
-    last_props: frozenset[Prop] | None = None
-    # Precomputed idle transitions: (remainder, last_props) -> remainder'.
-    # A pure function of its key, so it is never invalidated.
-    idle_memo: dict[
-        tuple[PTLFormula, frozenset[Prop]], PTLFormula
-    ] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -186,31 +174,25 @@ class EntrySnapshot:
     in :mod:`repro.database.serialize` (``monitor_to_dict`` /
     ``monitor_from_dict``).
 
-    The grounding fields (``domain``/``relevant``/``assignment_count``/
-    ``scope``) are carried verbatim rather than recomputed: under the
-    spare strategy the reduction's relevant set reflects the *last
-    reground's* history, not the current one, so rebuilding it at restore
-    time would change which elements count as fresh and diverge from the
-    uninterrupted run.  Pure caches (the idle-transition memo, the
-    monitor-wide satisfiability memo and the kernels' tables) are
-    deliberately absent — dropping them cannot change any verdict, only
-    cache-hit counters.
+    The grounding's ``relevant`` set is carried verbatim rather than
+    recomputed: under the spare strategy it reflects the *last reground's*
+    history, not the current one, so rebuilding it at restore time would
+    change which elements count as fresh and diverge from the
+    uninterrupted run.  Pure caches (the monitor-wide satisfiability memo
+    and the kernels' tables) are deliberately absent — dropping them
+    cannot change any verdict, only cache-hit counters.
     """
 
     name: str
     constraint: Formula
     backend: str
     remainder: PTLFormula
-    domain: tuple[GroundElement, ...]
     relevant: frozenset[int]
-    assignment_count: int
-    scope: str
     known_elements: frozenset[int]
     spare_pool: tuple[int, ...]
     spare_map: dict[int, int]
     violated_at: int | None
     stats: MonitorStats
-    last_props: frozenset[Prop] | None
 
 
 @dataclass(frozen=True)
@@ -255,17 +237,8 @@ class IntegrityMonitor:
     and updates.  The recursive reference engines
     (:mod:`repro.ptl.progression`, :mod:`repro.ptl.sat`) are the test
     oracles: verdicts match :func:`repro.core.checker.check_extension` at
-    every instant, and under the scratch and incremental strategies the
-    remainders are pointer-identical to its own (property-tested).
-
-    ``prune=True`` (default) enables static dependence pruning: a
-    registration-time :class:`repro.analysis.UpdateDependencyIndex` tells
-    the monitor which constraints each instant's delta can even reach, so
-    unaffected constraints are progressed through a precomputed idle
-    transition and their unchanged decisions are skipped (counters
-    ``idle_steps`` / ``skipped_constraints``).  ``prune=False`` keeps the
-    exhaustive per-instant path; both produce identical verdicts and
-    remainders (property-tested).  The scratch strategy is never pruned.
+    every instant, and under the incremental strategy the remainders are
+    pointer-identical to its own (property-tested).
 
     ``backends`` (optional) carries per-constraint assignments from a
     dispatch plan (:func:`repro.core.plan.plan_constraints`):
@@ -299,9 +272,7 @@ class IntegrityMonitor:
         assume_safety: bool = False,
         strategy: str = "incremental",
         spare: int = 2,
-        fold: bool = True,
         lint: str = "warn",
-        prune: bool = True,
         backends: Mapping[str, str] | None = None,
     ) -> None:
         if strategy not in _STRATEGIES:
@@ -313,23 +284,13 @@ class IntegrityMonitor:
                 raise ValueError(
                     f"backend must be one of {_BACKENDS}, got {backend!r}"
                 )
-        if strategy == "spare" and not fold:
-            raise ValueError(
-                "the spare-element strategy requires the folded grounding"
-            )
         if not isinstance(constraints, Mapping):
             constraints = {
                 f"constraint_{index}": formula
                 for index, formula in enumerate(constraints)
             }
         self._setup(
-            initial,
-            constraints,
-            assume_safety=assume_safety,
-            strategy=strategy,
-            spare=spare,
-            fold=fold,
-            prune=prune,
+            initial, assume_safety=assume_safety, strategy=strategy, spare=spare
         )
         for name, formula in constraints.items():
             info = validate_constraint(
@@ -350,28 +311,17 @@ class IntegrityMonitor:
     def _setup(
         self,
         history: History,
-        constraints: Mapping[str, Formula],
         *,
         assume_safety: bool,
         strategy: str,
         spare: int,
-        fold: bool,
-        prune: bool,
     ) -> None:
         """The settings and empty caches shared by construction and
         restore; entries are added by the caller."""
         self._strategy = strategy
         self._spare = spare
-        self._fold = fold
         self._assume_safety = assume_safety
         self._history = history
-        # Static dependence pruning (see repro.analysis and DESIGN.md §9):
-        # instants whose delta touches none of a constraint's relations go
-        # through the idle transition, and decisions whose remainder did
-        # not move are skipped.  The scratch strategy stays fully naive —
-        # it is the ablation baseline and must pay for every instant.
-        self._prune = prune and strategy != "scratch"
-        self._index = UpdateDependencyIndex(constraints)
         # Monitor-wide satisfiability memo, shared across constraints and
         # keyed by the interned remainder: the same ground obligation shows
         # up under several constraints (and across regrounds), and interned
@@ -428,26 +378,14 @@ class IntegrityMonitor:
             out[entry.name] = entry.remainder
         return out
 
-    @property
-    def dependency_index(self) -> UpdateDependencyIndex:
-        """The static update-dependence index built at construction."""
-        return self._index
-
     # -- snapshot / restore --------------------------------------------------
 
     def snapshot_config(self) -> dict[str, object]:
-        """The constructor settings a restore must be performed with.
-
-        ``prune`` reports the *effective* flag (always ``False`` under the
-        scratch strategy), which restores to identical behaviour either
-        way.
-        """
+        """The constructor settings a restore must be performed with."""
         return {
             "assume_safety": self._assume_safety,
             "strategy": self._strategy,
             "spare": self._spare,
-            "fold": self._fold,
-            "prune": self._prune,
         }
 
     def snapshot_entries(self) -> list[EntrySnapshot]:
@@ -460,23 +398,18 @@ class IntegrityMonitor:
         out: list[EntrySnapshot] = []
         for entry in self._entries:
             assert entry.remainder is not None
-            assert entry.reduction is not None
             out.append(
                 EntrySnapshot(
                     name=entry.name,
                     constraint=entry.constraint,
                     backend=entry.backend,
                     remainder=entry.remainder,
-                    domain=entry.reduction.domain,
-                    relevant=entry.reduction.relevant,
-                    assignment_count=entry.reduction.assignment_count,
-                    scope=entry.reduction.scope,
+                    relevant=entry.relevant,
                     known_elements=entry.known_elements,
                     spare_pool=entry.spare_pool,
                     spare_map=dict(entry.spare_map),
                     violated_at=entry.violated_at,
                     stats=MonitorStats.from_dict(entry.stats.as_dict()),
-                    last_props=entry.last_props,
                 )
             )
         return out
@@ -490,8 +423,6 @@ class IntegrityMonitor:
         assume_safety: bool = False,
         strategy: str = "incremental",
         spare: int = 2,
-        fold: bool = True,
-        prune: bool = True,
     ) -> "IntegrityMonitor":
         """Rebuild a monitor from snapshot state, resuming mid-history.
 
@@ -506,10 +437,10 @@ class IntegrityMonitor:
         uninterrupted run would hold, which the resume-equivalence
         property test asserts with ``is``).
 
-        Pure caches are rebuilt empty: the satisfiability memo, the idle
-        memo and the kernels' tables refill on demand, so only cache-hit
-        counters — never verdicts, violations or remainders — can differ
-        from the uninterrupted run.
+        Pure caches are rebuilt empty: the satisfiability memo and the
+        kernels' tables refill on demand, so only cache-hit counters —
+        never verdicts, violations or remainders — can differ from the
+        uninterrupted run.
         """
         if strategy not in _STRATEGIES:
             raise ValueError(
@@ -517,13 +448,7 @@ class IntegrityMonitor:
             )
         monitor = cls.__new__(cls)
         monitor._setup(
-            history,
-            {snap.name: snap.constraint for snap in entries},
-            assume_safety=assume_safety,
-            strategy=strategy,
-            spare=spare,
-            fold=fold,
-            prune=prune,
+            history, assume_safety=assume_safety, strategy=strategy, spare=spare
         )
         for snap in entries:
             if snap.backend not in _BACKENDS:
@@ -534,34 +459,19 @@ class IntegrityMonitor:
             info = validate_constraint(
                 snap.constraint, assume_safety=assume_safety, lint="off"
             )
-            reduction = Reduction(
-                # phi_D is never read back after a reground (only the
-                # grounding bookkeeping below is); the next reground
-                # builds a fresh Reduction, so a constant placeholder is
-                # safe and keeps snapshots small.
-                formula=PTLTrue(),
-                prefix=(),
-                domain=snap.domain,
-                relevant=snap.relevant,
-                assignment_count=snap.assignment_count,
-                fold=fold,
-                history=history,
-                scope=snap.scope,
-            )
             monitor._entries.append(
                 _ConstraintEntry(
                     name=snap.name,
                     constraint=snap.constraint,
                     info=info,
                     backend=snap.backend,
-                    reduction=reduction,
+                    relevant=snap.relevant,
                     remainder=snap.remainder,
                     known_elements=snap.known_elements,
                     spare_pool=snap.spare_pool,
                     spare_map=dict(snap.spare_map),
                     violated_at=snap.violated_at,
                     stats=MonitorStats.from_dict(snap.stats.as_dict()),
-                    last_props=snap.last_props,
                 )
             )
         return monitor
@@ -586,18 +496,16 @@ class IntegrityMonitor:
 
     def _recheck(self) -> UpdateReport:
         instant = self._history.now
-        touched = self._touched_now()
+        # Folded letters are the state's facts, the same for every entry.
+        letters = state_to_props(self._history.current)
         new_violations: list[str] = []
         satisfied: dict[str, bool] = {}
         for entry in self._entries:
             if entry.violated_at is not None:
                 satisfied[entry.name] = False
                 continue
-            before = entry.remainder
-            if (
-                entry.backend == "progression-cosafety"
-                and self._strategy != "scratch"
-                and isinstance(before, PTLTrue)
+            if entry.backend == "progression-cosafety" and isinstance(
+                entry.remainder, PTLTrue
             ):
                 # Discharged co-safety constraint: the remainder is the
                 # absorbing true, so progression could not move it.  Only
@@ -605,23 +513,8 @@ class IntegrityMonitor:
                 # detection) still runs; a fresh element regrounds and
                 # thereby un-retires the entry.
                 self._advance_retired(entry)
-            elif (
-                touched is not None
-                and entry.name not in touched
-                and entry.last_props is not None
-            ):
-                self._advance_idle(entry)
             else:
-                self._advance(entry)
-            if self._prune and entry.remainder is before:
-                # The remainder did not move, so its satisfiability did
-                # not either: the previous instant's verdict (OK, or this
-                # entry would be frozen) carries over.  Interned formulas
-                # make `is` the exact fixed-point test.
-                entry.stats.sat_cache_hits += 1
-                entry.stats.skipped_constraints += 1
-                satisfied[entry.name] = True
-                continue
+                self._advance(entry, letters)
             ok = self._decide(entry, instant)
             satisfied[entry.name] = ok
             if not ok:
@@ -631,46 +524,6 @@ class IntegrityMonitor:
             satisfied=satisfied,
             new_violations=tuple(new_violations),
         )
-
-    def _touched_now(self) -> frozenset[str] | None:
-        """Constraints whose relations the newest delta touches.
-
-        ``None`` means "assume everything is touched" (pruning disabled,
-        or no previous state to diff against).
-        """
-        if not self._prune:
-            return None
-        states = self._history.states
-        if len(states) < 2:
-            return None
-        delta = diff_states(states[-2], states[-1])
-        return self._index.touched_by_update(delta)
-
-    def _advance_idle(self, entry: _ConstraintEntry) -> None:
-        """Progress through an instant that cannot move this entry's state.
-
-        The delta touched none of the constraint's relations, so the
-        entry-visible restriction of the new state equals the one used by
-        the last progression step (``entry.last_props``): re-deriving the
-        domain scan, freshness check and ``state_to_props`` would
-        reproduce it letter-for-letter on every letter the remainder can
-        see.  The (remainder, props) -> remainder' transition is a pure
-        function, memoized per entry so repeated quiet instants cost a
-        dict hit.
-        """
-        assert entry.remainder is not None and entry.last_props is not None
-        key = (entry.remainder, entry.last_props)
-        cached = entry.idle_memo.get(key)
-        if cached is None:
-            cached = self._progress(entry, entry.remainder, entry.last_props)
-            entry.idle_memo[key] = cached
-        else:
-            # Count the step as a (fully cached) progression so pruned and
-            # unpruned runs report comparable totals.
-            entry.stats.progressions += 1
-            entry.stats.kernel_row_hits += 1
-        entry.stats.idle_steps += 1
-        entry.remainder = cached
 
     def _advance_retired(self, entry: _ConstraintEntry) -> None:
         """Pass an instant through a discharged co-safety entry.
@@ -698,7 +551,6 @@ class IntegrityMonitor:
         then already includes the new instant — and ``True`` when the
         current grounding still covers every visible element.
         """
-        assert entry.reduction is not None
         visible = self._entry_domain(entry, self._history.current)
         if self._strategy == "spare":
             # A real element whose id coincides with a spare id claims that
@@ -718,7 +570,7 @@ class IntegrityMonitor:
         fresh = visible - entry.known_elements
         # Elements already in the grounding's relevant set (e.g. spares of
         # this entry) are not fresh.
-        fresh -= entry.reduction.relevant
+        fresh -= entry.relevant
         if fresh and not (
             self._strategy == "spare" and self._try_rename(entry, fresh)
         ):
@@ -744,25 +596,22 @@ class IntegrityMonitor:
     def _reground(self, entry: _ConstraintEntry) -> None:
         """Rebuild the reduction from the full history and re-progress."""
         entry.stats.regrounds += 1
-        extra: frozenset[int] = frozenset()
+        pool: frozenset[int] = frozenset()
         if self._strategy == "spare":
-            extra = self._spare_pool(entry)
+            pool = self._spare_pool(entry)
         reduction = reduce_universal(
-            self._history, entry.info, fold=self._fold, extra_elements=extra
+            self._history, entry.info, extra_elements=pool
         )
-        entry.reduction = reduction
-        entry.known_elements = constraint_relevant_elements(
-            self._history, entry.info
-        )
+        entry.relevant = reduction.relevant
+        # The pool was drawn from outside the relevant set, so removing it
+        # leaves exactly the elements the history has shown this entry.
+        entry.known_elements = reduction.relevant - pool
         remainder = reduction.formula
         if reduction.prefix:
             remainder = self._replay_compiled(
                 entry, remainder, reduction.prefix
             )
         entry.remainder = remainder
-        entry.last_props = (
-            frozenset(reduction.prefix[-1]) if reduction.prefix else None
-        )
 
     def _replay_compiled(
         self,
@@ -824,21 +673,17 @@ class IntegrityMonitor:
         entry.spare_map = {}
         return frozenset(pool)
 
-    def _advance(self, entry: _ConstraintEntry) -> None:
-        """Incorporate the newest state into the entry's remainder."""
-        if self._strategy == "scratch":
-            self._reground(entry)
-            return
+    def _advance(
+        self, entry: _ConstraintEntry, letters: frozenset[Prop]
+    ) -> None:
+        """Incorporate the newest state, given as its letters, into the
+        entry's remainder."""
         if not self._track_elements(entry):
             return
-        assert entry.reduction is not None and entry.remainder is not None
-        props = state_to_props(
-            self._history.current, entry.reduction.domain, fold=self._fold
-        )
+        assert entry.remainder is not None
         if self._strategy == "spare":
-            props = _rename_props(props, entry.spare_map)
-        entry.remainder = self._progress(entry, entry.remainder, props)
-        entry.last_props = props
+            letters = _rename_props(letters, entry.spare_map)
+        entry.remainder = self._progress(entry, entry.remainder, letters)
 
     def _try_rename(
         self, entry: _ConstraintEntry, fresh: frozenset[int]

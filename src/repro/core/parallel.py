@@ -150,7 +150,7 @@ def run_monitor(
     stats do not depend on which process decided them.
 
     Keyword arguments are forwarded to :class:`IntegrityMonitor`
-    (``strategy=``, ``assume_safety=``, ``prune=`` ...).
+    (``assume_safety=``, ``strategy=``, ``spare=``, ``lint=``).
     """
     names = list(constraints)
     states = list(states)

@@ -36,15 +36,15 @@ the :class:`repro.pasteval.monitor.PastMonitor` incremental evaluator
 connectives raise ``NotUniversalError`` there), everything else to one
 :class:`repro.core.monitor.IntegrityMonitor` carrying the per-entry
 backend assignments.  Verdicts and violations are identical to an
-unplanned monitor on the shared fragment (hypothesis-tested over
-strategies × prune); DESIGN.md section 11 carries the soundness argument
-per backend.
+unplanned monitor on the shared fragment (hypothesis-tested over both
+strategies); DESIGN.md section 11 carries the soundness argument per
+backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..analysis.hierarchy import backend_for, classify_hierarchy
 from ..database.history import History
@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 #: Format tag stamped into :meth:`PlannedMonitor.snapshot` payloads.
-PLANNED_SNAPSHOT_FORMAT = "repro-planned-snapshot/v2"
+PLANNED_SNAPSHOT_FORMAT = "repro-planned-snapshot/v3"
 
 
 @dataclass(frozen=True)
@@ -310,9 +310,7 @@ class PlannedMonitor:
         assume_safety: bool = False,
         strategy: str = "incremental",
         spare: int = 2,
-        fold: bool = True,
         lint: str = "warn",
-        prune: bool = True,
     ) -> None:
         from ..pasteval.monitor import PastMonitor
 
@@ -326,8 +324,6 @@ class PlannedMonitor:
             "assume_safety": assume_safety,
             "strategy": strategy,
             "spare": spare,
-            "fold": fold,
-            "prune": prune,
         }
         self._plan = plan_constraints(constraints)
         self._order = tuple(constraints)
@@ -361,9 +357,7 @@ class PlannedMonitor:
                 assume_safety=assume_safety,
                 strategy=strategy,
                 spare=spare,
-                fold=fold,
                 lint=lint,
-                prune=prune,
                 backends={
                     entry.name: entry.backend
                     for entry in self._plan.entries
@@ -481,6 +475,13 @@ class PlannedMonitor:
         A given ``history`` (for a snapshot taken ``with_history=False``)
         is handed as it is to both engines, in place of the document's
         own.
+
+        ``order`` must list every constraint text exactly once, and the
+        progression entries must be exactly the constraints the plan does
+        not route to pasteval; otherwise a verdict would be lost or the
+        first update would fail half-way, so this raises
+        :class:`~repro.errors.StateError` naming the missing and extra
+        names.
         """
         from ..database.serialize import (
             history_from_dict,
@@ -509,12 +510,7 @@ class PlannedMonitor:
             raise StateError(
                 f"planned snapshot is missing the {exc.args[0]!r} key"
             ) from None
-        missing = [name for name in order if name not in texts]
-        if missing:
-            raise StateError(
-                "planned snapshot order lists constraints with no "
-                f"source text: {missing}"
-            )
+        _require_names("planned snapshot order", order, texts)
         constraints = {name: parse(texts[name]) for name in order}
         shared = history
         if history is None:
@@ -534,6 +530,21 @@ class PlannedMonitor:
             for entry in monitor._plan.entries
             if entry.backend == "pasteval"
         )
+        monitor._full = (
+            monitor_from_dict(full_data, shared)
+            if full_data is not None
+            else None
+        )
+        entry_names = (
+            [snap.name for snap in monitor._full.snapshot_entries()]
+            if monitor._full is not None
+            else []
+        )
+        _require_names(
+            "planned snapshot progression entries",
+            entry_names,
+            (name for name in order if name not in past_names),
+        )
         monitor._past = None
         if past_names:
             monitor._past = PastMonitor(
@@ -543,11 +554,6 @@ class PlannedMonitor:
             )
             for state in history.states:
                 monitor._past.append_state(state)
-        monitor._full = (
-            monitor_from_dict(full_data, shared)
-            if full_data is not None
-            else None
-        )
         return monitor
 
     def append_state(self, state: DatabaseState) -> UpdateReport:
@@ -569,4 +575,22 @@ class PlannedMonitor:
             new_violations=tuple(
                 name for name in self._order if name in fresh
             ),
+        )
+
+
+def _require_names(
+    what: str, names: Sequence[Any], expected: Iterable[str]
+) -> None:
+    """Raise :class:`~repro.errors.StateError` unless ``names`` lists each
+    of ``expected`` exactly once and nothing else."""
+    from ..errors import StateError
+
+    wanted = set(expected)
+    missing = sorted(wanted.difference(names))
+    extra = sorted({str(name) for name in names if name not in wanted})
+    repeated = sorted({str(name) for name in names if names.count(name) > 1})
+    if missing or extra or repeated:
+        raise StateError(
+            f"{what} must list every constraint exactly once: missing "
+            f"{missing}, extra {extra}, repeated {repeated}"
         )

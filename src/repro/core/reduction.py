@@ -125,15 +125,15 @@ def ground_domain(
 
 def state_to_props(
     state: DatabaseState,
-    domain: Sequence[GroundElement],
-    fold: bool,
+    domain: Sequence[GroundElement] = (),
+    fold: bool = True,
 ) -> PropState:
     """The propositional description ``w_l`` of one database state.
 
-    In folded mode the true letters are exactly the state's facts.  In
-    literal mode the identity equalities over the domain are true as well
-    (``Axiom_D``'s positive facts must actually hold in the described
-    states for progression to work).
+    In folded mode the true letters are exactly the state's facts, so they
+    do not depend on the domain.  In literal mode the identity equalities
+    over the domain are true as well (``Axiom_D``'s positive facts must
+    actually hold in the described states for progression to work).
     """
     letters: set[Prop] = set()
     for pred, args in state.facts():

@@ -58,7 +58,7 @@ from .state import DatabaseState
 from .vocabulary import Vocabulary
 
 #: Format tag written into (and required from) monitor snapshots.
-MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v2"
+MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v3"
 
 
 def vocabulary_to_dict(vocabulary: Vocabulary) -> dict[str, Any]:
@@ -308,21 +308,6 @@ def _prop_name_from_jsonable(data: Any, where: str) -> Any:
     raise StateError(f"{where}: malformed letter name {data!r}")
 
 
-def _props_to_jsonable(props: frozenset[Prop]) -> list[Any]:
-    # Sorted by encoded form so snapshot bytes are deterministic.
-    return sorted(
-        (_prop_name_to_jsonable(p.name) for p in props), key=repr
-    )
-
-
-def _props_from_jsonable(data: Any, where: str) -> frozenset[Prop]:
-    if not isinstance(data, (list, tuple)):
-        raise StateError(f"{where}: malformed letter set {data!r}")
-    return frozenset(
-        Prop(_prop_name_from_jsonable(entry, where)) for entry in data
-    )
-
-
 def ptl_to_jsonable(formula: PTLFormula) -> Any:
     """One PTL formula as a JSON-ready tagged structure."""
     if isinstance(formula, PTLTrue):
@@ -446,20 +431,12 @@ def _entry_to_jsonable(snap: Any) -> dict[str, Any]:
         "constraint": to_str(snap.constraint),
         "backend": snap.backend,
         "remainder": ptl_to_jsonable(snap.remainder),
-        "domain": [_element_to_jsonable(e) for e in snap.domain],
         "relevant": sorted(snap.relevant),
-        "assignment_count": snap.assignment_count,
-        "scope": snap.scope,
         "known_elements": sorted(snap.known_elements),
         "spare_pool": list(snap.spare_pool),
         "spare_map": sorted(snap.spare_map.items()),
         "violated_at": snap.violated_at,
         "stats": snap.stats.as_dict(),
-        "last_props": (
-            None
-            if snap.last_props is None
-            else _props_to_jsonable(snap.last_props)
-        ),
     }
 
 
@@ -479,22 +456,12 @@ def _entry_from_jsonable(data: Any) -> Any:
             constraint=parse(data["constraint"]),
             backend=data["backend"],
             remainder=ptl_from_jsonable(data["remainder"], where),
-            domain=tuple(
-                _element_from_jsonable(e, where) for e in data["domain"]
-            ),
             relevant=frozenset(data["relevant"]),
-            assignment_count=data["assignment_count"],
-            scope=data["scope"],
             known_elements=frozenset(data["known_elements"]),
             spare_pool=tuple(data["spare_pool"]),
             spare_map={int(k): int(v) for k, v in data["spare_map"]},
             violated_at=data["violated_at"],
             stats=MonitorStats.from_dict(data["stats"]),
-            last_props=(
-                None
-                if data["last_props"] is None
-                else _props_from_jsonable(data["last_props"], where)
-            ),
         )
     except KeyError as missing:
         raise StateError(
@@ -554,7 +521,7 @@ def monitor_from_dict(
     config = data.get("config")
     if not isinstance(config, Mapping):
         raise StateError("monitor snapshot is missing its 'config' object")
-    required = ("assume_safety", "strategy", "spare", "fold", "prune")
+    required = ("assume_safety", "strategy", "spare")
     for key in required:
         if key not in config:
             raise StateError(
@@ -573,8 +540,6 @@ def monitor_from_dict(
         assume_safety=bool(config["assume_safety"]),
         strategy=config["strategy"],
         spare=int(config["spare"]),
-        fold=bool(config["fold"]),
-        prune=bool(config["prune"]),
     )
 
 

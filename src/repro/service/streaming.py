@@ -51,6 +51,7 @@ from ..core.monitor import MonitorStats, UpdateReport
 from ..core.plan import (
     MonitorPlan,
     PlannedMonitor,
+    _require_names,
     partition_constraints,
 )
 from ..database.history import History
@@ -89,9 +90,7 @@ class MonitorService:
         assume_safety: bool = False,
         strategy: str = "incremental",
         spare: int = 2,
-        fold: bool = True,
         lint: str = "warn",
-        prune: bool = True,
     ) -> None:
         if not isinstance(constraints, Mapping):
             constraints = {
@@ -107,9 +106,7 @@ class MonitorService:
                 assume_safety=assume_safety,
                 strategy=strategy,
                 spare=spare,
-                fold=fold,
                 lint=lint,
-                prune=prune,
             )
             for group in partition_constraints(constraints, shards)
         ]
@@ -319,7 +316,9 @@ class MonitorService:
         counters, and keeps the original shard layout.  The history is
         decoded once and the same :class:`History` is handed to every
         shard.  The ``config`` block is informational and is not read
-        back.
+        back.  ``order`` must name exactly the restored shards'
+        constraints, each once, or this raises :class:`StateError`
+        before any update can half-apply.
         """
         if not isinstance(data, Mapping):
             raise StateError(
@@ -349,6 +348,15 @@ class MonitorService:
             PlannedMonitor.from_snapshot(shard, history)
             for shard in shard_data
         ]
+        _require_names(
+            "service snapshot order",
+            order,
+            (
+                entry.name
+                for shard in service._shards
+                for entry in shard.plan.entries
+            ),
+        )
         service._stats = MonitorStats.from_dict(stats_data)
         service._queue = None
         service._consumer = None

@@ -1,17 +1,27 @@
 """Tests for the online integrity monitor (strategies, stats, violations)."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IntegrityMonitor, check_extension
+from repro.core import IntegrityMonitor, PlannedMonitor, check_extension
 from repro.core.monitor import MonitorStats
-from repro.database import DatabaseState, History, Update, vocabulary
+from repro.database import (
+    DatabaseState,
+    History,
+    Update,
+    monitor_from_dict,
+    monitor_to_dict,
+    vocabulary,
+)
 from repro.errors import NotUniversalError
 from repro.logic import parse
 from repro.ptl.progression import progress_cache_clear, progress_cache_info
+from repro.service import MonitorService
 
-V = vocabulary({"Sub": 1, "Fill": 1})
+V = vocabulary({"Sub": 1, "Fill": 1, "Ping": 1})
 SUBMIT_ONCE = parse("forall x . G (Sub(x) -> X G !Sub(x))")
 FIFO_FILL = parse(
     "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) U "
@@ -39,6 +49,46 @@ def monitor_with(constraints, strategy="incremental", **kwargs):
     return IntegrityMonitor(
         constraints, History.empty(V), strategy=strategy, **kwargs
     )
+
+
+# Ping shares no relation with the other constraints, so a two-shard
+# service really splits the set.
+HARNESS = {
+    **CONSTRAINTS,
+    "ping": parse("forall x . G (Ping(x) -> X G !Ping(x))"),
+}
+
+harness_traces = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["Sub", "Fill", "Ping"]),
+            st.tuples(st.integers(0, 2)),
+        ),
+        max_size=2,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _front(front, strategy):
+    history = History.empty(V)
+    if front == "planned":
+        return PlannedMonitor(HARNESS, history, strategy=strategy)
+    if front == "service":
+        service = MonitorService(HARNESS, history, shards=2, strategy=strategy)
+        assert service.shard_count == 2
+        return service
+    return IntegrityMonitor(HARNESS, history, strategy=strategy)
+
+
+def _remainders(front):
+    shards = front._shards if isinstance(front, MonitorService) else [front]
+    return {
+        name: remainder
+        for shard in shards
+        for name, remainder in shard.remainders().items()
+    }
 
 
 class TestBasics:
@@ -93,9 +143,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             monitor_with({"once": submit_once}, strategy="telepathy")
 
-    def test_spare_requires_folding(self, submit_once):
-        with pytest.raises(ValueError):
-            monitor_with({"once": submit_once}, strategy="spare", fold=False)
+    def test_violation_still_detected_after_idle_stretch(self):
+        m = monitor_with({"once": SUBMIT_ONCE})
+        m.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
+        for _ in range(3):
+            m.append_state(DatabaseState.from_facts(V, [("Fill", (2,))]))
+        report = m.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
+        assert report.new_violations == ("once",)
 
     def test_history_property_grows(self, submit_once):
         m = monitor_with({"once": submit_once})
@@ -119,7 +173,7 @@ class TestStrategies:
         self, submit_once, fifo_fill, trace_name, trace
     ):
         outcomes = {}
-        for strategy in ("scratch", "incremental", "spare"):
+        for strategy in ("incremental", "spare"):
             m = monitor_with(
                 {"once": submit_once, "fifo": fifo_fill},
                 strategy=strategy,
@@ -127,8 +181,7 @@ class TestStrategies:
             for facts in trace:
                 m.append_state(DatabaseState.from_facts(V, facts))
             outcomes[strategy] = m.violations()
-        assert outcomes["scratch"] == outcomes["incremental"]
-        assert outcomes["scratch"] == outcomes["spare"]
+        assert outcomes["incremental"] == outcomes["spare"]
 
     def test_incremental_regrounds_only_on_new_elements(self, submit_once):
         m = monitor_with({"once": submit_once}, strategy="incremental")
@@ -140,13 +193,6 @@ class TestStrategies:
         # Fresh element: reground.
         m.append_state(DatabaseState.from_facts(V, [("Sub", (9,))]))
         assert m.stats()["once"].regrounds == after_first + 1
-
-    def test_scratch_regrounds_every_update(self, submit_once):
-        m = monitor_with({"once": submit_once}, strategy="scratch")
-        base = m.stats()["once"].regrounds
-        for _ in range(3):
-            m.append_state(DatabaseState.empty(V))
-        assert m.stats()["once"].regrounds == base + 3
 
     def test_spare_avoids_regrounds(self, submit_once):
         m = monitor_with({"once": submit_once}, strategy="spare", spare=8)
@@ -219,12 +265,12 @@ class TestStrategies:
     @settings(max_examples=25, deadline=None)
     def test_strategies_agree_on_random_traces(self, trace):
         outcomes = []
-        for strategy in ("scratch", "incremental", "spare"):
+        for strategy in ("incremental", "spare"):
             m = monitor_with({"once": SUBMIT_ONCE}, strategy=strategy)
             for facts in trace:
                 m.append_state(DatabaseState.from_facts(V, facts))
             outcomes.append(m.violations())
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
 
 
 class TestAgainstChecker:
@@ -260,26 +306,35 @@ class TestAgainstChecker:
             )
 
     @given(
-        trace=traces,
-        strategy=st.sampled_from(["scratch", "incremental", "spare"]),
-        prune=st.booleans(),
+        trace=harness_traces,
+        front=st.sampled_from(["monitor", "planned", "service", "restored"]),
+        strategy=st.sampled_from(["incremental", "spare"]),
+        cut=st.integers(0, 3),
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_paper_decision_at_every_instant(
-        self, trace, strategy, prune
+        self, trace, front, strategy, cut
     ):
-        # The ground truth is the Theorem 4.1 reduction plus the Lemma 4.2
-        # decision, run from scratch on the whole prefix.  Scratch and
-        # incremental ground over the same relevant set as the oracle, so
-        # their live remainders are the oracle's own interned node; the
+        # One differential harness for every monitor front end.  The
+        # ground truth is the Theorem 4.1 reduction plus the Lemma 4.2
+        # decision, run from scratch on the whole prefix.  The incremental
+        # strategy grounds over the same relevant set as the oracle, so
+        # its live remainders are the oracle's own interned node; the
         # spare strategy grounds over extra elements and is compared on
-        # verdicts only.
-        m = monitor_with(CONSTRAINTS, strategy=strategy, prune=prune)
-        for facts in trace:
-            report = m.append_state(DatabaseState.from_facts(V, facts))
+        # verdicts only.  "restored" is a monitor sent through its JSON
+        # snapshot at instant `cut`.
+        m = _front(front, strategy)
+        for instant, facts in enumerate(trace):
+            if front == "restored" and instant == min(cut, len(trace) - 1):
+                m = monitor_from_dict(json.loads(json.dumps(monitor_to_dict(m))))
+            state = DatabaseState.from_facts(V, facts)
+            if isinstance(m, MonitorService):
+                report = m.apply_state(state)
+            else:
+                report = m.append_state(state)
             violations = m.violations()
-            remainders = m.remainders()
-            for name, constraint in CONSTRAINTS.items():
+            remainders = _remainders(m)
+            for name, constraint in HARNESS.items():
                 oracle = check_extension(constraint, m.history)
                 if name in violations:
                     # Frozen: a safety violation is irrecoverable, so the
@@ -290,7 +345,7 @@ class TestAgainstChecker:
                 assert report.satisfied[name] == (
                     oracle.potentially_satisfied
                 )
-                if strategy != "spare":
+                if strategy == "incremental":
                     assert remainders[name] is oracle.remainder
 
 
@@ -332,7 +387,7 @@ class TestKernelCounters:
         assert sum(info.misses_by_rule.values()) == info.misses
 
     def test_counters_survive_the_dict_round_trip(self):
-        m = monitor_with(CONSTRAINTS, prune=False)
+        m = monitor_with(CONSTRAINTS)
         for facts in ([("Sub", (1,))], [("Sub", (1,)), ("Fill", (1,))]):
             m.append_state(DatabaseState.from_facts(V, facts))
         for stats in m.stats().values():
@@ -344,3 +399,24 @@ class TestKernelCounters:
         restored = MonitorStats.from_dict(data)
         assert restored.progressions == 3
         assert not hasattr(restored, "future_counter")
+
+
+class TestMonitorStatsRoundTrip:
+    def test_as_dict_from_dict(self):
+        m = monitor_with({"once": SUBMIT_ONCE})
+        m.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
+        stats = m.stats()["once"]
+        data = stats.as_dict()
+        assert data["progressions"] == stats.progressions
+        assert type(stats).from_dict(data) == stats
+
+    def test_reset_zeroes_every_counter(self):
+        m = monitor_with({"once": SUBMIT_ONCE})
+        m.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
+        m.append_state(DatabaseState.from_facts(V, [("Fill", (1,))]))
+        assert any(v for v in m.stats()["once"].as_dict().values())
+        m.reset()
+        assert all(not v for v in m.stats()["once"].as_dict().values())
+        # Monitoring state survives the counter reset.
+        assert m.now == 2
+        assert m.violations() == {}

@@ -17,6 +17,7 @@ from repro.core import run_monitor
 from repro.core.parallel import parallel_map, resolve_jobs, split_chunks
 from repro.core.triggers import Trigger, TriggerManager
 from repro.database.history import History
+from repro.errors import NotSafetyError
 from repro.logic.parser import parse
 from repro.workloads.orders import (
     ORDER_VOCABULARY,
@@ -94,15 +95,19 @@ class TestMonitorEquivalence:
 
     def test_kwargs_forwarded(self):
         constraints, initial, states = _monitor_fixture()
-        scratch = run_monitor(
-            constraints, initial, states, jobs=2, strategy="scratch"
+        # Not syntactically safety: a monitor refuses it unless told to
+        # assume safety, so the workers must have received the flag.
+        constraints["filled"] = parse("forall x . G (Sub(x) -> F Fill(x))")
+        with pytest.raises(NotSafetyError):
+            run_monitor(constraints, initial, states, jobs=1)
+        fanned = run_monitor(
+            constraints, initial, states, jobs=2, assume_safety=True
         )
-        serial = run_monitor(constraints, initial, states, jobs=1)
-        assert scratch.reports == serial.reports
-        assert all(
-            stats.regrounds >= len(states)
-            for stats in scratch.stats.values()
+        serial = run_monitor(
+            constraints, initial, states, jobs=1, assume_safety=True
         )
+        assert fanned.reports == serial.reports
+        assert set(fanned.stats) == set(constraints)
 
 
 def _trigger_sweep(jobs: int):

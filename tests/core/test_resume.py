@@ -4,7 +4,7 @@ Lemma 4.2's whole point is that the progressed remainder is a sufficient
 statistic for the history prefix, so a monitor serialized mid-stream and
 restored (even in a fresh process) must produce the exact verdict stream
 of the uninterrupted run.  The hypothesis sweep below pins that over
-strategies × prune at a random cut point, with every derived
+both strategies at a random cut point, with every derived
 cache cleared and a forced GC between snapshot and restore; a subprocess
 test covers the genuinely-fresh-interpreter case.
 """
@@ -68,20 +68,15 @@ class TestResumeEquivalence:
     @given(
         trace=traces,
         cut=st.integers(0, 5),
-        strategy=st.sampled_from(["scratch", "incremental", "spare"]),
-        prune=st.booleans(),
+        strategy=st.sampled_from(["incremental", "spare"]),
     )
     def test_kill_and_restore_matches_uninterrupted(
-        self, trace, cut, strategy, prune
+        self, trace, cut, strategy
     ):
         cut = min(cut, len(trace))
         states = _states(trace)
-        ref = IntegrityMonitor(
-            CONSTRAINTS, History.empty(V), strategy=strategy, prune=prune
-        )
-        live = IntegrityMonitor(
-            CONSTRAINTS, History.empty(V), strategy=strategy, prune=prune
-        )
+        ref = IntegrityMonitor(CONSTRAINTS, History.empty(V), strategy=strategy)
+        live = IntegrityMonitor(CONSTRAINTS, History.empty(V), strategy=strategy)
         for state in states[:cut]:
             ref.append_state(state)
             live.append_state(state)
@@ -165,21 +160,31 @@ class TestSnapshotValidation:
         with pytest.raises(StateError, match="format"):
             monitor_from_dict(data)
 
-    def test_v2_documents_carry_no_engine_or_replay_cache(self):
+    def test_v3_documents_carry_only_the_live_settings(self):
         monitor = PlannedMonitor(CONSTRAINTS, History.empty(V))
         monitor.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
         data = json.loads(json.dumps(monitor.snapshot()))
-        assert data["format"] == "repro-planned-snapshot/v2"
-        assert "engine" not in data["config"]
-        assert "method" not in data["config"]
+        assert data["format"] == "repro-planned-snapshot/v3"
+        settings_ = {"assume_safety", "strategy", "spare"}
+        assert set(data["config"]) == settings_
         full = data["full"]
-        assert full["format"] == "repro-monitor-snapshot/v2"
-        assert "engine" not in full["config"]
-        assert "method" not in full["config"]
+        assert full["format"] == "repro-monitor-snapshot/v3"
+        assert set(full["config"]) == settings_
         assert full["entries"]
         for entry in full["entries"]:
-            assert "replay_finals" not in entry
-            assert "replay_masks" not in entry
+            for gone in ("replay_finals", "replay_masks", "last_props",
+                         "domain", "scope", "assignment_count"):
+                assert gone not in entry
+
+    def test_rejects_v2_documents(self):
+        monitor = PlannedMonitor(CONSTRAINTS, History.empty(V))
+        data = monitor.snapshot()
+        data["full"]["format"] = "repro-monitor-snapshot/v2"
+        with pytest.raises(StateError, match="format"):
+            monitor_from_dict(data["full"])
+        data["format"] = "repro-planned-snapshot/v2"
+        with pytest.raises(StateError, match="format"):
+            PlannedMonitor.from_snapshot(data)
 
     def test_rejects_v1_documents(self):
         monitor = PlannedMonitor(CONSTRAINTS, History.empty(V))
@@ -201,6 +206,45 @@ class TestSnapshotValidation:
     def test_planned_rejects_wrong_format(self):
         with pytest.raises(StateError, match="format"):
             PlannedMonitor.from_snapshot({"format": "bogus"})
+
+
+class TestPlannedRestoreNames:
+    """A planned snapshot whose ``order`` or progression entries disagree
+    with its constraints is refused: restored, it would drop a verdict
+    or fail half-way through its first update."""
+
+    FILL_ONCE = parse("forall x . G (Fill(x) -> X G !Fill(x))")
+
+    def snapshot(self):
+        monitor = PlannedMonitor(
+            {"once": SUBMIT_ONCE, "fill": self.FILL_ONCE}, History.empty(V)
+        )
+        return json.loads(json.dumps(monitor.snapshot()))
+
+    def test_rejects_order_missing_a_constraint(self):
+        data = self.snapshot()
+        data["order"] = ["once"]
+        with pytest.raises(StateError, match=r"missing \['fill'\]"):
+            PlannedMonitor.from_snapshot(data)
+
+    def test_rejects_order_repeating_a_constraint(self):
+        data = self.snapshot()
+        data["order"] = ["once", "fill", "once"]
+        with pytest.raises(StateError, match=r"repeated \['once'\]"):
+            PlannedMonitor.from_snapshot(data)
+
+    def test_rejects_constraint_without_progression_entry(self):
+        data = self.snapshot()
+        data["order"].append("ghost")
+        data["constraints"]["ghost"] = data["constraints"]["once"]
+        with pytest.raises(StateError, match=r"missing \['ghost'\]"):
+            PlannedMonitor.from_snapshot(data)
+
+    def test_rejects_order_naming_no_constraint_text(self):
+        data = self.snapshot()
+        data["order"].append("ghost")
+        with pytest.raises(StateError, match=r"extra \['ghost'\]"):
+            PlannedMonitor.from_snapshot(data)
 
 
 class TestMonitorStatsReset:

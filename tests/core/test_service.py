@@ -314,6 +314,31 @@ class TestServiceSnapshot:
         with pytest.raises(StateError, match="shards"):
             MonitorService.restore(data)
 
+    def _two_shard_snapshot(self):
+        service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
+        service.apply(Update.insert(("Ping", (1,))))
+        return json.loads(json.dumps(service.snapshot()))
+
+    def test_restore_rejects_order_missing_a_constraint(self):
+        # Restored, the service would report no verdict for ping_once.
+        data = self._two_shard_snapshot()
+        data["order"].remove("ping_once")
+        with pytest.raises(StateError, match=r"missing \['ping_once'\]"):
+            MonitorService.restore(data)
+
+    def test_restore_rejects_order_repeating_a_constraint(self):
+        data = self._two_shard_snapshot()
+        data["order"].append("once")
+        with pytest.raises(StateError, match=r"repeated \['once'\]"):
+            MonitorService.restore(data)
+
+    def test_restore_rejects_order_naming_an_unknown_constraint(self):
+        # Restored, the first update would fail after the shards moved.
+        data = self._two_shard_snapshot()
+        data["order"].append("ghost")
+        with pytest.raises(StateError, match=r"extra \['ghost'\]"):
+            MonitorService.restore(data)
+
 
 class TestMalformedPastConstraints:
     """A pasteval-routed constraint with a schema mistake is refused at

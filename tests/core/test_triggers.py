@@ -1,6 +1,8 @@
 """Tests for temporal triggers (duality with constraint satisfaction)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Trigger,
@@ -150,3 +152,48 @@ class TestEngineSelection:
     def test_trigger_manager_rejects_bad_engine(self):
         with pytest.raises(ValueError, match="engine"):
             TriggerManager([], engine="vectorized")
+
+
+traces = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["Sub", "Fill"]),
+            st.tuples(st.integers(0, 2)),
+        ),
+        max_size=2,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def run_triggers(trace, prune):
+    manager = TriggerManager(
+        [Trigger("resub", RESUBMIT)], lint="off", prune=prune
+    )
+    h = History.empty(V)
+    for facts in trace:
+        h = h.extended(DatabaseState.from_facts(V, facts))
+        manager.check(h)
+    return manager
+
+
+class TestTriggerEquivalence:
+    """The static sweep skip (DESIGN.md §9) must leave the firing log
+    exactly as the exhaustive sweep produces it."""
+
+    @given(trace=traces)
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_matches_unpruned_firings(self, trace):
+        assert run_triggers(trace, True).log == run_triggers(trace, False).log
+
+    def test_quiet_sweeps_are_skipped(self):
+        trace = [[("Sub", (1,))], [], [], [("Sub", (1,))]]
+        pruned = run_triggers(trace, True)
+        naive = run_triggers(trace, False)
+        assert pruned.skipped_sweeps > 0
+        assert naive.skipped_sweeps == 0
+        assert pruned.log == naive.log
+        # The resubmission at the last instant is still caught after the
+        # skipped sweeps.
+        assert any(f.instant == 4 for f in pruned.log)
