@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import inspect
 import json
 import os
 import sys
@@ -45,7 +44,7 @@ import sys
 from .analysis import UpdateDependencyIndex, idle_class, static_verdict
 from .analysis.hierarchy import backend_for, classify_hierarchy
 from .core.checker import check_extension
-from .core.parallel import run_monitor
+from .core.monitor import IntegrityMonitor
 from .core.plan import plan_constraints
 from .database.history import History
 from .database.serialize import load_history
@@ -260,7 +259,6 @@ def _semantic_lint_reports(
             named,
             vocabulary=vocab,
             domain_size=args.domain_size,
-            engine=args.engine,
             jobs=args.jobs,
             semantic=bool(args.semantic),
             sources=[source for _index, source in parsed],
@@ -287,8 +285,6 @@ def _semantic_lint_reports(
                 domain_size=args.domain_size,
                 semantic=bool(args.semantic),
                 constraint_set=monitored or None,
-                engine=args.engine,
-                jobs=args.jobs,
                 deps=deps,
             )
     return [report for report in reports if report is not None]
@@ -417,9 +413,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         raise ReproError(f"no constraints found in {args.target!r}")
     plan = plan_constraints(constraints)
     named = tuple(constraints.items())
-    analyzer = SetAnalyzer(
-        constraints=named, engine=args.engine, jobs=args.jobs
-    )
+    analyzer = SetAnalyzer(constraints=named)
     errors = warnings_ = infos = 0
     constraint_block: dict[str, dict[str, object]] = {}
     for index, (label, formula) in enumerate(named):
@@ -429,8 +423,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             passes=hierarchy_passes(),
             constraint_set=named,
             set_index=index,
-            engine=args.engine,
-            jobs=args.jobs,
             analyzer=analyzer,
         )
         errors += len(report.errors)
@@ -474,19 +466,18 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         states=history.states[:1],
         constant_bindings=history.constant_bindings,
     )
-    run = run_monitor(
+    monitor = IntegrityMonitor(
         constraints,
         initial,
-        history.states[1:],
-        jobs=args.jobs,
         assume_safety=args.assume_safety,
         strategy=args.strategy,
     )
-    for report in run.reports:
+    for state in history.states[1:]:
+        report = monitor.append_state(state)
         for name in report.new_violations:
             print(f"t={report.instant}: constraint {name!r} violated "
                   f"({constraints[name]})")
-    violations = run.violations
+    violations = monitor.violations()
     if not violations:
         print(f"no violations in {len(history)} state(s)")
         return 0
@@ -569,10 +560,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.name!r}; available: "
               + ", ".join(sorted(experiments.RUNNERS)))
         return 2
-    kwargs: dict[str, object] = {"fast": args.fast}
-    if "jobs" in inspect.signature(runner).parameters:
-        kwargs["jobs"] = args.jobs
-    runner(**kwargs)
+    runner(fast=args.fast)
     return 0
 
 
@@ -631,13 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also run the TIC100+ semantic passes "
                       "(kernel-backed unsatisfiability, validity, "
                       "safety, vacuity, redundancy, conflicts)")
-    lint.add_argument("--engine", choices=("bitset", "reference"),
-                      default="bitset",
-                      help="satisfiability kernel for --semantic "
-                      "(default bitset)")
     lint.add_argument("--jobs", type=int, default=1,
                       help="worker processes for the semantic pairwise "
-                      "sweep (1 = serial, 0 = one per CPU)")
+                      "sweep of a constraint set (1 = serial, 0 = one "
+                      "per CPU)")
     lint.add_argument("--constraint-set", metavar="FILE",
                       help="with --trigger --semantic: file of monitored "
                       "constraints the trigger conditions are checked "
@@ -686,13 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--strict", action="store_true",
                       help="also fail (exit 1) on warning-severity "
                       "diagnostics (e.g. TIC132 retired-at-birth)")
-    plan.add_argument("--engine", choices=("bitset", "reference"),
-                      default="bitset",
-                      help="satisfiability kernel for the TIC131/TIC132 "
-                      "semantic cross-checks (default bitset)")
-    plan.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for the set analysis "
-                      "(1 = serial, 0 = one per CPU)")
     plan.set_defaults(func=_cmd_plan)
 
     mon = sub.add_parser("monitor", help="replay a history through the "
@@ -706,9 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="on a fresh element: reground (incremental, "
                      "default) or rename it onto a reserved spare element")
     mon.add_argument("--assume-safety", action="store_true")
-    mon.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for independent constraints "
-                     "(1 = serial, 0 = one per CPU)")
     mon.set_defaults(func=_cmd_monitor)
 
     serve = sub.add_parser(
@@ -746,9 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("name", help="experiment id, e.g. e1 or a2")
     exp.add_argument("--fast", action="store_true",
                      help="smaller parameter sweep")
-    exp.add_argument("--jobs", type=int, default=1,
-                     help="worker processes, for experiments that sweep "
-                     "independent points (1 = serial, 0 = one per CPU)")
     exp.set_defaults(func=_cmd_experiment)
     return parser
 

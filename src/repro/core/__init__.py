@@ -32,13 +32,7 @@ from .grounding import (
     rel_prop,
 )
 from .monitor import EntrySnapshot, IntegrityMonitor, MonitorStats, UpdateReport
-from .parallel import (
-    MonitorRun,
-    parallel_map,
-    resolve_jobs,
-    run_monitor,
-    split_chunks,
-)
+from .parallel import parallel_map, resolve_jobs, split_chunks
 from .plan import (
     PLANNED_SNAPSHOT_FORMAT,
     ConstraintPlan,
@@ -79,7 +73,6 @@ __all__ = [
     "GroundElement",
     "IntegrityMonitor",
     "MonitorPlan",
-    "MonitorRun",
     "MonitorStats",
     "PlannedMonitor",
     "Reduction",
@@ -110,7 +103,6 @@ __all__ = [
     "redundant_constraints",
     "rel_prop",
     "resolve_jobs",
-    "run_monitor",
     "split_chunks",
     "state_to_props",
     "validate_constraint",

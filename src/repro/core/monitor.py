@@ -60,6 +60,8 @@ from .reduction import (
 )
 
 _STRATEGIES = ("incremental", "spare")
+#: Bound of the monitor-wide satisfiability memo, in remainders.
+_SAT_CACHE_SIZE = 4096
 # Progression-side backends a dispatch plan may assign to an entry of
 # this monitor ("pasteval" never reaches IntegrityMonitor — the planner
 # routes past-closed constraints to repro.pasteval before construction).
@@ -326,7 +328,10 @@ class IntegrityMonitor:
         # keyed by the interned remainder: the same ground obligation shows
         # up under several constraints (and across regrounds), and interned
         # identity makes the lookup O(1) instead of a structural re-hash.
+        # Each entry pins its remainder, so the memo is emptied once it
+        # holds _SAT_CACHE_SIZE of them.
         self._sat_cache: dict[PTLFormula, bool] = {}
+        self._sat_cache_resets = 0
         self._buchi = BuchiKernel()
         self._progkernel = ProgressionKernel()
         self._entries: list[_ConstraintEntry] = []
@@ -353,6 +358,17 @@ class IntegrityMonitor:
     def stats(self) -> dict[str, MonitorStats]:
         """Per-constraint work counters."""
         return {entry.name: entry.stats for entry in self._entries}
+
+    def cache_info(self) -> dict[str, int]:
+        """Sizes and resets of the monitor-wide decision caches: the
+        satisfiability memo (emptied at ``_SAT_CACHE_SIZE`` entries) and
+        the Büchi kernel (dropped past its ``max_states``)."""
+        return {
+            "sat_cache_entries": len(self._sat_cache),
+            "sat_cache_resets": self._sat_cache_resets,
+            "buchi_states": self._buchi.stats()["states"],
+            "buchi_resets": self._buchi.resets,
+        }
 
     def progression_kernel_info(self) -> ProgKernelInfo:
         """Counters of this monitor's shared progression kernel: table
@@ -717,6 +733,9 @@ class IntegrityMonitor:
                 remainder
             )
             entry.stats.sat_time += time.perf_counter() - start
+            if len(self._sat_cache) >= _SAT_CACHE_SIZE:
+                self._sat_cache.clear()
+                self._sat_cache_resets += 1
             self._sat_cache[remainder] = ok
         if not ok:
             entry.violated_at = instant

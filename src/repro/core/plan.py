@@ -484,6 +484,8 @@ class PlannedMonitor:
         names.
         """
         from ..database.serialize import (
+            decode_list,
+            decode_mapping,
             history_from_dict,
             monitor_from_dict,
         )
@@ -502,15 +504,26 @@ class PlannedMonitor:
                 f"(expected {PLANNED_SNAPSHOT_FORMAT!r})"
             )
         try:
-            config = dict(data["config"])
-            order = tuple(data["order"])
-            texts = data["constraints"]
+            config = dict(
+                decode_mapping(data["config"], "planned snapshot 'config'")
+            )
+            order = tuple(
+                decode_list(data["order"], "planned snapshot 'order'", str)
+            )
+            texts = decode_mapping(
+                data["constraints"], "planned snapshot 'constraints'"
+            )
             full_data = data["full"]
         except KeyError as exc:
             raise StateError(
                 f"planned snapshot is missing the {exc.args[0]!r} key"
             ) from None
         _require_names("planned snapshot order", order, texts)
+        for name in order:
+            if not isinstance(texts[name], str):
+                raise StateError(
+                    f"planned snapshot constraint {name!r} must be a string"
+                )
         constraints = {name: parse(texts[name]) for name in order}
         shared = history
         if history is None:

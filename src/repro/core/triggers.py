@@ -12,11 +12,16 @@ supported condition class ``exists* tense(Sigma_0)`` — negations of
 biquantified formulas, exactly the expressive power the paper attributes to
 the Sistla–Wolfson trigger language (Section 5).
 
-Ground substitutions range over the relevant elements of the history plus,
-optionally, one fresh element as the representative of all untouched
-elements (they are interchangeable, so one representative decides them
-all).  Substituted elements are injected through reserved constant symbols,
-since formulas cannot mention raw universe elements.
+Ground substitutions range over the relevant elements of the history plus
+one fresh element as the representative of all untouched elements (they
+are interchangeable, so one representative decides them all).  Substituted
+elements are injected through reserved constant symbols, since formulas
+cannot mention raw universe elements.
+
+:func:`fires` and :func:`firings` decide the definition from scratch with
+the reference engines; :class:`TriggerManager` runs the same decision
+incrementally on the compiled kernels the monitor uses, and is tested
+against them.
 """
 
 from __future__ import annotations
@@ -35,16 +40,18 @@ from ..logic.terms import Constant, Variable
 from ..logic.transform import nnf, substitute
 from ..ptl.bitset import BuchiKernel
 from ..ptl.formulas import PTLFalse, PTLFormula, PTLTrue
-from ..ptl.progression import progress_sequence
-from ..ptl.sat import is_satisfiable, quick_model_check
-from .checker import validate_constraint
-from .parallel import parallel_map, resolve_jobs, split_chunks
+from ..ptl.progkernel import ProgressionKernel
+from ..ptl.sat import quick_model_check
+from .checker import potentially_satisfied, validate_constraint
 from .reduction import reduce_universal
 
 #: A ground substitution: values for the condition's free variables.
 Substitution = Mapping[Variable, int]
 
 _PARAM_PREFIX = "__trig_"
+
+#: Bound of :class:`TriggerManager`'s remainder memo, in remainders.
+_REMAINDER_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -128,72 +135,12 @@ def _substitution_key(
     )
 
 
-def _condition_remainder(
-    condition: Formula,
-    history: History,
-    substitution: Substitution,
-    assume_safety: bool,
-    engine: str = "reference",
-) -> PTLFormula:
-    """The progressed Lemma 4.2 remainder of ``¬Cθ`` over the history.
-
-    This is the history-dependent half of the duality check; the verdict
-    is then a pure function of the (interned) remainder, which is what
-    makes the :class:`TriggerManager` memo sound.  ``engine="compiled"``
-    progresses through the table-driven kernel of
-    :mod:`repro.ptl.progkernel` (identical remainders by construction).
-    """
+def _negated_instance(
+    condition: Formula, history: History, substitution: Substitution
+) -> tuple[Formula, History]:
+    """``¬Cθ`` in NNF, with the history its reserved constants are bound in."""
     instantiated, bindings = _instantiate(condition, substitution)
-    negated = nnf(not_(instantiated))
-    augmented = _augment_history(history, bindings)
-    info = validate_constraint(negated, assume_safety=assume_safety)
-    reduction = reduce_universal(augmented, info)
-    return progress_sequence(
-        reduction.formula,
-        reduction.prefix,
-        engine="compiled" if engine == "compiled" else "reference",
-    )
-
-
-def _remainder_fires(
-    remainder: PTLFormula,
-    method: str,
-    engine: str,
-    kernel: BuchiKernel | None = None,
-) -> bool:
-    """Duality verdict from a remainder: fire iff ``¬Cθ`` is unsatisfiable."""
-    if isinstance(remainder, PTLFalse):
-        return True
-    if isinstance(remainder, PTLTrue):
-        return False
-    if quick_model_check(remainder):
-        return False
-    if (
-        kernel is not None
-        and method == "buchi"
-        and engine in ("bitset", "compiled")
-    ):
-        return not kernel.is_satisfiable(remainder)
-    return not is_satisfiable(
-        remainder,
-        method=method,
-        engine="bitset" if engine == "compiled" else engine,
-    )
-
-
-def _fires_chunk(
-    args: tuple[Formula, History, list[Substitution], bool, str, str],
-) -> list[tuple[PTLFormula, bool]]:
-    """Worker: decide one chunk of substitutions, returning
-    ``(remainder, fired)`` pairs so the parent can refill its memo."""
-    condition, history, substitutions, assume_safety, method, engine = args
-    out: list[tuple[PTLFormula, bool]] = []
-    for substitution in substitutions:
-        remainder = _condition_remainder(
-            condition, history, substitution, assume_safety, engine=engine
-        )
-        out.append((remainder, _remainder_fires(remainder, method, engine)))
-    return out
+    return nnf(not_(instantiated)), _augment_history(history, bindings)
 
 
 def fires(
@@ -201,13 +148,13 @@ def fires(
     history: History,
     substitution: Substitution,
     assume_safety: bool = False,
-    method: str = "buchi",
-    engine: str = "bitset",
 ) -> bool:
     """Does the trigger fire at the current instant for this substitution?
 
-    Implements the duality directly: instantiate, negate, and ask the
-    extension checker whether ``¬Cθ`` is potentially satisfied.
+    The paper's definition, decided from scratch on the whole history:
+    the trigger fires iff ``¬Cθ`` is not potentially satisfied
+    (:func:`repro.core.checker.potentially_satisfied`).  This is the
+    oracle :class:`TriggerManager` is tested against.
     """
     missing = trigger.condition.free_variables() - set(substitution)
     if missing:
@@ -215,10 +162,12 @@ def fires(
             "substitution must cover all free variables; missing "
             + ", ".join(sorted(v.name for v in missing))
         )
-    remainder = _condition_remainder(
-        trigger.condition, history, substitution, assume_safety, engine=engine
+    negated, augmented = _negated_instance(
+        trigger.condition, history, substitution
     )
-    return _remainder_fires(remainder, method, engine)
+    return not potentially_satisfied(
+        negated, augmented, assume_safety=assume_safety
+    )
 
 
 def candidate_substitutions(
@@ -246,32 +195,20 @@ def candidate_substitutions(
 def firings(
     trigger: Trigger,
     history: History,
-    include_fresh: bool = True,
     assume_safety: bool = False,
-    method: str = "buchi",
-    engine: str = "bitset",
 ) -> list[Firing]:
-    """All firings of a trigger at the history's current instant."""
-    result: list[Firing] = []
-    for substitution in candidate_substitutions(
-        trigger, history, include_fresh=include_fresh
-    ):
-        if fires(
-            trigger,
-            history,
-            substitution,
-            assume_safety=assume_safety,
-            method=method,
-            engine=engine,
-        ):
-            result.append(
-                Firing(
-                    trigger=trigger.name,
-                    instant=history.now,
-                    substitution=_substitution_key(substitution),
-                )
-            )
-    return result
+    """All firings of a trigger at the history's current instant, by
+    :func:`fires` over every candidate substitution (fresh representative
+    included)."""
+    return [
+        Firing(
+            trigger=trigger.name,
+            instant=history.now,
+            substitution=_substitution_key(substitution),
+        )
+        for substitution in candidate_substitutions(trigger, history)
+        if fires(trigger, history, substitution, assume_safety=assume_safety)
+    ]
 
 
 class TriggerManager:
@@ -280,7 +217,8 @@ class TriggerManager:
     The manager deduplicates firings: a (trigger, substitution) pair that
     has already fired is not reported again at later instants (a safety
     violation persists forever, so without deduplication every firing would
-    repeat at every subsequent instant).
+    repeat at every subsequent instant).  Pairs are keyed by trigger name,
+    so names must be unique (``ValueError`` otherwise).
 
     Trigger conditions go through the :mod:`repro.lint` pre-flight gate in
     trigger mode at construction time: the duality analysis (``TIC009``)
@@ -291,55 +229,44 @@ class TriggerManager:
     warning-severity diagnostics; ``lint="off"`` skips the gate (errors
     then surface per-firing from the extension checker, as before).
 
-    Two batching optimizations make the ``R_D^k`` sweep cheap:
+    Each pending substitution takes the monitor's Lemma 4.2 step: the
+    reduction of ``¬Cθ`` is progressed through one table-driven
+    :class:`repro.ptl.progkernel.ProgressionKernel` and the remainder is
+    decided on one bitset :class:`repro.ptl.bitset.BuchiKernel`, both
+    owned by the manager and shared by every trigger and substitution.
+    Firings equal :func:`firings`, the from-scratch definition
+    (property-tested).  Two more savings make the ``R_D^k`` sweep cheap:
 
-    * the Lemma 4.2 verdict is memoized per *interned remainder*
-      (identity-keyed dict): substitutions whose instantiated ``¬Cθ``
-      progress to the same remainder — common once a trigger's obligation
-      reaches a fixpoint across quiet instants — decide once and hit the
-      memo ever after (``memo_hits`` counts them);
-    * fresh decisions go through one shared
-      :class:`repro.ptl.bitset.BuchiKernel`, so ground instances with
-      overlapping closures reuse compiled states and fairness verdicts.
+    * the verdict is memoized per *interned remainder* (identity-keyed
+      dict): substitutions whose ``¬Cθ`` progress to the same remainder —
+      common once a trigger's obligation reaches a fixpoint across quiet
+      instants — decide once and hit the memo ever after (``memo_hits``
+      counts them).  The memo holds at most ``_REMAINDER_MEMO_SIZE``
+      remainders and is emptied when full (``memo_resets`` counts it);
+    * a static sweep skip: when a trigger's negated condition has only
+      negative relation occurrences, an instant whose state is empty on
+      the condition's relations cannot create a *new* firing
+      (satisfiability of every pending remainder is preserved — DESIGN.md
+      §9.3), so the whole sweep is skipped (``skipped_sweeps`` counts
+      them).  Guarded by a consecutive-check and a
+      relevant-elements-unchanged test so the skipped verdicts are exactly
+      the ones the full sweep would produce.
 
-    ``engine="compiled"`` additionally progresses each ``¬Cθ`` through
-    the table-driven :class:`repro.ptl.progkernel.ProgressionKernel`
-    (remainders, and hence firings, are identical by construction);
-    ``"bitset"`` keeps the reference progression with the compiled
-    satisfiability kernel; ``"reference"`` uses reference engines for
-    both.
-
-    With ``jobs > 1`` the candidate substitutions of each trigger are
-    chunked across a process pool; firings are identical to the serial
-    run (the verdict is a pure function of the substitution and history).
-
-    ``prune=True`` (default) adds a static sweep skip on top: when a
-    trigger's negated condition has only negative relation occurrences,
-    an instant whose state is empty on the condition's relations cannot
-    create a *new* firing (satisfiability of every pending remainder is
-    preserved — DESIGN.md §9.3), so the whole ``R_D^k`` sweep is skipped
-    (``skipped_sweeps`` counts them).  Guarded by a consecutive-check and
-    a relevant-elements-unchanged test so the skipped verdicts are exactly
-    the ones the full sweep would produce; ``prune=False`` restores the
-    exhaustive sweep, and both are property-tested to log identical
-    firings.
+    :meth:`stats` reports these counters with the memo's size and the
+    Büchi kernel's resets.
     """
 
     def __init__(
         self,
         triggers: Sequence[Trigger],
         assume_safety: bool = False,
-        method: str = "buchi",
-        include_fresh: bool = True,
         lint: str = "warn",
-        engine: str = "bitset",
-        jobs: int = 1,
-        prune: bool = True,
     ) -> None:
-        if engine not in ("compiled", "bitset", "reference"):
+        names = [trigger.name for trigger in triggers]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
             raise ValueError(
-                "engine must be 'compiled', 'bitset' or 'reference', "
-                f"got {engine!r}"
+                f"trigger names must be unique; repeated: {repeated}"
             )
         if lint != "off":
             from ..lint import preflight
@@ -353,26 +280,19 @@ class TriggerManager:
                 )
         self._triggers = list(triggers)
         self._assume_safety = assume_safety
-        self._method = method
-        self._engine = engine
-        self._include_fresh = include_fresh
-        self._jobs = resolve_jobs(jobs)
         self._fired: set[tuple[str, tuple[tuple[str, int], ...]]] = set()
         self._log: list[Firing] = []
-        self._kernel: BuchiKernel | None = (
-            BuchiKernel()
-            if engine in ("compiled", "bitset") and method == "buchi"
-            else None
-        )
+        self._progkernel = ProgressionKernel()
+        self._buchi = BuchiKernel()
         #: Lemma 4.2 verdict per interned remainder (identity-keyed).
         self._remainder_memo: dict[PTLFormula, bool] = {}
         self.memo_hits = 0
+        self.memo_resets = 0
         self.decisions = 0
-        self._prune = prune
         # Static per-trigger analysis: a sweep may be skipped only when the
         # negated condition is purely negative in its relation occurrences
         # (or mentions no relation at all) — the polarity half of the
-        # skip lemma.  Keyed by position: trigger names may repeat.
+        # skip lemma.  Keyed by position, like the two maps below.
         self._prunable: list[bool] = []
         for trigger in triggers:
             aff = affect_set(not_(trigger.condition))
@@ -388,64 +308,58 @@ class TriggerManager:
         """All firings so far, in order of detection."""
         return list(self._log)
 
-    def _record(self, remainder: PTLFormula, fired: bool) -> bool:
-        """Memoize one decided remainder, counting hits and decisions."""
-        known = self._remainder_memo.get(remainder)
-        if known is None:
-            self._remainder_memo[remainder] = fired
-            self.decisions += 1
-            return fired
-        self.memo_hits += 1
-        return known
+    def stats(self) -> dict[str, int]:
+        """Work and cache counters: decisions, remainder-memo hits, size
+        and resets, skipped sweeps, and the Büchi kernel's resets."""
+        return {
+            "decisions": self.decisions,
+            "memo_hits": self.memo_hits,
+            "memo_entries": len(self._remainder_memo),
+            "memo_resets": self.memo_resets,
+            "skipped_sweeps": self.skipped_sweeps,
+            "buchi_resets": self._buchi.resets,
+        }
 
-    def _decide_pending(
-        self,
-        trigger: Trigger,
-        history: History,
-        substitutions: list[Substitution],
-    ) -> list[bool]:
-        """Duality verdicts for the not-yet-fired substitutions, in order."""
-        if self._jobs > 1 and len(substitutions) > 1:
-            chunk_results = parallel_map(
-                _fires_chunk,
-                [
-                    (
-                        trigger.condition,
-                        history,
-                        chunk,
-                        self._assume_safety,
-                        self._method,
-                        self._engine,
-                    )
-                    for chunk in split_chunks(substitutions, self._jobs)
-                ],
-                jobs=self._jobs,
+    def _remainder(
+        self, trigger: Trigger, history: History, substitution: Substitution
+    ) -> PTLFormula:
+        """The Lemma 4.2 remainder of ``¬Cθ`` over the history, progressed
+        in the manager's kernel."""
+        negated, augmented = _negated_instance(
+            trigger.condition, history, substitution
+        )
+        info = validate_constraint(negated, assume_safety=self._assume_safety)
+        reduction = reduce_universal(augmented, info)
+        kernel = self._progkernel
+        encode = kernel.encode_state
+        return kernel.formula(
+            kernel.progress_replay(
+                kernel.intern(reduction.formula),
+                [encode(props) for props in reduction.prefix],
             )
-            return [
-                self._record(remainder, fired)
-                for chunk in chunk_results
-                for remainder, fired in chunk
-            ]
-        verdicts: list[bool] = []
-        for substitution in substitutions:
-            remainder = _condition_remainder(
-                trigger.condition,
-                history,
-                substitution,
-                self._assume_safety,
-                engine=self._engine,
-            )
-            known = self._remainder_memo.get(remainder)
-            if known is None:
-                known = _remainder_fires(
-                    remainder, self._method, self._engine, self._kernel
-                )
-                self._remainder_memo[remainder] = known
-                self.decisions += 1
-            else:
-                self.memo_hits += 1
-            verdicts.append(known)
-        return verdicts
+        )
+
+    def _fires(self, remainder: PTLFormula) -> bool:
+        """Duality verdict from a remainder: fire iff it is unsatisfiable."""
+        if isinstance(remainder, PTLFalse):
+            return True
+        if isinstance(remainder, PTLTrue):
+            return False
+        memo = self._remainder_memo
+        known = memo.get(remainder)
+        if known is not None:
+            self.memo_hits += 1
+            return known
+        if len(memo) >= _REMAINDER_MEMO_SIZE:
+            memo.clear()
+            self.memo_resets += 1
+        self.decisions += 1
+        fired = not (
+            quick_model_check(remainder)
+            or self._buchi.is_satisfiable(remainder)
+        )
+        memo[remainder] = fired
+        return fired
 
     def _can_skip_sweep(
         self, index: int, trigger: Trigger, history: History
@@ -476,26 +390,17 @@ class TriggerManager:
         actions."""
         new: list[Firing] = []
         for index, trigger in enumerate(self._triggers):
-            if self._prune and self._can_skip_sweep(index, trigger, history):
+            if self._can_skip_sweep(index, trigger, history):
                 self.skipped_sweeps += 1
                 self._last_checked[index] = len(history.states)
                 continue
-            pending: list[
-                tuple[tuple[str, tuple[tuple[str, int], ...]], Substitution]
-            ] = []
-            for substitution in candidate_substitutions(
-                trigger, history, include_fresh=self._include_fresh
-            ):
+            for substitution in candidate_substitutions(trigger, history):
                 key = (trigger.name, _substitution_key(substitution))
                 # Already-fired pairs stay fired (safety violations are
                 # irrecoverable) — skip the re-decision entirely.
-                if key not in self._fired:
-                    pending.append((key, substitution))
-            verdicts = self._decide_pending(
-                trigger, history, [s for _, s in pending]
-            )
-            for (key, _substitution), fired in zip(pending, verdicts):
-                if not fired:
+                if key in self._fired or not self._fires(
+                    self._remainder(trigger, history, substitution)
+                ):
                     continue
                 firing = Firing(
                     trigger=trigger.name,

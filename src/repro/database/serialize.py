@@ -423,6 +423,57 @@ def ptl_from_jsonable(data: Any, where: str = "snapshot") -> PTLFormula:
 # --------------------------------------------------------------------------
 
 
+def decode_list(data: Any, where: str, item: type | None = None) -> list[Any]:
+    """``data`` as a list whose items, given ``item``, all have exactly
+    that type (so ``true`` is no integer); :class:`StateError` naming
+    ``where`` otherwise."""
+    if not isinstance(data, (list, tuple)):
+        raise StateError(f"{where} must be a list, got {data!r:.60}")
+    if item is not None:
+        for value in data:
+            if type(value) is not item:
+                raise StateError(
+                    f"{where} must hold only {item.__name__} values, "
+                    f"got {value!r:.60}"
+                )
+    return list(data)
+
+
+def decode_mapping(data: Any, where: str) -> Mapping[str, Any]:
+    """``data`` as a JSON object; :class:`StateError` naming ``where``
+    otherwise."""
+    if not isinstance(data, Mapping):
+        raise StateError(f"{where} must be an object, got {data!r:.60}")
+    return data
+
+
+def stats_from_jsonable(data: Any, where: str) -> Any:
+    """Decode a :class:`repro.core.MonitorStats` object, each known
+    counter typed like its default (so a bad one cannot fail a later
+    update half-way)."""
+    from ..core.monitor import MonitorStats
+
+    decode_mapping(data, where)
+    for name, default in vars(MonitorStats()).items():
+        if name not in data:
+            continue
+        value = data[name]
+        if isinstance(default, dict):
+            ok = isinstance(value, Mapping) and all(
+                isinstance(key, str) and type(count) is int
+                for key, count in value.items()
+            )
+        elif isinstance(default, float):
+            ok = type(value) in (int, float)
+        else:
+            ok = type(value) is int
+        if not ok:
+            raise StateError(
+                f"{where}: counter {name!r} has the wrong type: {value!r:.60}"
+            )
+    return MonitorStats.from_dict(data)
+
+
 def _entry_to_jsonable(snap: Any) -> dict[str, Any]:
     from ..logic import to_str
 
@@ -440,8 +491,10 @@ def _entry_to_jsonable(snap: Any) -> dict[str, Any]:
     }
 
 
-def _entry_from_jsonable(data: Any) -> Any:
-    from ..core.monitor import EntrySnapshot, MonitorStats
+def _entry_from_jsonable(data: Any, now: int) -> Any:
+    """Decode one snapshot entry of a monitor whose history ends at
+    instant ``now``."""
+    from ..core.monitor import EntrySnapshot
     from ..logic import parse
 
     if not isinstance(data, Mapping):
@@ -450,18 +503,50 @@ def _entry_from_jsonable(data: Any) -> Any:
         )
     try:
         name = data["name"]
+        if not isinstance(name, str):
+            raise StateError(f"snapshot entry name must be a string: {name!r}")
         where = f"snapshot entry {name!r}"
+        for key in ("constraint", "backend"):
+            if not isinstance(data[key], str):
+                raise StateError(f"{where}: {key!r} must be a string")
+        spare_map = decode_list(data["spare_map"], f"{where}: 'spare_map'")
+        if any(
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or any(type(element) is not int for element in pair)
+            for pair in spare_map
+        ):
+            raise StateError(
+                f"{where}: 'spare_map' must hold [element, spare] integer "
+                "pairs"
+            )
+        violated_at = data["violated_at"]
+        if violated_at is not None and not (
+            type(violated_at) is int and 0 <= violated_at <= now
+        ):
+            raise StateError(
+                f"{where}: 'violated_at' must be null or an instant in "
+                f"[0, {now}], got {violated_at!r:.60}"
+            )
         return EntrySnapshot(
             name=name,
             constraint=parse(data["constraint"]),
             backend=data["backend"],
             remainder=ptl_from_jsonable(data["remainder"], where),
-            relevant=frozenset(data["relevant"]),
-            known_elements=frozenset(data["known_elements"]),
-            spare_pool=tuple(data["spare_pool"]),
-            spare_map={int(k): int(v) for k, v in data["spare_map"]},
-            violated_at=data["violated_at"],
-            stats=MonitorStats.from_dict(data["stats"]),
+            relevant=frozenset(
+                decode_list(data["relevant"], f"{where}: 'relevant'", int)
+            ),
+            known_elements=frozenset(
+                decode_list(
+                    data["known_elements"], f"{where}: 'known_elements'", int
+                )
+            ),
+            spare_pool=tuple(
+                decode_list(data["spare_pool"], f"{where}: 'spare_pool'", int)
+            ),
+            spare_map=dict(spare_map),
+            violated_at=violated_at,
+            stats=stats_from_jsonable(data["stats"], f"{where}: 'stats'"),
         )
     except KeyError as missing:
         raise StateError(
@@ -521,25 +606,33 @@ def monitor_from_dict(
     config = data.get("config")
     if not isinstance(config, Mapping):
         raise StateError("monitor snapshot is missing its 'config' object")
-    required = ("assume_safety", "strategy", "spare")
-    for key in required:
+    required = {"assume_safety": bool, "strategy": str, "spare": int}
+    for key, kind in required.items():
         if key not in config:
             raise StateError(
                 f"monitor snapshot config is missing the {key!r} key"
+            )
+        if type(config[key]) is not kind:
+            raise StateError(
+                f"monitor snapshot config {key!r} must be a "
+                f"{kind.__name__}, got {config[key]!r:.60}"
             )
     if history is None:
         if "history" not in data:
             raise StateError("monitor snapshot is missing the 'history' key")
         history = history_from_dict(data["history"])
     entries = [
-        _entry_from_jsonable(entry) for entry in data.get("entries", ())
+        _entry_from_jsonable(entry, history.now)
+        for entry in decode_list(
+            data.get("entries", []), "monitor snapshot 'entries'"
+        )
     ]
     return IntegrityMonitor.from_snapshot(
         history,
         entries,
-        assume_safety=bool(config["assume_safety"]),
+        assume_safety=config["assume_safety"],
         strategy=config["strategy"],
-        spare=int(config["spare"]),
+        spare=config["spare"],
     )
 
 

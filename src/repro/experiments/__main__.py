@@ -3,36 +3,22 @@
 Runs experiments by id.  With ``--jobs N`` (N > 1) and more than one
 experiment, whole experiments run side by side in worker processes —
 each worker captures its stdout and the tables are printed in request
-order, so the output is byte-identical to the serial run.  Runners whose
-signature accepts ``jobs`` also receive it, for their internal sweeps.
+order, so the output is byte-identical to the serial run.
 """
 
 import contextlib
-import inspect
 import io
 import sys
-
-from typing import Callable
 
 from . import RUNNERS
 from ..core.parallel import parallel_map, resolve_jobs
 
 
-def _runner_kwargs(
-    runner: Callable[..., object], fast: bool, jobs: int
-) -> dict:
-    kwargs: dict = {"fast": fast}
-    if "jobs" in inspect.signature(runner).parameters:
-        kwargs["jobs"] = jobs
-    return kwargs
-
-
-def _run_captured(args: tuple[str, bool, int]) -> str:
-    name, fast, jobs = args
-    runner = RUNNERS[name]
+def _run_captured(args: tuple[str, bool]) -> str:
+    name, fast = args
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        runner(**_runner_kwargs(runner, fast, jobs))
+        RUNNERS[name](fast=fast)
     return buffer.getvalue()
 
 
@@ -58,16 +44,14 @@ def main(argv: list[str]) -> int:
         return 2
     jobs = resolve_jobs(jobs)
     if jobs > 1 and len(names) > 1:
-        # Fan whole experiments across workers; inner sweeps stay serial.
         outputs = parallel_map(
-            _run_captured, [(name, fast, 1) for name in names], jobs=jobs
+            _run_captured, [(name, fast) for name in names], jobs=jobs
         )
         for output in outputs:
             sys.stdout.write(output)
         return 0
     for name in names:
-        runner = RUNNERS[name]
-        runner(**_runner_kwargs(runner, fast, jobs))
+        RUNNERS[name](fast=fast)
     return 0
 
 

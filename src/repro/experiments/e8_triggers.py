@@ -21,7 +21,7 @@ from .common import print_table
 X = Variable("x")
 
 
-def run(fast: bool = False, jobs: int = 1) -> list[dict]:
+def run(fast: bool = False) -> list[dict]:
     length = 10 if fast else 16
     trace = trace_with_duplicate(length, violate_at=length // 2, seed=21)
     triggers = {
@@ -32,7 +32,7 @@ def run(fast: bool = False, jobs: int = 1) -> list[dict]:
             "double_fill", parse("F (Fill(x) & X F Fill(x))")
         ),
     }
-    manager = TriggerManager(list(triggers.values()), jobs=jobs)
+    manager = TriggerManager(list(triggers.values()))
 
     firings = []
     duality_checks = 0

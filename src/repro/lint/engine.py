@@ -71,8 +71,6 @@ class LintContext:
     domain_size: int = 8
     constraint_set: tuple[tuple[str, "Formula"], ...] | None = None
     set_index: int = 0
-    engine: str = "bitset"
-    jobs: int = 1
     _info: FormulaInfo | None = field(default=None, repr=False)
     _analyzer: object | None = field(default=None, repr=False)
     _affect: "AffectSet | None" = field(default=None, repr=False)
@@ -125,10 +123,7 @@ class LintContext:
                 if not constraints:
                     constraints = (("constraint", self.formula),)
             self._analyzer = SetAnalyzer(
-                constraints=constraints,
-                conditions=conditions,
-                engine=self.engine,
-                jobs=self.jobs,
+                constraints=constraints, conditions=conditions
             )
         assert isinstance(self._analyzer, SetAnalyzer)
         return self._analyzer
@@ -303,8 +298,6 @@ def lint_formula(
     semantic: bool = False,
     constraint_set: tuple[tuple[str, Formula], ...] | None = None,
     set_index: int = 0,
-    engine: str = "bitset",
-    jobs: int = 1,
     analyzer: "SetAnalyzer | None" = None,
     deps: bool = False,
     hierarchy: bool = False,
@@ -315,7 +308,8 @@ def lint_formula(
     well; ``constraint_set`` (with this formula at ``set_index``) enables
     the set-level passes, and a pre-built ``analyzer`` lets callers share
     one grounded analysis across a whole set (see
-    :func:`repro.lint.semantic.lint_constraint_set`).  With ``deps=True``
+    :func:`repro.lint.semantic.lint_constraint_set`); its ``jobs`` sets
+    the worker count of the pairwise sweep.  With ``deps=True``
     the TIC12x dependence passes run as well (vocabulary-aware ones stay
     silent without a ``vocabulary``).  With ``hierarchy=True`` the TIC13x
     temporal-hierarchy / dispatch passes run as well.
@@ -335,8 +329,6 @@ def lint_formula(
         domain_size=domain_size,
         constraint_set=constraint_set,
         set_index=set_index,
-        engine=engine,
-        jobs=jobs,
         _analyzer=analyzer,
     )
     if passes is not None:
@@ -368,8 +360,6 @@ def lint_source(
     mode: str = "constraint",
     domain_size: int = 8,
     semantic: bool = False,
-    engine: str = "bitset",
-    jobs: int = 1,
     deps: bool = False,
     hierarchy: bool = False,
 ) -> LintReport:
@@ -413,8 +403,6 @@ def lint_source(
         mode=mode,
         domain_size=domain_size,
         semantic=semantic,
-        engine=engine,
-        jobs=jobs,
         deps=deps,
         hierarchy=hierarchy,
     )

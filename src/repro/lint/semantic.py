@@ -466,7 +466,6 @@ def lint_constraint_set(
     constraints: Mapping[str, Formula] | Sequence[tuple[str, Formula]],
     vocabulary: Vocabulary | None = None,
     domain_size: int = 8,
-    engine: str = "bitset",
     jobs: int = 1,
     semantic: bool = True,
     sources: Sequence[str | None] | None = None,
@@ -486,9 +485,7 @@ def lint_constraint_set(
     True
     """
     named = _named(constraints)
-    analyzer = SetAnalyzer(
-        constraints=named, engine=engine, jobs=jobs
-    )
+    analyzer = SetAnalyzer(constraints=named, jobs=jobs)
     reports: list[LintReport] = []
     for index, (_name, formula) in enumerate(named):
         source = sources[index] if sources is not None else None
@@ -502,8 +499,6 @@ def lint_constraint_set(
                 semantic=semantic,
                 constraint_set=named,
                 set_index=index,
-                engine=engine,
-                jobs=jobs,
                 analyzer=analyzer,
                 deps=deps,
                 hierarchy=hierarchy,
@@ -519,8 +514,6 @@ def lint_trigger_conditions(
     ) = None,
     vocabulary: Vocabulary | None = None,
     domain_size: int = 8,
-    engine: str = "bitset",
-    jobs: int = 1,
     semantic: bool = True,
 ) -> list[LintReport]:
     """Lint trigger conditions, each against the monitored constraints.
@@ -540,8 +533,6 @@ def lint_trigger_conditions(
                 domain_size=domain_size,
                 semantic=semantic,
                 constraint_set=named_constraints or None,
-                engine=engine,
-                jobs=jobs,
             )
         )
     return reports

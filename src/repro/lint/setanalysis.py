@@ -35,13 +35,14 @@ Constant symbols are bound to pairwise-distinct fresh elements (the
 unique-name assumption standard in database theory); verdicts are exact
 under that assumption and documented as such.
 
-Everything is decided on the PR 3 bitset kernels by default: the analyzer
-owns a long-lived :class:`repro.ptl.bitset.BuchiKernel` shared across all
-of its queries (``engine="reference"`` falls back to the frozenset
-construction, and both engines are asserted equivalent in the tests).
-The pairwise sweep fans out across :func:`repro.core.parallel.parallel_map`
-workers and memoizes per interned PTL formula, so re-asking any verdict —
-including from another pass — is one dict probe.
+Everything is decided on the bitset kernel the monitor uses: the
+analyzer owns a long-lived :class:`repro.ptl.bitset.BuchiKernel` shared
+across all of its queries (the tests check its verdicts against the
+reference engine of :func:`repro.ptl.sat.is_satisfiable`).  The pairwise
+sweep fans out across :func:`repro.core.parallel.parallel_map` workers,
+each deciding on a kernel of its own, and every verdict is memoized per
+interned PTL formula, so re-asking any verdict — including from another
+pass — is one dict probe.
 """
 
 from __future__ import annotations
@@ -59,17 +60,12 @@ from ..logic.terms import Variable
 from ..ptl.bitset import BuchiKernel
 from ..ptl.formulas import PTLFormula, palways, pand, peventually, pnot, por
 from ..ptl.safety import is_safety
-from ..ptl.sat import is_satisfiable
 
 __all__ = [
-    "ENGINES",
     "SemanticProfile",
     "SetAnalyzer",
     "analysis_cache_clear",
 ]
-
-#: Satisfiability engines understood by the analyzer.
-ENGINES = ("bitset", "reference")
 
 #: Profiles whose grounding would exceed these bounds are marked
 #: ineligible instead of being analyzed (the lint passes then stay
@@ -133,19 +129,15 @@ class SemanticProfile:
     parameters: int
 
 
-def _decide_chunk(
-    payload: tuple[tuple[PTLFormula, ...], str, str],
-) -> tuple[bool, ...]:
-    """Worker: decide satisfiability of a chunk of PTL formulas.
+def _decide_chunk(formulas: tuple[PTLFormula, ...]) -> tuple[bool, ...]:
+    """Worker: decide satisfiability of a chunk of PTL formulas on one
+    worker-local kernel.
 
-    Top-level so it pickles; interned formulas re-intern on load (PR 2),
-    so a forked worker's verdicts key correctly back in the parent.
+    Top-level so it pickles; interned formulas re-intern on load, so a
+    forked worker's verdicts key correctly back in the parent.
     """
-    formulas, engine, method = payload
-    return tuple(
-        is_satisfiable(formula, method=method, engine=engine)
-        for formula in formulas
-    )
+    kernel = BuchiKernel()
+    return tuple(kernel.is_satisfiable(formula) for formula in formulas)
 
 
 class SetAnalyzer:
@@ -158,31 +150,18 @@ class SetAnalyzer:
     conditions:
         ``(name, formula)`` pairs of trigger conditions analyzed *against*
         the constraints (free variables are trigger parameters).
-    engine / method:
-        Satisfiability backend: the analyzer-owned
-        :class:`~repro.ptl.bitset.BuchiKernel` for
-        ``("bitset", "buchi")`` — the default — otherwise routed through
-        :func:`repro.ptl.sat.is_satisfiable`.
     jobs:
-        Default worker count for :meth:`sweep` (overridable per call).
+        Worker processes for :meth:`sweep` (1 = serial, 0 = one per CPU).
     """
 
     def __init__(
         self,
         constraints: Sequence[tuple[str, Formula]] = (),
         conditions: Sequence[tuple[str, Formula]] = (),
-        engine: str = "bitset",
-        method: str = "buchi",
         jobs: int = 1,
     ) -> None:
-        if engine not in ENGINES:
-            raise ReproError(
-                f"engine must be one of {ENGINES}, got {engine!r}"
-            )
-        self.engine = engine
-        self.method = method
         self.jobs = jobs
-        self._kernel = BuchiKernel() if engine == "bitset" else None
+        self._kernel = BuchiKernel()
         self._sat_memo: dict[PTLFormula, bool] = {}
         self._memo_hits = 0
         self._sweep: dict[tuple[str, int, int], bool | None] | None = None
@@ -344,17 +323,12 @@ class SetAnalyzer:
     # -- satisfiability backend -------------------------------------------
 
     def _decide(self, formula: PTLFormula) -> bool:
-        """Memoized satisfiability through the configured engine."""
+        """Memoized satisfiability on the analyzer's kernel."""
         cached = self._sat_memo.get(formula)
         if cached is not None:
             self._memo_hits += 1
             return cached
-        if self._kernel is not None and self.method == "buchi":
-            verdict = self._kernel.is_satisfiable(formula)
-        else:
-            verdict = is_satisfiable(
-                formula, method=self.method, engine=self.engine
-            )
+        verdict = self._kernel.is_satisfiable(formula)
         self._sat_memo[formula] = verdict
         return verdict
 
@@ -551,11 +525,9 @@ class SetAnalyzer:
 
     # -- the pairwise sweep ------------------------------------------------
 
-    def sweep(
-        self, jobs: int | None = None
-    ) -> Mapping[tuple[str, int, int], bool | None]:
+    def sweep(self) -> Mapping[tuple[str, int, int], bool | None]:
         """Decide every pairwise entailment and conflict, fanning the
-        undecided PTL queries across worker processes.
+        undecided PTL queries across ``jobs`` worker processes.
 
         Returns (and caches) a mapping with keys ``("entails", i, j)``
         (``C_i ⊨ C_j``) and ``("conflicts", i, j)`` with ``i < j``;
@@ -593,16 +565,13 @@ class SetAnalyzer:
                 self._memo_hits += 1
             elif formula not in pending:
                 pending.append(formula)
-        workers = resolve_jobs(self.jobs if jobs is None else jobs)
+        workers = resolve_jobs(self.jobs)
         if pending:
             if workers > 1 and len(pending) > 1:
                 chunks = split_chunks(pending, workers)
                 results = parallel_map(
                     _decide_chunk,
-                    [
-                        (tuple(chunk), self.engine, self.method)
-                        for chunk in chunks
-                    ],
+                    [tuple(chunk) for chunk in chunks],
                     jobs=workers,
                 )
                 for chunk, chunk_verdicts in zip(chunks, results):
@@ -654,11 +623,10 @@ class SetAnalyzer:
             "memo_hits": self._memo_hits,
             "safety_checks": len(_SAFETY_MEMO),
         }
-        if self._kernel is not None:
-            out.update(
-                {
-                    f"kernel_{key}": value
-                    for key, value in self._kernel.stats().items()
-                }
-            )
+        out.update(
+            {
+                f"kernel_{key}": value
+                for key, value in self._kernel.stats().items()
+            }
+        )
         return out

@@ -184,6 +184,8 @@ class BuchiKernel:
     def __init__(self, max_states: int = 1 << 18) -> None:
         self.max_states = max_states
         self.decisions = 0
+        #: Times the state space outgrew ``max_states`` and was dropped.
+        self.resets = 0
         self.reset()
 
     def reset(self) -> None:
@@ -445,6 +447,7 @@ class BuchiKernel:
             return verdict
         if len(self._old) > self.max_states:
             self.reset()
+            self.resets += 1
         if isinstance(normal, PTLTrue):
             verdict = True
         elif isinstance(normal, PTLFalse):
@@ -494,6 +497,7 @@ class BuchiKernel:
             "next_masks": len(self._succ),
             "verdicts": len(self._verdicts),
             "decisions": self.decisions,
+            "resets": self.resets,
         }
 
 
@@ -835,6 +839,7 @@ def bitset_cache_clear() -> None:
     """Reset the default kernels (benchmark harness / tests)."""
     _DEFAULT_BUCHI.reset()
     _DEFAULT_BUCHI.decisions = 0
+    _DEFAULT_BUCHI.resets = 0
     _TABLEAU_KERNELS.clear()
 
 

@@ -39,15 +39,15 @@ The memo is bounded (``PROGRESS_CACHE_MAXSIZE``, overridable through the
 hit/miss/eviction counters and the derived hit rate so long runs can detect
 LRU thrash.
 
-**Compiled engine.**  :func:`progress_sequence` and :func:`progress_trace`
-accept ``engine="compiled"`` to route whole-sequence progression through
-the table-driven :class:`repro.ptl.progkernel.ProgressionKernel`;
-``engine="reference"`` (the default) is this module's recursive rewriting,
-kept as the cross-validation oracle exactly like the satisfiability
-engines' ``engine="reference"``.  The kernel runs every rewrite rule
-natively on integer ids, so compiled-engine traffic never consults nor
-populates this module's memo — the two engines' caches are fully isolated
-(regression-tested), and this LRU sees only reference-engine traffic.
+**Compiled engine.**  The table-driven
+:class:`repro.ptl.progkernel.ProgressionKernel` (with
+:func:`~repro.ptl.progkernel.progress_sequence_compiled` and
+:func:`~repro.ptl.progkernel.progress_trace_compiled`) is the production
+path; this module's recursive rewriting is its cross-validation oracle.
+The kernel runs every rewrite rule natively on integer ids, so its
+traffic never consults nor populates this module's memo — the two
+engines' caches are fully isolated (regression-tested), and this LRU sees
+only reference-engine traffic.
 """
 
 from __future__ import annotations
@@ -256,20 +256,9 @@ def _progress_step(
             raise TypeError(f"cannot progress {formula!r}")
 
 
-_PROGRESS_ENGINES = ("compiled", "reference")
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in _PROGRESS_ENGINES:
-        raise ValueError(
-            f"engine must be one of {_PROGRESS_ENGINES}, got {engine!r}"
-        )
-
-
 def progress_sequence(
     formula: PTLFormula,
     states: Iterable[AbstractSet[Prop]],
-    engine: str = "reference",
 ) -> PTLFormula:
     """Progress through a whole finite sequence of states.
 
@@ -278,15 +267,7 @@ def progress_sequence(
     satisfiable (checked by :mod:`repro.ptl.sat`).
 
     Short-circuits as soon as the obligation collapses to a constant.
-    ``engine="compiled"`` runs the table-driven
-    :class:`repro.ptl.progkernel.ProgressionKernel` instead of the
-    recursive rewriting; the results are identical (property-tested).
     """
-    _check_engine(engine)
-    if engine == "compiled":
-        from .progkernel import progress_sequence_compiled
-
-        return progress_sequence_compiled(formula, states)
     remainder = formula
     for current in states:
         if isinstance(remainder, (PTLTrue, PTLFalse)):
@@ -298,7 +279,6 @@ def progress_sequence(
 def progress_trace(
     formula: PTLFormula,
     states: Sequence[AbstractSet[Prop]],
-    engine: str = "reference",
 ) -> list[PTLFormula]:
     """Like :func:`progress_sequence` but return every intermediate formula.
 
@@ -309,14 +289,8 @@ def progress_trace(
     Like :func:`progress_sequence`, short-circuits once the obligation
     collapses to a constant (``PTRUE``/``PFALSE`` progress to themselves
     forever): the rest of the trace is padded with the constant instead of
-    paying for dead progression steps.  ``engine="compiled"`` selects the
-    table-driven kernel, with identical results.
+    paying for dead progression steps.
     """
-    _check_engine(engine)
-    if engine == "compiled":
-        from .progkernel import progress_trace_compiled
-
-        return progress_trace_compiled(formula, states)
     trace = [formula]
     remainder = formula
     for current in states:

@@ -55,7 +55,12 @@ from ..core.plan import (
     partition_constraints,
 )
 from ..database.history import History
-from ..database.serialize import history_from_dict, history_to_dict
+from ..database.serialize import (
+    decode_list,
+    history_from_dict,
+    history_to_dict,
+    stats_from_jsonable,
+)
 from ..database.state import DatabaseState
 from ..database.updates import Update
 from ..errors import StateError
@@ -332,10 +337,16 @@ class MonitorService:
                 f"(expected {SERVICE_SNAPSHOT_FORMAT!r})"
             )
         try:
-            order = tuple(data["order"])
-            stats_data = data["service_stats"]
+            order = tuple(
+                decode_list(data["order"], "service snapshot 'order'", str)
+            )
+            stats = stats_from_jsonable(
+                data["service_stats"], "service snapshot 'service_stats'"
+            )
             history_data = data["history"]
-            shard_data = data["shards"]
+            shard_data = decode_list(
+                data["shards"], "service snapshot 'shards'"
+            )
         except KeyError as exc:
             raise StateError(
                 f"service snapshot is missing the {exc.args[0]!r} key"
@@ -357,7 +368,7 @@ class MonitorService:
                 for entry in shard.plan.entries
             ),
         )
-        service._stats = MonitorStats.from_dict(stats_data)
+        service._stats = stats
         service._queue = None
         service._consumer = None
         return service

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.monitor as monitor_module
 from repro.core import IntegrityMonitor, PlannedMonitor, check_extension
 from repro.core.monitor import MonitorStats
 from repro.database import (
@@ -16,7 +17,7 @@ from repro.database import (
     monitor_to_dict,
     vocabulary,
 )
-from repro.errors import NotUniversalError
+from repro.errors import NotSafetyError, NotUniversalError
 from repro.logic import parse
 from repro.ptl.progression import progress_cache_clear, progress_cache_info
 from repro.service import MonitorService
@@ -142,6 +143,21 @@ class TestBasics:
     def test_invalid_strategy(self, submit_once):
         with pytest.raises(ValueError):
             monitor_with({"once": submit_once}, strategy="telepathy")
+
+    def test_assume_safety_admits_a_non_safety_constraint(self):
+        # Not syntactically safety: refused unless told to assume safety.
+        filled = parse("forall x . G (Sub(x) -> F Fill(x))")
+        with pytest.raises(NotSafetyError):
+            monitor_with({"filled": filled}, lint="off")
+        m = monitor_with({"filled": filled}, assume_safety=True, lint="off")
+        history = History.empty(V)
+        for facts in ([("Sub", (1,))], [], [("Fill", (1,))]):
+            state = DatabaseState.from_facts(V, facts)
+            history = history.extended(state)
+            expected = check_extension(filled, history, assume_safety=True)
+            assert m.append_state(state).satisfied["filled"] == (
+                expected.potentially_satisfied
+            )
 
     def test_violation_still_detected_after_idle_stretch(self):
         m = monitor_with({"once": SUBMIT_ONCE})
@@ -399,6 +415,32 @@ class TestKernelCounters:
         restored = MonitorStats.from_dict(data)
         assert restored.progressions == 3
         assert not hasattr(restored, "future_counter")
+
+
+class TestBoundedSatCache:
+    TRACE = [
+        [("Sub", (element,)), ("Fill", ((element + 1) % 4,))]
+        for element in range(4)
+    ] * 3
+
+    def run(self):
+        m = monitor_with(CONSTRAINTS)
+        reports = [
+            m.append_state(DatabaseState.from_facts(V, facts))
+            for facts in self.TRACE
+        ]
+        return m, reports
+
+    def test_resets_without_changing_verdicts(self, monkeypatch):
+        unbounded, expected = self.run()
+        assert unbounded.cache_info()["sat_cache_resets"] == 0
+        monkeypatch.setattr(monitor_module, "_SAT_CACHE_SIZE", 2)
+        bounded, reports = self.run()
+        info = bounded.cache_info()
+        assert info["sat_cache_resets"] > 0
+        assert info["sat_cache_entries"] <= 2
+        assert reports == expected
+        assert bounded.remainders() == unbounded.remainders()
 
 
 class TestMonitorStatsRoundTrip:

@@ -340,6 +340,44 @@ class TestServiceSnapshot:
             MonitorService.restore(data)
 
 
+ENTRY = ("shards", 0, "full", "entries", 0)
+
+#: One field of a saved two-constraint service set to a value of the wrong
+#: type, or (violated_at) to an impossible instant.
+MALFORMED_FIELDS = {
+    "service_stats": (("service_stats",), 5),
+    "entry_stats": (ENTRY + ("stats",), 5),
+    "stats_counter": (ENTRY + ("stats", "progressions"), "x"),
+    "spare_map": (ENTRY + ("spare_map",), 5),
+    "relevant": (ENTRY + ("relevant",), 5),
+    "spare_pool": (ENTRY + ("spare_pool",), 5),
+    "order": (("order",), 5),
+    "shards": (("shards",), 5),
+    "entries": (("shards", 0, "full", "entries"), 5),
+    "violated_at_text": (ENTRY + ("violated_at",), "soon"),
+    "violated_at_negative": (ENTRY + ("violated_at",), -3),
+}
+
+
+@pytest.mark.parametrize(
+    "path, value", list(MALFORMED_FIELDS.values()), ids=list(MALFORMED_FIELDS)
+)
+def test_restore_rejects_a_malformed_field(path, value):
+    service = MonitorService(
+        {name: CONSTRAINTS[name] for name in ("once", "audit")},
+        History.empty(V),
+    )
+    service.apply(Update.insert(("Sub", (1,))))
+    data = json.loads(json.dumps(service.snapshot()))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    assert node[path[-1]] != value
+    node[path[-1]] = value
+    with pytest.raises(StateError, match=path[-1]):
+        MonitorService.restore(data)
+
+
 class TestMalformedPastConstraints:
     """A pasteval-routed constraint with a schema mistake is refused at
     construction, as the progression route refuses it, so no update is

@@ -212,21 +212,6 @@ class TestLintSemantic:
         assert code == 2
         assert "--trigger" in capsys.readouterr().err
 
-    def test_reference_engine(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "lint",
-                    "--semantic",
-                    "--engine",
-                    "reference",
-                    self.seeded_path(tmp_path),
-                ]
-            )
-            == 1
-        )
-        assert "TIC110" in capsys.readouterr().out
-
 
 class TestExitCodeContract:
     """0 = success, 1 = analysis failure, 2 = usage/input error."""

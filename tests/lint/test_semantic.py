@@ -201,17 +201,6 @@ class TestSetPasses:
             r.to_dict() for r in parallel
         ]
 
-    def test_bitset_matches_reference(self):
-        named = [
-            ("weak", parse("forall x . G (Fill(x) -> X !Fill(x))")),
-            ("strong", parse("forall x . G (Fill(x) -> X G !Fill(x))")),
-        ]
-        bitset = lint_constraint_set(named, engine="bitset")
-        reference = lint_constraint_set(named, engine="reference")
-        assert [semantic_codes(r) for r in bitset] == [
-            semantic_codes(r) for r in reference
-        ]
-
 
 class TestTriggerPasses:
     def test_tic100_never_firing_condition(self):

@@ -167,6 +167,19 @@ class TestLetterSplit:
             pand(obligation_copies(3), contradiction)
         )
 
+    def test_reset_past_max_states_is_counted_and_keeps_verdicts(self):
+        contradiction = pand(palways(R), peventually(pnot(R)))
+        formulas = [
+            obligation_copies(1),
+            obligation_copies(2),
+            pand(obligation_copies(1), contradiction),
+        ]
+        tiny = BuchiKernel(max_states=10)
+        verdicts = [tiny.is_satisfiable(formula) for formula in formulas]
+        assert verdicts == [True, True, False]
+        assert tiny.resets > 0
+        assert tiny.stats()["resets"] == tiny.resets
+
     def test_shared_letter_joins_groups(self):
         """``G p0`` and ``F p1`` are separate groups, each satisfiable;
         ``G (p1 -> !p0)`` shares a letter with both, joining all three

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.ptl import PFALSE, PTRUE, palways, pand, pnext, prop, puntil
+from repro.ptl import PFALSE, palways, pand, pnext, prop, puntil
 from repro.ptl.formulas import (
     PAlways,
     PEventually,
@@ -197,25 +197,6 @@ class TestModuleLevelFunctions:
         reference = progress_trace(formula, states)
         assert len(compiled) == len(reference)
         assert all(a is b for a, b in zip(compiled, reference))
-
-    @given(formula=ptl_formulas(), states=state_seqs)
-    @settings(max_examples=50, deadline=None)
-    def test_engine_dispatch(self, formula, states):
-        # progression's engine= axis routes to the compiled functions.
-        assert progress_sequence(
-            formula, states, engine="compiled"
-        ) is progress_sequence(formula, states, engine="reference")
-        compiled = progress_trace(formula, states, engine="compiled")
-        reference = progress_trace(formula, states, engine="reference")
-        assert all(a is b for a, b in zip(compiled, reference))
-
-    def test_engine_validation(self):
-        try:
-            progress_sequence(PTRUE, [], engine="vectorized")
-        except ValueError as error:
-            assert "engine" in str(error)
-        else:
-            raise AssertionError("bad engine must be rejected")
 
     def test_cache_clear_resets_default_kernel(self):
         progress_compiled(
