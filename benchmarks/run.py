@@ -51,7 +51,7 @@ from repro.workloads.orders import (  # noqa: E402
     submit_once,
 )
 
-SCHEMA = "repro-bench-core/v11"
+SCHEMA = "repro-bench-core/v12"
 
 #: Schemas ``--validate`` accepts: v2 added the ``sat_*`` engine-comparison
 #: and ``parallel_triggers`` shapes (with their extra record keys); v3 adds
@@ -84,8 +84,12 @@ SCHEMA = "repro-bench-core/v11"
 #: (dependence pruning) is gone, and ``a1_scratch`` sums the counters of a
 #: fresh monitor built on every prefix; v11 runs ``parallel_triggers``
 #: serially (the trigger manager has no process pool), so the shape drops
-#: ``parallel_wall_s`` and ``jobs``.  Each version is otherwise
-#: backward compatible, so v1-v10 reports stay usable as baselines.
+#: ``parallel_wall_s`` and ``jobs``; v12 follows the single monitor: the
+#: ``e6_monitoring_planned`` shape is gone (E6's constraints have no
+#: past-closed member, so it reran ``e6_monitoring``), and
+#: ``e6_monitoring`` records the asserted-zero ``tic131`` count.  Each
+#: version is otherwise backward compatible, so v1-v11 reports stay
+#: usable as baselines.
 ACCEPTED_SCHEMAS = (
     "repro-bench-core/v1",
     "repro-bench-core/v2",
@@ -97,6 +101,7 @@ ACCEPTED_SCHEMAS = (
     "repro-bench-core/v8",
     "repro-bench-core/v9",
     "repro-bench-core/v10",
+    "repro-bench-core/v11",
     SCHEMA,
 )
 
@@ -146,8 +151,6 @@ def _sum_stats(monitor: IntegrityMonitor) -> dict[str, Any]:
             stats, "progress_cache_hits", 0
         )
         totals["kernel_row_hits"] += getattr(stats, "kernel_row_hits", 0)
-        totals["retired_steps"] += getattr(stats, "retired_steps", 0)
-        totals["past_updates"] += getattr(stats, "past_updates", 0)
         totals["sat_time_s"] += getattr(stats, "sat_time", 0.0)
         totals["progress_time_s"] += getattr(stats, "progress_time", 0.0)
     return totals
@@ -277,8 +280,8 @@ def _run_e6(smoke: bool) -> tuple[float, int, IntegrityMonitor]:
 
 
 #: Cross-validation handoff from ``bench_e6_monitoring`` (the reference
-#: run) to the planned and resumed shapes: violations and final
-#: remainders to compare against.
+#: run) to the resumed shape: violations and final remainders to compare
+#: against.
 _E6_REFERENCE: dict[str, Any] = {}
 
 
@@ -288,7 +291,28 @@ def bench_e6_monitoring(smoke: bool) -> dict[str, dict[str, Any]]:
     The full size runs at history length 200 — the headline monitoring
     loop.  The harness asserts the progression kernel never fell back to
     the recursive reference engine (``reference_delegations == 0``).
+    Before the run, every constraint passes the TIC13x hierarchy lint and
+    the harness asserts the TIC131 classifier-vs-automaton cross-check
+    count is zero — the static side of the dispatch soundness argument
+    (DESIGN.md section 11).
     """
+    from repro.lint import hierarchy_passes, lint_formula
+
+    named = tuple(standard_constraints().items())
+    tic131 = 0
+    for index, (_name, formula) in enumerate(named):
+        report = lint_formula(
+            formula,
+            mode="constraint",
+            passes=hierarchy_passes(),
+            constraint_set=named,
+            set_index=index,
+        )
+        tic131 += len(report.by_code("TIC131"))
+    assert tic131 == 0, (
+        "hierarchy classifier disagrees with the closure-automaton "
+        "safety analysis on the order constraints"
+    )
     wall, length, monitor = _run_e6(smoke)
     totals = _sum_stats(monitor)
     kernel_info = monitor.progression_kernel_info()
@@ -310,83 +334,6 @@ def bench_e6_monitoring(smoke: bool) -> dict[str, dict[str, Any]]:
             regrounds=totals["regrounds"],
             violations=len(monitor.violations()),
             reference_delegations=kernel_info.reference_delegations,
-        )
-    }
-
-
-def bench_e6_monitoring_planned(smoke: bool) -> dict[str, dict[str, Any]]:
-    """E6 through the temporal-hierarchy dispatch planner
-    (``PlannedMonitor``).
-
-    Same trace and constraints as ``e6_monitoring`` — that record is the
-    in-run reference: violations must be identical (the planner may only
-    change the cost of a verdict, never the verdict) and at least one
-    constraint must be routed off the full ``progression-full`` pipeline,
-    or the plan did nothing.  Before running, every constraint passes the
-    TIC13x hierarchy lint and the harness asserts the TIC131
-    classifier-vs-automaton cross-check count is zero — the static side
-    of the dispatch soundness argument (DESIGN.md section 11).
-    """
-    from repro.core.plan import PlannedMonitor
-    from repro.lint import hierarchy_passes, lint_formula
-
-    length = 12 if smoke else 200
-    spare = 4 if smoke else 16
-    constraints = standard_constraints()
-    named = tuple(constraints.items())
-    tic131 = 0
-    for index, (_name, formula) in enumerate(named):
-        report = lint_formula(
-            formula,
-            mode="constraint",
-            passes=hierarchy_passes(),
-            constraint_set=named,
-            set_index=index,
-        )
-        tic131 += len(report.by_code("TIC131"))
-    assert tic131 == 0, (
-        "hierarchy classifier disagrees with the closure-automaton "
-        "safety analysis on the order constraints"
-    )
-    trace = generate_orders(
-        OrderWorkloadConfig(length=length, arrival_probability=0.3, seed=13)
-    )
-    _clear_caches()
-    monitor = PlannedMonitor(
-        constraints,
-        History.empty(ORDER_VOCABULARY),
-        strategy="spare",
-        spare=spare,
-    )
-    plan = monitor.plan
-    assert plan.routed_off_full() >= 1, (
-        "no constraint routed off the full pipeline: the plan is a no-op"
-    )
-    start = time.perf_counter()
-    for state in trace.states():
-        monitor.append_state(state)
-    wall = time.perf_counter() - start
-    totals = _sum_stats(monitor)
-    assert _E6_REFERENCE, "bench_e6_monitoring must run first"
-    violations = dict(monitor.violations())
-    assert violations == _E6_REFERENCE["violations"], (
-        "planned and unplanned monitors disagree on violations: "
-        f"{violations} vs {_E6_REFERENCE['violations']}"
-    )
-    return {
-        "e6_monitoring_planned": _result(
-            wall,
-            length,
-            totals,
-            ms_per_update=round(1e3 * wall / length, 3),
-            regrounds=totals["regrounds"],
-            violations=len(violations),
-            routed_off_full=plan.routed_off_full(),
-            backends={
-                entry.name: entry.backend for entry in plan.entries
-            },
-            retired_steps=totals["retired_steps"],
-            past_updates=totals["past_updates"],
             tic131=tic131,
         )
     }
@@ -554,8 +501,6 @@ def _zero_totals() -> dict[str, Any]:
         "progress_cache_hits": 0,
         "kernel_row_hits": 0,
         "regrounds": 0,
-        "retired_steps": 0,
-        "past_updates": 0,
         "sat_time_s": 0.0,
         "progress_time_s": 0.0,
     }
@@ -768,7 +713,6 @@ BENCHMARKS: tuple[Callable[[bool], dict[str, dict[str, Any]]], ...] = (
     bench_a1_strategies,
     bench_e3_progression,
     bench_e6_monitoring,
-    bench_e6_monitoring_planned,
     bench_e6_monitoring_resumed,
     bench_e7_detection,
     bench_sat_micro,

@@ -24,6 +24,7 @@ from .hierarchy import (
     backend_for,
     classify_hierarchy,
     classify_ptl_hierarchy,
+    is_past_closed,
 )
 from .idle import IdleClass, idle_class, ptl_idle_class, static_verdict
 
@@ -41,6 +42,7 @@ __all__ = [
     "backend_for",
     "classify_hierarchy",
     "classify_ptl_hierarchy",
+    "is_past_closed",
     "IdleClass",
     "idle_class",
     "ptl_idle_class",

@@ -2,13 +2,14 @@
 
 The paper's feasibility results are fragment-by-fragment: ``G (past)``
 constraints admit history-less incremental checking (Proposition 2.1,
-Section 6), safety constraints make the Lemma 4.2 decision degenerate
-(the Büchi acceptance condition is trivial on an until-free remainder),
-and only the general case needs the full fairness search.  This module
-places every constraint in a Manna–Pnueli-style hierarchy by *syntax
-alone* — no automata, no satisfiability calls — so the dispatch planner
-(:mod:`repro.core.plan`) can route each constraint to the cheapest sound
-engine before any history arrives:
+Section 6), and every other universal safety constraint goes through the
+Theorem 4.1 reduction and the Lemma 4.2 decision.  This module places
+every constraint in a Manna–Pnueli-style hierarchy by *syntax alone* —
+no automata, no satisfiability calls.  One class selects an engine: the
+monitor (:class:`repro.core.monitor.IntegrityMonitor`) sends
+``past-closed`` constraints (:func:`is_past_closed`) to the history-less
+evaluator and progresses the rest.  The other classes are reports
+(``repro-tic plan``, the TIC13x lint passes):
 
 ``past-closed``
     ``forall* . G A`` with ``A`` past-only: the exact shape
@@ -22,15 +23,13 @@ engine before any history arrives:
     No strong ``until``/``eventually`` survives in the NNF skeleton —
     exactly the fragment of :func:`repro.logic.safety
     .is_syntactically_safe`.  A violation, once it happens, is witnessed
-    by a finite prefix; no fairness reasoning is ever needed.
+    by a finite prefix.
 ``co-safety``
     No ``always``/``weak-until``/``release`` survives: satisfaction is
-    witnessed by a finite prefix, so a discharged constraint (remainder
-    ``true``) can be *retired*.
+    witnessed by a finite prefix, after which the remainder is ``true``.
 ``general``
     Everything else (mixed strong/weak obligations, or a matrix outside
-    the analyzed skeleton, e.g. internal quantifiers) — needs the full
-    compiled kernel.
+    the analyzed skeleton, e.g. internal quantifiers).
 
 The classifier is *sound by construction* with respect to the syntactic
 safety recognizer — ``past-closed``/``bounded-future``/``safety`` hold
@@ -106,8 +105,9 @@ SAFE_CLASSES = frozenset(
     }
 )
 
-#: Classes the dispatch planner may retire once the remainder reaches
-#: ``true``: satisfaction is witnessed by a finite prefix.
+#: Classes whose satisfaction is witnessed by a finite prefix, so the
+#: remainder can discharge to ``true`` for good; a semantically valid
+#: member discharges at construction (TIC132).
 RETIRABLE_CLASSES = frozenset(
     {HierarchyClass.BOUNDED_FUTURE, HierarchyClass.CO_SAFETY}
 )
@@ -136,26 +136,15 @@ class HierarchyInfo:
 
 
 def backend_for(cls: HierarchyClass) -> str:
-    """The cheapest sound monitoring engine for a hierarchy class.
+    """The monitoring engine for a hierarchy class.
 
-    This is the dispatch policy :class:`repro.core.plan.MonitorPlan`
-    applies: ``past-closed`` → the history-less incremental past
-    evaluator (no satisfiability calls at all); ``safety`` → compiled
-    progression with the constant-remainder fast decision (Büchi
-    fairness skipped); ``bounded-future``/``co-safety`` → the same fast
-    decision plus early-accept retirement once the remainder is
-    discharged; ``general`` → the full compiled kernel.
+    This is the dispatch :class:`repro.core.plan.MonitorPlan` reports and
+    :class:`repro.core.monitor.IntegrityMonitor` executes:
+    ``past-closed`` → the history-less incremental past evaluator (no
+    satisfiability calls at all); every other class → compiled
+    progression with the Lemma 4.2 decision.
     """
-    return _BACKEND_FOR[cls]
-
-
-_BACKEND_FOR = {
-    HierarchyClass.PAST_CLOSED: "pasteval",
-    HierarchyClass.BOUNDED_FUTURE: "progression-cosafety",
-    HierarchyClass.SAFETY: "progression-safety",
-    HierarchyClass.CO_SAFETY: "progression-cosafety",
-    HierarchyClass.GENERAL: "progression-full",
-}
+    return "pasteval" if cls is HierarchyClass.PAST_CLOSED else "progression"
 
 
 @dataclass(frozen=True)
@@ -250,7 +239,7 @@ def _from_skeleton(skeleton: _Skeleton) -> HierarchyInfo:
             None,
             "only strong obligations (until/eventually) occur "
             "positively: satisfaction is witnessed by a finite prefix, "
-            "so a discharged constraint can be retired",
+            "after which the remainder is true",
         )
     if skeleton.weak:
         return HierarchyInfo(
@@ -258,7 +247,7 @@ def _from_skeleton(skeleton: _Skeleton) -> HierarchyInfo:
             None,
             "no strong until/eventually occurs positively (the "
             "syntactic safety fragment): violations are "
-            "finite-prefix-witnessed, Büchi fairness is never needed",
+            "finite-prefix-witnessed",
         )
     return HierarchyInfo(
         HierarchyClass.BOUNDED_FUTURE,
@@ -290,8 +279,7 @@ def classify_hierarchy(formula: Formula) -> HierarchyInfo:
     >>> (info.cls.value, info.lookahead)
     ('bounded-future', 2)
     """
-    _prefix, matrix = strip_universal_prefix(formula)
-    if isinstance(matrix, Always) and is_past_formula(matrix.body):
+    if is_past_closed(formula):
         return HierarchyInfo(
             HierarchyClass.PAST_CLOSED,
             None,
@@ -299,7 +287,25 @@ def classify_hierarchy(formula: Formula) -> HierarchyInfo:
             "checkable at history-less cost by the incremental past "
             "evaluator",
         )
+    _prefix, matrix = strip_universal_prefix(formula)
     return _from_skeleton(_walk(nnf(matrix)))
+
+
+def is_past_closed(formula: Formula) -> bool:
+    """Is ``formula`` of the ``forall* . G A`` shape with ``A`` past-only?
+
+    The ``past-closed`` test of :func:`classify_hierarchy` on its own,
+    without the skeleton walk: the monitor routes every constraint by it
+    at construction and checks a snapshot's split against it on restore.
+
+    >>> from ..logic import parse
+    >>> is_past_closed(parse("forall x . G (Fill(x) -> Y O Sub(x))"))
+    True
+    >>> is_past_closed(parse("forall x . G (Sub(x) -> X G !Sub(x))"))
+    False
+    """
+    _prefix, matrix = strip_universal_prefix(formula)
+    return isinstance(matrix, Always) and is_past_formula(matrix.body)
 
 
 def classify_ptl_hierarchy(formula: PTLFormula) -> HierarchyInfo:

@@ -18,7 +18,8 @@ Subcommands:
   emit the backend-dispatch plan (:mod:`repro.core.plan`) with the TIC13x
   diagnostics as JSON; ``--strict`` fails on warnings too.
 * ``monitor``  — replay a history state by state through the online monitor
-  (compiled progression kernel, bitset Büchi decisions) and report
+  (past-closed constraints on the history-less evaluator, the rest on the
+  compiled progression kernel with bitset Büchi decisions) and report
   violations with their detection instants.
 * ``serve``    — stream a history through the sharded
   :class:`repro.service.MonitorService`; ``--stop-at``/``--snapshot-out``
@@ -72,7 +73,9 @@ LINT_JSON_VERSION = 2
 DEPS_JSON_VERSION = 1
 
 #: Schema version of the ``plan`` JSON output.
-PLAN_JSON_VERSION = 1
+#: v2: the backends are ``pasteval`` and ``progression``, and the summary
+#: no longer counts constraints routed off the full pipeline.
+PLAN_JSON_VERSION = 2
 
 
 def _parse_vocabulary_spec(spec: str) -> Vocabulary:
@@ -397,10 +400,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     """Emit the backend-dispatch plan of a constraint set as JSON.
 
     Each constraint is classified in the temporal hierarchy
-    (:mod:`repro.analysis.hierarchy`), assigned the cheapest sound
-    backend (:func:`repro.core.plan.plan_constraints`), and vetted by the
-    TIC13x lint passes — sharing one grounded analyzer so the TIC131
-    safety cross-check and TIC132 vacuity check ground the set once.
+    (:mod:`repro.analysis.hierarchy`), labelled with the backend the
+    monitor runs it on (:func:`repro.core.plan.plan_constraints`), and
+    vetted by the TIC13x lint passes — sharing one grounded analyzer so
+    the TIC131 safety cross-check and TIC132 vacuity check ground the set
+    once.
     """
     named_inputs = _named_lint_inputs(args.target)
     constraints: dict[str, Formula] = {}
@@ -444,7 +448,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "constraints": len(named),
             "by_class": dict(sorted(plan.by_class().items())),
             "by_backend": dict(sorted(plan.by_backend().items())),
-            "routed_off_full": plan.routed_off_full(),
             "error": errors,
             "warning": warnings_,
             "info": infos,

@@ -34,10 +34,8 @@ from .grounding import (
 from .monitor import EntrySnapshot, IntegrityMonitor, MonitorStats, UpdateReport
 from .parallel import parallel_map, resolve_jobs, split_chunks
 from .plan import (
-    PLANNED_SNAPSHOT_FORMAT,
     ConstraintPlan,
     MonitorPlan,
-    PlannedMonitor,
     partition_constraints,
     plan_constraints,
 )
@@ -60,7 +58,6 @@ from .triggers import (
 )
 
 __all__ = [
-    "PLANNED_SNAPSHOT_FORMAT",
     "AnalysisResult",
     "Anon",
     "CheckResult",
@@ -74,7 +71,6 @@ __all__ = [
     "IntegrityMonitor",
     "MonitorPlan",
     "MonitorStats",
-    "PlannedMonitor",
     "Reduction",
     "RelAtom",
     "Trigger",

@@ -8,6 +8,14 @@ update — ``O(t)`` progression work per update, ``O(t^2)`` over a run.  The
 constraint as its only history-dependent state, so an update costs one
 progression step plus one satisfiability check, independent of ``t``.
 
+Constraints of the ``forall* G (past)`` shape (Proposition 2.1) need none
+of this.  The monitor sends them at construction to one internal
+:class:`repro.pasteval.monitor.PastMonitor`, which evaluates the past body
+at each new instant at history-less cost with no satisfiability engine,
+and progresses the rest.  The split is the syntactic test
+:func:`repro.analysis.hierarchy.is_past_closed`, and one report per update
+merges both sides in registration order.
+
 Under the folded grounding the letters of a state are just its facts, the
 same for every constraint, so each update builds them once and every
 constraint progresses through the same set.
@@ -40,11 +48,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import AbstractSet, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
+from ..analysis.hierarchy import is_past_closed
 from ..database.history import History
 from ..database.state import DatabaseState
 from ..database.updates import Update
+from ..errors import StateError
 from ..logic.classify import FormulaInfo
 from ..logic.formulas import Formula
 from ..ptl.bitset import BuchiKernel
@@ -53,23 +63,19 @@ from ..ptl.progkernel import ProgKernelInfo, ProgressionKernel
 from ..ptl.sat import quick_model_check
 from .checker import validate_constraint
 from .grounding import GroundElement, RelAtom
+from .plan import MonitorPlan, plan_constraints
 from .reduction import (
     constraint_relevant_elements,
     reduce_universal,
     state_to_props,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..pasteval.monitor import PastMonitor
+
 _STRATEGIES = ("incremental", "spare")
 #: Bound of the monitor-wide satisfiability memo, in remainders.
 _SAT_CACHE_SIZE = 4096
-# Progression-side backends a dispatch plan may assign to an entry of
-# this monitor ("pasteval" never reaches IntegrityMonitor — the planner
-# routes past-closed constraints to repro.pasteval before construction).
-_BACKENDS = (
-    "progression-full",
-    "progression-safety",
-    "progression-cosafety",
-)
 
 
 @dataclass
@@ -83,14 +89,12 @@ class MonitorStats:
     spent in the two Lemma 4.2 phases, so experiments and the benchmark
     harness can report where time goes.
 
-    ``retired_steps`` (dispatch planner, see :mod:`repro.core.plan`; zero
-    on unplanned monitors) counts instants a discharged co-safety
-    constraint skipped entirely.
-    ``past_updates``/``past_memory`` are filled by the
-    :class:`repro.pasteval.monitor.PastMonitor` backend — updates
-    evaluated by the incremental past evaluator and its current table
-    footprint (entries, not bytes) — so planned runs report one coherent
-    stats object across engines.
+    ``past_updates``/``past_memory`` are filled for past-closed
+    constraints, by the monitor's
+    :class:`repro.pasteval.monitor.PastMonitor` side — updates evaluated
+    by the incremental past evaluator and its current table footprint
+    (entries, not bytes) — so a mixed set reports one coherent stats
+    object across both sides.
 
     ``stream_updates`` is filled by :class:`repro.service.MonitorService`:
     per-session counts of the updates this stats object's owner has
@@ -107,7 +111,6 @@ class MonitorStats:
     sat_calls: int = 0
     sat_cache_hits: int = 0
     kernel_row_hits: int = 0
-    retired_steps: int = 0
     past_updates: int = 0
     past_memory: int = 0
     sat_time: float = 0.0
@@ -148,7 +151,6 @@ class _ConstraintEntry:
     name: str
     constraint: Formula
     info: FormulaInfo
-    backend: str = "progression-full"
     # The concrete elements of the last reground's ground domain (the
     # relevant set plus, under the spare strategy, the spare pool).
     relevant: frozenset[int] = frozenset()
@@ -162,7 +164,7 @@ class _ConstraintEntry:
 
 @dataclass(frozen=True)
 class EntrySnapshot:
-    """The complete resume state of one monitored constraint.
+    """The complete resume state of one progressed constraint.
 
     The paper's Lemma 4.2 monitoring loop keeps the progressed remainder
     as the *only* history-dependent state, so this record — remainder plus
@@ -187,7 +189,6 @@ class EntrySnapshot:
 
     name: str
     constraint: Formula
-    backend: str
     remainder: PTLFormula
     relevant: frozenset[int]
     known_elements: frozenset[int]
@@ -224,40 +225,47 @@ class IntegrityMonitor:
     """Monitor a growing history against a set of universal safety
     constraints.
 
-    Constraints go through the :mod:`repro.lint` pre-flight gate at
-    construction time: ``lint="warn"`` (default) surfaces warning
+    Constraints are routed once, at construction, by
+    :func:`repro.analysis.hierarchy.is_past_closed`.  Past-closed ones
+    (``forall* G A`` with ``A`` past-only) go to one internal
+    :class:`repro.pasteval.monitor.PastMonitor` and are checked at
+    history-less cost with no satisfiability engine; a past body that
+    names an undeclared relation or an unbound constant is refused here
+    (:class:`~repro.errors.SchemaError`,
+    :class:`~repro.errors.EvaluationError`).  Every other constraint is
+    progressed.  :attr:`plan` labels the split for ``repro-tic plan``
+    (:mod:`repro.core.plan`).
+
+    Progressed constraints go through the :mod:`repro.lint` pre-flight
+    gate at construction time: ``lint="warn"`` (default) surfaces warning
     diagnostics via :mod:`warnings`, ``lint="strict"`` refuses any
     constraint with error diagnostics (:class:`repro.errors.LintError`
-    listing all of them), ``lint="off"`` skips the gate.
+    listing all of them), ``lint="off"`` skips the gate.  Past-closed
+    constraints are validated by shape instead
+    (:func:`repro.pasteval.monitor.past_body`): the TIC004 reduction lint
+    does not apply to an engine that never grounds.
 
-    Each update takes the Lemma 4.2 step once per live constraint:
-    progress the remainder, then decide it.  Progression runs through one
-    table-driven :class:`repro.ptl.progkernel.ProgressionKernel` and
-    decisions through one bitset :class:`repro.ptl.bitset.BuchiKernel`,
-    both shared by every constraint, so ground instances with overlapping
-    closures share compiled rows, states and verdicts across constraints
-    and updates.  The recursive reference engines
-    (:mod:`repro.ptl.progression`, :mod:`repro.ptl.sat`) are the test
-    oracles: verdicts match :func:`repro.core.checker.check_extension` at
-    every instant, and under the incremental strategy the remainders are
-    pointer-identical to its own (property-tested).
-
-    ``backends`` (optional) carries per-constraint assignments from a
-    dispatch plan (:func:`repro.core.plan.plan_constraints`):
-    ``"progression-cosafety"`` *retires* the constraint once its
-    remainder is discharged to ``true`` — quiet bookkeeping only, no
-    progression or decision — un-retiring (by reground) when a fresh
-    element introduces a new obligation.  ``"progression-safety"`` and
-    ``"progression-full"`` take the ordinary step.  Verdicts, violations
-    and remainders are identical with and without a plan
-    (property-tested): progression of ``true`` is ``true``, so the
-    retired fast path only skips provably idempotent work.
+    Each update takes the Lemma 4.2 step once per live progressed
+    constraint: progress the remainder, then decide it.  Progression runs
+    through one table-driven
+    :class:`repro.ptl.progkernel.ProgressionKernel` and decisions through
+    one bitset :class:`repro.ptl.bitset.BuchiKernel`, both shared by
+    every constraint, so ground instances with overlapping closures share
+    compiled rows, states and verdicts across constraints and updates.
+    The recursive reference engines (:mod:`repro.ptl.progression`,
+    :mod:`repro.ptl.sat`) are the test oracles: verdicts match
+    :func:`repro.core.checker.check_extension` at every instant, and under
+    the incremental strategy the remainders are pointer-identical to its
+    own (property-tested).
 
     >>> from ..logic import parse
     >>> from ..database import History, Update, vocabulary
-    >>> v = vocabulary({"Sub": 1})
+    >>> v = vocabulary({"Sub": 1, "Fill": 1})
     >>> monitor = IntegrityMonitor(
-    ...     {"once": parse("forall x . G (Sub(x) -> X G !Sub(x))")},
+    ...     {
+    ...         "once": parse("forall x . G (Sub(x) -> X G !Sub(x))"),
+    ...         "audit": parse("forall x . G (Fill(x) -> Y O Sub(x))"),
+    ...     },
     ...     History.empty(v),
     ... )
     >>> monitor.apply(Update.insert(("Sub", (1,)))).all_satisfied
@@ -265,6 +273,10 @@ class IntegrityMonitor:
     >>> report = monitor.apply(Update.insert(("Sub", (1,))))
     >>> report.new_violations
     ('once',)
+    >>> monitor.apply(Update.insert(("Fill", (7,)))).new_violations
+    ('audit',)
+    >>> [(p.name, p.backend) for p in monitor.plan.entries]
+    [('once', 'progression'), ('audit', 'pasteval')]
     """
 
     def __init__(
@@ -275,36 +287,33 @@ class IntegrityMonitor:
         strategy: str = "incremental",
         spare: int = 2,
         lint: str = "warn",
-        backends: Mapping[str, str] | None = None,
     ) -> None:
-        if strategy not in _STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
-            )
-        for backend in (backends or {}).values():
-            if backend not in _BACKENDS:
-                raise ValueError(
-                    f"backend must be one of {_BACKENDS}, got {backend!r}"
-                )
         if not isinstance(constraints, Mapping):
             constraints = {
                 f"constraint_{index}": formula
                 for index, formula in enumerate(constraints)
             }
+        past = {
+            name: formula
+            for name, formula in constraints.items()
+            if is_past_closed(formula)
+        }
         self._setup(
-            initial, assume_safety=assume_safety, strategy=strategy, spare=spare
+            initial,
+            constraints,
+            past,
+            assume_safety=assume_safety,
+            strategy=strategy,
+            spare=spare,
         )
         for name, formula in constraints.items():
+            if name in past:
+                continue
             info = validate_constraint(
                 formula, assume_safety=assume_safety, lint=lint
             )
             self._entries.append(
-                _ConstraintEntry(
-                    name=name,
-                    constraint=formula,
-                    info=info,
-                    backend=(backends or {}).get(name, "progression-full"),
-                )
+                _ConstraintEntry(name=name, constraint=formula, info=info)
             )
         for entry in self._entries:
             self._reground(entry)
@@ -313,17 +322,28 @@ class IntegrityMonitor:
     def _setup(
         self,
         history: History,
+        constraints: Mapping[str, Formula],
+        past: Mapping[str, Formula],
         *,
         assume_safety: bool,
         strategy: str,
         spare: int,
     ) -> None:
-        """The settings and empty caches shared by construction and
-        restore; entries are added by the caller."""
+        """The settings, empty caches and past side shared by construction
+        and restore; progressed entries are added by the caller."""
+        if strategy not in _STRATEGIES:
+            raise ValueError(
+                f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
+            )
+        if spare < 0:
+            raise ValueError(f"spare must be non-negative, got {spare}")
         self._strategy = strategy
         self._spare = spare
         self._assume_safety = assume_safety
         self._history = history
+        # Registration order, which every merged report follows.
+        self._constraints = dict(constraints)
+        self._plan: MonitorPlan | None = None
         # Monitor-wide satisfiability memo, shared across constraints and
         # keyed by the interned remainder: the same ground obligation shows
         # up under several constraints (and across regrounds), and interned
@@ -335,6 +355,19 @@ class IntegrityMonitor:
         self._buchi = BuchiKernel()
         self._progkernel = ProgressionKernel()
         self._entries: list[_ConstraintEntry] = []
+        self._past: PastMonitor | None = None
+        if past:
+            from ..pasteval.monitor import PastMonitor
+
+            self._past = PastMonitor(
+                past,
+                history.vocabulary,
+                constant_bindings=history.constant_bindings,
+            )
+            # PastMonitor starts before instant 0; replay the history so
+            # both sides agree on "now".
+            for state in history.states:
+                self._past.append_state(state)
 
     # -- public surface ------------------------------------------------------
 
@@ -347,17 +380,40 @@ class IntegrityMonitor:
     def now(self) -> int:
         return self._history.now
 
+    @property
+    def constraints(self) -> dict[str, Formula]:
+        """Every monitored constraint, in registration order."""
+        return dict(self._constraints)
+
+    @property
+    def plan(self) -> MonitorPlan:
+        """The dispatch plan this monitor executes, built on first read
+        (the skeleton walk of every constraint is not needed to route)."""
+        if self._plan is None:
+            self._plan = plan_constraints(self._constraints)
+        return self._plan
+
     def violations(self) -> dict[str, int]:
-        """Violated constraints and the instant each was first violated."""
-        return {
+        """Violated constraints and the instant each was first violated,
+        in registration order."""
+        found = {
             entry.name: entry.violated_at
             for entry in self._entries
             if entry.violated_at is not None
         }
+        if self._past is not None:
+            found.update(self._past.violations())
+        return {
+            name: found[name] for name in self._constraints if name in found
+        }
 
     def stats(self) -> dict[str, MonitorStats]:
-        """Per-constraint work counters."""
-        return {entry.name: entry.stats for entry in self._entries}
+        """Per-constraint work counters, one :class:`MonitorStats` shape
+        for both sides."""
+        merged = {entry.name: entry.stats for entry in self._entries}
+        if self._past is not None:
+            merged.update(self._past.stats())
+        return {name: merged[name] for name in self._constraints}
 
     def cache_info(self) -> dict[str, int]:
         """Sizes and resets of the monitor-wide decision caches: the
@@ -385,9 +441,13 @@ class IntegrityMonitor:
         """
         for entry in self._entries:
             entry.stats.reset()
+        if self._past is not None:
+            self._past.reset()
 
     def remainders(self) -> dict[str, PTLFormula]:
-        """The current progressed remainder of each constraint."""
+        """The current progressed remainder of each progressed constraint.
+        Past-closed constraints keep no remainder — that is the point of
+        the history-less regime — so they do not appear here."""
         out: dict[str, PTLFormula] = {}
         for entry in self._entries:
             assert entry.remainder is not None
@@ -405,7 +465,7 @@ class IntegrityMonitor:
         }
 
     def snapshot_entries(self) -> list[EntrySnapshot]:
-        """Export every constraint's resume state (see
+        """Export every progressed constraint's resume state (see
         :class:`EntrySnapshot`).
 
         The monitor itself is left untouched — taking a snapshot is
@@ -418,7 +478,6 @@ class IntegrityMonitor:
                 EntrySnapshot(
                     name=entry.name,
                     constraint=entry.constraint,
-                    backend=entry.backend,
                     remainder=entry.remainder,
                     relevant=entry.relevant,
                     known_elements=entry.known_elements,
@@ -434,6 +493,8 @@ class IntegrityMonitor:
     def from_snapshot(
         cls,
         history: History,
+        order: Sequence[str],
+        past: Mapping[str, Formula],
         entries: Sequence[EntrySnapshot],
         *,
         assume_safety: bool = False,
@@ -451,27 +512,53 @@ class IntegrityMonitor:
         exactly the remainder the interrupted run held, re-interned (hash
         consing makes the restored nodes pointer-identical to what an
         uninterrupted run would hold, which the resume-equivalence
-        property test asserts with ``is``).
+        property test asserts with ``is``).  The past-closed constraints
+        in ``past`` are rebuilt by replaying ``history`` through the
+        history-less tables: table updates only, no grounding and no
+        satisfiability call.
+
+        ``order`` must list every constraint of ``past`` and ``entries``
+        exactly once, and the split must be the one
+        :func:`~repro.analysis.hierarchy.is_past_closed` gives; otherwise
+        a verdict would be lost or the first update would fail half-way,
+        so this raises :class:`~repro.errors.StateError`.
 
         Pure caches are rebuilt empty: the satisfiability memo and the
         kernels' tables refill on demand, so only cache-hit counters —
         never verdicts, violations or remainders — can differ from the
         uninterrupted run.
         """
-        if strategy not in _STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
-            )
+        _require_names(
+            "monitor snapshot order",
+            list(order),
+            [*past, *(snap.name for snap in entries)],
+        )
+        for name, formula in past.items():
+            if not is_past_closed(formula):
+                raise StateError(
+                    f"monitor snapshot lists {name!r} as past-closed, but "
+                    "it is not of the forall* G (past) form"
+                )
+        for snap in entries:
+            if is_past_closed(snap.constraint):
+                raise StateError(
+                    f"monitor snapshot progresses {snap.name!r}, but it is "
+                    "past-closed and must be listed as such"
+                )
+        by_name = {
+            **past,
+            **{snap.name: snap.constraint for snap in entries},
+        }
         monitor = cls.__new__(cls)
         monitor._setup(
-            history, assume_safety=assume_safety, strategy=strategy, spare=spare
+            history,
+            {name: by_name[name] for name in order},
+            past,
+            assume_safety=assume_safety,
+            strategy=strategy,
+            spare=spare,
         )
         for snap in entries:
-            if snap.backend not in _BACKENDS:
-                raise ValueError(
-                    f"backend must be one of {_BACKENDS}, "
-                    f"got {snap.backend!r}"
-                )
             info = validate_constraint(
                 snap.constraint, assume_safety=assume_safety, lint="off"
             )
@@ -480,7 +567,6 @@ class IntegrityMonitor:
                     name=snap.name,
                     constraint=snap.constraint,
                     info=info,
-                    backend=snap.backend,
                     relevant=snap.relevant,
                     remainder=snap.remainder,
                     known_elements=snap.known_elements,
@@ -493,10 +579,9 @@ class IntegrityMonitor:
         return monitor
 
     def is_satisfied(self, name: str) -> bool:
-        for entry in self._entries:
-            if entry.name == name:
-                return entry.violated_at is None
-        raise KeyError(name)
+        if name not in self._constraints:
+            raise KeyError(name)
+        return name not in self.violations()
 
     def apply(self, update: Update) -> UpdateReport:
         """Apply an update and re-check every constraint."""
@@ -512,60 +597,41 @@ class IntegrityMonitor:
 
     def _recheck(self) -> UpdateReport:
         instant = self._history.now
-        # Folded letters are the state's facts, the same for every entry.
-        letters = state_to_props(self._history.current)
-        new_violations: list[str] = []
+        state = self._history.current
         satisfied: dict[str, bool] = {}
-        for entry in self._entries:
-            if entry.violated_at is not None:
-                satisfied[entry.name] = False
-                continue
-            if entry.backend == "progression-cosafety" and isinstance(
-                entry.remainder, PTLTrue
-            ):
-                # Discharged co-safety constraint: the remainder is the
-                # absorbing true, so progression could not move it.  Only
-                # the strategy bookkeeping (spare claims, fresh-element
-                # detection) still runs; a fresh element regrounds and
-                # thereby un-retires the entry.
-                self._advance_retired(entry)
-            else:
-                self._advance(entry, letters)
-            ok = self._decide(entry, instant)
-            satisfied[entry.name] = ok
-            if not ok:
-                new_violations.append(entry.name)
+        violated: set[str] = set()
+        if self._entries:
+            # Folded letters are the state's facts, the same for every
+            # entry.
+            letters = state_to_props(state)
+            for entry in self._entries:
+                if entry.violated_at is None:
+                    self._advance(entry, letters)
+                    if not self._decide(entry, instant):
+                        violated.add(entry.name)
+                satisfied[entry.name] = entry.violated_at is None
+        if self._past is not None:
+            report = self._past.append_state(state)
+            satisfied.update(report.satisfied)
+            violated.update(report.new_violations)
         return UpdateReport(
             instant=instant,
-            satisfied=satisfied,
-            new_violations=tuple(new_violations),
+            satisfied={name: satisfied[name] for name in self._constraints},
+            new_violations=tuple(
+                name for name in self._constraints if name in violated
+            ),
         )
 
-    def _advance_retired(self, entry: _ConstraintEntry) -> None:
-        """Pass an instant through a discharged co-safety entry.
+    def _advance(
+        self, entry: _ConstraintEntry, letters: frozenset[Prop]
+    ) -> None:
+        """Incorporate the newest state, given as its letters, into the
+        entry's remainder.
 
-        ``progress(true, s) = true`` for every state ``s``, so the
-        remainder provably cannot move; what must still run is the
-        strategy bookkeeping of :meth:`_advance` — spare-slot claiming and
-        fresh-element detection — because a fresh element introduces a
-        brand-new ground obligation that the collapsed remainder no longer
-        represents.  A fresh element is renamed onto an unused spare when
-        possible (sound for the same reason as the live path: before its
-        first appearance the fresh element is interchangeable with a spare
-        whose fact letters were false throughout, so its instance
-        progressed to the same discharged ``true``), and regrounds
-        otherwise, which un-retires the entry.
-        """
-        if self._track_elements(entry):
-            entry.stats.retired_steps += 1
-
-    def _track_elements(self, entry: _ConstraintEntry) -> bool:
-        """Strategy bookkeeping for the newest state: spare claiming and
-        renaming, and fresh-element detection.
-
-        Returns ``False`` when the entry had to reground — its remainder
-        then already includes the new instant — and ``True`` when the
-        current grounding still covers every visible element.
+        The strategy bookkeeping comes first: spare claiming and renaming,
+        and fresh-element detection.  An entry that has to reground is
+        done, because its rebuilt remainder already includes the new
+        instant.
         """
         visible = self._entry_domain(entry, self._history.current)
         if self._strategy == "spare":
@@ -581,7 +647,7 @@ class IntegrityMonitor:
                 ):
                     if element in taken:
                         self._reground(entry)
-                        return False
+                        return
                     entry.spare_map[element] = element
         fresh = visible - entry.known_elements
         # Elements already in the grounding's relevant set (e.g. spares of
@@ -591,9 +657,12 @@ class IntegrityMonitor:
             self._strategy == "spare" and self._try_rename(entry, fresh)
         ):
             self._reground(entry)
-            return False
+            return
         entry.known_elements |= visible
-        return True
+        assert entry.remainder is not None
+        if self._strategy == "spare":
+            letters = _rename_props(letters, entry.spare_map)
+        entry.remainder = self._progress(entry, entry.remainder, letters)
 
     def _entry_domain(
         self, entry: _ConstraintEntry, state: DatabaseState
@@ -689,18 +758,6 @@ class IntegrityMonitor:
         entry.spare_map = {}
         return frozenset(pool)
 
-    def _advance(
-        self, entry: _ConstraintEntry, letters: frozenset[Prop]
-    ) -> None:
-        """Incorporate the newest state, given as its letters, into the
-        entry's remainder."""
-        if not self._track_elements(entry):
-            return
-        assert entry.remainder is not None
-        if self._strategy == "spare":
-            letters = _rename_props(letters, entry.spare_map)
-        entry.remainder = self._progress(entry, entry.remainder, letters)
-
     def _try_rename(
         self, entry: _ConstraintEntry, fresh: frozenset[int]
     ) -> bool:
@@ -760,3 +817,26 @@ def _rename_props(
         else:
             renamed.add(p)
     return frozenset(renamed)
+
+
+def _require_names(
+    what: str, names: Sequence[str], expected: Iterable[str]
+) -> None:
+    """Raise :class:`~repro.errors.StateError` unless ``names`` and
+    ``expected`` list the same constraints, each exactly once."""
+    listed = list(expected)
+    missing = sorted(set(listed).difference(names))
+    extra = sorted({str(name) for name in names if name not in listed})
+    repeated = sorted(
+        {
+            str(name)
+            for sequence in (names, listed)
+            for name in sequence
+            if sequence.count(name) > 1
+        }
+    )
+    if missing or extra or repeated:
+        raise StateError(
+            f"{what} must list every constraint exactly once: missing "
+            f"{missing}, extra {extra}, repeated {repeated}"
+        )

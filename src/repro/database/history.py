@@ -8,8 +8,10 @@ semantics only ever appear as lasso witnesses
 (:mod:`repro.database.lasso`).
 
 Histories are immutable; :meth:`History.extended` and :meth:`History.updated`
-return new histories sharing state objects with the old one, so the online
-monitor can grow a history in O(1) amortized per update.
+return new histories sharing state objects with the old one.  The states
+are held in a tuple, so each of them copies the ``t + 1`` state
+references: an append costs O(t) pointer copies, not O(1), and the cost
+grows with the history.
 """
 
 from __future__ import annotations

@@ -21,13 +21,16 @@ checkpoint must be distinguishable from a library bug.
 serialize a whole :class:`repro.core.IntegrityMonitor` mid-history.  The
 paper's Lemma 4.2 loop keeps the progressed remainder as the only
 history-dependent state, so the snapshot is small — remainders plus
-grounding bookkeeping, no derived caches — and restoring is O(1) in the
-history length (DESIGN.md §12): no reground, no prefix re-progression, no
-satisfiability call.  PTL remainders are serialized *structurally*
-(:func:`ptl_to_jsonable`) and decoded through the raw node constructors,
-which the hash-consing metaclass interns — so restored remainders are
-pointer-identical to the ones an uninterrupted run holds, and the
-monitor's identity-based fixed-point tests keep working across a restart.
+grounding bookkeeping, no derived caches — and restoring a progressed
+constraint is O(1) in the history length (DESIGN.md §12): no reground, no
+prefix re-progression, no satisfiability call.  Past-closed constraints
+are stored as their text only and rebuilt by replaying the history
+through the history-less tables.  PTL remainders are serialized
+*structurally* (:func:`ptl_to_jsonable`) and decoded through the raw node
+constructors, which the hash-consing metaclass interns — so restored
+remainders are pointer-identical to the ones an uninterrupted run holds,
+and the monitor's identity-based fixed-point tests keep working across a
+restart.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .state import DatabaseState
 from .vocabulary import Vocabulary
 
 #: Format tag written into (and required from) monitor snapshots.
-MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v3"
+MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v4"
 
 
 def vocabulary_to_dict(vocabulary: Vocabulary) -> dict[str, Any]:
@@ -480,7 +483,6 @@ def _entry_to_jsonable(snap: Any) -> dict[str, Any]:
     return {
         "name": snap.name,
         "constraint": to_str(snap.constraint),
-        "backend": snap.backend,
         "remainder": ptl_to_jsonable(snap.remainder),
         "relevant": sorted(snap.relevant),
         "known_elements": sorted(snap.known_elements),
@@ -506,9 +508,8 @@ def _entry_from_jsonable(data: Any, now: int) -> Any:
         if not isinstance(name, str):
             raise StateError(f"snapshot entry name must be a string: {name!r}")
         where = f"snapshot entry {name!r}"
-        for key in ("constraint", "backend"):
-            if not isinstance(data[key], str):
-                raise StateError(f"{where}: {key!r} must be a string")
+        if not isinstance(data["constraint"], str):
+            raise StateError(f"{where}: 'constraint' must be a string")
         spare_map = decode_list(data["spare_map"], f"{where}: 'spare_map'")
         if any(
             not isinstance(pair, (list, tuple))
@@ -531,7 +532,6 @@ def _entry_from_jsonable(data: Any, now: int) -> Any:
         return EntrySnapshot(
             name=name,
             constraint=parse(data["constraint"]),
-            backend=data["backend"],
             remainder=ptl_from_jsonable(data["remainder"], where),
             relevant=frozenset(
                 decode_list(data["relevant"], f"{where}: 'relevant'", int)
@@ -559,21 +559,32 @@ def monitor_to_dict(
 ) -> dict[str, Any]:
     """Serialize a running :class:`repro.core.IntegrityMonitor`.
 
-    The snapshot holds the monitored history plus, per constraint, the
-    progressed remainder and the grounding/strategy bookkeeping —
-    everything :meth:`repro.core.IntegrityMonitor.from_snapshot` needs to
-    resume with verdicts identical to an uninterrupted run.  Derived
-    caches are deliberately not persisted; see
-    :class:`repro.core.EntrySnapshot`.  ``with_history=False`` leaves
-    the history out, for a container that stores one copy for all its
-    monitors and hands it back to :func:`monitor_from_dict`.
+    The snapshot holds the settings, the registration ``order``, the
+    text of every past-closed constraint (``past``) and, per progressed
+    constraint, the progressed remainder and the grounding/strategy
+    bookkeeping (``entries``) — everything
+    :meth:`repro.core.IntegrityMonitor.from_snapshot` needs to resume
+    with verdicts identical to an uninterrupted run.  Each constraint
+    text is written once.  Derived caches are deliberately not
+    persisted; see :class:`repro.core.EntrySnapshot`.
+    ``with_history=False`` leaves the history out, for a container that
+    stores one copy for all its monitors and hands it back to
+    :func:`monitor_from_dict`.
     """
+    from ..logic import to_str
+
+    entries = monitor.snapshot_entries()
+    progressed = {snap.name for snap in entries}
     data: dict[str, Any] = {
         "format": MONITOR_SNAPSHOT_FORMAT,
         "config": monitor.snapshot_config(),
-        "entries": [
-            _entry_to_jsonable(snap) for snap in monitor.snapshot_entries()
-        ],
+        "order": list(monitor.constraints),
+        "past": {
+            name: to_str(formula)
+            for name, formula in monitor.constraints.items()
+            if name not in progressed
+        },
+        "entries": [_entry_to_jsonable(snap) for snap in entries],
     }
     if with_history:
         data["history"] = history_to_dict(monitor.history)
@@ -591,7 +602,8 @@ def monitor_from_dict(
     mid-restore.  A given ``history`` is used as it is, in place of the
     document's own.
     """
-    from ..core.monitor import IntegrityMonitor
+    from ..core.monitor import _STRATEGIES, IntegrityMonitor
+    from ..logic import parse
 
     if not isinstance(data, Mapping):
         raise StateError(
@@ -617,19 +629,40 @@ def monitor_from_dict(
                 f"monitor snapshot config {key!r} must be a "
                 f"{kind.__name__}, got {config[key]!r:.60}"
             )
+    if config["strategy"] not in _STRATEGIES:
+        raise StateError(
+            f"monitor snapshot config 'strategy' must be one of "
+            f"{_STRATEGIES}, got {config['strategy']!r:.60}"
+        )
+    if config["spare"] < 0:
+        raise StateError(
+            "monitor snapshot config 'spare' must be non-negative, got "
+            f"{config['spare']}"
+        )
+    try:
+        order = decode_list(data["order"], "monitor snapshot 'order'", str)
+        past = decode_mapping(data["past"], "monitor snapshot 'past'")
+        raw_entries = decode_list(
+            data["entries"], "monitor snapshot 'entries'"
+        )
+    except KeyError as exc:
+        raise StateError(
+            f"monitor snapshot is missing the {exc.args[0]!r} key"
+        ) from None
+    for name, text in past.items():
+        if not isinstance(text, str):
+            raise StateError(
+                f"monitor snapshot past constraint {name!r} must be a string"
+            )
     if history is None:
         if "history" not in data:
             raise StateError("monitor snapshot is missing the 'history' key")
         history = history_from_dict(data["history"])
-    entries = [
-        _entry_from_jsonable(entry, history.now)
-        for entry in decode_list(
-            data.get("entries", []), "monitor snapshot 'entries'"
-        )
-    ]
     return IntegrityMonitor.from_snapshot(
         history,
-        entries,
+        order,
+        {name: parse(text) for name, text in past.items()},
+        [_entry_from_jsonable(entry, history.now) for entry in raw_entries],
         assume_safety=config["assume_safety"],
         strategy=config["strategy"],
         spare=config["spare"],

@@ -92,7 +92,8 @@ class Vocabulary:
         """Validate one ground fact against the vocabulary.
 
         Raises :class:`SchemaError` on unknown predicate, wrong arity, or
-        non-natural arguments (the universe is the set of naturals).
+        non-natural arguments (the universe is the set of naturals;
+        ``True``/``False`` are refused, as the history codec refuses them).
         """
         arity = self.arity(pred)
         if len(args) != arity:
@@ -101,7 +102,9 @@ class Vocabulary:
                 f"argument(s): {args!r}"
             )
         for value in args:
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or (
+                value < 0
+            ):
                 raise SchemaError(
                     f"universe elements are naturals; got {value!r} in "
                     f"{pred}{args!r}"

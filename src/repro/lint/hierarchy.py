@@ -3,8 +3,8 @@
 Each pass reads the purely syntactic classification of
 :mod:`repro.analysis.hierarchy` (Manna–Pnueli-style: past-closed,
 bounded-future, safety, co-safety, general) and reports what it means for
-monitoring cost — the static side of the backend-dispatch planner in
-:mod:`repro.core.plan`:
+monitoring cost — the static side of the dispatch the monitor executes
+(:mod:`repro.core.plan` reports it):
 
 ========  ========  =====================================================
 code      severity  rule
@@ -21,13 +21,14 @@ TIC131    error     safety/automaton disagreement: the classifier placed
                     classifier bug — never a user error.
 TIC132    warning   retired-at-birth vacuity: a co-safety or
                     bounded-future constraint that is semantically valid
-                    discharges at construction and the planner retires it
-                    immediately — dead weight in the constraint set.
+                    discharges to true at construction and enforces
+                    nothing — dead weight in the constraint set.
 TIC133    warning   lookahead-depth bound: a bounded-future constraint
                     nesting ``X`` deeper than {bound} instants; each
                     level of nesting multiplies the remainder the
                     progression must carry.
-TIC134    info      dispatch summary: the backend the planner assigns
+TIC134    info      dispatch summary: the backend the monitor runs the
+                    constraint on, ``pasteval`` or ``progression``
                     (``repro-tic plan`` aggregates these per set).
 TIC140    error     zero-width staleness window: the matrix is
                     ``G (A -> false)`` / ``G !A`` over a single
@@ -77,25 +78,16 @@ __all__: list[str] = ["LOOKAHEAD_BOUND"]
 #: than this many instants get a remainder-growth warning.
 LOOKAHEAD_BOUND = 8
 
-#: What each backend saves, for the TIC134 dispatch summary.
+#: What each backend does, for the TIC134 dispatch summary.
 _BACKEND_NOTES = {
     "pasteval": (
         "history-less incremental past evaluation; no grounding, no "
         "progression, no satisfiability calls (Proposition 2.1)"
     ),
-    "progression-safety": (
-        "compiled progression with the constant-remainder fast "
-        "decision; the Büchi fairness search is never needed for a "
-        "safety remainder"
-    ),
-    "progression-cosafety": (
-        "compiled progression with early-accept retirement: once the "
-        "remainder is discharged to true the per-update step reduces "
-        "to fresh-element bookkeeping"
-    ),
-    "progression-full": (
-        "full compiled kernel (progression + Büchi satisfiability); "
-        "no cheaper sound engine is known for this class"
+    "progression": (
+        "compiled progression of the ground remainder and the Lemma 4.2 "
+        "decision (constant and quick-model-check paths, then the Büchi "
+        "kernel)"
     ),
 }
 
@@ -163,7 +155,7 @@ class HierarchySafetyCrossCheckPass:
 @register_hierarchy
 class RetiredAtBirthPass:
     """TIC132: a retirable (co-safety/bounded-future) constraint that is
-    semantically valid — the planner retires it at construction."""
+    semantically valid — it discharges to true at construction."""
 
     name = "hierarchy-retired-vacuity"
     codes = ("TIC132",)
@@ -181,8 +173,7 @@ class RetiredAtBirthPass:
             "TIC132",
             Severity.WARNING,
             f"'{info.cls.value}' constraint is semantically valid: its "
-            "remainder discharges to true at construction and the "
-            "dispatch planner retires it immediately — it enforces "
+            "remainder discharges to true at construction — it enforces "
             "nothing and can be dropped from the set",
             paper=self.paper,
             node=ctx.formula,
@@ -224,7 +215,7 @@ class LookaheadDepthPass:
 
 @register_hierarchy
 class DispatchSummaryPass:
-    """TIC134: the backend the dispatch planner assigns."""
+    """TIC134: the backend the monitor runs the constraint on."""
 
     name = "hierarchy-dispatch"
     codes = ("TIC134",)

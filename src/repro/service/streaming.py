@@ -1,8 +1,8 @@
 """Long-lived streaming monitor service: shards, sessions, checkpoints.
 
-The batch front ends (:class:`repro.core.monitor.IntegrityMonitor`,
-:class:`repro.core.plan.PlannedMonitor`) assume one caller feeding one
-update stream and a process that lives exactly as long as the history.
+The batch front end (:class:`repro.core.monitor.IntegrityMonitor`)
+assumes one caller feeding one update stream and a process that lives
+exactly as long as the history.
 Production monitoring is none of that: updates arrive interleaved from
 concurrent *sessions*, the constraint set is wide enough to split into
 independent groups, and the process gets killed and restarted.
@@ -12,8 +12,9 @@ entirely from pieces the repo already has:
 * **sharding** — :func:`repro.core.plan.partition_constraints` splits
   the constraint set into relation-disjoint groups (union-find over
   relation names), each checked by its own
-  :class:`~repro.core.plan.PlannedMonitor` executing the hierarchy
-  dispatch plan.  Because shards share no relations, their grounding
+  :class:`~repro.core.monitor.IntegrityMonitor`, which routes its
+  past-closed constraints to the history-less evaluator and progresses
+  the rest.  Because shards share no relations, their grounding
   domains never interact and the merged verdict stream is identical to
   an unsharded monitor's (property-tested).
 
@@ -47,13 +48,13 @@ import json
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..core.monitor import MonitorStats, UpdateReport
-from ..core.plan import (
-    MonitorPlan,
-    PlannedMonitor,
+from ..core.monitor import (
+    IntegrityMonitor,
+    MonitorStats,
+    UpdateReport,
     _require_names,
-    partition_constraints,
 )
+from ..core.plan import MonitorPlan, partition_constraints
 from ..database.history import History
 from ..database.serialize import (
     decode_list,
@@ -69,7 +70,7 @@ from ..logic.formulas import Formula
 __all__ = ["SERVICE_SNAPSHOT_FORMAT", "MonitorService"]
 
 #: Format tag stamped into :meth:`MonitorService.snapshot` payloads.
-SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v2"
+SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v3"
 
 #: Queue sentinel + item shape: (session, update, state, future).
 _QueueItem = tuple[
@@ -80,7 +81,7 @@ _QueueItem = tuple[
 class MonitorService:
     """A sharded, session-aware, checkpointable streaming monitor.
 
-    Parameters mirror :class:`~repro.core.plan.PlannedMonitor`, plus
+    Parameters mirror :class:`~repro.core.monitor.IntegrityMonitor`, plus
     ``shards``: an upper bound on the number of relation-disjoint
     constraint groups; the actual count is ``min(shards, #components)``.
     Shards are applied one after another in the caller's thread.
@@ -105,7 +106,7 @@ class MonitorService:
         self._order = tuple(constraints)
         self._history = initial
         self._shards = [
-            PlannedMonitor(
+            IntegrityMonitor(
                 group,
                 initial,
                 assume_safety=assume_safety,
@@ -143,6 +144,15 @@ class MonitorService:
     def shard_plans(self) -> list[MonitorPlan]:
         """The per-shard dispatch plans, in shard order."""
         return [shard.plan for shard in self._shards]
+
+    def cache_info(self) -> dict[str, int]:
+        """The shards' decision-cache sizes and resets, summed (see
+        :meth:`~repro.core.monitor.IntegrityMonitor.cache_info`)."""
+        total: dict[str, int] = {}
+        for shard in self._shards:
+            for key, value in shard.cache_info().items():
+                total[key] = total.get(key, 0) + value
+        return total
 
     def sessions(self) -> dict[str, int]:
         """Updates applied so far, per session name."""
@@ -279,8 +289,9 @@ class MonitorService:
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready checkpoint of the whole service.
 
-        Contains the history once, one :meth:`PlannedMonitor.snapshot`
-        per shard without its own copy of it, and the service-level
+        Contains the history once, one monitor snapshot
+        (:func:`~repro.database.serialize.monitor_to_dict`) per shard
+        without its own copy of it, and the service-level
         bookkeeping (session counters, registration order).  Call
         between updates — from the consumer's thread or while the
         service is stopped.
@@ -291,6 +302,10 @@ class MonitorService:
             If a shard is at another instant than the service: an update
             that failed half-way cannot be saved against one history.
         """
+        # Looked up at call time, so a tracer that wraps the codec in its
+        # module sees these calls too.
+        from ..database.serialize import monitor_to_dict
+
         adrift = {
             index: shard.now
             for index, shard in enumerate(self._shards)
@@ -308,7 +323,8 @@ class MonitorService:
             "service_stats": self._stats.as_dict(),
             "history": history_to_dict(self._history),
             "shards": [
-                shard.snapshot(with_history=False) for shard in self._shards
+                monitor_to_dict(shard, with_history=False)
+                for shard in self._shards
             ],
         }
 
@@ -325,6 +341,8 @@ class MonitorService:
         constraints, each once, or this raises :class:`StateError`
         before any update can half-apply.
         """
+        from ..database.serialize import monitor_from_dict
+
         if not isinstance(data, Mapping):
             raise StateError(
                 "service snapshot must be a mapping, got "
@@ -356,17 +374,12 @@ class MonitorService:
         history = history_from_dict(history_data)
         service._history = history
         service._shards = [
-            PlannedMonitor.from_snapshot(shard, history)
-            for shard in shard_data
+            monitor_from_dict(shard, history) for shard in shard_data
         ]
         _require_names(
             "service snapshot order",
             order,
-            (
-                entry.name
-                for shard in service._shards
-                for entry in shard.plan.entries
-            ),
+            (name for shard in service._shards for name in shard.constraints),
         )
         service._stats = stats
         service._queue = None

@@ -117,13 +117,9 @@ class TestFOTLClassification:
 
     def test_backend_policy(self):
         assert backend_for(HierarchyClass.PAST_CLOSED) == "pasteval"
-        assert backend_for(HierarchyClass.SAFETY) == "progression-safety"
-        assert backend_for(HierarchyClass.CO_SAFETY) == "progression-cosafety"
-        assert (
-            backend_for(HierarchyClass.BOUNDED_FUTURE)
-            == "progression-cosafety"
-        )
-        assert backend_for(HierarchyClass.GENERAL) == "progression-full"
+        for cls in HierarchyClass:
+            if cls is not HierarchyClass.PAST_CLOSED:
+                assert backend_for(cls) == "progression"
 
     def test_retirable_classes(self):
         assert HierarchyClass.CO_SAFETY in RETIRABLE_CLASSES

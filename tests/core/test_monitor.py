@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.monitor as monitor_module
-from repro.core import IntegrityMonitor, PlannedMonitor, check_extension
+from repro.core import IntegrityMonitor, check_extension
 from repro.core.monitor import MonitorStats
 from repro.database import (
     DatabaseState,
@@ -18,6 +18,7 @@ from repro.database import (
     vocabulary,
 )
 from repro.errors import NotSafetyError, NotUniversalError
+from repro.eval import evaluate_finite
 from repro.logic import parse
 from repro.ptl.progression import progress_cache_clear, progress_cache_info
 from repro.service import MonitorService
@@ -52,10 +53,14 @@ def monitor_with(constraints, strategy="incremental", **kwargs):
     )
 
 
+# The audit rule is past-closed: every front runs it on the history-less
+# evaluator.
+AUDIT = parse("forall x . G (Fill(x) -> Y O Sub(x))")
 # Ping shares no relation with the other constraints, so a two-shard
 # service really splits the set.
 HARNESS = {
     **CONSTRAINTS,
+    "audit": AUDIT,
     "ping": parse("forall x . G (Ping(x) -> X G !Ping(x))"),
 }
 
@@ -74,13 +79,18 @@ harness_traces = st.lists(
 
 def _front(front, strategy):
     history = History.empty(V)
-    if front == "planned":
-        return PlannedMonitor(HARNESS, history, strategy=strategy)
-    if front == "service":
+    if front in ("service", "restored-service"):
         service = MonitorService(HARNESS, history, shards=2, strategy=strategy)
         assert service.shard_count == 2
         return service
     return IntegrityMonitor(HARNESS, history, strategy=strategy)
+
+
+def _restored(front):
+    """``front`` sent through its JSON snapshot."""
+    if isinstance(front, MonitorService):
+        return MonitorService.restore(json.loads(json.dumps(front.snapshot())))
+    return monitor_from_dict(json.loads(json.dumps(monitor_to_dict(front))))
 
 
 def _remainders(front):
@@ -137,12 +147,19 @@ class TestBasics:
             m.is_satisfied("nope")
 
     def test_fragment_enforced_at_construction(self):
+        # Neither universal nor past-closed: an internal quantifier under
+        # a future operator.
+        bad = parse("forall x . G (Sub(x) -> X (exists y . Fill(y)))")
         with pytest.raises(NotUniversalError):
-            monitor_with({"bad": parse("forall x . G (exists y . Sub(y))")})
+            monitor_with({"bad": bad})
 
     def test_invalid_strategy(self, submit_once):
         with pytest.raises(ValueError):
             monitor_with({"once": submit_once}, strategy="telepathy")
+
+    def test_negative_spare(self, submit_once):
+        with pytest.raises(ValueError, match="spare"):
+            monitor_with({"once": submit_once}, strategy="spare", spare=-1)
 
     def test_assume_safety_admits_a_non_safety_constraint(self):
         # Not syntactically safety: refused unless told to assume safety.
@@ -323,7 +340,9 @@ class TestAgainstChecker:
 
     @given(
         trace=harness_traces,
-        front=st.sampled_from(["monitor", "planned", "service", "restored"]),
+        front=st.sampled_from(
+            ["monitor", "service", "restored", "restored-service"]
+        ),
         strategy=st.sampled_from(["incremental", "spare"]),
         cut=st.integers(0, 3),
     )
@@ -337,20 +356,45 @@ class TestAgainstChecker:
         # strategy grounds over the same relevant set as the oracle, so
         # its live remainders are the oracle's own interned node; the
         # spare strategy grounds over extra elements and is compared on
-        # verdicts only.  "restored" is a monitor sent through its JSON
-        # snapshot at instant `cut`.
+        # verdicts only.  The past-closed audit rule is checked against
+        # its finite-prefix meaning: the body held at every instant so
+        # far.  "restored" and "restored-service" are sent through their
+        # JSON snapshot at instant `cut`.  Every front reports each
+        # violation once, at the instant it happens, in registration order.
         m = _front(front, strategy)
+        first_violation: dict[str, int] = {}
         for instant, facts in enumerate(trace):
-            if front == "restored" and instant == min(cut, len(trace) - 1):
-                m = monitor_from_dict(json.loads(json.dumps(monitor_to_dict(m))))
+            if front.startswith("restored") and instant == min(
+                cut, len(trace) - 1
+            ):
+                m = _restored(m)
             state = DatabaseState.from_facts(V, facts)
             if isinstance(m, MonitorService):
                 report = m.apply_state(state)
             else:
                 report = m.append_state(state)
             violations = m.violations()
+            fresh = tuple(
+                name
+                for name in HARNESS
+                if name in violations and name not in first_violation
+            )
+            assert report.new_violations == fresh
+            first_violation.update((name, report.instant) for name in fresh)
+            assert list(violations.items()) == [
+                (name, first_violation[name])
+                for name in HARNESS
+                if name in first_violation
+            ]
             remainders = _remainders(m)
+            assert "audit" not in remainders
+            assert report.satisfied["audit"] == evaluate_finite(
+                AUDIT, m.history, future="weak"
+            )
+            assert ("audit" in violations) != report.satisfied["audit"]
             for name, constraint in HARNESS.items():
+                if name == "audit":
+                    continue
                 oracle = check_extension(constraint, m.history)
                 if name in violations:
                     # Frozen: a safety violation is irrecoverable, so the
@@ -441,6 +485,28 @@ class TestBoundedSatCache:
         assert info["sat_cache_entries"] <= 2
         assert reports == expected
         assert bounded.remainders() == unbounded.remainders()
+
+    def test_service_sums_its_shards_cache_info(self, monkeypatch):
+        def run():
+            service = MonitorService(HARNESS, History.empty(V), shards=2)
+            reports = [
+                service.apply_state(DatabaseState.from_facts(V, facts))
+                for facts in self.TRACE
+            ]
+            return service, reports
+
+        unbounded, expected = run()
+        assert unbounded.cache_info()["sat_cache_resets"] == 0
+        monkeypatch.setattr(monitor_module, "_SAT_CACHE_SIZE", 2)
+        bounded, reports = run()
+        info = bounded.cache_info()
+        shards = [shard.cache_info() for shard in bounded._shards]
+        assert len(shards) == 2
+        assert info == {
+            key: sum(shard[key] for shard in shards) for key in shards[0]
+        }
+        assert info["sat_cache_resets"] > 0
+        assert reports == expected
 
 
 class TestMonitorStatsRoundTrip:

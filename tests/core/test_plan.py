@@ -1,42 +1,24 @@
-"""Dispatch planning: plan serialization and planned-monitor equivalence.
+"""Dispatch planning: plan labels, plan serialization, and the monitor
+executing the plan on a mixed past/future set.
 
-The planner may only change *how much work* each verdict costs, never the
-verdict: a :class:`PlannedMonitor` must report exactly the satisfied
-flags, violation instants, and remainders of an unplanned
-:class:`IntegrityMonitor` on the shared (future-only) fragment.  The
-hypothesis sweep below pins that over both strategies.
+The monitor's verdicts on every front end are checked against the
+from-scratch oracles by the differential harness
+(``tests/core/test_monitor.py::TestAgainstChecker``).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IntegrityMonitor, PlannedMonitor, plan_constraints
+from repro.core import IntegrityMonitor, plan_constraints
 from repro.core.plan import ConstraintPlan, MonitorPlan
-from repro.database import DatabaseState, History, Update, vocabulary
+from repro.database import History, Update, vocabulary
 from repro.logic import parse
 
 V = vocabulary({"Sub": 1, "Fill": 1})
 SUBMIT_ONCE = parse("forall x . G (Sub(x) -> X G !Sub(x))")
-FIFO_FILL = parse(
-    "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) U "
-    "(Sub(y) & ((!Fill(x)) U (Fill(y) & !Fill(x))))))"
-)
 EVENTUAL = parse("forall x . F Sub(x)")
 RESPONSE = parse("forall x . G F Sub(x)")
 AUDIT = parse("forall x . G (Fill(x) -> Y O Sub(x))")
-CONSTRAINTS = {"once": SUBMIT_ONCE, "fifo": FIFO_FILL}
-
-traces = st.lists(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["Sub", "Fill"]),
-            st.tuples(st.integers(0, 2)),
-        ),
-        max_size=2,
-    ),
-    min_size=1,
-    max_size=4,
-)
 
 plans = st.builds(
     MonitorPlan,
@@ -49,10 +31,7 @@ plans = st.builds(
                     ["past-closed", "bounded-future", "safety",
                      "co-safety", "general"]
                 ),
-                backend=st.sampled_from(
-                    ["pasteval", "progression-safety",
-                     "progression-cosafety", "progression-full"]
-                ),
+                backend=st.sampled_from(["pasteval", "progression"]),
                 lookahead=st.none() | st.integers(0, 9),
                 reason=st.text(max_size=40),
             )
@@ -67,16 +46,13 @@ class TestMonitorPlan:
         plan = plan_constraints(
             {"once": SUBMIT_ONCE, "audit": AUDIT, "live": RESPONSE}
         )
-        assert plan["once"].backend == "progression-safety"
+        assert plan["once"].backend == "progression"
         assert plan["audit"].backend == "pasteval"
-        assert plan["live"].backend == "progression-full"
-        assert plan.routed_off_full() == 2
+        assert plan["live"].backend == "progression"
         assert plan.by_class() == {
             "safety": 1, "past-closed": 1, "general": 1,
         }
-        assert plan.by_backend() == {
-            "progression-safety": 1, "pasteval": 1, "progression-full": 1,
-        }
+        assert plan.by_backend() == {"progression": 2, "pasteval": 1}
 
     def test_sequence_names_match_monitor(self):
         plan = plan_constraints([SUBMIT_ONCE, EVENTUAL])
@@ -107,73 +83,16 @@ class TestMonitorPlan:
             raise AssertionError("expected ValueError")
 
 
-class TestPlannedEquivalence:
-    """Planned vs unplanned verdicts on the future-only fragment."""
-
-    @given(
-        trace=traces,
-        strategy=st.sampled_from(["incremental", "spare"]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_planned_matches_unplanned(self, trace, strategy):
-        constraints = {
-            "once": SUBMIT_ONCE,
-            "fifo": FIFO_FILL,
-            "live": RESPONSE,
-        }
-        planned = PlannedMonitor(
-            constraints,
-            History.empty(V),
-            assume_safety=True,
-            strategy=strategy,
-        )
-        plain = IntegrityMonitor(
-            constraints,
-            History.empty(V),
-            assume_safety=True,
-            strategy=strategy,
-        )
-        for facts in trace:
-            state = DatabaseState.from_facts(V, facts)
-            rp = planned.append_state(state)
-            rn = plain.append_state(state)
-            assert dict(rp.satisfied) == dict(rn.satisfied)
-            assert rp.new_violations == rn.new_violations
-            assert planned.remainders() == plain.remainders()
-        assert planned.violations() == plain.violations()
-
-    @given(trace=traces, strategy=st.sampled_from(["incremental", "spare"]))
-    @settings(max_examples=100, deadline=None)
-    def test_cosafety_retirement_preserves_verdicts(self, trace, strategy):
-        # forall x . F (Sub(x) | !Sub(x)) is valid: the remainder
-        # discharges at construction and the co-safety backend retires
-        # the entry — verdicts must stay identical to the full backend.
-        valid = parse("forall x . F (Sub(x) | !Sub(x))")
-        planned = PlannedMonitor(
-            {"vac": valid}, History.empty(V),
-            assume_safety=True, strategy=strategy,
-        )
-        assert planned.plan["vac"].backend == "progression-cosafety"
-        plain = IntegrityMonitor(
-            {"vac": valid}, History.empty(V), assume_safety=True,
-            strategy=strategy,
-        )
-        for facts in trace:
-            state = DatabaseState.from_facts(V, facts)
-            rp = planned.append_state(state)
-            rn = plain.append_state(state)
-            assert dict(rp.satisfied) == dict(rn.satisfied)
-            assert rp.new_violations == rn.new_violations
-        assert planned.violations() == plain.violations() == {}
-
-
 class TestPlannedMonitorSurface:
+    """:class:`IntegrityMonitor` executing its dispatch plan on a mixed
+    past/future set."""
+
     def test_mixed_set_routes_past_to_pasteval(self):
-        monitor = PlannedMonitor(
+        monitor = IntegrityMonitor(
             {"audit": AUDIT, "once": SUBMIT_ONCE}, History.empty(V)
         )
         assert monitor.plan["audit"].backend == "pasteval"
-        assert monitor.plan["once"].backend == "progression-safety"
+        assert monitor.plan["once"].backend == "progression"
         report = monitor.apply(Update.insert(("Fill", (7,))))
         assert report.new_violations == ("audit",)
         assert monitor.violations() == {"audit": 1}
@@ -191,20 +110,8 @@ class TestPlannedMonitorSurface:
         monitor.reset()
         assert monitor.stats()["audit"].past_updates == 0
 
-    def test_retired_entry_unretires_on_fresh_element(self):
-        valid = parse("forall x . F (Sub(x) | !Sub(x))")
-        monitor = PlannedMonitor(
-            {"vac": valid}, History.empty(V),
-            assume_safety=True, strategy="spare",
-        )
-        for element in range(5):
-            report = monitor.apply(Update.insert(("Sub", (element,))))
-            assert dict(report.satisfied) == {"vac": True}
-        stats = monitor.stats()["vac"]
-        assert stats.retired_steps > 0
-
     def test_violations_keep_registration_order(self):
-        monitor = PlannedMonitor(
+        monitor = IntegrityMonitor(
             {"once": SUBMIT_ONCE, "audit": AUDIT}, History.empty(V)
         )
         monitor.apply(Update.insert(("Fill", (1,))))
@@ -213,7 +120,7 @@ class TestPlannedMonitorSurface:
         assert list(monitor.violations()) == ["once", "audit"]
 
     def test_history_tracks_both_engines(self):
-        monitor = PlannedMonitor({"audit": AUDIT}, History.empty(V))
+        monitor = IntegrityMonitor({"audit": AUDIT}, History.empty(V))
         assert monitor.now == 0
         monitor.apply(Update.insert(("Sub", (1,))))
         assert monitor.now == 1

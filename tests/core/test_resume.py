@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IntegrityMonitor, MonitorStats, PlannedMonitor
+from repro.core import IntegrityMonitor, MonitorStats
 from repro.database import (
     DatabaseState,
     History,
@@ -34,6 +34,7 @@ from repro.ptl.caches import clear_all_caches
 V = vocabulary({"Sub": 1, "Fill": 1})
 SUBMIT_ONCE = parse("forall x . G (Sub(x) -> X G !Sub(x))")
 NO_FILL_FIRST = parse("forall x . G !(Fill(x) & (!Sub(x) U Sub(x)))")
+AUDIT = parse("forall x . G (Fill(x) -> Y O Sub(x))")
 CONSTRAINTS = {
     "once": SUBMIT_ONCE,
     "order": NO_FILL_FIRST,
@@ -94,23 +95,20 @@ class TestResumeEquivalence:
 
     @settings(max_examples=15, deadline=None)
     @given(trace=traces, cut=st.integers(0, 5))
-    def test_planned_monitor_resume_covers_pasteval(self, trace, cut):
-        constraints = {
-            "once": SUBMIT_ONCE,
-            "audit": parse("forall x . G (Fill(x) -> Y O Sub(x))"),
-        }
+    def test_monitor_resume_covers_pasteval(self, trace, cut):
+        constraints = {"once": SUBMIT_ONCE, "audit": AUDIT}
         cut = min(cut, len(trace))
         states = _states(trace)
-        ref = PlannedMonitor(constraints, History.empty(V))
-        live = PlannedMonitor(constraints, History.empty(V))
+        ref = IntegrityMonitor(constraints, History.empty(V))
+        live = IntegrityMonitor(constraints, History.empty(V))
         for state in states[:cut]:
             ref.append_state(state)
             live.append_state(state)
-        blob = json.dumps(live.snapshot())
+        blob = json.dumps(monitor_to_dict(live))
         del live
         clear_all_caches()
         gc.collect()
-        resumed = PlannedMonitor.from_snapshot(json.loads(blob))
+        resumed = monitor_from_dict(json.loads(blob))
         assert _run(resumed, states[cut:]) == _run(ref, states[cut:])
         assert resumed.violations() == ref.violations()
 
@@ -160,91 +158,125 @@ class TestSnapshotValidation:
         with pytest.raises(StateError, match="format"):
             monitor_from_dict(data)
 
-    def test_v3_documents_carry_only_the_live_settings(self):
-        monitor = PlannedMonitor(CONSTRAINTS, History.empty(V))
+    def test_v4_documents_carry_only_the_live_settings(self):
+        monitor = IntegrityMonitor(
+            {**CONSTRAINTS, "audit": AUDIT}, History.empty(V)
+        )
         monitor.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
-        data = json.loads(json.dumps(monitor.snapshot()))
-        assert data["format"] == "repro-planned-snapshot/v3"
-        settings_ = {"assume_safety", "strategy", "spare"}
-        assert set(data["config"]) == settings_
-        full = data["full"]
-        assert full["format"] == "repro-monitor-snapshot/v3"
-        assert set(full["config"]) == settings_
-        assert full["entries"]
-        for entry in full["entries"]:
-            for gone in ("replay_finals", "replay_masks", "last_props",
-                         "domain", "scope", "assignment_count"):
+        data = json.loads(json.dumps(monitor_to_dict(monitor)))
+        assert data["format"] == "repro-monitor-snapshot/v4"
+        assert set(data) == {
+            "format", "config", "order", "past", "entries", "history",
+        }
+        assert set(data["config"]) == {"assume_safety", "strategy", "spare"}
+        assert data["order"] == ["once", "order", "audit"]
+        # Each constraint text is written once: past-closed ones in
+        # `past`, progressed ones in their entry.
+        assert set(data["past"]) == {"audit"}
+        assert [entry["name"] for entry in data["entries"]] == [
+            "once", "order",
+        ]
+        for entry in data["entries"]:
+            for gone in ("backend", "replay_finals", "replay_masks",
+                         "last_props", "domain", "scope",
+                         "assignment_count"):
                 assert gone not in entry
 
     def test_rejects_v2_documents(self):
-        monitor = PlannedMonitor(CONSTRAINTS, History.empty(V))
-        data = monitor.snapshot()
-        data["full"]["format"] = "repro-monitor-snapshot/v2"
+        data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
+        data["format"] = "repro-monitor-snapshot/v2"
         with pytest.raises(StateError, match="format"):
-            monitor_from_dict(data["full"])
-        data["format"] = "repro-planned-snapshot/v2"
+            monitor_from_dict(data)
+
+    def test_rejects_v3_documents(self):
+        data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
+        data["format"] = "repro-monitor-snapshot/v3"
         with pytest.raises(StateError, match="format"):
-            PlannedMonitor.from_snapshot(data)
+            monitor_from_dict(data)
 
     def test_rejects_v1_documents(self):
-        monitor = PlannedMonitor(CONSTRAINTS, History.empty(V))
-        data = monitor.snapshot()
-        data["full"]["format"] = "repro-monitor-snapshot/v1"
+        data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
+        data["format"] = "repro-monitor-snapshot/v1"
         with pytest.raises(StateError, match="format"):
-            monitor_from_dict(data["full"])
-        data["format"] = "repro-planned-snapshot/v1"
-        with pytest.raises(StateError, match="format"):
-            PlannedMonitor.from_snapshot(data)
+            monitor_from_dict(data)
 
-    def test_planned_rejects_missing_key(self):
-        monitor = PlannedMonitor(CONSTRAINTS, History.empty(V))
-        data = monitor.snapshot()
-        del data["history"]
-        with pytest.raises(StateError, match="history"):
-            PlannedMonitor.from_snapshot(data)
+    @pytest.mark.parametrize("key", ["history", "order", "past", "entries"])
+    def test_rejects_missing_key(self, key):
+        data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
+        del data[key]
+        with pytest.raises(StateError, match=key):
+            monitor_from_dict(data)
 
-    def test_planned_rejects_wrong_format(self):
+    def test_rejects_planned_documents(self):
+        # The layout of the removed planned-monitor snapshot.
+        monitor = IntegrityMonitor(CONSTRAINTS, History.empty(V))
+        full = monitor_to_dict(monitor, with_history=False)
+        data = {
+            "format": "repro-planned-snapshot/v3",
+            "config": full["config"],
+            "order": full["order"],
+            "constraints": {},
+            "full": full,
+            "history": monitor_to_dict(monitor)["history"],
+        }
         with pytest.raises(StateError, match="format"):
-            PlannedMonitor.from_snapshot({"format": "bogus"})
+            monitor_from_dict(data)
 
 
 class TestPlannedRestoreNames:
-    """A planned snapshot whose ``order`` or progression entries disagree
+    """A snapshot whose ``order`` or past/progression split disagrees
     with its constraints is refused: restored, it would drop a verdict
     or fail half-way through its first update."""
 
     FILL_ONCE = parse("forall x . G (Fill(x) -> X G !Fill(x))")
 
     def snapshot(self):
-        monitor = PlannedMonitor(
-            {"once": SUBMIT_ONCE, "fill": self.FILL_ONCE}, History.empty(V)
+        monitor = IntegrityMonitor(
+            {"once": SUBMIT_ONCE, "fill": self.FILL_ONCE, "audit": AUDIT},
+            History.empty(V),
         )
-        return json.loads(json.dumps(monitor.snapshot()))
+        return json.loads(json.dumps(monitor_to_dict(monitor)))
 
     def test_rejects_order_missing_a_constraint(self):
         data = self.snapshot()
-        data["order"] = ["once"]
+        data["order"] = ["once", "audit"]
         with pytest.raises(StateError, match=r"missing \['fill'\]"):
-            PlannedMonitor.from_snapshot(data)
+            monitor_from_dict(data)
 
     def test_rejects_order_repeating_a_constraint(self):
         data = self.snapshot()
-        data["order"] = ["once", "fill", "once"]
+        data["order"] = ["once", "fill", "audit", "once"]
         with pytest.raises(StateError, match=r"repeated \['once'\]"):
-            PlannedMonitor.from_snapshot(data)
+            monitor_from_dict(data)
 
     def test_rejects_constraint_without_progression_entry(self):
+        # A progressed constraint's text filed with the past-closed ones.
         data = self.snapshot()
         data["order"].append("ghost")
-        data["constraints"]["ghost"] = data["constraints"]["once"]
-        with pytest.raises(StateError, match=r"missing \['ghost'\]"):
-            PlannedMonitor.from_snapshot(data)
+        data["past"]["ghost"] = data["entries"][0]["constraint"]
+        with pytest.raises(StateError, match="'ghost'.*past-closed"):
+            monitor_from_dict(data)
+
+    def test_rejects_past_constraint_stored_as_an_entry(self):
+        data = self.snapshot()
+        entry = dict(data["entries"][0])
+        entry.update(name="ghost", constraint=data["past"]["audit"])
+        data["entries"].append(entry)
+        data["order"].append("ghost")
+        with pytest.raises(StateError, match="'ghost'.*past-closed"):
+            monitor_from_dict(data)
+
+    def test_rejects_a_constraint_listed_twice(self):
+        data = self.snapshot()
+        data["past"]["once"] = data["past"]["audit"]
+        with pytest.raises(StateError, match=r"repeated \['once'\]"):
+            monitor_from_dict(data)
 
     def test_rejects_order_naming_no_constraint_text(self):
         data = self.snapshot()
         data["order"].append("ghost")
         with pytest.raises(StateError, match=r"extra \['ghost'\]"):
-            PlannedMonitor.from_snapshot(data)
+            monitor_from_dict(data)
 
 
 class TestMonitorStatsReset:

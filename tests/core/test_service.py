@@ -2,8 +2,8 @@
 
 Sharding is an optimization, never a semantics change: a sharded
 :class:`repro.service.MonitorService` must report exactly the verdicts
-of an unsharded :class:`repro.core.plan.PlannedMonitor` (hypothesis-
-pinned below, the same way planned was pinned to unplanned).  The async
+of an unsharded :class:`repro.core.monitor.IntegrityMonitor`
+(hypothesis-pinned below).  The async
 front adds per-session FIFO ordering and the snapshot adds kill/resume —
 both asserted directly.  Async tests drive the event loop through
 ``asyncio.run`` inside synchronous test functions (no pytest-asyncio in
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PlannedMonitor, partition_constraints
+from repro.core import IntegrityMonitor, partition_constraints
 from repro.database import DatabaseState, History, Update, vocabulary
 from repro.errors import EvaluationError, SchemaError, StateError
 from repro.logic import parse
@@ -103,7 +103,7 @@ class TestShardedEquivalence:
         service = MonitorService(
             CONSTRAINTS, History.empty(V), shards=shards
         )
-        reference = PlannedMonitor(CONSTRAINTS, History.empty(V))
+        reference = IntegrityMonitor(CONSTRAINTS, History.empty(V))
         for state in states:
             got = service.apply_state(state)
             expected = reference.append_state(state)
@@ -268,16 +268,15 @@ class TestServiceSnapshot:
         service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
         service.apply(Update.insert(("Sub", (1,))))
         data = json.loads(json.dumps(service.snapshot()))
-        assert data["format"] == "repro-service-snapshot/v2"
+        assert data["format"] == "repro-service-snapshot/v3"
         for shard in data["shards"]:
+            assert shard["format"] == "repro-monitor-snapshot/v4"
             assert "history" not in shard
-            assert "history" not in shard["full"]
-            assert shard["full"]["entries"]
+            assert shard["entries"]
         restored = MonitorService.restore(data)
         assert restored.shard_count == 2
         for shard in restored._shards:
             assert shard.history is restored.history
-            assert shard._full.history is restored.history
         assert restored.now == service.now
         state = DatabaseState.from_facts(V, [("Fill", (2,))])
         assert _report_key(restored.apply_state(state)) == _report_key(
@@ -289,6 +288,36 @@ class TestServiceSnapshot:
         data["format"] = "repro-service-snapshot/v1"
         with pytest.raises(StateError, match="format"):
             MonitorService.restore(data)
+
+    def test_restore_rejects_v2_document(self):
+        data = MonitorService(CONSTRAINTS, History.empty(V)).snapshot()
+        data["format"] = "repro-service-snapshot/v2"
+        with pytest.raises(StateError, match="format"):
+            MonitorService.restore(data)
+
+    def test_bool_elements_are_refused_before_any_shard_moves(self, tmp_path):
+        # The codec refuses True/False as elements, so a state holding one
+        # must be refused up front, or the service could not be saved or
+        # its save restored.
+        service = MonitorService(
+            {name: CONSTRAINTS[name] for name in ("once", "ping_once")},
+            History.empty(V),
+            shards=2,
+        )
+        assert service.shard_count == 2
+        with pytest.raises(SchemaError):
+            service.apply_state(
+                DatabaseState.from_facts(V, [("Ping", (True,))])
+            )
+        assert MonitorService.restore(service.snapshot()).now == 0
+        audit = MonitorService(
+            {"audit": CONSTRAINTS["audit"]}, History.empty(V)
+        )
+        with pytest.raises(SchemaError):
+            audit.apply(Update.insert(("Sub", (True,))))
+        path = tmp_path / "audit.json"
+        audit.save(path)
+        assert MonitorService.load(path).now == 0
 
     def test_snapshot_refuses_half_applied_update(self, monkeypatch):
         service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
@@ -340,10 +369,10 @@ class TestServiceSnapshot:
             MonitorService.restore(data)
 
 
-ENTRY = ("shards", 0, "full", "entries", 0)
+ENTRY = ("shards", 0, "entries", 0)
 
 #: One field of a saved two-constraint service set to a value of the wrong
-#: type, or (violated_at) to an impossible instant.
+#: type, or (violated_at, strategy, spare) to an impossible value.
 MALFORMED_FIELDS = {
     "service_stats": (("service_stats",), 5),
     "entry_stats": (ENTRY + ("stats",), 5),
@@ -353,9 +382,11 @@ MALFORMED_FIELDS = {
     "spare_pool": (ENTRY + ("spare_pool",), 5),
     "order": (("order",), 5),
     "shards": (("shards",), 5),
-    "entries": (("shards", 0, "full", "entries"), 5),
+    "entries": (("shards", 0, "entries"), 5),
     "violated_at_text": (ENTRY + ("violated_at",), "soon"),
     "violated_at_negative": (ENTRY + ("violated_at",), -3),
+    "strategy": (("shards", 0, "config", "strategy"), "warp"),
+    "spare_negative": (("shards", 0, "config", "spare"), -1),
 }
 
 
@@ -395,7 +426,7 @@ class TestMalformedPastConstraints:
         ],
         ids=["undeclared-relation", "wrong-arity", "unbound-constant"],
     )
-    @pytest.mark.parametrize("front", [PlannedMonitor, MonitorService])
+    @pytest.mark.parametrize("front", [IntegrityMonitor, MonitorService])
     def test_rejected_at_construction(self, front, text, error):
         with pytest.raises(error):
             front({"audit": parse(text)}, History.empty(V))

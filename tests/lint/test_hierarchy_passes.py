@@ -43,7 +43,7 @@ class TestHierarchyPasses:
         assert "TIC130" in codes(report)
         assert "TIC134" in codes(report)
         summary = report.by_code("TIC134")[0]
-        assert "progression-safety" in summary.message
+        assert "backend 'progression'" in summary.message
 
     def test_past_closed_dispatches_to_pasteval(self):
         report = lint_formula(parse(PAST), hierarchy=True)
@@ -57,7 +57,7 @@ class TestHierarchyPasses:
         report = lint_formula(parse(GENERAL), hierarchy=True)
         assert "TIC132" not in codes(report)
         assert "TIC133" not in codes(report)
-        assert "progression-full" in report.by_code("TIC134")[0].message
+        assert "'progression'" in report.by_code("TIC134")[0].message
 
     def test_lookahead_depth_warns(self):
         report = lint_formula(parse(DEEP), hierarchy=True)
@@ -183,10 +183,14 @@ class TestPlanCommand:
         assert doc["version"] == PLAN_JSON_VERSION
         assert set(doc) == {"version", "constraints", "plan", "summary"}
         assert list(doc["constraints"]) == ["once", "audit", "live"]
-        assert doc["constraints"]["once"]["backend"] == "progression-safety"
+        assert PLAN_JSON_VERSION == 2
+        assert doc["constraints"]["once"]["backend"] == "progression"
         assert doc["constraints"]["audit"]["backend"] == "pasteval"
-        assert doc["constraints"]["live"]["backend"] == "progression-full"
-        assert doc["summary"]["routed_off_full"] == 2
+        assert doc["constraints"]["live"]["backend"] == "progression"
+        assert "routed_off_full" not in doc["summary"]
+        assert doc["summary"]["by_backend"] == {
+            "pasteval": 1, "progression": 2,
+        }
         assert doc["summary"]["by_class"] == {
             "general": 1, "past-closed": 1, "safety": 1,
         }
@@ -223,7 +227,7 @@ class TestClassifyJson:
         assert main(["classify", "--json", SAFE]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["hierarchy"]["class"] == "safety"
-        assert doc["hierarchy"]["backend"] == "progression-safety"
+        assert doc["hierarchy"]["backend"] == "progression"
         assert doc["hierarchy"]["lookahead"] is None
         assert doc["hierarchy"]["reason"]
         assert doc["decidable"] is True
@@ -245,4 +249,4 @@ class TestClassifyJson:
         assert main(["classify", SAFE]) == 0
         out = capsys.readouterr().out
         assert "temporal hierarchy:" in out
-        assert "progression-safety" in out
+        assert "(backend: progression)" in out

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.hierarchy import HierarchyClass, classify_hierarchy
-from repro.core import PlannedMonitor, plan_constraints
+from repro.core import IntegrityMonitor, plan_constraints
 from repro.database import History
 from repro.logic import parse, to_str
 from repro.service import MonitorService
@@ -62,9 +62,7 @@ class TestCompilation:
             staleness_constraints((StalenessSpec("price", 2),))
         )
         assert plan["fresh_use_price"].backend == "pasteval"
-        assert plan["refresh_deadline_price"].backend == (
-            "progression-safety"
-        )
+        assert plan["refresh_deadline_price"].backend == "progression"
 
 
 class TestGenerator:
@@ -82,7 +80,7 @@ class TestGenerator:
                 seed=seed,
             )
         )
-        monitor = PlannedMonitor(
+        monitor = IntegrityMonitor(
             staleness_constraints((StalenessSpec("price", budget),)),
             History.empty(trace.vocabulary),
         )
@@ -93,7 +91,7 @@ class TestGenerator:
     def test_injected_stale_use_is_detected(self):
         trace = trace_with_stale_use(length=20, budget=2, at=12)
         assert trace.stale_uses == [(12, "price", 3)]
-        monitor = PlannedMonitor(
+        monitor = IntegrityMonitor(
             staleness_constraints((StalenessSpec("price", 2),)),
             History.empty(trace.vocabulary),
         )
