@@ -54,7 +54,12 @@ from ..analysis.hierarchy import is_past_closed
 from ..database.history import History
 from ..database.state import DatabaseState
 from ..database.updates import Update
-from ..errors import StateError
+from ..errors import (
+    ClassificationError,
+    EvaluationError,
+    SchemaError,
+    StateError,
+)
 from ..logic.classify import FormulaInfo
 from ..logic.formulas import Formula
 from ..ptl.bitset import BuchiKernel
@@ -65,6 +70,7 @@ from .checker import validate_constraint
 from .grounding import GroundElement, RelAtom
 from .plan import MonitorPlan, plan_constraints
 from .reduction import (
+    check_vocabulary,
     constraint_relevant_elements,
     reduce_universal,
     state_to_props,
@@ -160,6 +166,20 @@ class _ConstraintEntry:
     spare_map: dict[int, int] = field(default_factory=dict)
     violated_at: int | None = None
     stats: MonitorStats = field(default_factory=MonitorStats)
+    # The last reground's ground instances (``Reduction.instances``), the
+    # next reground's ``reuse``: a pure cache, never snapshotted, holding
+    # exactly the ``|M|^k`` instances of the current grounding.
+    instances: Mapping[tuple[GroundElement, ...], PTLFormula] = field(
+        default_factory=dict
+    )
+    # The relations the constraint mentions, read once: every update
+    # scans the state's tuples of these alone.
+    predicates: frozenset[str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.predicates = frozenset(
+            pred for pred, _arity in self.constraint.predicates()
+        )
 
 
 @dataclass(frozen=True)
@@ -182,9 +202,10 @@ class EntrySnapshot:
     recomputed: under the spare strategy it reflects the *last reground's*
     history, not the current one, so rebuilding it at restore time would
     change which elements count as fresh and diverge from the
-    uninterrupted run.  Pure caches (the monitor-wide satisfiability memo
-    and the kernels' tables) are deliberately absent — dropping them
-    cannot change any verdict, only cache-hit counters.
+    uninterrupted run.  Pure caches (the monitor-wide satisfiability memo,
+    the kernels' tables and the ground instances a reground reuses) are
+    deliberately absent — dropping them cannot change any verdict, only
+    cache-hit counters and the first reground's cost.
     """
 
     name: str
@@ -416,14 +437,20 @@ class IntegrityMonitor:
         return {name: merged[name] for name in self._constraints}
 
     def cache_info(self) -> dict[str, int]:
-        """Sizes and resets of the monitor-wide decision caches: the
-        satisfiability memo (emptied at ``_SAT_CACHE_SIZE`` entries) and
-        the Büchi kernel (dropped past its ``max_states``)."""
+        """Sizes and resets of the monitor's caches: the satisfiability
+        memo (emptied at ``_SAT_CACHE_SIZE`` entries), the Büchi kernel
+        (dropped past its ``max_states``) and the ground instances kept
+        for the next reground (``ground_instances``: each progressed
+        entry holds exactly its last grounding's ``|M|^k``, replaced at
+        every reground and never merged)."""
         return {
             "sat_cache_entries": len(self._sat_cache),
             "sat_cache_resets": self._sat_cache_resets,
             "buchi_states": self._buchi.stats()["states"],
             "buchi_resets": self._buchi.resets,
+            "ground_instances": sum(
+                len(entry.instances) for entry in self._entries
+            ),
         }
 
     def progression_kernel_info(self) -> ProgKernelInfo:
@@ -519,9 +546,11 @@ class IntegrityMonitor:
 
         ``order`` must list every constraint of ``past`` and ``entries``
         exactly once, and the split must be the one
-        :func:`~repro.analysis.hierarchy.is_past_closed` gives; otherwise
-        a verdict would be lost or the first update would fail half-way,
-        so this raises :class:`~repro.errors.StateError`.
+        :func:`~repro.analysis.hierarchy.is_past_closed` gives.  Every
+        constraint must be one the constructor accepts over ``history``,
+        relations, arities and constants included, which a later reground
+        would otherwise find half-way through an update.  If not, this
+        raises :class:`~repro.errors.StateError` naming the constraint.
 
         Pure caches are rebuilt empty: the satisfiability memo and the
         kernels' tables refill on demand, so only cache-hit counters —
@@ -550,18 +579,30 @@ class IntegrityMonitor:
             **{snap.name: snap.constraint for snap in entries},
         }
         monitor = cls.__new__(cls)
-        monitor._setup(
-            history,
-            {name: by_name[name] for name in order},
-            past,
-            assume_safety=assume_safety,
-            strategy=strategy,
-            spare=spare,
-        )
-        for snap in entries:
-            info = validate_constraint(
-                snap.constraint, assume_safety=assume_safety, lint="off"
+        try:
+            monitor._setup(
+                history,
+                {name: by_name[name] for name in order},
+                past,
+                assume_safety=assume_safety,
+                strategy=strategy,
+                spare=spare,
             )
+        except (SchemaError, EvaluationError) as exc:
+            raise StateError(
+                f"monitor snapshot past constraint cannot be evaluated: {exc}"
+            ) from None
+        for snap in entries:
+            try:
+                info = validate_constraint(
+                    snap.constraint, assume_safety=assume_safety, lint="off"
+                )
+                check_vocabulary(history, info)
+            except (ClassificationError, SchemaError) as exc:
+                raise StateError(
+                    f"monitor snapshot constraint {snap.name!r} cannot be "
+                    f"monitored: {exc}"
+                ) from None
             monitor._entries.append(
                 _ConstraintEntry(
                     name=snap.name,
@@ -668,9 +709,7 @@ class IntegrityMonitor:
         self, entry: _ConstraintEntry, state: DatabaseState
     ) -> frozenset[int]:
         """Elements of one state visible to this entry's constraint."""
-        predicates = {
-            pred for pred, _arity in entry.constraint.predicates()
-        }
+        predicates = entry.predicates
         elements: set[int] = set()
         for pred, tuples in state.relations.items():
             if pred in predicates:
@@ -679,14 +718,24 @@ class IntegrityMonitor:
         return frozenset(elements)
 
     def _reground(self, entry: _ConstraintEntry) -> None:
-        """Rebuild the reduction from the full history and re-progress."""
+        """Rebuild the reduction from the full history and re-progress.
+
+        Only the assignments the last grounding lacks are grounded.  Reuse
+        is exact under both strategies: an instance is keyed by concrete
+        ids, and a spare id's instance is the same formula whether the
+        slot holds a spare or a real element.
+        """
         entry.stats.regrounds += 1
         pool: frozenset[int] = frozenset()
         if self._strategy == "spare":
             pool = self._spare_pool(entry)
         reduction = reduce_universal(
-            self._history, entry.info, extra_elements=pool
+            self._history,
+            entry.info,
+            extra_elements=pool,
+            reuse=entry.instances,
         )
+        entry.instances = reduction.instances
         entry.relevant = reduction.relevant
         # The pool was drawn from outside the relevant set, so removing it
         # leaves exactly the elements the history has shown this entry.

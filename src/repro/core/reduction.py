@@ -66,8 +66,11 @@ class Reduction:
     relevant:
         The concrete part of ``M`` — ``R_D`` of the history at reduction
         time under the chosen scope.
-    assignment_count:
-        ``|M|^k`` — how many ground instances ``psi[f]`` were conjoined.
+    instances:
+        ``psi[f]`` per assignment ``f``, keyed by its values in quantifier
+        order and laid out in ``cartesian(domain)`` order, so ``Psi_D`` is
+        ``pand`` of the values.  A later reduction of the same constraint
+        takes it as ``reuse``.
     fold:
         Whether the folded construction was used.
     scope:
@@ -82,10 +85,16 @@ class Reduction:
     prefix: tuple[PropState, ...]
     domain: tuple[GroundElement, ...]
     relevant: frozenset[int]
-    assignment_count: int
+    instances: Mapping[tuple[GroundElement, ...], PTLFormula]
     fold: bool
     history: History
     scope: str = "constraint"
+
+    @property
+    def assignment_count(self) -> int:
+        """``|M|^k``: how many ground instances ``psi[f]`` were conjoined,
+        reused or not."""
+        return len(self.instances)
 
     def formula_size(self) -> int:
         return self.formula.size()
@@ -152,6 +161,7 @@ def reduce_universal(
     fold: bool = True,
     scope: str = "constraint",
     extra_elements: frozenset[int] = frozenset(),
+    reuse: Mapping[tuple[GroundElement, ...], PTLFormula] | None = None,
 ) -> Reduction:
     """Theorem 4.1: build ``phi_D`` and ``w_D`` for a universal constraint.
 
@@ -162,10 +172,19 @@ def reduce_universal(
     never slower.  ``extra_elements`` reserves additional concrete elements
     in the grounding — the online monitor's spare strategy uses this to
     pre-ground slots for elements that have not arrived yet.
+
+    ``reuse`` is the :attr:`Reduction.instances` table of an earlier
+    reduction of the *same* constraint with the same ``fold`` and the same
+    constant bindings.  ``psi[f]`` depends on nothing else, so an
+    assignment found there is taken as it is and only the assignments
+    missing from it are grounded: the online monitor's reground after a
+    new element costs ``(|M|+1)^k - |M|^k`` groundings, not ``(|M|+1)^k``.
+    The instances are conjoined in the new domain's cartesian order either
+    way, so the formula is the node grounding from scratch builds.
     """
     if scope not in ("constraint", "full"):
         raise ValueError(f"scope must be 'constraint' or 'full', got {scope!r}")
-    _check_vocabulary(history, info)
+    check_vocabulary(history, info)
     quantifiers = tuple(info.external_universals)
     if scope == "constraint":
         relevant = constraint_relevant_elements(history, info)
@@ -176,15 +195,17 @@ def reduce_universal(
     context = GroundContext(
         constant_bindings=history.constant_bindings, fold=fold
     )
-    instances: list[PTLFormula] = []
-    count = 0
+    known = reuse or {}
+    instances: dict[tuple[GroundElement, ...], PTLFormula] = {}
     for values in cartesian(domain, repeat=len(quantifiers)):
-        assignment: Mapping[Variable, GroundElement] = dict(
-            zip(quantifiers, values)
-        )
-        instances.append(ground(info.matrix, assignment, context))
-        count += 1
-    formula = pand(*instances)
+        instance = known.get(values)
+        if instance is None:
+            assignment: Mapping[Variable, GroundElement] = dict(
+                zip(quantifiers, values)
+            )
+            instance = ground(info.matrix, assignment, context)
+        instances[values] = instance
+    formula = pand(*instances.values())
     if not fold:
         axioms = build_axioms(
             domain, history.vocabulary.predicates, history.constant_bindings
@@ -198,14 +219,17 @@ def reduce_universal(
         prefix=prefix,
         domain=domain,
         relevant=relevant,
-        assignment_count=count,
+        instances=instances,
         fold=fold,
         history=history,
         scope=scope,
     )
 
 
-def _check_vocabulary(history: History, info: FormulaInfo) -> None:
+def check_vocabulary(history: History, info: FormulaInfo) -> None:
+    """Raise :class:`~repro.errors.SchemaError` unless the history
+    declares every relation of the constraint at its arity and binds
+    every constant the constraint names."""
     vocabulary = history.vocabulary
     for pred, arity in info.formula.predicates():
         if pred in ("leq", "succ", "Zero"):

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from ..errors import StateError
+from ..errors import FormulaError, StateError
 from ..ptl.formulas import (
     PAlways,
     PAnd,
@@ -477,6 +477,17 @@ def stats_from_jsonable(data: Any, where: str) -> Any:
     return MonitorStats.from_dict(data)
 
 
+def _parse_constraint(text: str, where: str) -> Any:
+    """Parse a snapshot's constraint text; :class:`StateError` naming
+    ``where`` if it does not parse."""
+    from ..logic import parse
+
+    try:
+        return parse(text)
+    except FormulaError as exc:
+        raise StateError(f"{where} does not parse: {exc}") from None
+
+
 def _entry_to_jsonable(snap: Any) -> dict[str, Any]:
     from ..logic import to_str
 
@@ -497,7 +508,6 @@ def _entry_from_jsonable(data: Any, now: int) -> Any:
     """Decode one snapshot entry of a monitor whose history ends at
     instant ``now``."""
     from ..core.monitor import EntrySnapshot
-    from ..logic import parse
 
     if not isinstance(data, Mapping):
         raise StateError(
@@ -531,7 +541,9 @@ def _entry_from_jsonable(data: Any, now: int) -> Any:
             )
         return EntrySnapshot(
             name=name,
-            constraint=parse(data["constraint"]),
+            constraint=_parse_constraint(
+                data["constraint"], f"{where}: 'constraint'"
+            ),
             remainder=ptl_from_jsonable(data["remainder"], where),
             relevant=frozenset(
                 decode_list(data["relevant"], f"{where}: 'relevant'", int)
@@ -603,7 +615,6 @@ def monitor_from_dict(
     document's own.
     """
     from ..core.monitor import _STRATEGIES, IntegrityMonitor
-    from ..logic import parse
 
     if not isinstance(data, Mapping):
         raise StateError(
@@ -661,7 +672,12 @@ def monitor_from_dict(
     return IntegrityMonitor.from_snapshot(
         history,
         order,
-        {name: parse(text) for name, text in past.items()},
+        {
+            name: _parse_constraint(
+                text, f"monitor snapshot past constraint {name!r}"
+            )
+            for name, text in past.items()
+        },
         [_entry_from_jsonable(entry, history.now) for entry in raw_entries],
         assume_safety=config["assume_safety"],
         strategy=config["strategy"],

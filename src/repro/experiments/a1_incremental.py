@@ -7,8 +7,9 @@ Two workload regimes expose the trade-offs:
   and spare never re-ground; scratch, a fresh monitor built on every
   prefix, re-progresses the full history per update (quadratic total).
 * **growing domain** — every few updates introduce a fresh element:
-  incremental re-grounds on each arrival (paying O(t) again), spare
-  absorbs arrivals by renaming onto its reserve.
+  incremental regrounds on each arrival, grounding only the new element's
+  assignments but replaying the whole prefix (O(t) again); spare absorbs
+  arrivals by renaming onto its reserve.
 """
 
 from __future__ import annotations

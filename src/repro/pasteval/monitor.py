@@ -35,7 +35,7 @@ from ..database.history import History
 from ..database.state import DatabaseState
 from ..database.updates import Update
 from ..database.vocabulary import Vocabulary
-from ..errors import ClassificationError, EvaluationError
+from ..errors import ClassificationError, EvaluationError, SchemaError
 from ..logic.classify import is_past_formula
 from ..logic.formulas import Always, Forall, Formula
 from ..logic.transform import strip_universal_prefix
@@ -127,7 +127,10 @@ class PastMonitor:
                         f"constant symbol {symbol!r} of constraint "
                         f"{name!r} is not bound"
                     )
-            evaluator = IncrementalPastEvaluator(body, vocabulary)
+            try:
+                evaluator = IncrementalPastEvaluator(body, vocabulary)
+            except SchemaError as exc:
+                raise SchemaError(f"constraint {name!r}: {exc}") from None
             for symbol, value in bindings.items():
                 evaluator.bind_constant(symbol, value)
             self._evaluators[name] = evaluator

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.monitor as monitor_module
+import repro.core.reduction as reduction_module
 from repro.core import IntegrityMonitor, check_extension
 from repro.core.monitor import MonitorStats
 from repro.database import (
@@ -20,6 +21,7 @@ from repro.database import (
 from repro.errors import NotSafetyError, NotUniversalError
 from repro.eval import evaluate_finite
 from repro.logic import parse
+from repro.logic.classify import require_universal
 from repro.ptl.progression import progress_cache_clear, progress_cache_info
 from repro.service import MonitorService
 
@@ -407,6 +409,88 @@ class TestAgainstChecker:
                 )
                 if strategy == "incremental":
                     assert remainders[name] is oracle.remainder
+
+
+class TestRegroundReuse:
+    """A reground grounds only the assignments its entry's last grounding
+    lacks; a restored monitor keeps no instance table, so its first
+    reground grounds everything."""
+
+    @staticmethod
+    def count_groundings(monkeypatch):
+        calls = []
+        real_ground = reduction_module.ground
+
+        def counting_ground(*args):
+            calls.append(args[1])
+            return real_ground(*args)
+
+        monkeypatch.setattr(reduction_module, "ground", counting_ground)
+        return calls
+
+    @staticmethod
+    def known(m):
+        # FIFO_FILL has k = 2; with no fill it stays satisfied.
+        monitor = monitor_with({"fifo": FIFO_FILL})
+        monitor.append_state(
+            DatabaseState.from_facts(V, [("Sub", (e,)) for e in range(m)])
+        )
+        assert monitor.snapshot_entries()[0].relevant == set(range(m))
+        return monitor
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_new_element_grounds_only_its_assignments(self, monkeypatch, m):
+        monitor = self.known(m)
+        regrounds = monitor.stats()["fifo"].regrounds
+        calls = self.count_groundings(monkeypatch)
+        monitor.append_state(DatabaseState.from_facts(V, [("Sub", (m,))]))
+        assert monitor.stats()["fifo"].regrounds == regrounds + 1
+        assert len(calls) == (m + 3) ** 2 - (m + 2) ** 2
+        assert all(m in assignment.values() for assignment in calls)
+        assert monitor.cache_info()["ground_instances"] == (m + 3) ** 2
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_restored_monitor_grounds_everything_once(self, monkeypatch, m):
+        restored = _restored(self.known(m))
+        assert restored.cache_info()["ground_instances"] == 0
+        calls = self.count_groundings(monkeypatch)
+        restored.append_state(DatabaseState.from_facts(V, [("Sub", (m,))]))
+        assert len(calls) == (m + 3) ** 2
+        # The restored monitor reuses from its second reground on.
+        calls.clear()
+        restored.append_state(
+            DatabaseState.from_facts(V, [("Sub", (m + 1,))])
+        )
+        assert len(calls) == (m + 4) ** 2 - (m + 3) ** 2
+
+    @pytest.mark.parametrize("strategy", ["incremental", "spare"])
+    @pytest.mark.parametrize("front", ["monitor", "service"])
+    def test_ground_instances_is_the_last_grounding_per_entry(
+        self, front, strategy
+    ):
+        m = _front(front, strategy)
+        append = m.apply_state if front == "service" else m.append_state
+        for element in range(4):
+            append(
+                DatabaseState.from_facts(
+                    V,
+                    [
+                        ("Sub", (element,)),
+                        ("Fill", ((element + 1) % 4,)),
+                        ("Ping", (element % 3,)),
+                    ],
+                )
+            )
+        shards = m._shards if isinstance(m, MonitorService) else [m]
+        entries = [
+            snap for shard in shards for snap in shard.snapshot_entries()
+        ]
+        assert len(entries) == len(HARNESS) - 1
+        expected = 0
+        for snap in entries:
+            k = len(require_universal(snap.constraint).external_universals)
+            expected += (len(snap.relevant) + k) ** k
+        assert m.cache_info()["ground_instances"] == expected
 
 
 class TestKernelCounters:

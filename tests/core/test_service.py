@@ -370,9 +370,13 @@ class TestServiceSnapshot:
 
 
 ENTRY = ("shards", 0, "entries", 0)
+PAST = ("shards", 0, "past", "audit")
 
 #: One field of a saved two-constraint service set to a value of the wrong
-#: type, or (violated_at, strategy, spare) to an impossible value.
+#: type, (violated_at, strategy, spare) to an impossible value, or a
+#: constraint text to one the monitor could not run.  Every bad text must
+#: be refused at restore: the progressed ones would otherwise fail only at
+#: the first reground, half-way through an update.
 MALFORMED_FIELDS = {
     "service_stats": (("service_stats",), 5),
     "entry_stats": (ENTRY + ("stats",), 5),
@@ -387,6 +391,29 @@ MALFORMED_FIELDS = {
     "violated_at_negative": (ENTRY + ("violated_at",), -3),
     "strategy": (("shards", 0, "config", "strategy"), "warp"),
     "spare_negative": (("shards", 0, "config", "spare"), -1),
+    "constraint_unparsable": (ENTRY + ("constraint",), "forall x . G ("),
+    "constraint_undeclared_relation": (
+        ENTRY + ("constraint",),
+        "forall x . G (Sub(x) -> X G !Foo(x))",
+    ),
+    "constraint_wrong_arity": (
+        ENTRY + ("constraint",),
+        "forall x . G (Sub(x) -> X G !Sub(x, x))",
+    ),
+    "constraint_unbound_constant": (
+        ENTRY + ("constraint",),
+        "forall x . G (Sub(x) -> X G !(x = Vip))",
+    ),
+    "constraint_internal_quantifier": (
+        ENTRY + ("constraint",),
+        "forall x . G (Sub(x) -> X G !(exists y . Fill(y)))",
+    ),
+    "past_unparsable": (PAST, "forall x . G ("),
+    "past_undeclared_relation": (PAST, "forall x . G (Foo(x) -> Y O Sub(x))"),
+    "past_unbound_constant": (
+        PAST,
+        "forall x . G (Fill(x) -> Y O (Sub(x) | x = Vip))",
+    ),
 }
 
 
