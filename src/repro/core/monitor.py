@@ -17,13 +17,27 @@ and progresses the rest.  The split is the syntactic test
 merges both sides in registration order.
 
 Under the folded grounding the letters of a state are just its facts, the
-same for every constraint, so each update builds them once and every
-constraint progresses through the same set.
+same for every constraint, so each update builds them, and their mask over
+the progression kernel's letter bits, once; every constraint progresses
+through the same mask.
+
+The monitor works in the kernel's id space throughout
+(:mod:`repro.ptl.progkernel`): each remainder is an integer id, ground
+instances are built as ids by a per-constraint
+:class:`~repro.core.grounding.IdGrounder`, progression and the all-false
+model check run on ids, and the satisfiability memo is keyed by id.  A
+formula node is built only when something outside the update path asks for
+one: a Büchi call, :meth:`IntegrityMonitor.remainders` or
+:meth:`IntegrityMonitor.snapshot_entries` (DESIGN.md §10.1).
 
 The catch is the relevant domain: the reduction is grounded over
 ``R_D ∪ {z1..zk}``, so when an update touches an element the grounding has
 never seen, the ground formula is missing instances and must be rebuilt.
-Two strategies (``strategy=`` argument) handle this:
+A rebuild (*reground*) reads no history: it keeps every ground instance as
+a chain id progressed to the last reground's instant, advances those
+chains over a per-monitor log of state masks, and grounds and chains from
+instant 0 only the instances the new element adds.  Two strategies
+(``strategy=`` argument) decide when to reground:
 
 * ``"incremental"`` — keep the remainder; rebuild only when a genuinely new
   element appears.
@@ -48,7 +62,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
+from itertools import product as cartesian
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..analysis.hierarchy import is_past_closed
 from ..database.history import History
@@ -63,16 +78,15 @@ from ..errors import (
 from ..logic.classify import FormulaInfo
 from ..logic.formulas import Formula
 from ..ptl.bitset import BuchiKernel
-from ..ptl.formulas import PTLFalse, PTLFormula, PTLTrue, Prop
+from ..ptl.formulas import PTLFormula, Prop
 from ..ptl.progkernel import ProgKernelInfo, ProgressionKernel
-from ..ptl.sat import quick_model_check
 from .checker import validate_constraint
-from .grounding import GroundElement, RelAtom
+from .grounding import GroundContext, GroundElement, IdGrounder, RelAtom
 from .plan import MonitorPlan, plan_constraints
 from .reduction import (
     check_vocabulary,
     constraint_relevant_elements,
-    reduce_universal,
+    ground_domain,
     state_to_props,
 )
 
@@ -160,18 +174,26 @@ class _ConstraintEntry:
     # The concrete elements of the last reground's ground domain (the
     # relevant set plus, under the spare strategy, the spare pool).
     relevant: frozenset[int] = frozenset()
-    remainder: PTLFormula | None = None
+    # The progressed remainder, an id of the monitor's kernel; None while
+    # a restored entry still holds its decoded formula in ``restored``,
+    # which is interned at first use.
+    remainder: int | None = None
+    restored: PTLFormula | None = None
+    # The constraint's elements the history has shown (its constants
+    # included): the relevant set, kept up to date at every update.
     known_elements: frozenset[int] = frozenset()
     spare_pool: tuple[int, ...] = ()
     spare_map: dict[int, int] = field(default_factory=dict)
     violated_at: int | None = None
     stats: MonitorStats = field(default_factory=MonitorStats)
-    # The last reground's ground instances (``Reduction.instances``), the
-    # next reground's ``reuse``: a pure cache, never snapshotted, holding
-    # exactly the ``|M|^k`` instances of the current grounding.
-    instances: Mapping[tuple[GroundElement, ...], PTLFormula] = field(
-        default_factory=dict
-    )
+    # The chain table: each of the current grounding's ``|M|^k`` ground
+    # instances, by assignment in ``cartesian(domain)`` order, as its id
+    # progressed through the first ``chained`` states.  A pure cache,
+    # never snapshotted.
+    chains: dict[tuple[GroundElement, ...], int] = field(default_factory=dict)
+    chained: int = 0
+    # Compiled at the entry's first reground.
+    grounder: IdGrounder | None = None
     # The relations the constraint mentions, read once: every update
     # scans the state's tuples of these alone.
     predicates: frozenset[str] = field(init=False)
@@ -192,31 +214,43 @@ class EntrySnapshot:
     it (:meth:`IntegrityMonitor.from_snapshot`) and continuing produces
     the same verdicts as never having stopped (property-tested).
 
-    Everything here is kernel-independent: formulas are actual (interned)
-    nodes, never monitor-local kernel ids, so a snapshot can be restored
-    in a process whose kernel assigns different ids.  JSON encoding lives
-    in :mod:`repro.database.serialize` (``monitor_to_dict`` /
-    ``monitor_from_dict``).
+    :attr:`remainder` is always an actual (interned) node, so a snapshot
+    can be restored in a process whose kernel assigns different ids.
+    ``source`` holds either that node or, in a live monitor's snapshot,
+    the remainder's id in the monitor's kernel: kernel ids are never
+    reassigned, so :attr:`remainder` materializes the same node whenever
+    it is read, and a save encodes the id without building the node.
+    JSON encoding lives in :mod:`repro.database.serialize`
+    (``monitor_to_dict`` / ``monitor_from_dict``).
 
     The grounding's ``relevant`` set is carried verbatim rather than
     recomputed: under the spare strategy it reflects the *last reground's*
     history, not the current one, so rebuilding it at restore time would
     change which elements count as fresh and diverge from the
     uninterrupted run.  Pure caches (the monitor-wide satisfiability memo,
-    the kernels' tables and the ground instances a reground reuses) are
-    deliberately absent — dropping them cannot change any verdict, only
-    cache-hit counters and the first reground's cost.
+    the kernels' tables, the mask log and the chain table a reground
+    resumes) are deliberately absent — dropping them cannot change any
+    verdict, only cache-hit counters and the first reground's cost.
     """
 
     name: str
     constraint: Formula
-    remainder: PTLFormula
+    source: PTLFormula | tuple[ProgressionKernel, int]
     relevant: frozenset[int]
     known_elements: frozenset[int]
     spare_pool: tuple[int, ...]
     spare_map: dict[int, int]
     violated_at: int | None
     stats: MonitorStats
+
+    @property
+    def remainder(self) -> PTLFormula:
+        """The progressed remainder, as its interned node."""
+        source = self.source
+        if isinstance(source, PTLFormula):
+            return source
+        kernel, oid = source
+        return kernel.formula(oid)
 
 
 @dataclass(frozen=True)
@@ -267,12 +301,13 @@ class IntegrityMonitor:
     does not apply to an engine that never grounds.
 
     Each update takes the Lemma 4.2 step once per live progressed
-    constraint: progress the remainder, then decide it.  Progression runs
-    through one table-driven
-    :class:`repro.ptl.progkernel.ProgressionKernel` and decisions through
-    one bitset :class:`repro.ptl.bitset.BuchiKernel`, both shared by
-    every constraint, so ground instances with overlapping closures share
-    compiled rows, states and verdicts across constraints and updates.
+    constraint: progress the remainder, then decide it.  Grounding,
+    progression and the all-false model check run on the ids of one
+    table-driven :class:`repro.ptl.progkernel.ProgressionKernel`, and
+    Büchi decisions on one bitset :class:`repro.ptl.bitset.BuchiKernel`,
+    both shared by every constraint, so ground instances with overlapping
+    closures share compiled rows, states and verdicts across constraints
+    and updates.
     The recursive reference engines (:mod:`repro.ptl.progression`,
     :mod:`repro.ptl.sat`) are the test oracles: verdicts match
     :func:`repro.core.checker.check_extension` at every instant, and under
@@ -333,11 +368,19 @@ class IntegrityMonitor:
             info = validate_constraint(
                 formula, assume_safety=assume_safety, lint=lint
             )
+            check_vocabulary(initial, info)
             self._entries.append(
-                _ConstraintEntry(name=name, constraint=formula, info=info)
+                _ConstraintEntry(
+                    name=name,
+                    constraint=formula,
+                    info=info,
+                    known_elements=constraint_relevant_elements(
+                        initial, info
+                    ),
+                )
             )
         for entry in self._entries:
-            self._reground(entry)
+            self._reground(entry, frozenset())
             self._decide(entry, instant=self._history.now)
 
     def _setup(
@@ -366,15 +409,18 @@ class IntegrityMonitor:
         self._constraints = dict(constraints)
         self._plan: MonitorPlan | None = None
         # Monitor-wide satisfiability memo, shared across constraints and
-        # keyed by the interned remainder: the same ground obligation shows
-        # up under several constraints (and across regrounds), and interned
-        # identity makes the lookup O(1) instead of a structural re-hash.
-        # Each entry pins its remainder, so the memo is emptied once it
-        # holds _SAT_CACHE_SIZE of them.
-        self._sat_cache: dict[PTLFormula, bool] = {}
+        # keyed by the remainder's kernel id: the same ground obligation
+        # shows up under several constraints (and across regrounds), and
+        # ids are canonical, so the lookup is exact and O(1).  The memo is
+        # emptied once it holds _SAT_CACHE_SIZE remainders.
+        self._sat_cache: dict[int, bool] = {}
         self._sat_cache_resets = 0
         self._buchi = BuchiKernel()
         self._progkernel = ProgressionKernel()
+        # One kernel state mask per instant, what regrounds replay: None
+        # until the first reground needs it (built from the history then),
+        # appended at every update after.
+        self._masks: list[int] | None = None
         self._entries: list[_ConstraintEntry] = []
         self._past: PastMonitor | None = None
         if past:
@@ -437,19 +483,40 @@ class IntegrityMonitor:
         return {name: merged[name] for name in self._constraints}
 
     def cache_info(self) -> dict[str, int]:
-        """Sizes and resets of the monitor's caches: the satisfiability
-        memo (emptied at ``_SAT_CACHE_SIZE`` entries), the Büchi kernel
-        (dropped past its ``max_states``) and the ground instances kept
-        for the next reground (``ground_instances``: each progressed
-        entry holds exactly its last grounding's ``|M|^k``, replaced at
-        every reground and never merged)."""
+        """Sizes and resets of everything the monitor holds besides its
+        remainders (bounds in DESIGN.md §10.1):
+
+        * the satisfiability memo (emptied at ``_SAT_CACHE_SIZE``
+          entries) and the Büchi kernel (dropped past its ``max_states``);
+        * ``ground_instances``, the chain tables: each progressed entry
+          holds exactly its current grounding's ``|M|^k`` ids;
+        * the progression kernel's ``kernel_obligations``,
+          ``kernel_letters``, ``kernel_transitions`` and
+          ``kernel_evictions`` (:meth:`progression_kernel_info`): rows are
+          bounded and evicted, ids and letter bits are not;
+        * ``mask_log``, one state mask per instant since the first
+          reground (or restore), and ``grounder_memo``, the ids the
+          per-constraint grounders keep for subformulas over fewer
+          variables than their parent's.
+        """
+        kernel = self._progkernel.info()
         return {
             "sat_cache_entries": len(self._sat_cache),
             "sat_cache_resets": self._sat_cache_resets,
             "buchi_states": self._buchi.stats()["states"],
             "buchi_resets": self._buchi.resets,
             "ground_instances": sum(
-                len(entry.instances) for entry in self._entries
+                len(entry.chains) for entry in self._entries
+            ),
+            "kernel_obligations": kernel.obligations,
+            "kernel_letters": kernel.letters,
+            "kernel_transitions": kernel.transitions,
+            "kernel_evictions": kernel.evictions,
+            "mask_log": len(self._masks or ()),
+            "grounder_memo": sum(
+                entry.grounder.memo_size()
+                for entry in self._entries
+                if entry.grounder is not None
             ),
         }
 
@@ -475,11 +542,10 @@ class IntegrityMonitor:
         """The current progressed remainder of each progressed constraint.
         Past-closed constraints keep no remainder — that is the point of
         the history-less regime — so they do not appear here."""
-        out: dict[str, PTLFormula] = {}
-        for entry in self._entries:
-            assert entry.remainder is not None
-            out[entry.name] = entry.remainder
-        return out
+        return {
+            entry.name: self._remainder_formula(entry)
+            for entry in self._entries
+        }
 
     # -- snapshot / restore --------------------------------------------------
 
@@ -496,16 +562,23 @@ class IntegrityMonitor:
         :class:`EntrySnapshot`).
 
         The monitor itself is left untouched — taking a snapshot is
-        observationally free.
+        observationally free.  A live remainder is handed out as its
+        kernel id and built as a node only when
+        :attr:`EntrySnapshot.remainder` is read.
         """
         out: list[EntrySnapshot] = []
         for entry in self._entries:
-            assert entry.remainder is not None
+            source: PTLFormula | tuple[ProgressionKernel, int]
+            if entry.remainder is None:
+                assert entry.restored is not None
+                source = entry.restored
+            else:
+                source = (self._progkernel, entry.remainder)
             out.append(
                 EntrySnapshot(
                     name=entry.name,
                     constraint=entry.constraint,
-                    remainder=entry.remainder,
+                    source=source,
                     relevant=entry.relevant,
                     known_elements=entry.known_elements,
                     spare_pool=entry.spare_pool,
@@ -555,7 +628,9 @@ class IntegrityMonitor:
         Pure caches are rebuilt empty: the satisfiability memo and the
         kernels' tables refill on demand, so only cache-hit counters —
         never verdicts, violations or remainders — can differ from the
-        uninterrupted run.
+        uninterrupted run.  Each remainder is kept as the decoded node and
+        interned into the new kernel at its entry's first update; the
+        first reground grounds every instance anew.
         """
         _require_names(
             "monitor snapshot order",
@@ -609,7 +684,7 @@ class IntegrityMonitor:
                     constraint=snap.constraint,
                     info=info,
                     relevant=snap.relevant,
-                    remainder=snap.remainder,
+                    restored=snap.remainder,
                     known_elements=snap.known_elements,
                     spare_pool=snap.spare_pool,
                     spare_map=dict(snap.spare_map),
@@ -643,11 +718,14 @@ class IntegrityMonitor:
         violated: set[str] = set()
         if self._entries:
             # Folded letters are the state's facts, the same for every
-            # entry.
+            # entry: built and encoded once.
             letters = state_to_props(state)
+            mask = self._progkernel.encode_state(letters)
+            if self._masks is not None:
+                self._masks.append(mask)
             for entry in self._entries:
                 if entry.violated_at is None:
-                    self._advance(entry, letters)
+                    self._advance(entry, state, letters, mask)
                     if not self._decide(entry, instant):
                         violated.add(entry.name)
                 satisfied[entry.name] = entry.violated_at is None
@@ -664,17 +742,22 @@ class IntegrityMonitor:
         )
 
     def _advance(
-        self, entry: _ConstraintEntry, letters: frozenset[Prop]
+        self,
+        entry: _ConstraintEntry,
+        state: DatabaseState,
+        letters: frozenset[Prop],
+        mask: int,
     ) -> None:
-        """Incorporate the newest state, given as its letters, into the
-        entry's remainder.
+        """Incorporate the newest state, given as its letters and their
+        mask, into the entry's remainder: one timed, hit-counted
+        progression step.
 
         The strategy bookkeeping comes first: spare claiming and renaming,
         and fresh-element detection.  An entry that has to reground is
         done, because its rebuilt remainder already includes the new
         instant.
         """
-        visible = self._entry_domain(entry, self._history.current)
+        visible = self._entry_domain(entry, state)
         if self._strategy == "spare":
             # A real element whose id coincides with a spare id claims that
             # spare (identity mapping) so no fresh element is renamed onto
@@ -687,7 +770,7 @@ class IntegrityMonitor:
                     element not in entry.spare_map
                 ):
                     if element in taken:
-                        self._reground(entry)
+                        self._reground(entry, visible)
                         return
                     entry.spare_map[element] = element
         fresh = visible - entry.known_elements
@@ -697,13 +780,19 @@ class IntegrityMonitor:
         if fresh and not (
             self._strategy == "spare" and self._try_rename(entry, fresh)
         ):
-            self._reground(entry)
+            self._reground(entry, visible)
             return
         entry.known_elements |= visible
-        assert entry.remainder is not None
-        if self._strategy == "spare":
-            letters = _rename_props(letters, entry.spare_map)
-        entry.remainder = self._progress(entry, entry.remainder, letters)
+        kernel = self._progkernel
+        if self._strategy == "spare" and entry.spare_map:
+            mask = kernel.encode_state(_rename_props(letters, entry.spare_map))
+        stats = entry.stats
+        start = time.perf_counter()
+        hits_before = kernel.hits
+        entry.remainder = kernel.progress_id(self._remainder_id(entry), mask)
+        stats.progress_time += time.perf_counter() - start
+        stats.kernel_row_hits += kernel.hits - hits_before
+        stats.progressions += 1
 
     def _entry_domain(
         self, entry: _ConstraintEntry, state: DatabaseState
@@ -717,86 +806,99 @@ class IntegrityMonitor:
                     elements.update(args)
         return frozenset(elements)
 
-    def _reground(self, entry: _ConstraintEntry) -> None:
-        """Rebuild the reduction from the full history and re-progress.
+    def _reground(
+        self, entry: _ConstraintEntry, visible: frozenset[int]
+    ) -> None:
+        """Rebuild the entry's grounding over its relevant set (the known
+        elements plus ``visible``, the current state's) and its remainder
+        up to the current instant, without reading the history.
 
-        Only the assignments the last grounding lacks are grounded.  Reuse
-        is exact under both strategies: an instance is keyed by concrete
-        ids, and a spare id's instance is the same formula whether the
-        slot holds a spare or a real element.
+        Every instance the last grounding had keeps its chain and is
+        advanced from the last reground's instant over the mask log; only
+        the instances with a new element are grounded, and chained from
+        instant 0.  Progression distributes over ∧, so folding the chains
+        with ``pand_ids`` in ``cartesian(domain)`` order gives the
+        remainder a from-scratch reduction and replay would (DESIGN.md
+        §10.1).  Chains are keyed by concrete ids, so resuming is exact
+        under both strategies: a spare id's instance is the same formula
+        whether the slot holds a spare or a real element, and chains only
+        ever see the real states.  Counts one progression per state, like
+        the step-by-step path.
         """
-        entry.stats.regrounds += 1
+        stats = entry.stats
+        stats.regrounds += 1
+        relevant = entry.known_elements | visible
         pool: frozenset[int] = frozenset()
         if self._strategy == "spare":
-            pool = self._spare_pool(entry)
-        reduction = reduce_universal(
-            self._history,
-            entry.info,
-            extra_elements=pool,
-            reuse=entry.instances,
-        )
-        entry.instances = reduction.instances
-        entry.relevant = reduction.relevant
-        # The pool was drawn from outside the relevant set, so removing it
-        # leaves exactly the elements the history has shown this entry.
-        entry.known_elements = reduction.relevant - pool
-        remainder = reduction.formula
-        if reduction.prefix:
-            remainder = self._replay_compiled(
-                entry, remainder, reduction.prefix
-            )
-        entry.remainder = remainder
-
-    def _replay_compiled(
-        self,
-        entry: _ConstraintEntry,
-        formula: PTLFormula,
-        prefix: Sequence[AbstractSet[Prop]],
-    ) -> PTLFormula:
-        """Replay a reground prefix entirely in kernel id-space.
-
-        Intermediate remainders stay unmaterialized ids — nothing observes
-        them — and only the final remainder is built as a formula.  The
-        kernel chains each top-level conjunct through the prefix on its
-        own (:meth:`~repro.ptl.progkernel.ProgressionKernel.progress_replay`).
-        Counts one progression per prefix state, like the step-by-step
-        path.
-        """
+            pool = self._spare_pool(entry, relevant)
+        entry.known_elements = relevant
+        entry.relevant = relevant | pool
         kernel = self._progkernel
-        stats = entry.stats
+        grounder = entry.grounder
+        if grounder is None:
+            info = entry.info
+            grounder = entry.grounder = IdGrounder(
+                info.matrix,
+                info.external_universals,
+                GroundContext(self._history.constant_bindings),
+                kernel,
+            )
+        k = len(entry.info.external_universals)
+        keys = list(cartesian(ground_domain(entry.relevant, k), repeat=k))
+        masks = self._mask_log()
+        table = entry.chains
+        chains = [table.get(values, -1) for values in keys]
+        kept = [i for i, cid in enumerate(chains) if cid >= 0]
+        added = [i for i, cid in enumerate(chains) if cid < 0]
+        resumed = [chains[i] for i in kept]
+        grounded = [grounder.ground(keys[i]) for i in added]
         start = time.perf_counter()
         hits_before = kernel.hits
-        encode = kernel.encode_state
-        result = kernel.formula(
-            kernel.progress_replay(
-                kernel.intern(formula), [encode(props) for props in prefix]
-            )
-        )
+        live = kernel.progress_replay(
+            resumed, masks[entry.chained :]
+        ) and kernel.progress_replay(grounded, masks)
+        for i, cid in zip(kept, resumed):
+            chains[i] = cid
+        for i, cid in zip(added, grounded):
+            chains[i] = cid
+        entry.chains = dict(zip(keys, chains))
+        entry.chained = len(masks)
+        entry.remainder = kernel.pand_ids(chains) if live else kernel.false_id
+        entry.restored = None
         stats.progress_time += time.perf_counter() - start
         stats.kernel_row_hits += kernel.hits - hits_before
-        stats.progressions += len(prefix)
-        return result
+        stats.progressions += len(masks)
 
-    def _progress(
-        self,
-        entry: _ConstraintEntry,
-        formula: PTLFormula,
-        props: AbstractSet[Prop],
-    ) -> PTLFormula:
-        """One timed, hit-counted progression step for this entry."""
-        stats = entry.stats
-        kernel = self._progkernel
-        start = time.perf_counter()
-        hits_before = kernel.hits
-        result = kernel.progress_formula(formula, props)
-        stats.progress_time += time.perf_counter() - start
-        stats.kernel_row_hits += kernel.hits - hits_before
-        stats.progressions += 1
-        return result
+    def _mask_log(self) -> list[int]:
+        """The mask log, built from the history on first use."""
+        if self._masks is None:
+            encode = self._progkernel.encode_state
+            self._masks = [
+                encode(state_to_props(state)) for state in self._history.states
+            ]
+        return self._masks
 
-    def _spare_pool(self, entry: _ConstraintEntry) -> frozenset[int]:
-        """Reserve ``spare`` fresh concrete element slots in the grounding."""
-        relevant = constraint_relevant_elements(self._history, entry.info)
+    def _remainder_id(self, entry: _ConstraintEntry) -> int:
+        """The entry's remainder id, interning a restored remainder at its
+        first use."""
+        if entry.remainder is None:
+            assert entry.restored is not None
+            entry.remainder = self._progkernel.intern(entry.restored)
+            entry.restored = None
+        return entry.remainder
+
+    def _remainder_formula(self, entry: _ConstraintEntry) -> PTLFormula:
+        """The entry's remainder as its interned node."""
+        if entry.remainder is None:
+            assert entry.restored is not None
+            return entry.restored
+        return self._progkernel.formula(entry.remainder)
+
+    def _spare_pool(
+        self, entry: _ConstraintEntry, relevant: frozenset[int]
+    ) -> frozenset[int]:
+        """Reserve ``spare`` fresh concrete element slots in the grounding,
+        the smallest ids outside ``relevant``."""
         pool: list[int] = []
         candidate = 0
         while len(pool) < self._spare:
@@ -821,11 +923,14 @@ class IntegrityMonitor:
         return True
 
     def _decide(self, entry: _ConstraintEntry, instant: int) -> bool:
-        remainder = entry.remainder
-        assert remainder is not None
-        if isinstance(remainder, PTLTrue):
+        """The Lemma 4.2 decision on the entry's remainder id: constants by
+        id, then the memo, the all-false model and, last, a Büchi search
+        on the materialized remainder."""
+        kernel = self._progkernel
+        remainder = self._remainder_id(entry)
+        if remainder == kernel.true_id:
             return True
-        if isinstance(remainder, PTLFalse):
+        if remainder == kernel.false_id:
             entry.violated_at = instant
             return False
         cached = self._sat_cache.get(remainder)
@@ -835,8 +940,8 @@ class IntegrityMonitor:
         else:
             entry.stats.sat_calls += 1
             start = time.perf_counter()
-            ok = quick_model_check(remainder) or self._buchi.is_satisfiable(
-                remainder
+            ok = kernel.holds_quiescent(remainder) or (
+                self._buchi.is_satisfiable(kernel.formula(remainder))
             )
             entry.stats.sat_time += time.perf_counter() - start
             if len(self._sat_cache) >= _SAT_CACHE_SIZE:
@@ -850,10 +955,8 @@ class IntegrityMonitor:
 
 def _rename_props(
     props: frozenset[Prop], mapping: Mapping[int, int]
-) -> frozenset[Prop]:
+) -> set[Prop]:
     """Rename concrete elements inside fact letters (spare strategy)."""
-    if not mapping:
-        return props
     renamed: set[Prop] = set()
     for p in props:
         name = p.name
@@ -865,7 +968,7 @@ def _rename_props(
             renamed.add(Prop(RelAtom(name.pred, new_args)))
         else:
             renamed.add(p)
-    return frozenset(renamed)
+    return renamed
 
 
 def _require_names(

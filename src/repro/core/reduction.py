@@ -66,11 +66,8 @@ class Reduction:
     relevant:
         The concrete part of ``M`` — ``R_D`` of the history at reduction
         time under the chosen scope.
-    instances:
-        ``psi[f]`` per assignment ``f``, keyed by its values in quantifier
-        order and laid out in ``cartesian(domain)`` order, so ``Psi_D`` is
-        ``pand`` of the values.  A later reduction of the same constraint
-        takes it as ``reuse``.
+    assignment_count:
+        ``|M|^k``: how many ground instances ``psi[f]`` were conjoined.
     fold:
         Whether the folded construction was used.
     scope:
@@ -85,16 +82,10 @@ class Reduction:
     prefix: tuple[PropState, ...]
     domain: tuple[GroundElement, ...]
     relevant: frozenset[int]
-    instances: Mapping[tuple[GroundElement, ...], PTLFormula]
+    assignment_count: int
     fold: bool
     history: History
     scope: str = "constraint"
-
-    @property
-    def assignment_count(self) -> int:
-        """``|M|^k``: how many ground instances ``psi[f]`` were conjoined,
-        reused or not."""
-        return len(self.instances)
 
     def formula_size(self) -> int:
         return self.formula.size()
@@ -160,8 +151,6 @@ def reduce_universal(
     info: FormulaInfo,
     fold: bool = True,
     scope: str = "constraint",
-    extra_elements: frozenset[int] = frozenset(),
-    reuse: Mapping[tuple[GroundElement, ...], PTLFormula] | None = None,
 ) -> Reduction:
     """Theorem 4.1: build ``phi_D`` and ``w_D`` for a universal constraint.
 
@@ -169,18 +158,12 @@ def reduce_universal(
     The constraint's vocabulary must be covered by the history's vocabulary
     and all its constants must be bound.  ``scope`` selects the relevant
     set (see :class:`Reduction`); ``"constraint"`` is the default and is
-    never slower.  ``extra_elements`` reserves additional concrete elements
-    in the grounding — the online monitor's spare strategy uses this to
-    pre-ground slots for elements that have not arrived yet.
+    never slower.
 
-    ``reuse`` is the :attr:`Reduction.instances` table of an earlier
-    reduction of the *same* constraint with the same ``fold`` and the same
-    constant bindings.  ``psi[f]`` depends on nothing else, so an
-    assignment found there is taken as it is and only the assignments
-    missing from it are grounded: the online monitor's reground after a
-    new element costs ``(|M|+1)^k - |M|^k`` groundings, not ``(|M|+1)^k``.
-    The instances are conjoined in the new domain's cartesian order either
-    way, so the formula is the node grounding from scratch builds.
+    This is the from-scratch construction (the checker, triggers and
+    lint).  The online monitor builds the same conjunction incrementally,
+    in its progression kernel's id space
+    (:class:`~repro.core.grounding.IdGrounder`).
     """
     if scope not in ("constraint", "full"):
         raise ValueError(f"scope must be 'constraint' or 'full', got {scope!r}")
@@ -190,22 +173,17 @@ def reduce_universal(
         relevant = constraint_relevant_elements(history, info)
     else:
         relevant = history.relevant_elements()
-    relevant = relevant | extra_elements
     domain = ground_domain(relevant, len(quantifiers))
     context = GroundContext(
         constant_bindings=history.constant_bindings, fold=fold
     )
-    known = reuse or {}
-    instances: dict[tuple[GroundElement, ...], PTLFormula] = {}
+    instances: list[PTLFormula] = []
     for values in cartesian(domain, repeat=len(quantifiers)):
-        instance = known.get(values)
-        if instance is None:
-            assignment: Mapping[Variable, GroundElement] = dict(
-                zip(quantifiers, values)
-            )
-            instance = ground(info.matrix, assignment, context)
-        instances[values] = instance
-    formula = pand(*instances.values())
+        assignment: Mapping[Variable, GroundElement] = dict(
+            zip(quantifiers, values)
+        )
+        instances.append(ground(info.matrix, assignment, context))
+    formula = pand(*instances)
     if not fold:
         axioms = build_axioms(
             domain, history.vocabulary.predicates, history.constant_bindings
@@ -219,7 +197,7 @@ def reduce_universal(
         prefix=prefix,
         domain=domain,
         relevant=relevant,
-        instances=instances,
+        assignment_count=len(instances),
         fold=fold,
         history=history,
         scope=scope,

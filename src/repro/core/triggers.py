@@ -39,7 +39,7 @@ from ..logic.formulas import Formula
 from ..logic.terms import Constant, Variable
 from ..logic.transform import nnf, substitute
 from ..ptl.bitset import BuchiKernel
-from ..ptl.formulas import PTLFalse, PTLFormula, PTLTrue
+from ..ptl.formulas import PFALSE, PTLFalse, PTLFormula, PTLTrue
 from ..ptl.progkernel import ProgressionKernel
 from ..ptl.sat import quick_model_check
 from .checker import potentially_satisfied, validate_constraint
@@ -332,12 +332,12 @@ class TriggerManager:
         reduction = reduce_universal(augmented, info)
         kernel = self._progkernel
         encode = kernel.encode_state
-        return kernel.formula(
-            kernel.progress_replay(
-                kernel.intern(reduction.formula),
-                [encode(props) for props in reduction.prefix],
-            )
-        )
+        chains = list(kernel.conjunct_ids(kernel.intern(reduction.formula)))
+        if not kernel.progress_replay(
+            chains, [encode(props) for props in reduction.prefix]
+        ):
+            return PFALSE
+        return kernel.formula(kernel.pand_ids(chains))
 
     def _fires(self, remainder: PTLFormula) -> bool:
         """Duality verdict from a remainder: fire iff it is unsatisfiable."""

@@ -30,13 +30,15 @@ through the history-less tables.  PTL remainders are serialized
 constructors, which the hash-consing metaclass interns — so restored
 remainders are pointer-identical to the ones an uninterrupted run holds,
 and the monitor's identity-based fixed-point tests keep working across a
-restart.
+restart.  A live monitor holds its remainders as progression-kernel ids;
+a save encodes them from the ids into the same tree, without building
+the formula nodes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..errors import FormulaError, StateError
 from ..ptl.formulas import (
@@ -59,6 +61,9 @@ from .history import History
 from .lasso import LassoDatabase
 from .state import DatabaseState
 from .vocabulary import Vocabulary
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..ptl.progkernel import ProgressionKernel
 
 #: Format tag written into (and required from) monitor snapshots.
 MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v4"
@@ -311,53 +316,67 @@ def _prop_name_from_jsonable(data: Any, where: str) -> Any:
     raise StateError(f"{where}: malformed letter name {data!r}")
 
 
+#: The tag of each node class, shared by both encoders.
+_TAGS: dict[type, str] = {
+    PTLTrue: "true",
+    PTLFalse: "false",
+    Prop: "prop",
+    PNot: "not",
+    PAnd: "and",
+    POr: "or",
+    PImplies: "implies",
+    PNext: "next",
+    PUntil: "until",
+    PWeakUntil: "weakuntil",
+    PRelease: "release",
+    PEventually: "eventually",
+    PAlways: "always",
+}
+
+
+def _jsonable_node(cls: type, parts: list[Any]) -> Any:
+    """One tagged node: ``parts`` are the encoded operands, or the name of
+    a letter."""
+    tag = _TAGS.get(cls)
+    if tag is None:
+        raise StateError(f"cannot serialize PTL node of type {cls.__name__}")
+    if cls is Prop:
+        return [tag, _prop_name_to_jsonable(parts[0])]
+    if cls is PAnd or cls is POr:
+        return [tag, parts]
+    return [tag, *parts]
+
+
 def ptl_to_jsonable(formula: PTLFormula) -> Any:
     """One PTL formula as a JSON-ready tagged structure."""
-    if isinstance(formula, PTLTrue):
-        return ["true"]
-    if isinstance(formula, PTLFalse):
-        return ["false"]
     if isinstance(formula, Prop):
-        return ["prop", _prop_name_to_jsonable(formula.name)]
-    if isinstance(formula, PNot):
-        return ["not", ptl_to_jsonable(formula.operand)]
-    if isinstance(formula, PAnd):
-        return ["and", [ptl_to_jsonable(op) for op in formula.operands]]
-    if isinstance(formula, POr):
-        return ["or", [ptl_to_jsonable(op) for op in formula.operands]]
-    if isinstance(formula, PImplies):
-        return [
-            "implies",
-            ptl_to_jsonable(formula.antecedent),
-            ptl_to_jsonable(formula.consequent),
-        ]
-    if isinstance(formula, PNext):
-        return ["next", ptl_to_jsonable(formula.body)]
-    if isinstance(formula, PUntil):
-        return [
-            "until",
-            ptl_to_jsonable(formula.left),
-            ptl_to_jsonable(formula.right),
-        ]
-    if isinstance(formula, PWeakUntil):
-        return [
-            "weakuntil",
-            ptl_to_jsonable(formula.left),
-            ptl_to_jsonable(formula.right),
-        ]
-    if isinstance(formula, PRelease):
-        return [
-            "release",
-            ptl_to_jsonable(formula.left),
-            ptl_to_jsonable(formula.right),
-        ]
-    if isinstance(formula, PEventually):
-        return ["eventually", ptl_to_jsonable(formula.body)]
-    if isinstance(formula, PAlways):
-        return ["always", ptl_to_jsonable(formula.body)]
-    raise StateError(
-        f"cannot serialize PTL node of type {type(formula).__name__}"
+        return _jsonable_node(Prop, [formula.name])
+    return _jsonable_node(
+        type(formula), [ptl_to_jsonable(op) for op in formula.children]
     )
+
+
+def kernel_ptl_to_jsonable(
+    kernel: "ProgressionKernel", oid: int, memo: dict[int, Any]
+) -> Any:
+    """:func:`ptl_to_jsonable` of ``kernel.formula(oid)``, read from the
+    kernel's id tables instead of the node, so no node is built.
+
+    ``memo`` maps ids already encoded (by this save) to their trees,
+    which the JSON writer then repeats.
+    """
+    cached = memo.get(oid)
+    if cached is not None:
+        return cached
+    cls, operands = kernel.node(oid)
+    if cls is Prop:
+        letter = kernel.formula(oid)
+        assert isinstance(letter, Prop)
+        parts: list[Any] = [letter.name]
+    else:
+        parts = [kernel_ptl_to_jsonable(kernel, op, memo) for op in operands]
+    tree = memo[oid] = _jsonable_node(cls, parts)
+    return tree
 
 
 def ptl_from_jsonable(data: Any, where: str = "snapshot") -> PTLFormula:
@@ -488,13 +507,20 @@ def _parse_constraint(text: str, where: str) -> Any:
         raise StateError(f"{where} does not parse: {exc}") from None
 
 
-def _entry_to_jsonable(snap: Any) -> dict[str, Any]:
+def _entry_to_jsonable(snap: Any, memo: dict[int, Any]) -> dict[str, Any]:
+    """One entry; a live remainder is encoded from its kernel id, with
+    ``memo`` shared by the save's entries."""
     from ..logic import to_str
 
+    source = snap.source
+    if isinstance(source, tuple):
+        remainder = kernel_ptl_to_jsonable(*source, memo)
+    else:
+        remainder = ptl_to_jsonable(source)
     return {
         "name": snap.name,
         "constraint": to_str(snap.constraint),
-        "remainder": ptl_to_jsonable(snap.remainder),
+        "remainder": remainder,
         "relevant": sorted(snap.relevant),
         "known_elements": sorted(snap.known_elements),
         "spare_pool": list(snap.spare_pool),
@@ -544,7 +570,7 @@ def _entry_from_jsonable(data: Any, now: int) -> Any:
             constraint=_parse_constraint(
                 data["constraint"], f"{where}: 'constraint'"
             ),
-            remainder=ptl_from_jsonable(data["remainder"], where),
+            source=ptl_from_jsonable(data["remainder"], where),
             relevant=frozenset(
                 decode_list(data["relevant"], f"{where}: 'relevant'", int)
             ),
@@ -587,6 +613,7 @@ def monitor_to_dict(
 
     entries = monitor.snapshot_entries()
     progressed = {snap.name for snap in entries}
+    memo: dict[int, Any] = {}
     data: dict[str, Any] = {
         "format": MONITOR_SNAPSHOT_FORMAT,
         "config": monitor.snapshot_config(),
@@ -596,7 +623,7 @@ def monitor_to_dict(
             for name, formula in monitor.constraints.items()
             if name not in progressed
         },
-        "entries": [_entry_to_jsonable(snap) for snap in entries],
+        "entries": [_entry_to_jsonable(snap, memo) for snap in entries],
     }
     if with_history:
         data["history"] = history_to_dict(monitor.history)

@@ -26,13 +26,19 @@ This module compiles that lookup away, the same move
   constants, ``¬``, ``∧``, ``∨``, ``→``, ``X``, ``U``, ``W``, ``R``,
   ``F``, ``G``) has an id-space rule keyed by a per-id kind tag computed
   at intern time, and successors are reassembled through id-level mirrors
-  of the smart constructors (:func:`~repro.ptl.formulas.pand`,
-  :func:`~repro.ptl.formulas.por`, ...) — the table only ever contains
-  rows the workload actually exercised, exactly like the Büchi kernel's
-  lazily grown state space;
-* :meth:`ProgressionKernel.progress_replay` progresses an obligation
-  through a whole state sequence (the monitor's reground replay) by
-  chaining each top-level conjunct on its own, in id space.
+  of the smart constructors (:meth:`ProgressionKernel.pand_ids` for
+  :func:`~repro.ptl.formulas.pand`, and one mirror per constructor) — the
+  table only ever contains rows the workload actually exercised, exactly
+  like the Büchi kernel's lazily grown state space;
+* the mirrors build *virtual* ids (id-space metadata, no node) that
+  :meth:`ProgressionKernel.formula` materializes on first observation, and
+  ids are canonical: one id per structure, whichever of a mirror or
+  :meth:`ProgressionKernel.intern` saw it first, so an id-keyed memo is as
+  exact as an identity-keyed one over interned nodes;
+* :meth:`ProgressionKernel.progress_replay` advances a list of chain ids
+  through a whole state sequence (the monitor's per-instance reground
+  chains), and :meth:`ProgressionKernel.holds_quiescent` is the all-false
+  model check of :func:`repro.ptl.sat.quick_model_check`, both on ids.
 
 The recursive reference engine is *oracle-only*: the kernel never
 consults (nor populates) the reference progression memo on the supported
@@ -100,9 +106,6 @@ __all__ = [
     _K_OTHER,
 ) = range(14)
 
-#: Bound of :meth:`ProgressionKernel.encode_state`'s memo, in states.
-_STATE_MEMO_SIZE = 256
-
 #: Stable rule names, indexed by kind tag (the ``misses_by_rule`` keys).
 _RULE_NAMES = (
     "true",
@@ -121,20 +124,25 @@ _RULE_NAMES = (
     "reference",
 )
 
+#: Node class per kind tag (materialization and :meth:`ProgressionKernel.node`).
+_TYPE_OF_KIND: tuple[type, ...] = (
+    PTLTrue,
+    PTLFalse,
+    Prop,
+    PNot,
+    PAnd,
+    POr,
+    PImplies,
+    PNext,
+    PUntil,
+    PWeakUntil,
+    PRelease,
+    PEventually,
+    PAlways,
+)
+
 _KIND_OF_TYPE: dict[type, int] = {
-    PTLTrue: _K_TRUE,
-    PTLFalse: _K_FALSE,
-    Prop: _K_PROP,
-    PNot: _K_NOT,
-    PAnd: _K_AND,
-    POr: _K_OR,
-    PImplies: _K_IMPLIES,
-    PNext: _K_NEXT,
-    PUntil: _K_UNTIL,
-    PWeakUntil: _K_WEAK,
-    PRelease: _K_RELEASE,
-    PEventually: _K_EVENTUALLY,
-    PAlways: _K_ALWAYS,
+    cls: kind for kind, cls in enumerate(_TYPE_OF_KIND)
 }
 
 
@@ -197,11 +205,10 @@ class ProgressionKernel:
         "_trans",
         "_conjuncts",
         "_disjuncts",
-        "_state_masks",
         "_pand_memo",
         "_por_memo",
-        "_pnot_memo",
-        "_pimplies_memo",
+        "_node_memo",
+        "_quiescent",
         "_transitions",
         "true_id",
         "false_id",
@@ -234,9 +241,6 @@ class ProgressionKernel:
         self._conjuncts: list[tuple[int, ...] | None] = []
         #: id -> disjunct ids when the obligation is a top-level POr.
         self._disjuncts: list[tuple[int, ...] | None] = []
-        #: encoded-state memo: props frozenset -> full state mask, emptied
-        #: whenever it reaches ``_STATE_MEMO_SIZE`` entries.
-        self._state_masks: dict[frozenset[Prop], int] = {}
         #: canonical conjunction index: flat conjunct ids -> id.  Id-space
         #: metadata like ``_conjuncts`` (grows with the closure, survives
         #: eviction): it is how reassembled successor conjunctions find
@@ -244,10 +248,11 @@ class ProgressionKernel:
         self._pand_memo: dict[tuple[int, ...], int] = {}
         #: canonical disjunction index, the ∨ dual of ``_pand_memo``.
         self._por_memo: dict[tuple[int, ...], int] = {}
-        #: operand id -> PNot id (the ¬ rule's reassembly index).
-        self._pnot_memo: dict[int, int] = {}
-        #: (antecedent id, consequent id) -> PImplies id.
-        self._pimplies_memo: dict[tuple[int, int], int] = {}
+        #: (kind tag, *operand ids) -> id, for the unary and binary kinds
+        #: (¬ → X U W R F G): their canonical index, like ``_pand_memo``.
+        self._node_memo: dict[tuple[int, ...], int] = {}
+        #: id -> truth on the all-false model (:meth:`holds_quiescent`).
+        self._quiescent: dict[int, bool] = {}
         self._transitions = 0
         self.true_id = self.intern(PTRUE)
         self.false_id = self.intern(PFALSE)
@@ -296,12 +301,15 @@ class ProgressionKernel:
     def _register(self, node: PTLFormula) -> int:
         """Assign an id to ``node`` (children already registered, ``node``
         itself not yet indexed) and fill in its per-id metadata: kind tag,
-        operand ids, letter mask."""
+        operand ids, letter mask.
+
+        A compound node whose structure a mirror already gave a virtual id
+        adopts that id instead of minting a second one: ids stay canonical
+        (one per structure), which ``pand_ids``'s dedup and every id-keyed
+        memo rely on.
+        """
         oblig = self._oblig
         index = oblig._index
-        oid = len(oblig.members)
-        index[node] = oid
-        oblig.members.append(node)
         masks = self._letter_masks
         kind = _KIND_OF_TYPE.get(type(node), _K_OTHER)
         conjuncts: tuple[int, ...] | None = None
@@ -309,18 +317,6 @@ class ProgressionKernel:
         subs: tuple[int, ...] | None = None
         if kind == _K_PROP:
             mask = 1 << self._letters.bit(node)
-        elif kind == _K_AND:
-            conjuncts = tuple([index[op] for op in node.children])
-            self._pand_memo.setdefault(conjuncts, oid)
-            mask = 0
-            for cid in conjuncts:
-                mask |= masks[cid]
-        elif kind == _K_OR:
-            disjuncts = tuple([index[op] for op in node.children])
-            self._por_memo.setdefault(disjuncts, oid)
-            mask = 0
-            for did in disjuncts:
-                mask |= masks[did]
         elif kind == _K_TRUE or kind == _K_FALSE:
             mask = 0
         elif kind == _K_OTHER:
@@ -331,20 +327,29 @@ class ProgressionKernel:
             for letter in node.propositions():
                 mask |= 1 << bit(letter)
         else:
-            children = node.children
-            if len(children) == 1:
-                sub0 = index[children[0]]
-                subs = (sub0,)
-                mask = masks[sub0]
-                if kind == _K_NOT:
-                    self._pnot_memo.setdefault(sub0, oid)
+            operands = tuple([index[op] for op in node.children])
+            if kind == _K_AND:
+                conjuncts = operands
+                memo, key = self._pand_memo, operands
+            elif kind == _K_OR:
+                disjuncts = operands
+                memo, key = self._por_memo, operands
             else:
-                sub0 = index[children[0]]
-                sub1 = index[children[1]]
-                subs = (sub0, sub1)
-                mask = masks[sub0] | masks[sub1]
-                if kind == _K_IMPLIES:
-                    self._pimplies_memo.setdefault((sub0, sub1), oid)
+                subs = operands
+                memo, key = self._node_memo, (kind, *operands)
+            virtual = memo.get(key)
+            if virtual is not None:
+                assert oblig.members[virtual] is None
+                oblig.members[virtual] = node
+                index[node] = virtual
+                return virtual
+            mask = 0
+            for sid in operands:
+                mask |= masks[sid]
+            memo[key] = len(oblig.members)
+        oid = len(oblig.members)
+        index[node] = oid
+        oblig.members.append(node)
         self._kinds.append(kind)
         self._subs.append(subs)
         self._trans.append({})
@@ -356,13 +361,12 @@ class ProgressionKernel:
     def formula(self, oid: int) -> PTLFormula:
         """The obligation formula carrying id ``oid``.
 
-        Connectives discovered during progression (∧, ∨, ¬, →) are
-        registered *virtually* (id, operand ids and letter mask only — see
-        :meth:`_intern_conjunction` / :meth:`_intern_disjunction` /
-        :meth:`_intern_virtual_sub`); the node itself is built here, on
-        first observation.  Operands of a virtual node may themselves be
-        virtual (canonical forms nest freely), so materialization walks
-        iteratively.
+        Ids built by the mirrors (:meth:`pand_ids`, :meth:`puntil_id`, ...)
+        are *virtual* — kind tag, operand ids and letter mask only — and
+        the node itself is built here, on first observation, through the
+        raw constructors, which intern it.  Operands of a virtual node may
+        themselves be virtual (canonical forms nest freely), so
+        materialization walks iteratively.
         """
         members = self._oblig.members
         result = members[oid]
@@ -379,18 +383,8 @@ class ProgressionKernel:
             if members[vid] is not None:
                 stack.pop()
                 continue
-            key = conjuncts[vid]
-            if key is not None:
-                ctor: type = PAnd
-            else:
-                key = disjuncts[vid]
-                if key is not None:
-                    ctor = POr
-                else:
-                    # Virtual ¬ or → id.
-                    key = subs[vid]
-                    assert key is not None
-                    ctor = PNot if kinds[vid] == _K_NOT else PImplies
+            key = conjuncts[vid] or disjuncts[vid] or subs[vid]
+            assert key is not None
             vals: list[PTLFormula] = []
             missing: list[int] | None = None
             for i in key:
@@ -405,44 +399,48 @@ class ProgressionKernel:
             if missing is not None:
                 stack.extend(missing)
                 continue
-            if ctor is PNot:
-                node: PTLFormula = PNot(vals[0])
-            elif ctor is PImplies:
-                node = PImplies(vals[0], vals[1])
+            kind = kinds[vid]
+            ctor = _TYPE_OF_KIND[kind]
+            if kind == _K_AND or kind == _K_OR:
+                node: PTLFormula = ctor(tuple(vals))
             else:
-                node = ctor(tuple(vals))
+                node = ctor(*vals)
             members[vid] = node
             # Bind the node into the index so a later intern() of the
-            # same formula reuses this id's compiled rows.
+            # same formula finds this id and its compiled rows.
             index.setdefault(node, vid)
             stack.pop()
         return members[oid]
+
+    def node(self, oid: int) -> tuple[type, tuple[int, ...]]:
+        """The node class of id ``oid`` and its operand ids, read from the
+        id tables without building a node (letters and constants have no
+        operands; :meth:`formula` gives a letter itself)."""
+        kind = self._kinds[oid]
+        if kind == _K_OTHER:
+            return type(self._oblig.members[oid]), ()
+        operands = (
+            self._conjuncts[oid] or self._disjuncts[oid] or self._subs[oid]
+        )
+        return _TYPE_OF_KIND[kind], operands or ()
+
+    def conjunct_ids(self, oid: int) -> tuple[int, ...]:
+        """The conjunct ids of ``oid`` when it is a conjunction, else
+        ``(oid,)``: the chains :meth:`progress_replay` advances."""
+        return self._conjuncts[oid] or (oid,)
 
     def encode_state(self, props: AbstractSet[Prop]) -> int:
         """One propositional state as a mask over the kernel's letter bits.
 
         Every letter of the state is indexed (bits are stable, so encoding
         can never go stale); letters no indexed formula mentions are
-        sliced away by the per-row ``&`` anyway.
-
-        The memo pays off within an instant (entries over the same domain
-        encode the same state) and across the prefix replays of regrounds.
-        A monitored stream rarely repeats a state otherwise, so the memo is
-        bounded: it is emptied once it holds ``_STATE_MEMO_SIZE`` states,
-        instead of growing with the stream.
+        sliced away by the per-row ``&`` anyway.  The monitor encodes each
+        state once and keeps the mask, so there is no memo here.
         """
-        if not isinstance(props, frozenset):
-            props = frozenset(props)
-        memo = self._state_masks
-        mask = memo.get(props)
-        if mask is None:
-            if len(memo) >= _STATE_MEMO_SIZE:
-                memo.clear()
-            bit = self._letters.bit
-            mask = 0
-            for letter in props:
-                mask |= 1 << bit(letter)
-            memo[props] = mask
+        bit = self._letters.bit
+        mask = 0
+        for letter in props:
+            mask |= 1 << bit(letter)
         return mask
 
     # -- progression --------------------------------------------------------
@@ -457,55 +455,40 @@ class ProgressionKernel:
         self.hits += 1
         return succ
 
-    def progress_replay(self, oid: int, state_masks: Sequence[int]) -> int:
-        """Progress ``oid`` through a whole state sequence (reground
-        replay), distributing over top-level conjuncts.
+    def progress_replay(
+        self, chains: list[int], state_masks: Sequence[int]
+    ) -> bool:
+        """Advance every chain id in ``chains``, in place, through a whole
+        state sequence; False as soon as one chain reaches ``false``.
 
         Progression commutes with conjunction: the ``PAnd`` rewrite rule
         progresses each conjunct independently and conjoins, so after any
-        number of steps the remainder equals the fold of the conjuncts'
-        individually progressed remainders — flattening, constant folding
-        and first-occurrence dedup included, because duplicates progress
-        identically and order is preserved (DESIGN.md §10).  Chaining per
-        conjunct touches one small transition row at a time and skips the
-        per-step reassembly of the (large) intermediate conjunctions
-        entirely; a conjunct that reaches a constant stops early.
+        number of steps a conjunction's remainder is :meth:`pand_ids` of
+        its conjuncts' individually progressed chains — flattening,
+        constant folding and first-occurrence dedup included, because
+        duplicates progress identically and order is preserved (DESIGN.md
+        §10).  Chaining one obligation at a time touches one small
+        transition row at a time and never reassembles the (large)
+        intermediate conjunctions; a chain that reaches a constant stops.
+        When one chain is falsified the rest are left part-way: their
+        conjunction is ``false`` whatever they hold.
         """
-        conjuncts = self._conjuncts[oid]
         masks = self._letter_masks
         trans = self._trans
         true_id = self.true_id
         false_id = self.false_id
         hits = 0
-        # The per-chain loops re-bind the letter mask and transition row
+        # The per-chain loop re-binds the letter mask and transition row
         # only when the obligation moves: self-loops dominate monitoring
         # chains, and eviction clears rows in place (the dict object is
         # stable), so the bindings stay valid across misses.
         miss = self._miss
-        if conjuncts is None:
-            current = oid
-            if current != true_id and current != false_id:
-                row_get = trans[current].get
-                letters = masks[current]
-                for mask in state_masks:
-                    cm = letters & mask
-                    sid = row_get(cm)
-                    if sid is None:
-                        sid = miss(current, cm)
-                    else:
-                        hits += 1
-                    if sid != current:
-                        current = sid
-                        if current == false_id or current == true_id:
-                            break
-                        row_get = trans[current].get
-                        letters = masks[current]
+        for position, current in enumerate(chains):
+            if current == true_id:
+                continue
+            if current == false_id:
                 self.hits += hits
-            return current
-        chain_finals: list[int] = []
-        append_final = chain_finals.append
-        for cid in conjuncts:
-            current = cid
+                return False
             row_get = trans[current].get
             letters = masks[current]
             for mask in state_masks:
@@ -516,47 +499,18 @@ class ProgressionKernel:
                 else:
                     hits += 1
                 if sid != current:
-                    if sid == false_id:
-                        # One falsified conjunct sinks the whole
-                        # conjunction, now and at every later instant.
-                        self.hits += hits
-                        return false_id
                     current = sid
+                    if current == false_id:
+                        chains[position] = current
+                        self.hits += hits
+                        return False
                     if current == true_id:
                         break
                     row_get = trans[current].get
                     letters = masks[current]
-            append_final(current)
+            chains[position] = current
         self.hits += hits
-        # The same fold as _progress_conjunction, over the chain finals.
-        all_conjuncts = self._conjuncts
-        flat: list[int] = []
-        seen: set[int] = set()
-        seen_add = seen.add
-        flat_append = flat.append
-        for fid in chain_finals:
-            parts = all_conjuncts[fid]
-            if parts is None:
-                if fid != true_id and fid not in seen:
-                    seen_add(fid)
-                    flat_append(fid)
-            else:
-                for part in parts:
-                    if part != true_id and part not in seen:
-                        seen_add(part)
-                        flat_append(part)
-        if not flat:
-            return true_id
-        if len(flat) == 1:
-            return flat[0]
-        key = tuple(flat)
-        if key == conjuncts:
-            return oid
-        rid = self._pand_memo.get(key)
-        if rid is None:
-            rid = self._intern_conjunction(key)
-            self._pand_memo[key] = rid
-        return rid
+        return True
 
     def progress_formula(
         self, formula: PTLFormula, props: AbstractSet[Prop]
@@ -590,7 +544,7 @@ class ProgressionKernel:
                 # Negated literal: one mask test, no operand row.
                 rid = self.false_id if masked else self.true_id
             else:
-                rid = self._pnot_id(self._step(sub[0], masked))
+                rid = self.pnot_id(self._step(sub[0], masked))
         elif kind == _K_ALWAYS:
             # G φ  ->  φ' ∧ G φ; the self-loop (φ' = true) is the
             # ubiquitous monitoring case, so it skips the ∧ fold.
@@ -602,14 +556,14 @@ class ProgressionKernel:
             elif body == self.false_id:
                 rid = self.false_id
             else:
-                rid = self._pand_ids((body, oid))
+                rid = self.pand_ids((body, oid))
         elif kind == _K_UNTIL or kind == _K_WEAK:
             # φ U ψ  ->  ψ' ∨ (φ' ∧ φ U ψ)   (W shares the unfolding)
             sub = self._subs[oid]
             assert sub is not None
             right = self._step(sub[1], masked)
             left = self._step(sub[0], masked)
-            rid = self._por_ids((right, self._pand_ids((left, oid))))
+            rid = self.por_ids((right, self.pand_ids((left, oid))))
         elif kind == _K_OR:
             disjuncts = self._disjuncts[oid]
             assert disjuncts is not None
@@ -621,7 +575,7 @@ class ProgressionKernel:
         elif kind == _K_IMPLIES:
             sub = self._subs[oid]
             assert sub is not None
-            rid = self._pimplies_ids(
+            rid = self.pimplies_id(
                 self._step(sub[0], masked), self._step(sub[1], masked)
             )
         elif kind == _K_NEXT:
@@ -635,12 +589,12 @@ class ProgressionKernel:
             assert sub is not None
             right = self._step(sub[1], masked)
             left = self._step(sub[0], masked)
-            rid = self._pand_ids((right, self._por_ids((left, oid))))
+            rid = self.pand_ids((right, self.por_ids((left, oid))))
         elif kind == _K_EVENTUALLY:
             # F φ  ->  φ' ∨ F φ
             sub = self._subs[oid]
             assert sub is not None
-            rid = self._por_ids((self._step(sub[0], masked), oid))
+            rid = self.por_ids((self._step(sub[0], masked), oid))
         elif kind == _K_TRUE or kind == _K_FALSE:
             rid = oid
         else:
@@ -776,7 +730,7 @@ class ProgressionKernel:
             return oid
         rid = self._pand_memo.get(key)
         if rid is None:
-            rid = self._intern_conjunction(key)
+            rid = self._intern_virtual(_K_AND, key)
             self._pand_memo[key] = rid
         return rid
 
@@ -840,13 +794,13 @@ class ProgressionKernel:
             return oid
         rid = self._por_memo.get(key)
         if rid is None:
-            rid = self._intern_disjunction(key)
+            rid = self._intern_virtual(_K_OR, key)
             self._por_memo[key] = rid
         return rid
 
     # -- id-level smart constructors ----------------------------------------
 
-    def _pand_ids(self, ids: Iterable[int]) -> int:
+    def pand_ids(self, ids: Iterable[int]) -> int:
         """:func:`~repro.ptl.formulas.pand` mirrored on ids: one-level
         flattening, constant folding, first-occurrence dedup."""
         conjuncts = self._conjuncts
@@ -872,11 +826,11 @@ class ProgressionKernel:
         key = tuple(flat)
         rid = self._pand_memo.get(key)
         if rid is None:
-            rid = self._intern_conjunction(key)
+            rid = self._intern_virtual(_K_AND, key)
             self._pand_memo[key] = rid
         return rid
 
-    def _por_ids(self, ids: Iterable[int]) -> int:
+    def por_ids(self, ids: Iterable[int]) -> int:
         """:func:`~repro.ptl.formulas.por` mirrored on ids."""
         disjuncts = self._disjuncts
         true_id = self.true_id
@@ -901,14 +855,13 @@ class ProgressionKernel:
         key = tuple(flat)
         rid = self._por_memo.get(key)
         if rid is None:
-            rid = self._intern_disjunction(key)
+            rid = self._intern_virtual(_K_OR, key)
             self._por_memo[key] = rid
         return rid
 
-    def _pnot_id(self, oid: int) -> int:
+    def pnot_id(self, oid: int) -> int:
         """:func:`~repro.ptl.formulas.pnot` mirrored on ids: constant and
-        double-negation folding, else a virtual ``PNot`` id (registered
-        once per operand id, found through ``_pnot_memo`` after)."""
+        double-negation folding, else the ``PNot`` id."""
         if oid == self.true_id:
             return self.false_id
         if oid == self.false_id:
@@ -917,54 +870,95 @@ class ProgressionKernel:
             sub = self._subs[oid]
             assert sub is not None
             return sub[0]
-        rid = self._pnot_memo.get(oid)
-        if rid is None:
-            rid = self._intern_virtual_sub(_K_NOT, (oid,))
-            self._pnot_memo[oid] = rid
-        return rid
+        return self._node_id(_K_NOT, (oid,))
 
-    def _pimplies_ids(self, antecedent: int, consequent: int) -> int:
+    def pimplies_id(self, antecedent: int, consequent: int) -> int:
         """:func:`~repro.ptl.formulas.pimplies` mirrored on ids."""
         if antecedent == self.false_id or consequent == self.true_id:
             return self.true_id
         if antecedent == self.true_id:
             return consequent
         if consequent == self.false_id:
-            return self._pnot_id(antecedent)
-        key = (antecedent, consequent)
-        rid = self._pimplies_memo.get(key)
+            return self.pnot_id(antecedent)
+        return self._node_id(_K_IMPLIES, (antecedent, consequent))
+
+    def pnext_id(self, body: int) -> int:
+        """:func:`~repro.ptl.formulas.pnext` mirrored on ids."""
+        if body == self.true_id or body == self.false_id:
+            return body
+        return self._node_id(_K_NEXT, (body,))
+
+    def puntil_id(self, left: int, right: int) -> int:
+        """:func:`~repro.ptl.formulas.puntil` mirrored on ids (``true U
+        b`` is the raw ``F b``, as there)."""
+        if right == self.true_id or right == self.false_id:
+            return right
+        if left == self.false_id:
+            return right
+        if left == self.true_id:
+            return self._node_id(_K_EVENTUALLY, (right,))
+        return self._node_id(_K_UNTIL, (left, right))
+
+    def pweak_until_id(self, left: int, right: int) -> int:
+        """:func:`~repro.ptl.formulas.pweak_until` mirrored on ids."""
+        if right == self.true_id or left == self.true_id:
+            return self.true_id
+        if left == self.false_id:
+            return right
+        if right == self.false_id:
+            return self._node_id(_K_ALWAYS, (left,))
+        return self._node_id(_K_WEAK, (left, right))
+
+    def prelease_id(self, left: int, right: int) -> int:
+        """:func:`~repro.ptl.formulas.prelease` mirrored on ids."""
+        if right == self.true_id or right == self.false_id:
+            return right
+        if left == self.true_id:
+            return right
+        if left == self.false_id:
+            return self._node_id(_K_ALWAYS, (right,))
+        return self._node_id(_K_RELEASE, (left, right))
+
+    def peventually_id(self, body: int) -> int:
+        """:func:`~repro.ptl.formulas.peventually` mirrored on ids."""
+        if body == self.true_id or body == self.false_id:
+            return body
+        if self._kinds[body] == _K_EVENTUALLY:
+            return body
+        return self._node_id(_K_EVENTUALLY, (body,))
+
+    def palways_id(self, body: int) -> int:
+        """:func:`~repro.ptl.formulas.palways` mirrored on ids."""
+        if body == self.true_id or body == self.false_id:
+            return body
+        if self._kinds[body] == _K_ALWAYS:
+            return body
+        return self._node_id(_K_ALWAYS, (body,))
+
+    def _node_id(self, kind: int, subs: tuple[int, ...]) -> int:
+        """The id of the unary/binary node of ``kind`` over ``subs``: the
+        existing one (real or virtual) if any, else a new virtual id."""
+        key = (kind, *subs)
+        rid = self._node_memo.get(key)
         if rid is None:
-            rid = self._intern_virtual_sub(_K_IMPLIES, key)
-            self._pimplies_memo[key] = rid
+            rid = self._intern_virtual(kind, subs)
+            self._node_memo[key] = rid
         return rid
 
-    def _intern_conjunction(self, key: tuple[int, ...]) -> int:
-        """Register the conjunction whose flat conjunct ids are ``key``.
+    def _intern_virtual(self, kind: int, key: tuple[int, ...]) -> int:
+        """A virtual id of ``kind`` over the operand ids ``key``.
 
-        ``key`` is already in :func:`~repro.ptl.formulas.pand` canonical
-        form (flattened, constant-free, deduped, ≥ 2 members), so its
-        closure entries — conjunct ids, letter mask — are assembled from
-        the ids at hand.  The ``PAnd`` node itself is *not* built here:
-        reground replays step through long chains of intermediate
-        conjunctions nothing ever observes, and constructing each one
-        costs one pass of member hashing through the global intern cache.
-        The id is virtual (``members[rid] is None``) until
-        :meth:`formula` materializes it on first observation.  Interned
-        conjunctions are found through ``_pand_memo`` (populated by
-        :meth:`_register`), so a pre-existing real id is reused before
-        this method is reached.
+        ``key`` is already in smart-constructor canonical form (for ∧/∨:
+        flattened, constant-free, deduped, ≥ 2 members), so the closure
+        entries — operand ids, letter mask — are assembled from the ids at
+        hand.  The node itself is *not* built here: monitoring steps
+        through long chains of remainders nothing ever observes, and
+        constructing each one costs one pass of member hashing through the
+        global intern cache.  The id is virtual (``members[rid] is None``)
+        until :meth:`formula` materializes it on first observation.
+        Callers probe the canonical indexes (``_pand_memo``, ``_por_memo``,
+        ``_node_memo``) first, so at most one id exists per structure.
         """
-        return self._intern_virtual(key, conjunction=True)
-
-    def _intern_disjunction(self, key: tuple[int, ...]) -> int:
-        """The ∨ dual of :meth:`_intern_conjunction`: a virtual id for the
-        canonical disjunction with flat disjunct ids ``key``, found again
-        through ``_por_memo`` and materialized by :meth:`formula`."""
-        return self._intern_virtual(key, conjunction=False)
-
-    def _intern_virtual(
-        self, key: tuple[int, ...], conjunction: bool
-    ) -> int:
         oblig = self._oblig
         rid = len(oblig.members)
         oblig.members.append(None)  # type: ignore[arg-type]
@@ -973,37 +967,60 @@ class ProgressionKernel:
         for mid in key:
             mask |= masks[mid]
         masks.append(mask)
-        self._kinds.append(_K_AND if conjunction else _K_OR)
-        self._subs.append(None)
-        self._trans.append({})
-        self._conjuncts.append(key if conjunction else None)
-        self._disjuncts.append(None if conjunction else key)
-        return rid
-
-    def _intern_virtual_sub(self, kind: int, subs: tuple[int, ...]) -> int:
-        """A virtual id for the ¬/→ node with operand ids ``subs``.
-
-        The unary/binary sibling of :meth:`_intern_conjunction`: progression
-        results like ``¬φ'`` only need a row key and their operand ids, so
-        the ``PNot``/``PImplies`` node is deferred to :meth:`formula` the
-        same way ∧/∨ results are.  Callers memoize (``_pnot_memo`` /
-        ``_pimplies_memo``), so at most one virtual id exists per operand
-        tuple and a pre-existing real id always wins the memo probe.
-        """
-        oblig = self._oblig
-        rid = len(oblig.members)
-        oblig.members.append(None)  # type: ignore[arg-type]
-        masks = self._letter_masks
-        mask = 0
-        for sid in subs:
-            mask |= masks[sid]
-        masks.append(mask)
         self._kinds.append(kind)
-        self._subs.append(subs)
+        self._subs.append(key if kind != _K_AND and kind != _K_OR else None)
         self._trans.append({})
-        self._conjuncts.append(None)
-        self._disjuncts.append(None)
+        self._conjuncts.append(key if kind == _K_AND else None)
+        self._disjuncts.append(key if kind == _K_OR else None)
         return rid
+
+    # -- the all-false model -------------------------------------------------
+
+    def holds_quiescent(self, oid: int) -> bool:
+        """Truth of ``oid`` on the all-false constant model: the id mirror
+        of :func:`repro.ptl.sat.quick_model_check`, memoized per id.
+
+        Every position of that model is identical, which collapses the
+        temporal semantics pointwise: ``X``/``G``/``F`` strip, ``a U b`` is
+        ``b``, ``a W b`` is ``a or b``, ``a R b`` is ``b``.
+        """
+        memo = self._quiescent
+        cached = memo.get(oid)
+        if cached is not None:
+            return cached
+        holds = self.holds_quiescent
+        kind = self._kinds[oid]
+        if kind == _K_AND:
+            conjuncts = self._conjuncts[oid]
+            assert conjuncts is not None
+            value = all(holds(cid) for cid in conjuncts)
+        elif kind == _K_OR:
+            disjuncts = self._disjuncts[oid]
+            assert disjuncts is not None
+            value = any(holds(did) for did in disjuncts)
+        elif kind == _K_TRUE:
+            value = True
+        elif kind == _K_FALSE or kind == _K_PROP:
+            value = False
+        elif kind == _K_OTHER:
+            from .sat import quick_model_check
+
+            value = quick_model_check(self.formula(oid))
+        else:
+            subs = self._subs[oid]
+            assert subs is not None
+            if kind == _K_NOT:
+                value = not holds(subs[0])
+            elif kind == _K_IMPLIES:
+                value = not holds(subs[0]) or holds(subs[1])
+            elif kind == _K_UNTIL or kind == _K_RELEASE:
+                value = holds(subs[1])
+            elif kind == _K_WEAK:
+                value = holds(subs[0]) or holds(subs[1])
+            else:  # X, F, G
+                value = holds(subs[0])
+        memo[oid] = value
+        return value
 
     def _decode(self, masked: int) -> frozenset[Prop]:
         """The sliced state mask back as a set of letters (delegation
@@ -1016,7 +1033,6 @@ class ProgressionKernel:
         metadata survive)."""
         for row in self._trans:
             row.clear()
-        self._state_masks.clear()
         self._transitions = 0
         self.evictions += 1
 

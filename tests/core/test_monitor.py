@@ -1,6 +1,7 @@
 """Tests for the online integrity monitor (strategies, stats, violations)."""
 
 import json
+from itertools import product as cartesian
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 import repro.core.monitor as monitor_module
 import repro.core.reduction as reduction_module
 from repro.core import IntegrityMonitor, check_extension
+from repro.core.grounding import IdGrounder, rel_prop
+from repro.core.reduction import ground_domain
 from repro.core.monitor import MonitorStats
 from repro.database import (
     DatabaseState,
@@ -18,12 +21,20 @@ from repro.database import (
     monitor_to_dict,
     vocabulary,
 )
+from repro.database.serialize import kernel_ptl_to_jsonable, ptl_to_jsonable
 from repro.errors import NotSafetyError, NotUniversalError
 from repro.eval import evaluate_finite
 from repro.logic import parse
 from repro.logic.classify import require_universal
+from repro.ptl.bitset import BuchiKernel
+from repro.ptl.formulas import intern_cache_info
 from repro.ptl.progression import progress_cache_clear, progress_cache_info
 from repro.service import MonitorService
+from repro.workloads.orders import (
+    ORDER_VOCABULARY,
+    clean_trace,
+    standard_constraints,
+)
 
 V = vocabulary({"Sub": 1, "Fill": 1, "Ping": 1})
 SUBMIT_ONCE = parse("forall x . G (Sub(x) -> X G !Sub(x))")
@@ -65,6 +76,8 @@ HARNESS = {
     "audit": AUDIT,
     "ping": parse("forall x . G (Ping(x) -> X G !Ping(x))"),
 }
+
+STRATEGIES = ["incremental", "spare"]
 
 harness_traces = st.lists(
     st.lists(
@@ -413,19 +426,19 @@ class TestAgainstChecker:
 
 class TestRegroundReuse:
     """A reground grounds only the assignments its entry's last grounding
-    lacks; a restored monitor keeps no instance table, so its first
-    reground grounds everything."""
+    lacks; a restored monitor keeps no chain table, so its first reground
+    grounds everything."""
 
     @staticmethod
     def count_groundings(monkeypatch):
         calls = []
-        real_ground = reduction_module.ground
+        real_ground = IdGrounder.ground
 
-        def counting_ground(*args):
-            calls.append(args[1])
-            return real_ground(*args)
+        def counting_ground(self, values):
+            calls.append(values)
+            return real_ground(self, values)
 
-        monkeypatch.setattr(reduction_module, "ground", counting_ground)
+        monkeypatch.setattr(IdGrounder, "ground", counting_ground)
         return calls
 
     @staticmethod
@@ -446,7 +459,7 @@ class TestRegroundReuse:
         monitor.append_state(DatabaseState.from_facts(V, [("Sub", (m,))]))
         assert monitor.stats()["fifo"].regrounds == regrounds + 1
         assert len(calls) == (m + 3) ** 2 - (m + 2) ** 2
-        assert all(m in assignment.values() for assignment in calls)
+        assert all(m in values for values in calls)
         assert monitor.cache_info()["ground_instances"] == (m + 3) ** 2
 
     @pytest.mark.parametrize("m", [1, 3])
@@ -491,6 +504,130 @@ class TestRegroundReuse:
             k = len(require_universal(snap.constraint).external_universals)
             expected += (len(snap.relevant) + k) ** k
         assert m.cache_info()["ground_instances"] == expected
+
+    def test_chains_follow_the_cartesian_order(self):
+        # The fold order that keeps the materialized remainder the node
+        # check_extension builds from pand over cartesian(domain).
+        monitor = monitor_with({"fifo": FIFO_FILL})
+        for element in (2, 1):
+            monitor.append_state(
+                DatabaseState.from_facts(V, [("Sub", (element,))])
+            )
+        (entry,) = monitor._entries
+        domain = ground_domain(entry.relevant, 2)
+        assert list(entry.chains) == list(cartesian(domain, repeat=2))
+        assert len(entry.chains) == 16
+        assert entry.chained == len(monitor.history)
+
+    @pytest.mark.parametrize("strategy", ["incremental", "spare"])
+    def test_no_reground_reads_the_history(self, monkeypatch, strategy):
+        calls = []
+        real = reduction_module.constraint_relevant_elements
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(
+            monitor_module, "constraint_relevant_elements", counting
+        )
+        monkeypatch.setattr(
+            reduction_module, "constraint_relevant_elements", counting
+        )
+        trace = clean_trace(60, seed=3)
+        monitor = IntegrityMonitor(
+            standard_constraints(),
+            History.empty(ORDER_VOCABULARY),
+            strategy=strategy,
+        )
+        assert len(calls) == len(standard_constraints())
+        calls.clear()
+        for state in trace.states():
+            monitor.append_state(state)
+        assert sum(s.regrounds for s in monitor.stats().values()) > 10
+        assert calls == []
+        for name, constraint in standard_constraints().items():
+            info = require_universal(constraint)
+            (entry,) = [e for e in monitor._entries if e.name == name]
+            assert entry.known_elements == real(monitor.history, info)
+
+
+class TestIdSpace:
+    """The monitor holds remainders as kernel ids: saves encode them
+    without building nodes, updates build none, and cache_info reports
+    the kernel and the reground caches."""
+
+    @given(trace=harness_traces, strategy=st.sampled_from(STRATEGIES))
+    @settings(max_examples=40, deadline=None)
+    def test_id_encoding_is_the_formula_encoding(self, trace, strategy):
+        m = _front("monitor", strategy)
+        for facts in trace:
+            m.append_state(DatabaseState.from_facts(V, facts))
+            for snap in m.snapshot_entries():
+                kernel, oid = snap.source
+                encoded = kernel_ptl_to_jsonable(kernel, oid, {})
+                assert encoded == ptl_to_jsonable(snap.remainder)
+            saved = monitor_to_dict(m)
+            assert [entry["remainder"] for entry in saved["entries"]] == [
+                ptl_to_jsonable(remainder)
+                for remainder in m.remainders().values()
+            ]
+
+    def test_an_update_builds_no_formula_node(self, monkeypatch):
+        # A warmed-up fifo monitor: an update that regrounds for a new
+        # element builds that element's letters and nothing else, and a
+        # plain progression step builds no node at all.
+        monitor = monitor_with({"fifo": FIFO_FILL})
+        for element in range(4):
+            monitor.append_state(
+                DatabaseState.from_facts(V, [("Sub", (element,))])
+            )
+        monitor.append_state(DatabaseState.from_facts(V, [("Fill", (0,))]))
+
+        def no_buchi(self, formula):
+            raise AssertionError("no Büchi call expected")
+
+        monkeypatch.setattr(BuchiKernel, "is_satisfiable", no_buchi)
+        before = intern_cache_info()["misses"]
+        monitor.append_state(DatabaseState.from_facts(V, [("Sub", (9,))]))
+        letters = {
+            rel_prop("Sub", (9,)),
+            rel_prop("Fill", (9,)),
+        }
+        assert intern_cache_info()["misses"] - before == len(letters)
+        assert monitor.stats()["fifo"].regrounds == 6
+        before = intern_cache_info()["misses"]
+        monitor.append_state(DatabaseState.from_facts(V, [("Fill", (1,))]))
+        assert intern_cache_info()["misses"] == before
+        assert monitor.is_satisfied("fifo")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_cache_info_reports_the_kernel_and_reground_caches(
+        self, strategy
+    ):
+        service = _front("service", strategy)
+        for element in range(4):
+            service.apply_state(
+                DatabaseState.from_facts(
+                    V, [("Sub", (element,)), ("Fill", ((element + 3) % 4,))]
+                )
+            )
+        total: dict[str, int] = {}
+        for shard in service._shards:
+            info = shard.cache_info()
+            kernel = shard.progression_kernel_info()
+            assert info["kernel_obligations"] == kernel.obligations
+            assert info["kernel_letters"] == kernel.letters
+            assert info["kernel_transitions"] == kernel.transitions
+            assert info["kernel_evictions"] == kernel.evictions
+            assert info["mask_log"] == len(shard.history)
+            assert info["grounder_memo"] == sum(
+                entry.grounder.memo_size() for entry in shard._entries
+            )
+            for key, value in info.items():
+                total[key] = total.get(key, 0) + value
+        assert service.cache_info() == total
+        assert total["grounder_memo"] > 0
 
 
 class TestKernelCounters:

@@ -1,12 +1,7 @@
 """Tests for the Theorem 4.1 reduction."""
 
-from itertools import product as cartesian
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import repro.core.reduction as reduction_module
 from repro.core import Anon, RelAtom, ground_domain, reduce_universal
 from repro.core.reduction import decode_state, state_to_props
 from repro.database import History, vocabulary
@@ -14,7 +9,6 @@ from repro.errors import SchemaError
 from repro.logic import parse
 from repro.logic.classify import require_universal
 from repro.ptl import Prop
-from repro.workloads import ConstraintConfig, random_universal_constraint
 
 V = vocabulary({"Sub": 1, "Fill": 1})
 
@@ -136,74 +130,3 @@ class TestDecoding:
         assert all(isinstance(p.name, RelAtom) for p in props)
 
 
-REUSE_V = vocabulary({"Sub": 1, "Fill": 1, "Link": 2})
-
-
-def _facts(elements):
-    return st.lists(
-        st.lists(
-            st.one_of(
-                st.tuples(
-                    st.sampled_from(["Sub", "Fill"]), st.tuples(elements)
-                ),
-                st.tuples(st.just("Link"), st.tuples(elements, elements)),
-            ),
-            max_size=2,
-        ),
-        min_size=1,
-        max_size=3,
-    )
-
-
-class TestReuse:
-    """A reduction that reuses an earlier one's instance table grounds
-    only the assignments the table lacks, and builds the same formula
-    node as grounding from scratch."""
-
-    @given(
-        seed=st.integers(0, 500),
-        quantifiers=st.integers(1, 2),
-        short=_facts(st.integers(0, 2)),
-        extension=_facts(st.integers(0, 5)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_reuse_grounds_only_the_missing_assignments(
-        self, seed, quantifiers, short, extension
-    ):
-        constraint = random_universal_constraint(
-            REUSE_V,
-            ConstraintConfig(quantifiers=quantifiers, size=5, seed=seed),
-        )
-        info = require_universal(constraint)
-        before = reduce_universal(History.from_facts(REUSE_V, short), info)
-        longer = History.from_facts(REUSE_V, short + extension)
-        scratch = reduce_universal(longer, info)
-        calls = []
-        real_ground = reduction_module.ground
-
-        def counting_ground(*args):
-            calls.append(args[1])
-            return real_ground(*args)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(reduction_module, "ground", counting_ground)
-            reused = reduce_universal(longer, info, reuse=before.instances)
-        assert reused.formula is scratch.formula
-        assert reused.assignment_count == scratch.assignment_count
-        assert reused.instances == scratch.instances
-        missing = [
-            values
-            for values in cartesian(scratch.domain, repeat=quantifiers)
-            if values not in before.instances
-        ]
-        assert len(calls) == len(missing)
-        assert len(missing) == (
-            len(scratch.domain) ** quantifiers
-            - len(before.domain) ** quantifiers
-        )
-
-    def test_instances_follow_the_cartesian_order(self, fifo_fill):
-        h = History.from_facts(V, [[("Sub", (2,))], [("Sub", (1,))]])
-        r = reduce_universal(h, require_universal(fifo_fill))
-        assert list(r.instances) == list(cartesian(r.domain, repeat=2))
-        assert r.assignment_count == len(r.instances) == 16

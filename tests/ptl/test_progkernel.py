@@ -12,9 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.ptl import PFALSE, palways, pand, pnext, prop, puntil
+from repro.ptl import PFALSE, PTRUE, palways, pand, pnext, prop, puntil
 from repro.ptl.formulas import (
     PAlways,
+    PAnd,
     PEventually,
     PImplies,
     PNext,
@@ -32,7 +33,6 @@ from repro.ptl.formulas import (
     pweak_until,
 )
 from repro.ptl.progkernel import (
-    _STATE_MEMO_SIZE,
     ProgressionKernel,
     progkernel_cache_clear,
     progkernel_cache_info,
@@ -47,6 +47,8 @@ from repro.ptl.progression import (
     progress_sequence,
     progress_trace,
 )
+
+from repro.ptl.sat import quick_model_check
 
 from ..conftest import prop_states, ptl_formulas
 
@@ -92,13 +94,19 @@ class TestKernelMatchesReference:
     @given(formula=ptl_formulas(), states=state_seqs)
     @settings(max_examples=200, deadline=None)
     def test_replay_matches_reference_sequence(self, formula, states):
-        # progress_replay distributes over top-level conjuncts (DESIGN.md
-        # §10, "Replay distribution"); the final remainder must be the
-        # very object the reference stepwise sequence produces.
+        # Progression distributes over top-level conjuncts (DESIGN.md
+        # §10, "Replay distribution"): chaining each conjunct through
+        # progress_replay and folding with pand_ids must give the very
+        # object the reference stepwise sequence produces.
         kernel = ProgressionKernel()
         oid = kernel.intern(formula)
         masks = [kernel.encode_state(state) for state in states]
-        replayed = kernel.formula(kernel.progress_replay(oid, masks))
+        chains = list(kernel.conjunct_ids(oid))
+        if kernel.progress_replay(chains, masks):
+            final = kernel.pand_ids(chains)
+        else:
+            final = kernel.false_id
+        replayed = kernel.formula(final)
         assert replayed is progress_sequence(formula, states)
 
 
@@ -156,17 +164,6 @@ class TestEviction:
         kernel.progress_formula(f, frozenset({prop("p1")}))
         assert kernel.evictions >= 1
         assert kernel.stats()["transitions"] <= 1
-
-    def test_state_memo_is_bounded(self):
-        # A stream of distinct states must not grow the encode memo
-        # without bound, and masks stay stable across the memo's resets.
-        kernel = ProgressionKernel()
-        states = [
-            frozenset({prop(f"q{i}"), prop(f"q{i + 1}")}) for i in range(600)
-        ]
-        first = [kernel.encode_state(state) for state in states]
-        assert len(kernel._state_masks) <= _STATE_MEMO_SIZE
-        assert [kernel.encode_state(state) for state in states] == first
 
     def test_rejects_nonpositive_bound(self):
         try:
@@ -375,3 +372,85 @@ class TestCacheIsolation:
         assert info.hits == 0
         assert info.misses == 0
         assert info.currsize == 0
+
+
+class TestIdMirrors:
+    """The id-level smart constructors fold exactly like the formula
+    ones, ids stay canonical whichever side sees a structure first, and
+    the all-false check on ids is the formula check (DESIGN.md §10)."""
+
+    MIRRORS = [
+        ("pnot_id", pnot, 1),
+        ("pnext_id", pnext, 1),
+        ("peventually_id", peventually, 1),
+        ("palways_id", palways, 1),
+        ("pand_ids", pand, 2),
+        ("por_ids", por, 2),
+        ("pimplies_id", pimplies, 2),
+        ("puntil_id", puntil, 2),
+        ("pweak_until_id", pweak_until, 2),
+        ("prelease_id", prelease, 2),
+    ]
+
+    operands = st.one_of(st.just(PTRUE), st.just(PFALSE), ptl_formulas())
+
+    @given(
+        which=st.integers(0, len(MIRRORS) - 1),
+        left=operands,
+        right=operands,
+        real_first=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mirror_matches_smart_constructor(
+        self, which, left, right, real_first
+    ):
+        name, smart, arity = self.MIRRORS[which]
+        args = (left, right)[:arity]
+        expected = smart(*args)
+        kernel = ProgressionKernel()
+        if real_first:
+            kernel.intern(expected)
+        ids = [kernel.intern(arg) for arg in args]
+        mirror = getattr(kernel, name)
+        rid = mirror(ids) if name in ("pand_ids", "por_ids") else mirror(*ids)
+        # Canonical: interning the expected node after (or before) the
+        # mirror built its id finds that very id.
+        assert kernel.intern(expected) == rid
+        assert kernel.formula(rid) is expected
+
+    @given(formula=ptl_formulas(), states=state_seqs)
+    @settings(max_examples=150, deadline=None)
+    def test_progression_ids_are_canonical(self, formula, states):
+        kernel = ProgressionKernel()
+        oid = kernel.intern(formula)
+        for state in states:
+            oid = kernel.progress_id(oid, kernel.encode_state(state))
+        members = kernel._oblig.members
+        virtual = [i for i, member in enumerate(members) if member is None]
+        for vid in virtual:
+            assert kernel.intern(kernel.formula(vid)) == vid
+        assert len(set(members)) == len(members)
+
+    @given(formula=ptl_formulas(), states=state_seqs)
+    @settings(max_examples=200, deadline=None)
+    def test_quiescent_check_matches_quick_model_check(self, formula, states):
+        kernel = ProgressionKernel()
+        oid = kernel.intern(formula)
+        assert kernel.holds_quiescent(oid) == quick_model_check(formula)
+        # Also on the virtual ids progression builds, before they are
+        # materialized.
+        for state in states:
+            oid = kernel.progress_id(oid, kernel.encode_state(state))
+            value = kernel.holds_quiescent(oid)
+            assert value == quick_model_check(kernel.formula(oid))
+
+    def test_node_reads_ids_without_materializing(self):
+        kernel = ProgressionKernel()
+        p, q = kernel.intern(prop("p")), kernel.intern(prop("q"))
+        until = kernel.puntil_id(p, q)
+        not_p = kernel.pnot_id(p)
+        both = kernel.pand_ids((until, not_p))
+        assert kernel._oblig.members[both] is None
+        assert kernel.node(both) == (PAnd, (until, not_p))
+        assert kernel.node(until) == (PUntil, (p, q))
+        assert kernel.node(p) == (Prop, ())
