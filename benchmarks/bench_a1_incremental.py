@@ -20,7 +20,7 @@ TRACE = generate_orders(
 ).states()
 
 
-@pytest.mark.parametrize("strategy", ["scratch", "incremental", "spare"])
+@pytest.mark.parametrize("strategy", ["scratch", "incremental"])
 def test_a1_strategy(benchmark, strategy):
     def scratch():
         history = History.empty(ORDER_VOCABULARY)
@@ -35,10 +35,7 @@ def test_a1_strategy(benchmark, strategy):
         if strategy == "scratch":
             return scratch()
         monitor = IntegrityMonitor(
-            {"once": submit_once()},
-            History.empty(ORDER_VOCABULARY),
-            strategy=strategy,
-            spare=80,
+            {"once": submit_once()}, History.empty(ORDER_VOCABULARY)
         )
         for state in TRACE:
             monitor.append_state(state)

@@ -21,10 +21,7 @@ def test_e6_monitor_trace(benchmark, rate):
 
     def kernel():
         monitor = IntegrityMonitor(
-            standard_constraints(),
-            History.empty(ORDER_VOCABULARY),
-            strategy="spare",
-            spare=40,
+            standard_constraints(), History.empty(ORDER_VOCABULARY)
         )
         for state in states:
             monitor.append_state(state)

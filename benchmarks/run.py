@@ -1,6 +1,6 @@
 """Benchmark regression harness for the PTL monitoring core.
 
-Runs the monitoring-shaped benchmarks (A1 incremental strategies, E3
+Runs the monitoring-shaped benchmarks (A1 monitoring strategies, E3
 progression phases, E6 orders workload, E7 detection latency), the
 satisfiability microbenchmarks (bitset kernel vs reference engines, on
 identical formulas), the trigger sweep, and the semantic lint of
@@ -51,7 +51,7 @@ from repro.workloads.orders import (  # noqa: E402
     submit_once,
 )
 
-SCHEMA = "repro-bench-core/v12"
+SCHEMA = "repro-bench-core/v13"
 
 #: Schemas ``--validate`` accepts: v2 added the ``sat_*`` engine-comparison
 #: and ``parallel_triggers`` shapes (with their extra record keys); v3 adds
@@ -87,9 +87,11 @@ SCHEMA = "repro-bench-core/v12"
 #: ``parallel_wall_s`` and ``jobs``; v12 follows the single monitor: the
 #: ``e6_monitoring_planned`` shape is gone (E6's constraints have no
 #: past-closed member, so it reran ``e6_monitoring``), and
-#: ``e6_monitoring`` records the asserted-zero ``tic131`` count.  Each
-#: version is otherwise backward compatible, so v1-v11 reports stay
-#: usable as baselines.
+#: ``e6_monitoring`` records the asserted-zero ``tic131`` count; v13
+#: follows the monitor's single regrounding path: ``a1_spare`` is gone,
+#: and the E6 shapes run the default monitor instead of a spare reserve
+#: of 16.  Each version is otherwise backward compatible, so v1-v12
+#: reports stay usable as baselines.
 ACCEPTED_SCHEMAS = (
     "repro-bench-core/v1",
     "repro-bench-core/v2",
@@ -102,6 +104,7 @@ ACCEPTED_SCHEMAS = (
     "repro-bench-core/v9",
     "repro-bench-core/v10",
     "repro-bench-core/v11",
+    "repro-bench-core/v12",
     SCHEMA,
 )
 
@@ -183,7 +186,7 @@ def _result(
 
 
 def bench_a1_strategies(smoke: bool) -> dict[str, dict[str, Any]]:
-    """A1-shaped: the two monitoring strategies on a growing orders trace,
+    """A1-shaped: the incremental monitor on a growing orders trace,
     against the naive baseline of a fresh monitor on every prefix."""
     length = 10 if smoke else 60
     trace = generate_orders(
@@ -205,22 +208,18 @@ def bench_a1_strategies(smoke: bool) -> dict[str, dict[str, Any]]:
             wall, length, totals, regrounds=totals["regrounds"]
         )
     }
-    for strategy in ("incremental", "spare"):
-        _clear_caches()
-        monitor = IntegrityMonitor(
-            {"once": submit_once()},
-            History.empty(ORDER_VOCABULARY),
-            strategy=strategy,
-            spare=2 * length,
-        )
-        start = time.perf_counter()
-        for state in trace.states():
-            monitor.append_state(state)
-        wall = time.perf_counter() - start
-        totals = _sum_stats(monitor)
-        out[f"a1_{strategy}"] = _result(
-            wall, length, totals, regrounds=totals["regrounds"]
-        )
+    _clear_caches()
+    monitor = IntegrityMonitor(
+        {"once": submit_once()}, History.empty(ORDER_VOCABULARY)
+    )
+    start = time.perf_counter()
+    for state in trace.states():
+        monitor.append_state(state)
+    wall = time.perf_counter() - start
+    totals = _sum_stats(monitor)
+    out["a1_incremental"] = _result(
+        wall, length, totals, regrounds=totals["regrounds"]
+    )
     return out
 
 
@@ -261,16 +260,12 @@ def bench_e3_progression(smoke: bool) -> dict[str, dict[str, Any]]:
 def _run_e6(smoke: bool) -> tuple[float, int, IntegrityMonitor]:
     """One E6 monitoring loop."""
     length = 12 if smoke else 200
-    spare = 4 if smoke else 16
     trace = generate_orders(
         OrderWorkloadConfig(length=length, arrival_probability=0.3, seed=13)
     )
     _clear_caches()
     monitor = IntegrityMonitor(
-        standard_constraints(),
-        History.empty(ORDER_VOCABULARY),
-        strategy="spare",
-        spare=spare,
+        standard_constraints(), History.empty(ORDER_VOCABULARY)
     )
     start = time.perf_counter()
     for state in trace.states():
@@ -343,7 +338,7 @@ def bench_e6_monitoring_resumed(smoke: bool) -> dict[str, dict[str, Any]]:
     """E6 with a mid-stream kill: checkpoint, simulated process death,
     restore, finish — asserted equal to the uninterrupted run.
 
-    Same trace, constraints and strategy as ``e6_monitoring`` —
+    Same trace and constraints as ``e6_monitoring`` —
     that record is the in-run reference.  The run is snapshotted through
     the monitor snapshot codec at the trace midpoint and serialized to
     JSON text; the live monitor is then dropped and every derived cache
@@ -362,7 +357,6 @@ def bench_e6_monitoring_resumed(smoke: bool) -> dict[str, dict[str, Any]]:
     from repro.database.serialize import monitor_from_dict, monitor_to_dict
 
     length = 12 if smoke else 200
-    spare = 4 if smoke else 16
     cut = length // 2
     trace = generate_orders(
         OrderWorkloadConfig(length=length, arrival_probability=0.3, seed=13)
@@ -370,10 +364,7 @@ def bench_e6_monitoring_resumed(smoke: bool) -> dict[str, dict[str, Any]]:
     states = trace.states()
     _clear_caches()
     monitor = IntegrityMonitor(
-        standard_constraints(),
-        History.empty(ORDER_VOCABULARY),
-        strategy="spare",
-        spare=spare,
+        standard_constraints(), History.empty(ORDER_VOCABULARY)
     )
     for state in states[:cut]:
         monitor.append_state(state)

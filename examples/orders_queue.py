@@ -30,9 +30,7 @@ def main() -> None:
     print()
 
     monitor = IntegrityMonitor(
-        standard_constraints(),
-        History.empty(ORDER_VOCABULARY),
-        strategy="incremental",
+        standard_constraints(), History.empty(ORDER_VOCABULARY)
     )
     for state in trace.states():
         report = monitor.append_state(state)

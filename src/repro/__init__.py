@@ -46,7 +46,6 @@ from .database.state import DatabaseState
 from .database.updates import Update
 from .database.vocabulary import Vocabulary, vocabulary
 from .errors import (
-    BudgetExceeded,
     ClassificationError,
     EvaluationError,
     FormulaError,
@@ -81,7 +80,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AffectSet",
-    "BudgetExceeded",
     "CheckResult",
     "ClassificationError",
     "DatabaseState",

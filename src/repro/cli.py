@@ -41,6 +41,7 @@ import asyncio
 import json
 import os
 import sys
+from typing import Callable
 
 from .analysis import UpdateDependencyIndex, idle_class, static_verdict
 from .analysis.hierarchy import backend_for, classify_hierarchy
@@ -76,6 +77,26 @@ DEPS_JSON_VERSION = 1
 #: v2: the backends are ``pasteval`` and ``progression``, and the summary
 #: no longer counts constraints routed off the full pipeline.
 PLAN_JSON_VERSION = 2
+
+
+def _bounded_int(lowest: int) -> Callable[[str], int]:
+    """An argparse ``type`` for integers of at least ``lowest``, so a value
+    below it is a usage error (exit 2) when arguments are parsed."""
+
+    def parse_bounded(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lowest}, got {value}"
+            )
+        return value
+
+    return parse_bounded
 
 
 def _parse_vocabulary_spec(spec: str) -> Vocabulary:
@@ -473,7 +494,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         constraints,
         initial,
         assume_safety=args.assume_safety,
-        strategy=args.strategy,
     )
     for state in history.states[1:]:
         report = monitor.append_state(state)
@@ -519,7 +539,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             initial,
             shards=args.shards,
             assume_safety=args.assume_safety,
-            strategy=args.strategy,
         )
         states = history.states[1:]
     names = {}
@@ -530,6 +549,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await service.start()
         try:
             for state in states:
+                if args.stop_at is not None and service.now >= args.stop_at:
+                    break
                 report = await service.submit_state(
                     state, session=args.session
                 )
@@ -537,8 +558,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     source = f" ({names[name]})" if name in names else ""
                     print(f"t={report.instant}: constraint {name!r} "
                           f"violated{source}")
-                if args.stop_at is not None and report.instant >= args.stop_at:
-                    break
         finally:
             await service.stop()
 
@@ -682,10 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     mon.add_argument("history", help="path to a history JSON file")
     mon.add_argument("--constraint", action="append", required=True,
                      help="constraint (repeatable)")
-    mon.add_argument("--strategy", choices=("incremental", "spare"),
-                     default="incremental",
-                     help="on a fresh element: reground (incremental, "
-                     "default) or rename it onto a reserved spare element")
     mon.add_argument("--assume-safety", action="store_true")
     mon.set_defaults(func=_cmd_monitor)
 
@@ -698,18 +713,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--constraint", action="append", default=[],
                        help="constraint (repeatable; not allowed with "
                        "--resume-from)")
-    serve.add_argument("--shards", type=int, default=1,
+    serve.add_argument("--shards", type=_bounded_int(1), default=1,
                        help="max relation-disjoint constraint shards "
                        "(default 1)")
     serve.add_argument("--session", default="cli",
                        help="session name for the stream counters "
                        "(default 'cli')")
-    serve.add_argument("--strategy", choices=("incremental", "spare"),
-                       default="incremental",
-                       help="on a fresh element: reground (incremental, "
-                       "default) or rename it onto a reserved spare element")
     serve.add_argument("--assume-safety", action="store_true")
-    serve.add_argument("--stop-at", type=int, metavar="T",
+    serve.add_argument("--stop-at", type=_bounded_int(0), metavar="T",
                        help="stop after instant T (simulates a kill; "
                        "combine with --snapshot-out)")
     serve.add_argument("--snapshot-out", metavar="PATH",

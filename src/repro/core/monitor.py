@@ -36,19 +36,11 @@ never seen, the ground formula is missing instances and must be rebuilt.
 A rebuild (*reground*) reads no history: it keeps every ground instance as
 a chain id progressed to the last reground's instant, advances those
 chains over a per-monitor log of state masks, and grounds and chains from
-instant 0 only the instances the new element adds.  Two strategies
-(``strategy=`` argument) decide when to reground:
-
-* ``"incremental"`` — keep the remainder; rebuild only when a genuinely new
-  element appears.
-* ``"spare"`` — like incremental, but ground with ``spare`` extra concrete
-  elements in reserve; a new element is *renamed* onto an unused spare
-  (sound: before its first appearance every fresh element is
-  interchangeable with a spare, whose fact letters were false throughout),
-  so rebuilds only happen when the reserve runs dry.  The reserve enlarges
-  the ground domain, hence the per-check satisfiability cost — keep it
-  small for constraints with several external quantifiers (the default 2 is
-  safe; ablation A1 quantifies the trade-off).
+instant 0 only the instances the new element adds.  It is the one way a
+fresh element is absorbed, so a grounding's concrete elements are always
+the constraint's relevant set over the history, the domain
+:func:`~repro.core.checker.check_extension` grounds, and every remainder
+is the oracle's own interned node.
 
 The naive baseline that rebuilds and re-progresses from the full history
 on every update is a fresh monitor per prefix (ablation A1 measures it).
@@ -78,10 +70,10 @@ from ..errors import (
 from ..logic.classify import FormulaInfo
 from ..logic.formulas import Formula
 from ..ptl.bitset import BuchiKernel
-from ..ptl.formulas import PTLFormula, Prop
+from ..ptl.formulas import PTLFormula
 from ..ptl.progkernel import ProgKernelInfo, ProgressionKernel
 from .checker import validate_constraint
-from .grounding import GroundContext, GroundElement, IdGrounder, RelAtom
+from .grounding import GroundContext, GroundElement, IdGrounder
 from .plan import MonitorPlan, plan_constraints
 from .reduction import (
     check_vocabulary,
@@ -93,7 +85,6 @@ from .reduction import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..pasteval.monitor import PastMonitor
 
-_STRATEGIES = ("incremental", "spare")
 #: Bound of the monitor-wide satisfiability memo, in remainders.
 _SAT_CACHE_SIZE = 4096
 
@@ -127,7 +118,6 @@ class MonitorStats:
 
     progressions: int = 0
     regrounds: int = 0
-    renames: int = 0
     sat_calls: int = 0
     sat_cache_hits: int = 0
     kernel_row_hits: int = 0
@@ -171,19 +161,14 @@ class _ConstraintEntry:
     name: str
     constraint: Formula
     info: FormulaInfo
-    # The concrete elements of the last reground's ground domain (the
-    # relevant set plus, under the spare strategy, the spare pool).
+    # The constraint's elements the history has shown, its constants
+    # included: the concrete part of the current grounding's domain.
     relevant: frozenset[int] = frozenset()
     # The progressed remainder, an id of the monitor's kernel; None while
     # a restored entry still holds its decoded formula in ``restored``,
     # which is interned at first use.
     remainder: int | None = None
     restored: PTLFormula | None = None
-    # The constraint's elements the history has shown (its constants
-    # included): the relevant set, kept up to date at every update.
-    known_elements: frozenset[int] = frozenset()
-    spare_pool: tuple[int, ...] = ()
-    spare_map: dict[int, int] = field(default_factory=dict)
     violated_at: int | None = None
     stats: MonitorStats = field(default_factory=MonitorStats)
     # The chain table: each of the current grounding's ``|M|^k`` ground
@@ -210,7 +195,7 @@ class EntrySnapshot:
 
     The paper's Lemma 4.2 monitoring loop keeps the progressed remainder
     as the *only* history-dependent state, so this record — remainder plus
-    the strategy bookkeeping around it — is a full checkpoint: restoring
+    the grounding's relevant set — is a full checkpoint: restoring
     it (:meth:`IntegrityMonitor.from_snapshot`) and continuing produces
     the same verdicts as never having stopped (property-tested).
 
@@ -224,22 +209,17 @@ class EntrySnapshot:
     (``monitor_to_dict`` / ``monitor_from_dict``).
 
     The grounding's ``relevant`` set is carried verbatim rather than
-    recomputed: under the spare strategy it reflects the *last reground's*
-    history, not the current one, so rebuilding it at restore time would
-    change which elements count as fresh and diverge from the
-    uninterrupted run.  Pure caches (the monitor-wide satisfiability memo,
-    the kernels' tables, the mask log and the chain table a reground
-    resumes) are deliberately absent — dropping them cannot change any
-    verdict, only cache-hit counters and the first reground's cost.
+    recomputed, so a restore reads no history for it.  Pure caches (the
+    monitor-wide satisfiability memo, the kernels' tables, the mask log
+    and the chain table a reground resumes) are deliberately absent —
+    dropping them cannot change any verdict, only cache-hit counters and
+    the first reground's cost.
     """
 
     name: str
     constraint: Formula
     source: PTLFormula | tuple[ProgressionKernel, int]
     relevant: frozenset[int]
-    known_elements: frozenset[int]
-    spare_pool: tuple[int, ...]
-    spare_map: dict[int, int]
     violated_at: int | None
     stats: MonitorStats
 
@@ -310,9 +290,8 @@ class IntegrityMonitor:
     and updates.
     The recursive reference engines (:mod:`repro.ptl.progression`,
     :mod:`repro.ptl.sat`) are the test oracles: verdicts match
-    :func:`repro.core.checker.check_extension` at every instant, and under
-    the incremental strategy the remainders are pointer-identical to its
-    own (property-tested).
+    :func:`repro.core.checker.check_extension` at every instant, and the
+    remainders are pointer-identical to its own (property-tested).
 
     >>> from ..logic import parse
     >>> from ..database import History, Update, vocabulary
@@ -340,8 +319,6 @@ class IntegrityMonitor:
         constraints: Mapping[str, Formula] | Sequence[Formula],
         initial: History,
         assume_safety: bool = False,
-        strategy: str = "incremental",
-        spare: int = 2,
         lint: str = "warn",
     ) -> None:
         if not isinstance(constraints, Mapping):
@@ -354,14 +331,7 @@ class IntegrityMonitor:
             for name, formula in constraints.items()
             if is_past_closed(formula)
         }
-        self._setup(
-            initial,
-            constraints,
-            past,
-            assume_safety=assume_safety,
-            strategy=strategy,
-            spare=spare,
-        )
+        self._setup(initial, constraints, past, assume_safety=assume_safety)
         for name, formula in constraints.items():
             if name in past:
                 continue
@@ -374,13 +344,12 @@ class IntegrityMonitor:
                     name=name,
                     constraint=formula,
                     info=info,
-                    known_elements=constraint_relevant_elements(
-                        initial, info
-                    ),
                 )
             )
         for entry in self._entries:
-            self._reground(entry, frozenset())
+            self._reground(
+                entry, constraint_relevant_elements(initial, entry.info)
+            )
             self._decide(entry, instant=self._history.now)
 
     def _setup(
@@ -390,19 +359,9 @@ class IntegrityMonitor:
         past: Mapping[str, Formula],
         *,
         assume_safety: bool,
-        strategy: str,
-        spare: int,
     ) -> None:
         """The settings, empty caches and past side shared by construction
         and restore; progressed entries are added by the caller."""
-        if strategy not in _STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
-            )
-        if spare < 0:
-            raise ValueError(f"spare must be non-negative, got {spare}")
-        self._strategy = strategy
-        self._spare = spare
         self._assume_safety = assume_safety
         self._history = history
         # Registration order, which every merged report follows.
@@ -551,11 +510,7 @@ class IntegrityMonitor:
 
     def snapshot_config(self) -> dict[str, object]:
         """The constructor settings a restore must be performed with."""
-        return {
-            "assume_safety": self._assume_safety,
-            "strategy": self._strategy,
-            "spare": self._spare,
-        }
+        return {"assume_safety": self._assume_safety}
 
     def snapshot_entries(self) -> list[EntrySnapshot]:
         """Export every progressed constraint's resume state (see
@@ -580,9 +535,6 @@ class IntegrityMonitor:
                     constraint=entry.constraint,
                     source=source,
                     relevant=entry.relevant,
-                    known_elements=entry.known_elements,
-                    spare_pool=entry.spare_pool,
-                    spare_map=dict(entry.spare_map),
                     violated_at=entry.violated_at,
                     stats=MonitorStats.from_dict(entry.stats.as_dict()),
                 )
@@ -598,8 +550,6 @@ class IntegrityMonitor:
         entries: Sequence[EntrySnapshot],
         *,
         assume_safety: bool = False,
-        strategy: str = "incremental",
-        spare: int = 2,
     ) -> "IntegrityMonitor":
         """Rebuild a monitor from snapshot state, resuming mid-history.
 
@@ -660,8 +610,6 @@ class IntegrityMonitor:
                 {name: by_name[name] for name in order},
                 past,
                 assume_safety=assume_safety,
-                strategy=strategy,
-                spare=spare,
             )
         except (SchemaError, EvaluationError) as exc:
             raise StateError(
@@ -685,9 +633,6 @@ class IntegrityMonitor:
                     info=info,
                     relevant=snap.relevant,
                     restored=snap.remainder,
-                    known_elements=snap.known_elements,
-                    spare_pool=snap.spare_pool,
-                    spare_map=dict(snap.spare_map),
                     violated_at=snap.violated_at,
                     stats=MonitorStats.from_dict(snap.stats.as_dict()),
                 )
@@ -719,13 +664,12 @@ class IntegrityMonitor:
         if self._entries:
             # Folded letters are the state's facts, the same for every
             # entry: built and encoded once.
-            letters = state_to_props(state)
-            mask = self._progkernel.encode_state(letters)
+            mask = self._progkernel.encode_state(state_to_props(state))
             if self._masks is not None:
                 self._masks.append(mask)
             for entry in self._entries:
                 if entry.violated_at is None:
-                    self._advance(entry, state, letters, mask)
+                    self._advance(entry, state, mask)
                     if not self._decide(entry, instant):
                         violated.add(entry.name)
                 satisfied[entry.name] = entry.violated_at is None
@@ -742,50 +686,18 @@ class IntegrityMonitor:
         )
 
     def _advance(
-        self,
-        entry: _ConstraintEntry,
-        state: DatabaseState,
-        letters: frozenset[Prop],
-        mask: int,
+        self, entry: _ConstraintEntry, state: DatabaseState, mask: int
     ) -> None:
-        """Incorporate the newest state, given as its letters and their
-        mask, into the entry's remainder: one timed, hit-counted
-        progression step.
-
-        The strategy bookkeeping comes first: spare claiming and renaming,
-        and fresh-element detection.  An entry that has to reground is
-        done, because its rebuilt remainder already includes the new
-        instant.
-        """
+        """Incorporate the newest state, given with its mask, into the
+        entry's remainder: a reground if the state shows an element outside
+        the grounding's relevant set (its rebuilt remainder already
+        includes the new instant), otherwise one timed, hit-counted
+        progression step."""
         visible = self._entry_domain(entry, state)
-        if self._strategy == "spare":
-            # A real element whose id coincides with a spare id claims that
-            # spare (identity mapping) so no fresh element is renamed onto
-            # an occupied slot.  If the slot is already consumed by a
-            # renamed element, the grounding would conflate the two:
-            # rebuild instead.
-            taken = set(entry.spare_map.values())
-            for element in visible:
-                if element in entry.spare_pool and (
-                    element not in entry.spare_map
-                ):
-                    if element in taken:
-                        self._reground(entry, visible)
-                        return
-                    entry.spare_map[element] = element
-        fresh = visible - entry.known_elements
-        # Elements already in the grounding's relevant set (e.g. spares of
-        # this entry) are not fresh.
-        fresh -= entry.relevant
-        if fresh and not (
-            self._strategy == "spare" and self._try_rename(entry, fresh)
-        ):
+        if not visible <= entry.relevant:
             self._reground(entry, visible)
             return
-        entry.known_elements |= visible
         kernel = self._progkernel
-        if self._strategy == "spare" and entry.spare_map:
-            mask = kernel.encode_state(_rename_props(letters, entry.spare_map))
         stats = entry.stats
         start = time.perf_counter()
         hits_before = kernel.hits
@@ -809,9 +721,9 @@ class IntegrityMonitor:
     def _reground(
         self, entry: _ConstraintEntry, visible: frozenset[int]
     ) -> None:
-        """Rebuild the entry's grounding over its relevant set (the known
-        elements plus ``visible``, the current state's) and its remainder
-        up to the current instant, without reading the history.
+        """Rebuild the entry's grounding over its relevant set (the
+        elements it had plus ``visible``, the current state's) and its
+        remainder up to the current instant, without reading the history.
 
         Every instance the last grounding had keeps its chain and is
         advanced from the last reground's instant over the mask log; only
@@ -819,20 +731,12 @@ class IntegrityMonitor:
         instant 0.  Progression distributes over ∧, so folding the chains
         with ``pand_ids`` in ``cartesian(domain)`` order gives the
         remainder a from-scratch reduction and replay would (DESIGN.md
-        §10.1).  Chains are keyed by concrete ids, so resuming is exact
-        under both strategies: a spare id's instance is the same formula
-        whether the slot holds a spare or a real element, and chains only
-        ever see the real states.  Counts one progression per state, like
-        the step-by-step path.
+        §10.1).  Counts one progression per state, like the step-by-step
+        path.
         """
         stats = entry.stats
         stats.regrounds += 1
-        relevant = entry.known_elements | visible
-        pool: frozenset[int] = frozenset()
-        if self._strategy == "spare":
-            pool = self._spare_pool(entry, relevant)
-        entry.known_elements = relevant
-        entry.relevant = relevant | pool
+        entry.relevant |= visible
         kernel = self._progkernel
         grounder = entry.grounder
         if grounder is None:
@@ -894,34 +798,6 @@ class IntegrityMonitor:
             return entry.restored
         return self._progkernel.formula(entry.remainder)
 
-    def _spare_pool(
-        self, entry: _ConstraintEntry, relevant: frozenset[int]
-    ) -> frozenset[int]:
-        """Reserve ``spare`` fresh concrete element slots in the grounding,
-        the smallest ids outside ``relevant``."""
-        pool: list[int] = []
-        candidate = 0
-        while len(pool) < self._spare:
-            if candidate not in relevant:
-                pool.append(candidate)
-            candidate += 1
-        entry.spare_pool = tuple(pool)
-        entry.spare_map = {}
-        return frozenset(pool)
-
-    def _try_rename(
-        self, entry: _ConstraintEntry, fresh: frozenset[int]
-    ) -> bool:
-        """Map fresh elements onto unused spares; False if the pool is dry."""
-        used = set(entry.spare_map.values())
-        available = [s for s in entry.spare_pool if s not in used]
-        if len(available) < len(fresh):
-            return False
-        for element, spare_id in zip(sorted(fresh), available):
-            entry.spare_map[element] = spare_id
-            entry.stats.renames += 1
-        return True
-
     def _decide(self, entry: _ConstraintEntry, instant: int) -> bool:
         """The Lemma 4.2 decision on the entry's remainder id: constants by
         id, then the memo, the all-false model and, last, a Büchi search
@@ -951,24 +827,6 @@ class IntegrityMonitor:
         if not ok:
             entry.violated_at = instant
         return ok
-
-
-def _rename_props(
-    props: frozenset[Prop], mapping: Mapping[int, int]
-) -> set[Prop]:
-    """Rename concrete elements inside fact letters (spare strategy)."""
-    renamed: set[Prop] = set()
-    for p in props:
-        name = p.name
-        if isinstance(name, RelAtom):
-            new_args: tuple[GroundElement, ...] = tuple(
-                mapping.get(a, a) if isinstance(a, int) else a
-                for a in name.args
-            )
-            renamed.add(Prop(RelAtom(name.pred, new_args)))
-        else:
-            renamed.add(p)
-    return renamed
 
 
 def _require_names(

@@ -18,13 +18,11 @@ from .relevant import (
 from .serialize import (
     MONITOR_SNAPSHOT_FORMAT,
     dump_history,
-    dump_monitor,
     history_from_dict,
     history_to_dict,
     lasso_from_dict,
     lasso_to_dict,
     load_history,
-    load_monitor,
     monitor_from_dict,
     monitor_to_dict,
     ptl_from_jsonable,
@@ -51,7 +49,6 @@ __all__ = [
     "canonical_form",
     "diff_states",
     "dump_history",
-    "dump_monitor",
     "fresh_elements",
     "history_from_dict",
     "history_to_dict",
@@ -59,7 +56,6 @@ __all__ = [
     "lasso_from_dict",
     "lasso_to_dict",
     "load_history",
-    "load_monitor",
     "monitor_from_dict",
     "monitor_to_dict",
     "ptl_from_jsonable",

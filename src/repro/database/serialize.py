@@ -21,11 +21,11 @@ checkpoint must be distinguishable from a library bug.
 serialize a whole :class:`repro.core.IntegrityMonitor` mid-history.  The
 paper's Lemma 4.2 loop keeps the progressed remainder as the only
 history-dependent state, so the snapshot is small — remainders plus
-grounding bookkeeping, no derived caches — and restoring a progressed
-constraint is O(1) in the history length (DESIGN.md §12): no reground, no
-prefix re-progression, no satisfiability call.  Past-closed constraints
-are stored as their text only and rebuilt by replaying the history
-through the history-less tables.  PTL remainders are serialized
+each grounding's relevant set, no derived caches — and restoring a
+progressed constraint is O(1) in the history length (DESIGN.md §12): no
+reground, no prefix re-progression, no satisfiability call.  Past-closed
+constraints are stored as their text only and rebuilt by replaying the
+history through the history-less tables.  PTL remainders are serialized
 *structurally* (:func:`ptl_to_jsonable`) and decoded through the raw node
 constructors, which the hash-consing metaclass interns — so restored
 remainders are pointer-identical to the ones an uninterrupted run holds,
@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..ptl.progkernel import ProgressionKernel
 
 #: Format tag written into (and required from) monitor snapshots.
-MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v4"
+MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v5"
 
 
 def vocabulary_to_dict(vocabulary: Vocabulary) -> dict[str, Any]:
@@ -522,9 +522,6 @@ def _entry_to_jsonable(snap: Any, memo: dict[int, Any]) -> dict[str, Any]:
         "constraint": to_str(snap.constraint),
         "remainder": remainder,
         "relevant": sorted(snap.relevant),
-        "known_elements": sorted(snap.known_elements),
-        "spare_pool": list(snap.spare_pool),
-        "spare_map": sorted(snap.spare_map.items()),
         "violated_at": snap.violated_at,
         "stats": snap.stats.as_dict(),
     }
@@ -546,17 +543,6 @@ def _entry_from_jsonable(data: Any, now: int) -> Any:
         where = f"snapshot entry {name!r}"
         if not isinstance(data["constraint"], str):
             raise StateError(f"{where}: 'constraint' must be a string")
-        spare_map = decode_list(data["spare_map"], f"{where}: 'spare_map'")
-        if any(
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or any(type(element) is not int for element in pair)
-            for pair in spare_map
-        ):
-            raise StateError(
-                f"{where}: 'spare_map' must hold [element, spare] integer "
-                "pairs"
-            )
         violated_at = data["violated_at"]
         if violated_at is not None and not (
             type(violated_at) is int and 0 <= violated_at <= now
@@ -574,15 +560,6 @@ def _entry_from_jsonable(data: Any, now: int) -> Any:
             relevant=frozenset(
                 decode_list(data["relevant"], f"{where}: 'relevant'", int)
             ),
-            known_elements=frozenset(
-                decode_list(
-                    data["known_elements"], f"{where}: 'known_elements'", int
-                )
-            ),
-            spare_pool=tuple(
-                decode_list(data["spare_pool"], f"{where}: 'spare_pool'", int)
-            ),
-            spare_map=dict(spare_map),
             violated_at=violated_at,
             stats=stats_from_jsonable(data["stats"], f"{where}: 'stats'"),
         )
@@ -599,8 +576,8 @@ def monitor_to_dict(
 
     The snapshot holds the settings, the registration ``order``, the
     text of every past-closed constraint (``past``) and, per progressed
-    constraint, the progressed remainder and the grounding/strategy
-    bookkeeping (``entries``) — everything
+    constraint, the progressed remainder and its grounding's relevant
+    set (``entries``) — everything
     :meth:`repro.core.IntegrityMonitor.from_snapshot` needs to resume
     with verdicts identical to an uninterrupted run.  Each constraint
     text is written once.  Derived caches are deliberately not
@@ -641,7 +618,7 @@ def monitor_from_dict(
     mid-restore.  A given ``history`` is used as it is, in place of the
     document's own.
     """
-    from ..core.monitor import _STRATEGIES, IntegrityMonitor
+    from ..core.monitor import IntegrityMonitor
 
     if not isinstance(data, Mapping):
         raise StateError(
@@ -656,26 +633,14 @@ def monitor_from_dict(
     config = data.get("config")
     if not isinstance(config, Mapping):
         raise StateError("monitor snapshot is missing its 'config' object")
-    required = {"assume_safety": bool, "strategy": str, "spare": int}
-    for key, kind in required.items():
-        if key not in config:
-            raise StateError(
-                f"monitor snapshot config is missing the {key!r} key"
-            )
-        if type(config[key]) is not kind:
-            raise StateError(
-                f"monitor snapshot config {key!r} must be a "
-                f"{kind.__name__}, got {config[key]!r:.60}"
-            )
-    if config["strategy"] not in _STRATEGIES:
+    if "assume_safety" not in config:
         raise StateError(
-            f"monitor snapshot config 'strategy' must be one of "
-            f"{_STRATEGIES}, got {config['strategy']!r:.60}"
+            "monitor snapshot config is missing the 'assume_safety' key"
         )
-    if config["spare"] < 0:
+    if type(config["assume_safety"]) is not bool:
         raise StateError(
-            "monitor snapshot config 'spare' must be non-negative, got "
-            f"{config['spare']}"
+            "monitor snapshot config 'assume_safety' must be a bool, got "
+            f"{config['assume_safety']!r:.60}"
         )
     try:
         order = decode_list(data["order"], "monitor snapshot 'order'", str)
@@ -707,18 +672,4 @@ def monitor_from_dict(
         },
         [_entry_from_jsonable(entry, history.now) for entry in raw_entries],
         assume_safety=config["assume_safety"],
-        strategy=config["strategy"],
-        spare=config["spare"],
     )
-
-
-def dump_monitor(monitor: Any, path: str) -> None:
-    """Write a monitor snapshot to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(monitor_to_dict(monitor), handle, sort_keys=True)
-
-
-def load_monitor(path: str) -> Any:
-    """Read a monitor snapshot from a JSON file and restore the monitor."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return monitor_from_dict(json.load(handle))

@@ -106,15 +106,3 @@ class MachineError(ReproError):
     """A Turing machine definition or run is invalid."""
 
 
-class BudgetExceeded(ReproError):
-    """A bounded semi-decision procedure exhausted its budget without an
-    answer.
-
-    Used by the Section 3 experiments: the extension problem for formulas
-    with internal quantifiers is undecidable, so the bounded search either
-    answers definitively or raises this.
-    """
-
-    def __init__(self, message: str, budget: int):
-        super().__init__(message)
-        self.budget = budget

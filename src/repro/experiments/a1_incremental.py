@@ -1,15 +1,14 @@
-"""A1 — ablation: monitoring strategies (scratch / incremental / spare).
+"""A1 — ablation: monitoring strategies (scratch / incremental).
 
 The monitor's whole point is that an update should not cost ``O(t)``.
-Two workload regimes expose the trade-offs:
+Two workload regimes expose the trade-off:
 
-* **fixed pool** — the relevant domain stabilizes immediately: incremental
-  and spare never re-ground; scratch, a fresh monitor built on every
-  prefix, re-progresses the full history per update (quadratic total).
+* **few arrivals** — the relevant domain stabilizes early: incremental
+  stops regrounding; scratch, a fresh monitor built on every prefix,
+  re-progresses the full history per update (quadratic total).
 * **growing domain** — every few updates introduce a fresh element:
   incremental regrounds on each arrival, grounding only the new element's
-  assignments but replaying the whole prefix (O(t) again); spare absorbs
-  arrivals by renaming onto its reserve.
+  assignments and replaying only their chains over the whole prefix.
 """
 
 from __future__ import annotations
@@ -28,16 +27,10 @@ from ..workloads.orders import (
 from .common import print_table
 
 
-def _run(
-    strategy: str, trace_states: list[DatabaseState], spare: int
-) -> dict:
-    if strategy == "scratch":
-        return _run_scratch(trace_states)
+def _run_incremental(trace_states: list[DatabaseState]) -> dict:
+    """One monitor fed every update."""
     monitor = IntegrityMonitor(
-        {"once": submit_once()},
-        History.empty(ORDER_VOCABULARY),
-        strategy=strategy,
-        spare=spare,
+        {"once": submit_once()}, History.empty(ORDER_VOCABULARY)
     )
     start = time.perf_counter()
     for state in trace_states:
@@ -45,11 +38,10 @@ def _run(
     elapsed = time.perf_counter() - start
     stats = monitor.stats()["once"]
     return {
-        "strategy": strategy,
+        "strategy": "incremental",
         "seconds": elapsed,
         "progressions": stats.progressions,
         "regrounds": stats.regrounds,
-        "renames": stats.renames,
     }
 
 
@@ -72,7 +64,6 @@ def _run_scratch(trace_states: list[DatabaseState]) -> dict:
         "seconds": elapsed,
         "progressions": progressions,
         "regrounds": regrounds,
-        "renames": 0,
     }
 
 
@@ -80,11 +71,6 @@ def run(fast: bool = False) -> list[dict]:
     length = 30 if fast else 80
     rows: list[dict] = []
 
-    fixed_pool = generate_orders(
-        OrderWorkloadConfig(length=length, arrival_probability=0.0, seed=1)
-    )
-    # Force a small fixed pool: re-submit ... actually generate a trace
-    # with a handful of arrivals up front, then quiet.
     few_orders = generate_orders(
         OrderWorkloadConfig(length=length, arrival_probability=0.1, seed=1)
     )
@@ -93,19 +79,17 @@ def run(fast: bool = False) -> list[dict]:
     )
 
     for regime, trace in (("few arrivals", few_orders), ("growing", growing)):
-        for strategy in ("scratch", "incremental", "spare"):
-            row = _run(strategy, trace.states(), spare=2 * length)
+        for run_strategy in (_run_scratch, _run_incremental):
+            row = run_strategy(trace.states())
             row["regime"] = regime
             rows.append(row)
 
     print_table(
         "A1  monitoring strategies: per-update work vs domain growth",
-        ["regime", "strategy", "seconds", "progressions", "regrounds",
-         "renames"],
+        ["regime", "strategy", "seconds", "progressions", "regrounds"],
         rows,
         note="scratch builds a fresh monitor on every prefix, "
         "re-progressing the whole history per update; "
-        "incremental pays O(t) only when a fresh element arrives; spare "
-        "absorbs arrivals from its reserve",
+        "incremental pays O(t) only when a fresh element arrives",
     )
     return rows

@@ -26,10 +26,11 @@ entirely from pieces the repo already has:
   :class:`~repro.core.monitor.MonitorStats` ``stream_updates`` map.
 
 * **checkpoint/resume** — :meth:`~MonitorService.snapshot` captures
-  each shard's Lemma 4.2 state (progressed remainders and grounding
-  bookkeeping via :func:`repro.database.serialize.monitor_to_dict`;
-  past-closed constraints need only the history, stored once for all
-  shards and replayed through the history-less tables on restore).  A
+  each shard's Lemma 4.2 state (progressed remainders and their
+  groundings' relevant sets via
+  :func:`repro.database.serialize.monitor_to_dict`; past-closed
+  constraints need only the history, stored once for all shards and
+  replayed through the history-less tables on restore).  A
   killed service resumed with :meth:`~MonitorService.restore` produces
   verdicts identical to the uninterrupted run — the whole point of
   progression monitoring is that the remainder *is* the sufficient
@@ -70,7 +71,7 @@ from ..logic.formulas import Formula
 __all__ = ["SERVICE_SNAPSHOT_FORMAT", "MonitorService"]
 
 #: Format tag stamped into :meth:`MonitorService.snapshot` payloads.
-SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v3"
+SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v4"
 
 #: Queue sentinel + item shape: (session, update, state, future).
 _QueueItem = tuple[
@@ -94,8 +95,6 @@ class MonitorService:
         *,
         shards: int = 1,
         assume_safety: bool = False,
-        strategy: str = "incremental",
-        spare: int = 2,
         lint: str = "warn",
     ) -> None:
         if not isinstance(constraints, Mapping):
@@ -107,12 +106,7 @@ class MonitorService:
         self._history = initial
         self._shards = [
             IntegrityMonitor(
-                group,
-                initial,
-                assume_safety=assume_safety,
-                strategy=strategy,
-                spare=spare,
-                lint=lint,
+                group, initial, assume_safety=assume_safety, lint=lint
             )
             for group in partition_constraints(constraints, shards)
         ]

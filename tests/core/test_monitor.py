@@ -1,4 +1,4 @@
-"""Tests for the online integrity monitor (strategies, stats, violations)."""
+"""Tests for the online integrity monitor (regrounds, stats, violations)."""
 
 import json
 from itertools import product as cartesian
@@ -60,10 +60,8 @@ traces = st.lists(
 )
 
 
-def monitor_with(constraints, strategy="incremental", **kwargs):
-    return IntegrityMonitor(
-        constraints, History.empty(V), strategy=strategy, **kwargs
-    )
+def monitor_with(constraints, **kwargs):
+    return IntegrityMonitor(constraints, History.empty(V), **kwargs)
 
 
 # The audit rule is past-closed: every front runs it on the history-less
@@ -76,8 +74,6 @@ HARNESS = {
     "audit": AUDIT,
     "ping": parse("forall x . G (Ping(x) -> X G !Ping(x))"),
 }
-
-STRATEGIES = ["incremental", "spare"]
 
 harness_traces = st.lists(
     st.lists(
@@ -92,13 +88,13 @@ harness_traces = st.lists(
 )
 
 
-def _front(front, strategy):
+def _front(front):
     history = History.empty(V)
     if front in ("service", "restored-service"):
-        service = MonitorService(HARNESS, history, shards=2, strategy=strategy)
+        service = MonitorService(HARNESS, history, shards=2)
         assert service.shard_count == 2
         return service
-    return IntegrityMonitor(HARNESS, history, strategy=strategy)
+    return IntegrityMonitor(HARNESS, history)
 
 
 def _restored(front):
@@ -168,14 +164,6 @@ class TestBasics:
         with pytest.raises(NotUniversalError):
             monitor_with({"bad": bad})
 
-    def test_invalid_strategy(self, submit_once):
-        with pytest.raises(ValueError):
-            monitor_with({"once": submit_once}, strategy="telepathy")
-
-    def test_negative_spare(self, submit_once):
-        with pytest.raises(ValueError, match="spare"):
-            monitor_with({"once": submit_once}, strategy="spare", spare=-1)
-
     def test_assume_safety_admits_a_non_safety_constraint(self):
         # Not syntactically safety: refused unless told to assume safety.
         filled = parse("forall x . G (Sub(x) -> F Fill(x))")
@@ -207,6 +195,25 @@ class TestBasics:
         assert len(m.history) == 2
 
 
+def assert_strategies_agree(constraints, trace):
+    """A1's two strategies, one monitor fed every update and a fresh
+    monitor built on every prefix, find the same violations and hold the
+    same live remainders at every instant."""
+    m = monitor_with(constraints)
+    history = History.empty(V)
+    for facts in trace:
+        state = DatabaseState.from_facts(V, facts)
+        m.append_state(state)
+        history = history.extended(state)
+        scratch = IntegrityMonitor(constraints, history)
+        violated = m.violations()
+        assert set(scratch.violations()) == set(violated)
+        live = m.remainders()
+        for name, remainder in scratch.remainders().items():
+            if name not in violated:
+                assert remainder is live[name]
+
+
 class TestStrategies:
     TRACES = [
         # (name, list of per-instant fact lists)
@@ -220,19 +227,12 @@ class TestStrategies:
     def test_all_strategies_agree(
         self, submit_once, fifo_fill, trace_name, trace
     ):
-        outcomes = {}
-        for strategy in ("incremental", "spare"):
-            m = monitor_with(
-                {"once": submit_once, "fifo": fifo_fill},
-                strategy=strategy,
-            )
-            for facts in trace:
-                m.append_state(DatabaseState.from_facts(V, facts))
-            outcomes[strategy] = m.violations()
-        assert outcomes["incremental"] == outcomes["spare"]
+        assert_strategies_agree(
+            {"once": submit_once, "fifo": fifo_fill}, trace
+        )
 
     def test_incremental_regrounds_only_on_new_elements(self, submit_once):
-        m = monitor_with({"once": submit_once}, strategy="incremental")
+        m = monitor_with({"once": submit_once})
         m.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
         after_first = m.stats()["once"].regrounds
         # Same element again: no reground needed.
@@ -242,29 +242,8 @@ class TestStrategies:
         m.append_state(DatabaseState.from_facts(V, [("Sub", (9,))]))
         assert m.stats()["once"].regrounds == after_first + 1
 
-    def test_spare_avoids_regrounds(self, submit_once):
-        m = monitor_with({"once": submit_once}, strategy="spare", spare=8)
-        base = m.stats()["once"].regrounds
-        for element in range(5):
-            m.append_state(
-                DatabaseState.from_facts(V, [("Sub", (element,))])
-            )
-        assert m.stats()["once"].regrounds == base
-        assert m.violations() == {}
-
-    def test_spare_pool_exhaustion_falls_back(self, submit_once):
-        m = monitor_with({"once": submit_once}, strategy="spare", spare=1)
-        base = m.stats()["once"].regrounds
-        for element in range(60, 64):
-            m.append_state(
-                DatabaseState.from_facts(V, [("Sub", (element,))])
-            )
-        # Pool of 1 cannot absorb 4 fresh elements: must have reground.
-        assert m.stats()["once"].regrounds > base
-        assert m.violations() == {}
-
     def test_stats_track_time_and_cache_hits(self, submit_once):
-        m = monitor_with({"once": submit_once}, strategy="incremental")
+        m = monitor_with({"once": submit_once})
         # Sub(1) creates a live obligation (G !Sub(1) from then on); the
         # quiet states leave the remainder fixed.
         m.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
@@ -285,9 +264,7 @@ class TestStrategies:
     def test_sat_memo_shared_across_constraints(self, submit_once):
         # Two entries with the same constraint produce identical (interned)
         # remainders; the second must hit the monitor-wide memo.
-        m = monitor_with(
-            {"a": submit_once, "b": submit_once}, strategy="incremental"
-        )
+        m = monitor_with({"a": submit_once, "b": submit_once})
         m.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
         m.append_state(DatabaseState.empty(V))
         stats = m.stats()
@@ -312,13 +289,7 @@ class TestStrategies:
     )
     @settings(max_examples=25, deadline=None)
     def test_strategies_agree_on_random_traces(self, trace):
-        outcomes = []
-        for strategy in ("incremental", "spare"):
-            m = monitor_with({"once": SUBMIT_ONCE}, strategy=strategy)
-            for facts in trace:
-                m.append_state(DatabaseState.from_facts(V, facts))
-            outcomes.append(m.violations())
-        assert outcomes[0] == outcomes[1]
+        assert_strategies_agree({"once": SUBMIT_ONCE, "fifo": FIFO_FILL}, trace)
 
 
 class TestAgainstChecker:
@@ -358,25 +329,21 @@ class TestAgainstChecker:
         front=st.sampled_from(
             ["monitor", "service", "restored", "restored-service"]
         ),
-        strategy=st.sampled_from(["incremental", "spare"]),
         cut=st.integers(0, 3),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_paper_decision_at_every_instant(
-        self, trace, front, strategy, cut
-    ):
+    def test_matches_paper_decision_at_every_instant(self, trace, front, cut):
         # One differential harness for every monitor front end.  The
         # ground truth is the Theorem 4.1 reduction plus the Lemma 4.2
-        # decision, run from scratch on the whole prefix.  The incremental
-        # strategy grounds over the same relevant set as the oracle, so
-        # its live remainders are the oracle's own interned node; the
-        # spare strategy grounds over extra elements and is compared on
-        # verdicts only.  The past-closed audit rule is checked against
-        # its finite-prefix meaning: the body held at every instant so
-        # far.  "restored" and "restored-service" are sent through their
-        # JSON snapshot at instant `cut`.  Every front reports each
-        # violation once, at the instant it happens, in registration order.
-        m = _front(front, strategy)
+        # decision, run from scratch on the whole prefix.  The monitor
+        # grounds over the same relevant set as the oracle, so its live
+        # remainders are the oracle's own interned node.  The past-closed
+        # audit rule is checked against its finite-prefix meaning: the
+        # body held at every instant so far.  "restored" and
+        # "restored-service" are sent through their JSON snapshot at
+        # instant `cut`.  Every front reports each violation once, at the
+        # instant it happens, in registration order.
+        m = _front(front)
         first_violation: dict[str, int] = {}
         for instant, facts in enumerate(trace):
             if front.startswith("restored") and instant == min(
@@ -420,8 +387,7 @@ class TestAgainstChecker:
                 assert report.satisfied[name] == (
                     oracle.potentially_satisfied
                 )
-                if strategy == "incremental":
-                    assert remainders[name] is oracle.remainder
+                assert remainders[name] is oracle.remainder
 
 
 class TestRegroundReuse:
@@ -476,12 +442,9 @@ class TestRegroundReuse:
         )
         assert len(calls) == (m + 4) ** 2 - (m + 3) ** 2
 
-    @pytest.mark.parametrize("strategy", ["incremental", "spare"])
     @pytest.mark.parametrize("front", ["monitor", "service"])
-    def test_ground_instances_is_the_last_grounding_per_entry(
-        self, front, strategy
-    ):
-        m = _front(front, strategy)
+    def test_ground_instances_is_the_last_grounding_per_entry(self, front):
+        m = _front(front)
         append = m.apply_state if front == "service" else m.append_state
         for element in range(4):
             append(
@@ -519,8 +482,7 @@ class TestRegroundReuse:
         assert len(entry.chains) == 16
         assert entry.chained == len(monitor.history)
 
-    @pytest.mark.parametrize("strategy", ["incremental", "spare"])
-    def test_no_reground_reads_the_history(self, monkeypatch, strategy):
+    def test_no_reground_reads_the_history(self, monkeypatch):
         calls = []
         real = reduction_module.constraint_relevant_elements
 
@@ -536,9 +498,7 @@ class TestRegroundReuse:
         )
         trace = clean_trace(60, seed=3)
         monitor = IntegrityMonitor(
-            standard_constraints(),
-            History.empty(ORDER_VOCABULARY),
-            strategy=strategy,
+            standard_constraints(), History.empty(ORDER_VOCABULARY)
         )
         assert len(calls) == len(standard_constraints())
         calls.clear()
@@ -549,7 +509,7 @@ class TestRegroundReuse:
         for name, constraint in standard_constraints().items():
             info = require_universal(constraint)
             (entry,) = [e for e in monitor._entries if e.name == name]
-            assert entry.known_elements == real(monitor.history, info)
+            assert entry.relevant == real(monitor.history, info)
 
 
 class TestIdSpace:
@@ -557,10 +517,10 @@ class TestIdSpace:
     without building nodes, updates build none, and cache_info reports
     the kernel and the reground caches."""
 
-    @given(trace=harness_traces, strategy=st.sampled_from(STRATEGIES))
+    @given(trace=harness_traces)
     @settings(max_examples=40, deadline=None)
-    def test_id_encoding_is_the_formula_encoding(self, trace, strategy):
-        m = _front("monitor", strategy)
+    def test_id_encoding_is_the_formula_encoding(self, trace):
+        m = _front("monitor")
         for facts in trace:
             m.append_state(DatabaseState.from_facts(V, facts))
             for snap in m.snapshot_entries():
@@ -601,11 +561,8 @@ class TestIdSpace:
         assert intern_cache_info()["misses"] == before
         assert monitor.is_satisfied("fifo")
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_cache_info_reports_the_kernel_and_reground_caches(
-        self, strategy
-    ):
-        service = _front("service", strategy)
+    def test_cache_info_reports_the_kernel_and_reground_caches(self):
+        service = _front("service")
         for element in range(4):
             service.apply_state(
                 DatabaseState.from_facts(

@@ -3,8 +3,8 @@
 Lemma 4.2's whole point is that the progressed remainder is a sufficient
 statistic for the history prefix, so a monitor serialized mid-stream and
 restored (even in a fresh process) must produce the exact verdict stream
-of the uninterrupted run.  The hypothesis sweep below pins that over
-both strategies at a random cut point, with every derived
+of the uninterrupted run.  The hypothesis sweep below pins that at a
+random cut point, with every derived
 cache cleared and a forced GC between snapshot and restore; a subprocess
 test covers the genuinely-fresh-interpreter case.
 """
@@ -66,18 +66,12 @@ def _run(monitor, states):
 
 class TestResumeEquivalence:
     @settings(max_examples=25, deadline=None)
-    @given(
-        trace=traces,
-        cut=st.integers(0, 5),
-        strategy=st.sampled_from(["incremental", "spare"]),
-    )
-    def test_kill_and_restore_matches_uninterrupted(
-        self, trace, cut, strategy
-    ):
+    @given(trace=traces, cut=st.integers(0, 5))
+    def test_kill_and_restore_matches_uninterrupted(self, trace, cut):
         cut = min(cut, len(trace))
         states = _states(trace)
-        ref = IntegrityMonitor(CONSTRAINTS, History.empty(V), strategy=strategy)
-        live = IntegrityMonitor(CONSTRAINTS, History.empty(V), strategy=strategy)
+        ref = IntegrityMonitor(CONSTRAINTS, History.empty(V))
+        live = IntegrityMonitor(CONSTRAINTS, History.empty(V))
         for state in states[:cut]:
             ref.append_state(state)
             live.append_state(state)
@@ -158,17 +152,17 @@ class TestSnapshotValidation:
         with pytest.raises(StateError, match="format"):
             monitor_from_dict(data)
 
-    def test_v4_documents_carry_only_the_live_settings(self):
+    def test_v5_documents_carry_only_the_live_settings(self):
         monitor = IntegrityMonitor(
             {**CONSTRAINTS, "audit": AUDIT}, History.empty(V)
         )
         monitor.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
         data = json.loads(json.dumps(monitor_to_dict(monitor)))
-        assert data["format"] == "repro-monitor-snapshot/v4"
+        assert data["format"] == "repro-monitor-snapshot/v5"
         assert set(data) == {
             "format", "config", "order", "past", "entries", "history",
         }
-        assert set(data["config"]) == {"assume_safety", "strategy", "spare"}
+        assert set(data["config"]) == {"assume_safety"}
         assert data["order"] == ["once", "order", "audit"]
         # Each constraint text is written once: past-closed ones in
         # `past`, progressed ones in their entry.
@@ -177,10 +171,11 @@ class TestSnapshotValidation:
             "once", "order",
         ]
         for entry in data["entries"]:
-            for gone in ("backend", "replay_finals", "replay_masks",
-                         "last_props", "domain", "scope",
-                         "assignment_count"):
-                assert gone not in entry
+            assert set(entry) == {
+                "name", "constraint", "remainder", "relevant",
+                "violated_at", "stats",
+            }
+            assert "renames" not in entry["stats"]
 
     def test_rejects_v2_documents(self):
         data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
@@ -192,6 +187,21 @@ class TestSnapshotValidation:
         data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
         data["format"] = "repro-monitor-snapshot/v3"
         with pytest.raises(StateError, match="format"):
+            monitor_from_dict(data)
+
+    def test_rejects_v4_documents(self):
+        # The spare strategy's layout: its settings in the config, and
+        # each entry with its known elements and spare reserve.
+        data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
+        data["format"] = "repro-monitor-snapshot/v4"
+        data["config"].update(strategy="incremental", spare=2)
+        for entry in data["entries"]:
+            entry.update(
+                known_elements=entry["relevant"], spare_pool=[], spare_map=[]
+            )
+        with pytest.raises(
+            StateError, match="expected 'repro-monitor-snapshot/v5'"
+        ):
             monitor_from_dict(data)
 
     def test_rejects_v1_documents(self):

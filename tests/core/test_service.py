@@ -268,9 +268,9 @@ class TestServiceSnapshot:
         service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
         service.apply(Update.insert(("Sub", (1,))))
         data = json.loads(json.dumps(service.snapshot()))
-        assert data["format"] == "repro-service-snapshot/v3"
+        assert data["format"] == "repro-service-snapshot/v4"
         for shard in data["shards"]:
-            assert shard["format"] == "repro-monitor-snapshot/v4"
+            assert shard["format"] == "repro-monitor-snapshot/v5"
             assert "history" not in shard
             assert shard["entries"]
         restored = MonitorService.restore(data)
@@ -293,6 +293,17 @@ class TestServiceSnapshot:
         data = MonitorService(CONSTRAINTS, History.empty(V)).snapshot()
         data["format"] = "repro-service-snapshot/v2"
         with pytest.raises(StateError, match="format"):
+            MonitorService.restore(data)
+
+    def test_restore_rejects_v3_document(self):
+        # A v3 service document holds v4 monitor shards.
+        data = MonitorService(CONSTRAINTS, History.empty(V)).snapshot()
+        data["format"] = "repro-service-snapshot/v3"
+        for shard in data["shards"]:
+            shard["format"] = "repro-monitor-snapshot/v4"
+        with pytest.raises(
+            StateError, match="expected 'repro-service-snapshot/v4'"
+        ):
             MonitorService.restore(data)
 
     def test_bool_elements_are_refused_before_any_shard_moves(self, tmp_path):
@@ -373,7 +384,7 @@ ENTRY = ("shards", 0, "entries", 0)
 PAST = ("shards", 0, "past", "audit")
 
 #: One field of a saved two-constraint service set to a value of the wrong
-#: type, (violated_at, strategy, spare) to an impossible value, or a
+#: type, violated_at to an impossible value, or a
 #: constraint text to one the monitor could not run.  Every bad text must
 #: be refused at restore: the progressed ones would otherwise fail only at
 #: the first reground, half-way through an update.
@@ -381,16 +392,13 @@ MALFORMED_FIELDS = {
     "service_stats": (("service_stats",), 5),
     "entry_stats": (ENTRY + ("stats",), 5),
     "stats_counter": (ENTRY + ("stats", "progressions"), "x"),
-    "spare_map": (ENTRY + ("spare_map",), 5),
     "relevant": (ENTRY + ("relevant",), 5),
-    "spare_pool": (ENTRY + ("spare_pool",), 5),
     "order": (("order",), 5),
     "shards": (("shards",), 5),
     "entries": (("shards", 0, "entries"), 5),
     "violated_at_text": (ENTRY + ("violated_at",), "soon"),
     "violated_at_negative": (ENTRY + ("violated_at",), -3),
-    "strategy": (("shards", 0, "config", "strategy"), "warp"),
-    "spare_negative": (("shards", 0, "config", "spare"), -1),
+    "assume_safety": (("shards", 0, "config", "assume_safety"), "yes"),
     "constraint_unparsable": (ENTRY + ("constraint",), "forall x . G ("),
     "constraint_undeclared_relation": (
         ENTRY + ("constraint",),

@@ -100,3 +100,61 @@ class TestCLI:
     def test_unknown_experiment(self, capsys):
         code = main(["experiment", "e99"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shards", "0"], ["--shards", "-2"], ["--stop-at", "-3"]],
+    )
+    def test_serve_refuses_out_of_range_flags(self, history_file, flags):
+        # A usage error, not exit 1, which would read as a violation.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "serve",
+                    history_file,
+                    "--constraint",
+                    "forall x . G (Sub(x) -> X G !Sub(x))",
+                    *flags,
+                ]
+            )
+        assert exit_info.value.code == 2
+
+    def test_serve_stop_at_is_tested_before_each_state(
+        self, history_file, tmp_path, capsys
+    ):
+        once = "forall x . G (Sub(x) -> X G !Sub(x))"
+        snapshot = tmp_path / "snapshot.json"
+        code = main(
+            [
+                "serve",
+                history_file,
+                "--constraint",
+                once,
+                "--stop-at",
+                "0",
+                "--snapshot-out",
+                str(snapshot),
+            ]
+        )
+        assert code == 0
+        assert "(instant 0," in capsys.readouterr().out
+        data = json.loads(snapshot.read_text())
+        assert len(data["history"]["states"]) == 1
+        # A snapshot already past the bound replays nothing more.
+        resumed = tmp_path / "resumed.json"
+        code = main(
+            [
+                "serve",
+                history_file,
+                "--resume-from",
+                str(snapshot),
+                "--stop-at",
+                "0",
+                "--snapshot-out",
+                str(resumed),
+            ]
+        )
+        assert code == 0
+        assert resumed.read_text() == snapshot.read_text()
+        # Without a bound the run goes on to the duplicate at t=2.
+        assert main(["serve", history_file, "--resume-from", str(snapshot)]) == 1

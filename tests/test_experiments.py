@@ -123,17 +123,15 @@ class TestE9Checks:
 
 
 class TestA1Strategies:
-    def test_spare_beats_scratch_on_growing_domains(self, capsys):
+    def test_incremental_beats_scratch_on_growing_domains(self, capsys):
         rows = a1_incremental.run(fast=True)
         capsys.readouterr()
         growing = {
             row["strategy"]: row for row in rows if row["regime"] == "growing"
         }
-        assert growing["spare"]["regrounds"] < growing["scratch"]["regrounds"]
-        assert (
-            growing["spare"]["progressions"]
-            < growing["scratch"]["progressions"]
-        )
+        incremental, scratch = growing["incremental"], growing["scratch"]
+        assert incremental["regrounds"] < scratch["regrounds"]
+        assert incremental["progressions"] < scratch["progressions"]
 
 
 class TestA3Scopes:
