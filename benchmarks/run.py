@@ -51,7 +51,7 @@ from repro.workloads.orders import (  # noqa: E402
     submit_once,
 )
 
-SCHEMA = "repro-bench-core/v13"
+SCHEMA = "repro-bench-core/v14"
 
 #: Schemas ``--validate`` accepts: v2 added the ``sat_*`` engine-comparison
 #: and ``parallel_triggers`` shapes (with their extra record keys); v3 adds
@@ -90,8 +90,11 @@ SCHEMA = "repro-bench-core/v13"
 #: ``e6_monitoring`` records the asserted-zero ``tic131`` count; v13
 #: follows the monitor's single regrounding path: ``a1_spare`` is gone,
 #: and the E6 shapes run the default monitor instead of a spare reserve
-#: of 16.  Each version is otherwise backward compatible, so v1-v12
-#: reports stay usable as baselines.
+#: of 16; v14 follows the lifted monitor, which absorbs fresh elements
+#: without regrounding: the ``regrounds`` counter of the A1 and E6 shapes
+#: is replaced by ``absorbed``, the fresh elements taken in.  Each version
+#: is otherwise backward compatible, so v1-v13 reports stay usable as
+#: baselines.
 ACCEPTED_SCHEMAS = (
     "repro-bench-core/v1",
     "repro-bench-core/v2",
@@ -105,6 +108,7 @@ ACCEPTED_SCHEMAS = (
     "repro-bench-core/v10",
     "repro-bench-core/v11",
     "repro-bench-core/v12",
+    "repro-bench-core/v13",
     SCHEMA,
 )
 
@@ -149,7 +153,7 @@ def _sum_stats(monitor: IntegrityMonitor) -> dict[str, Any]:
         totals["progressions"] += stats.progressions
         totals["sat_calls"] += stats.sat_calls
         totals["sat_cache_hits"] += stats.sat_cache_hits
-        totals["regrounds"] += stats.regrounds
+        totals["absorbed"] += getattr(stats, "absorbed", 0)
         totals["progress_cache_hits"] += getattr(
             stats, "progress_cache_hits", 0
         )
@@ -205,7 +209,7 @@ def bench_a1_strategies(smoke: bool) -> dict[str, dict[str, Any]]:
     wall = time.perf_counter() - start
     out: dict[str, dict[str, Any]] = {
         "a1_scratch": _result(
-            wall, length, totals, regrounds=totals["regrounds"]
+            wall, length, totals, absorbed=totals["absorbed"]
         )
     }
     _clear_caches()
@@ -218,7 +222,7 @@ def bench_a1_strategies(smoke: bool) -> dict[str, dict[str, Any]]:
     wall = time.perf_counter() - start
     totals = _sum_stats(monitor)
     out["a1_incremental"] = _result(
-        wall, length, totals, regrounds=totals["regrounds"]
+        wall, length, totals, absorbed=totals["absorbed"]
     )
     return out
 
@@ -250,7 +254,7 @@ def bench_e3_progression(smoke: bool) -> dict[str, dict[str, Any]]:
         "sat_calls": 1,
         "sat_cache_hits": 0,
         "progress_cache_hits": 0,
-        "regrounds": 0,
+        "absorbed": 0,
         "sat_time_s": detailed.satisfiability_seconds,
         "progress_time_s": detailed.progression_seconds,
     }
@@ -326,7 +330,7 @@ def bench_e6_monitoring(smoke: bool) -> dict[str, dict[str, Any]]:
             length,
             totals,
             ms_per_update=round(1e3 * wall / length, 3),
-            regrounds=totals["regrounds"],
+            absorbed=totals["absorbed"],
             violations=len(monitor.violations()),
             reference_delegations=kernel_info.reference_delegations,
             tic131=tic131,
@@ -401,7 +405,7 @@ def bench_e6_monitoring_resumed(smoke: bool) -> dict[str, dict[str, Any]]:
             tail,
             totals,
             ms_per_update=round(1e3 * wall / tail, 3),
-            regrounds=totals["regrounds"],
+            absorbed=totals["absorbed"],
             violations=len(violations),
             snapshot_instant=cut,
             snapshot_bytes=len(blob.encode("utf-8")),
@@ -491,7 +495,7 @@ def _zero_totals() -> dict[str, Any]:
         "sat_cache_hits": 0,
         "progress_cache_hits": 0,
         "kernel_row_hits": 0,
-        "regrounds": 0,
+        "absorbed": 0,
         "sat_time_s": 0.0,
         "progress_time_s": 0.0,
     }

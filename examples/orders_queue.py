@@ -54,7 +54,7 @@ def main() -> None:
     print("monitor work (per constraint):")
     for name, s in stats.items():
         print(f"  {name:<12} progressions={s.progressions:<4} "
-              f"regrounds={s.regrounds:<3} sat_calls={s.sat_calls}")
+              f"absorbed={s.absorbed:<3} sat_calls={s.sat_calls}")
 
 
 if __name__ == "__main__":

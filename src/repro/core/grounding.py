@@ -97,9 +97,28 @@ class Anon:
         return f"z{self.index}"
 
 
-#: A member of the ground domain ``M``: a concrete natural or an anonymous
-#: element.
-GroundElement = int | Anon
+@dataclass(frozen=True, order=True)
+class Placeholder:
+    """A template position ``p_i``: one element of a tuple, left open.
+
+    The online monitor grounds a constraint once per equality pattern
+    over placeholders and renames the result onto each tuple of that
+    pattern (DESIGN.md §10.1).  Unlike :class:`Anon`, a predicate over a
+    placeholder is a letter, not ``false``; placeholders are pairwise
+    distinct and distinct from every concrete element.  In a witness
+    tuple a placeholder stands for an element the history has not shown
+    yet, so its letters have been false at every instant.
+    """
+
+    index: int
+
+    def __str__(self) -> str:
+        return f"p{self.index}"
+
+
+#: A member of the ground domain ``M`` (a concrete natural or an anonymous
+#: element), or a template's placeholder.
+GroundElement = int | Anon | Placeholder
 
 
 @dataclass(frozen=True)
@@ -208,9 +227,7 @@ def ground(
             return PFALSE
         case Atom(pred=pred, args=args):
             resolved = tuple(context.resolve(a, assignment) for a in args)
-            if context.fold and not all(
-                isinstance(r, int) for r in resolved
-            ):
+            if context.fold and any(isinstance(r, Anon) for r in resolved):
                 return PFALSE  # Axiom_D: predicates are false on anon elements
             return rel_prop(pred, resolved)
         case Eq(left=left, right=right):
@@ -298,6 +315,7 @@ class IdGrounder:
       the matrix: than the quantified ones) keeps a memo keyed by their
       values, so a subformula over elements already grounded is never
       rebuilt; closed subformulas are grounded once, at compile time.
+      Letters are memoized by relation and arguments.
 
     Variables and constants are resolved at compile time, so an unbound
     constant or a free variable raises here, as :func:`ground` would on
@@ -315,6 +333,9 @@ class IdGrounder:
         self._context = context
         self._slots = {var: slot for slot, var in enumerate(quantifiers)}
         self._memos: list[dict[object, int]] = []
+        # Letter ids by (relation, arguments): an atom that occurs several
+        # times builds its letter once.
+        self._letters: dict[tuple[str, tuple[GroundElement, ...]], int] = {}
         root, free = self._compile(matrix)
         self._root = self._memoized(
             root, free, frozenset(range(len(quantifiers)))
@@ -326,8 +347,8 @@ class IdGrounder:
         return self._root(values)
 
     def memo_size(self) -> int:
-        """Ids held by the subformula memos."""
-        return sum(len(memo) for memo in self._memos)
+        """Ids held by the subformula and letter memos."""
+        return sum(len(memo) for memo in self._memos) + len(self._letters)
 
     def _compile(self, node: Formula) -> tuple[_Compiled, frozenset[int]]:
         """The compiled form of ``node`` and the slots of its free
@@ -453,12 +474,17 @@ class IdGrounder:
 
             return equality, free
         pred = node.pred
+        letters = self._letters
 
         def letter(values: tuple[GroundElement, ...]) -> int:
             args = resolve(values)
-            if fold and not all(isinstance(a, int) for a in args):
+            if fold and any(isinstance(a, Anon) for a in args):
                 return kernel.false_id
-            return kernel.intern(rel_prop(pred, args))
+            key = (pred, args)
+            rid = letters.get(key)
+            if rid is None:
+                rid = letters[key] = kernel.intern(rel_prop(pred, args))
+            return rid
 
         return letter, free
 

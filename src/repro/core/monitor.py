@@ -16,31 +16,19 @@ and progresses the rest.  The split is the syntactic test
 :func:`repro.analysis.hierarchy.is_past_closed`, and one report per update
 merges both sides in registration order.
 
-Under the folded grounding the letters of a state are just its facts, the
-same for every constraint, so each update builds them, and their mask over
-the progression kernel's letter bits, once; every constraint progresses
-through the same mask.
-
-The monitor works in the kernel's id space throughout
-(:mod:`repro.ptl.progkernel`): each remainder is an integer id, ground
-instances are built as ids by a per-constraint
-:class:`~repro.core.grounding.IdGrounder`, progression and the all-false
-model check run on ids, and the satisfiability memo is keyed by id.  A
-formula node is built only when something outside the update path asks for
-one: a Büchi call, :meth:`IntegrityMonitor.remainders` or
-:meth:`IntegrityMonitor.snapshot_entries` (DESIGN.md §10.1).
-
-The catch is the relevant domain: the reduction is grounded over
-``R_D ∪ {z1..zk}``, so when an update touches an element the grounding has
-never seen, the ground formula is missing instances and must be rebuilt.
-A rebuild (*reground*) reads no history: it keeps every ground instance as
-a chain id progressed to the last reground's instant, advances those
-chains over a per-monitor log of state masks, and grounds and chains from
-instant 0 only the instances the new element adds.  It is the one way a
-fresh element is absorbed, so a grounding's concrete elements are always
-the constraint's relevant set over the history, the domain
-:func:`~repro.core.checker.check_extension` grounds, and every remainder
-is the oracle's own interned node.
+The monitor works in the progression kernel's id space throughout
+(:mod:`repro.ptl.progkernel`), and holds each progressed constraint as a
+:class:`~repro.core.lifted.LiftedTable`: template-state ids of the kernel,
+each with the tuples in it.  Lemma 4.1 makes every element the history has
+not shown interchangeable with any other, so a fresh element takes the
+states of the table's witness tuples: nothing is regrounded, replayed or
+read from the history.  An update steps the tuples over the elements the
+state shows, plus one step per distinct state, and a decision reads the
+distinct states; a formula node is built only when something outside the
+update path asks for one: a Büchi call on a shared-letter constraint,
+:meth:`IntegrityMonitor.remainders` or :attr:`EntrySnapshot.remainder`
+(DESIGN.md §10.1).  The remainder those build is
+:func:`~repro.core.checker.check_extension`'s own interned node.
 
 The naive baseline that rebuilds and re-progresses from the full history
 on every update is a fresh monitor per prefix (ablation A1 measures it).
@@ -54,7 +42,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, fields
-from itertools import product as cartesian
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..analysis.hierarchy import is_past_closed
@@ -68,19 +55,16 @@ from ..errors import (
     StateError,
 )
 from ..logic.classify import FormulaInfo
-from ..logic.formulas import Formula
+from ..logic.formulas import Atom, Eq, Formula
+from ..logic.terms import Constant, Term, Variable
 from ..ptl.bitset import BuchiKernel
 from ..ptl.formulas import PTLFormula
 from ..ptl.progkernel import ProgKernelInfo, ProgressionKernel
 from .checker import validate_constraint
-from .grounding import GroundContext, GroundElement, IdGrounder
+from .grounding import Anon, GroundContext, IdGrounder, Placeholder
+from .lifted import LiftedTable, Tuple, is_canonical, is_witness, materialize
 from .plan import MonitorPlan, plan_constraints
-from .reduction import (
-    check_vocabulary,
-    constraint_relevant_elements,
-    ground_domain,
-    state_to_props,
-)
+from .reduction import check_vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..pasteval.monitor import PastMonitor
@@ -95,7 +79,8 @@ class MonitorStats:
 
     ``progressions`` counts top-level progression steps; ``kernel_row_hits``
     counts the satisfied transition-row probes of the monitor's
-    :class:`~repro.ptl.progkernel.ProgressionKernel` behind them.
+    :class:`~repro.ptl.progkernel.ProgressionKernel` behind them;
+    ``absorbed`` counts the fresh elements taken in from witness tuples.
     ``sat_time``/``progress_time`` are cumulative ``perf_counter`` seconds
     spent in the two Lemma 4.2 phases, so experiments and the benchmark
     harness can report where time goes.
@@ -117,7 +102,7 @@ class MonitorStats:
     """
 
     progressions: int = 0
-    regrounds: int = 0
+    absorbed: int = 0
     sat_calls: int = 0
     sat_cache_hits: int = 0
     kernel_row_hits: int = 0
@@ -161,76 +146,72 @@ class _ConstraintEntry:
     name: str
     constraint: Formula
     info: FormulaInfo
-    # The constraint's elements the history has shown, its constants
-    # included: the concrete part of the current grounding's domain.
-    relevant: frozenset[int] = frozenset()
-    # The progressed remainder, an id of the monitor's kernel; None while
-    # a restored entry still holds its decoded formula in ``restored``,
-    # which is interned at first use.
-    remainder: int | None = None
-    restored: PTLFormula | None = None
-    violated_at: int | None = None
-    stats: MonitorStats = field(default_factory=MonitorStats)
-    # The chain table: each of the current grounding's ``|M|^k`` ground
-    # instances, by assignment in ``cartesian(domain)`` order, as its id
-    # progressed through the first ``chained`` states.  A pure cache,
-    # never snapshotted.
-    chains: dict[tuple[GroundElement, ...], int] = field(default_factory=dict)
-    chained: int = 0
-    # Compiled at the entry's first reground.
-    grounder: IdGrounder | None = None
+    # The remainder, as template states and their tuples.
+    table: LiftedTable
+    # Do distinct tuples share no letter?  Then the conjunction is
+    # decided one template state at a time (DESIGN.md §10.1).
+    disjoint: bool
     # The relations the constraint mentions, read once: every update
     # scans the state's tuples of these alone.
-    predicates: frozenset[str] = field(init=False)
+    predicates: frozenset[str]
+    violated_at: int | None = None
+    stats: MonitorStats = field(default_factory=MonitorStats)
 
-    def __post_init__(self) -> None:
-        self.predicates = frozenset(
-            pred for pred, _arity in self.constraint.predicates()
-        )
+
+#: One table row: a template-state id and the tuples in that state.
+TableRow = tuple[int, tuple[Tuple, ...]]
 
 
 @dataclass(frozen=True)
 class EntrySnapshot:
     """The complete resume state of one progressed constraint.
 
-    The paper's Lemma 4.2 monitoring loop keeps the progressed remainder
-    as the *only* history-dependent state, so this record — remainder plus
-    the grounding's relevant set — is a full checkpoint: restoring
-    it (:meth:`IntegrityMonitor.from_snapshot`) and continuing produces
-    the same verdicts as never having stopped (property-tested).
+    The monitor holds a progressed constraint as a table of template
+    states (:class:`~repro.core.lifted.LiftedTable`), so this record —
+    the table's rows plus the relevant set — is a full checkpoint:
+    restoring it (:meth:`IntegrityMonitor.from_snapshot`) and continuing
+    produces the same verdicts and remainders as never having stopped
+    (property-tested).
 
-    :attr:`remainder` is always an actual (interned) node, so a snapshot
-    can be restored in a process whose kernel assigns different ids.
-    ``source`` holds either that node or, in a live monitor's snapshot,
-    the remainder's id in the monitor's kernel: kernel ids are never
-    reassigned, so :attr:`remainder` materializes the same node whenever
-    it is read, and a save encodes the id without building the node.
-    JSON encoding lives in :mod:`repro.database.serialize`
-    (``monitor_to_dict`` / ``monitor_from_dict``).
+    ``states`` lists the real tuples by state and ``witnesses`` the
+    witness tuples a restore cannot recompute, both as ids of ``kernel``
+    (a live monitor's own kernel: its ids are never reassigned, so the
+    rows stay valid, and a save encodes them without building nodes).
+    Tuples in state ``true`` are left out.  ``relevant`` holds the
+    elements the table has absorbed, and ``constants`` the constraint's
+    constants' elements.  :attr:`remainder` builds the remainder the
+    table stands for, the node
+    :func:`~repro.core.checker.check_extension` builds.  JSON encoding
+    lives in :mod:`repro.database.serialize` (``monitor_to_dict`` /
+    ``monitor_from_dict``).
 
-    The grounding's ``relevant`` set is carried verbatim rather than
-    recomputed, so a restore reads no history for it.  Pure caches (the
-    monitor-wide satisfiability memo, the kernels' tables, the mask log
-    and the chain table a reground resumes) are deliberately absent —
-    dropping them cannot change any verdict, only cache-hit counters and
-    the first reground's cost.
+    Pure caches (the monitor-wide satisfiability memo, the kernels'
+    tables, the templates) are deliberately absent — dropping them cannot
+    change any verdict, only cache-hit counters.
     """
 
     name: str
     constraint: Formula
-    source: PTLFormula | tuple[ProgressionKernel, int]
     relevant: frozenset[int]
+    constants: frozenset[int]
+    kernel: ProgressionKernel
+    states: tuple[TableRow, ...]
+    witnesses: tuple[TableRow, ...]
     violated_at: int | None
     stats: MonitorStats
 
     @property
     def remainder(self) -> PTLFormula:
         """The progressed remainder, as its interned node."""
-        source = self.source
-        if isinstance(source, PTLFormula):
-            return source
-        kernel, oid = source
-        return kernel.formula(oid)
+        where = {
+            values: state for state, tuples in self.states for values in tuples
+        }
+        arity = len(next(iter(where), ()))
+        return self.kernel.formula(
+            materialize(
+                self.kernel, where, self.relevant, arity, self.constants
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -281,11 +262,11 @@ class IntegrityMonitor:
     does not apply to an engine that never grounds.
 
     Each update takes the Lemma 4.2 step once per live progressed
-    constraint: progress the remainder, then decide it.  Grounding,
+    constraint: progress its table, then decide it.  Template grounding,
     progression and the all-false model check run on the ids of one
     table-driven :class:`repro.ptl.progkernel.ProgressionKernel`, and
     Büchi decisions on one bitset :class:`repro.ptl.bitset.BuchiKernel`,
-    both shared by every constraint, so ground instances with overlapping
+    both shared by every constraint, so templates with overlapping
     closures share compiled rows, states and verdicts across constraints
     and updates.
     The recursive reference engines (:mod:`repro.ptl.progression`,
@@ -339,18 +320,17 @@ class IntegrityMonitor:
                 formula, assume_safety=assume_safety, lint=lint
             )
             check_vocabulary(initial, info)
-            self._entries.append(
-                _ConstraintEntry(
-                    name=name,
-                    constraint=formula,
-                    info=info,
-                )
-            )
-        for entry in self._entries:
-            self._reground(
-                entry, constraint_relevant_elements(initial, entry.info)
-            )
-            self._decide(entry, instant=self._history.now)
+            entry = self._entry(name, formula, info)
+            entry.table.seed()
+            self._entries.append(entry)
+        # The initial history goes through the update path, decided at
+        # every instant, so a violation is reported at the first instant
+        # whose prefix fails.
+        for instant, state in enumerate(initial.states):
+            for entry in self._entries:
+                if entry.violated_at is None:
+                    self._advance(entry, state)
+                    self._decide(entry, instant)
 
     def _setup(
         self,
@@ -368,18 +348,15 @@ class IntegrityMonitor:
         self._constraints = dict(constraints)
         self._plan: MonitorPlan | None = None
         # Monitor-wide satisfiability memo, shared across constraints and
-        # keyed by the remainder's kernel id: the same ground obligation
-        # shows up under several constraints (and across regrounds), and
-        # ids are canonical, so the lookup is exact and O(1).  The memo is
-        # emptied once it holds _SAT_CACHE_SIZE remainders.
+        # keyed by kernel id: template states (and, for shared-letter
+        # constraints, materialized remainders) recur under several
+        # constraints and across updates, and ids are canonical, so the
+        # lookup is exact and O(1).  The memo is emptied once it holds
+        # _SAT_CACHE_SIZE ids.
         self._sat_cache: dict[int, bool] = {}
         self._sat_cache_resets = 0
         self._buchi = BuchiKernel()
         self._progkernel = ProgressionKernel()
-        # One kernel state mask per instant, what regrounds replay: None
-        # until the first reground needs it (built from the history then),
-        # appended at every update after.
-        self._masks: list[int] | None = None
         self._entries: list[_ConstraintEntry] = []
         self._past: PastMonitor | None = None
         if past:
@@ -394,6 +371,34 @@ class IntegrityMonitor:
             # both sides agree on "now".
             for state in history.states:
                 self._past.append_state(state)
+
+    def _entry(
+        self, name: str, constraint: Formula, info: FormulaInfo
+    ) -> _ConstraintEntry:
+        """A progressed entry with its templates compiled and its table
+        still empty."""
+        bindings = self._history.constant_bindings
+        predicates, constants, disjoint = _shape(info)
+        grounder = IdGrounder(
+            info.matrix,
+            info.external_universals,
+            GroundContext(bindings),
+            self._progkernel,
+        )
+        table = LiftedTable(
+            self._progkernel,
+            grounder,
+            len(info.external_universals),
+            frozenset(bindings[name] for name in constants),
+        )
+        return _ConstraintEntry(
+            name=name,
+            constraint=constraint,
+            info=info,
+            table=table,
+            disjoint=disjoint,
+            predicates=predicates,
+        )
 
     # -- public surface ------------------------------------------------------
 
@@ -442,21 +447,21 @@ class IntegrityMonitor:
         return {name: merged[name] for name in self._constraints}
 
     def cache_info(self) -> dict[str, int]:
-        """Sizes and resets of everything the monitor holds besides its
-        remainders (bounds in DESIGN.md §10.1):
+        """Sizes and resets of everything the monitor holds (bounds in
+        DESIGN.md §10.1):
 
         * the satisfiability memo (emptied at ``_SAT_CACHE_SIZE``
-          entries) and the Büchi kernel (dropped past its ``max_states``);
-        * ``ground_instances``, the chain tables: each progressed entry
-          holds exactly its current grounding's ``|M|^k`` ids;
+          entries), which is also the per-template verdict memo of
+          letter-disjoint constraints, and the Büchi kernel (dropped past
+          its ``max_states``);
+        * ``table_tuples``, the tuples the tables store: every real or
+          witness tuple whose state is not ``true``;
         * the progression kernel's ``kernel_obligations``,
           ``kernel_letters``, ``kernel_transitions`` and
           ``kernel_evictions`` (:meth:`progression_kernel_info`): rows are
           bounded and evicted, ids and letter bits are not;
-        * ``mask_log``, one state mask per instant since the first
-          reground (or restore), and ``grounder_memo``, the ids the
-          per-constraint grounders keep for subformulas over fewer
-          variables than their parent's.
+        * ``grounder_memo``, the ids the per-constraint grounders keep for
+          subformulas over fewer variables than their parent's.
         """
         kernel = self._progkernel.info()
         return {
@@ -464,18 +469,13 @@ class IntegrityMonitor:
             "sat_cache_resets": self._sat_cache_resets,
             "buchi_states": self._buchi.stats()["states"],
             "buchi_resets": self._buchi.resets,
-            "ground_instances": sum(
-                len(entry.chains) for entry in self._entries
-            ),
+            "table_tuples": sum(entry.table.size() for entry in self._entries),
             "kernel_obligations": kernel.obligations,
             "kernel_letters": kernel.letters,
             "kernel_transitions": kernel.transitions,
             "kernel_evictions": kernel.evictions,
-            "mask_log": len(self._masks or ()),
             "grounder_memo": sum(
-                entry.grounder.memo_size()
-                for entry in self._entries
-                if entry.grounder is not None
+                entry.table.grounder.memo_size() for entry in self._entries
             ),
         }
 
@@ -498,11 +498,12 @@ class IntegrityMonitor:
             self._past.reset()
 
     def remainders(self) -> dict[str, PTLFormula]:
-        """The current progressed remainder of each progressed constraint.
-        Past-closed constraints keep no remainder — that is the point of
-        the history-less regime — so they do not appear here."""
+        """The current progressed remainder of each progressed constraint,
+        built from its table.  Past-closed constraints keep no remainder —
+        that is the point of the history-less regime — so they do not
+        appear here."""
         return {
-            entry.name: self._remainder_formula(entry)
+            entry.name: self._progkernel.formula(self._materialize(entry))
             for entry in self._entries
         }
 
@@ -517,24 +518,38 @@ class IntegrityMonitor:
         :class:`EntrySnapshot`).
 
         The monitor itself is left untouched — taking a snapshot is
-        observationally free.  A live remainder is handed out as its
-        kernel id and built as a node only when
-        :attr:`EntrySnapshot.remainder` is read.
+        observationally free.  The rows are copied as kernel ids, and a
+        node is built only when :attr:`EntrySnapshot.remainder` is read.
+        A live entry leaves out each witness tuple that is its pattern's
+        own and whose state a restore recomputes (:meth:`from_snapshot`);
+        a violated entry, which never steps again, keeps no witnesses.
         """
         out: list[EntrySnapshot] = []
         for entry in self._entries:
-            source: PTLFormula | tuple[ProgressionKernel, int]
-            if entry.remainder is None:
-                assert entry.restored is not None
-                source = entry.restored
-            else:
-                source = (self._progkernel, entry.remainder)
+            table = entry.table
+            witnesses: tuple[TableRow, ...] = ()
+            if entry.violated_at is None:
+                # A pattern's own witness is recomputed at restore unless
+                # letters over constants alone have steered it.
+                witnesses = _rows(
+                    {
+                        state: [
+                            t
+                            for t in tuples
+                            if table.const_letters or t not in table.templates
+                        ]
+                        for state, tuples in table.witnesses.items()
+                    }
+                )
             out.append(
                 EntrySnapshot(
                     name=entry.name,
                     constraint=entry.constraint,
-                    source=source,
-                    relevant=entry.relevant,
+                    relevant=table.relevant,
+                    constants=table.constants,
+                    kernel=self._progkernel,
+                    states=_rows(table.states),
+                    witnesses=witnesses,
                     violated_at=entry.violated_at,
                     stats=MonitorStats.from_dict(entry.stats.as_dict()),
                 )
@@ -553,34 +568,32 @@ class IntegrityMonitor:
     ) -> "IntegrityMonitor":
         """Rebuild a monitor from snapshot state, resuming mid-history.
 
-        This is the restart path the paper's incremental evaluation makes
-        O(1): the remainder set *is* the evaluation (DESIGN.md §12), so
-        no constraint is regrounded, no history prefix is re-progressed
-        and no satisfiability call is made here — unlike ``__init__``,
-        which ends with a reground-and-decide sweep.  Violated entries
-        come back frozen at their recorded instant; live entries carry
-        exactly the remainder the interrupted run held, re-interned (hash
-        consing makes the restored nodes pointer-identical to what an
-        uninterrupted run would hold, which the resume-equivalence
-        property test asserts with ``is``).  The past-closed constraints
-        in ``past`` are rebuilt by replaying ``history`` through the
-        history-less tables: table updates only, no grounding and no
-        satisfiability call.
+        The table *is* the evaluation (DESIGN.md §12), so no history
+        prefix is re-progressed and no satisfiability call is made here.
+        Each entry's templates are compiled again and its rows interned
+        into the new kernel (hash consing makes the restored states, and
+        so the remainders, pointer-identical to what an uninterrupted run
+        would hold, which the resume-equivalence property test asserts
+        with ``is``).  Witness tuples left out of the snapshot are the
+        patterns' own, recomputed from the template and ``history.now``.
+        Violated entries come back frozen at their recorded instant.  The
+        past-closed constraints in ``past`` are rebuilt by replaying
+        ``history`` through the history-less tables: table updates only,
+        no grounding and no satisfiability call.
 
         ``order`` must list every constraint of ``past`` and ``entries``
         exactly once, and the split must be the one
         :func:`~repro.analysis.hierarchy.is_past_closed` gives.  Every
         constraint must be one the constructor accepts over ``history``,
-        relations, arities and constants included, which a later reground
-        would otherwise find half-way through an update.  If not, this
-        raises :class:`~repro.errors.StateError` naming the constraint.
+        relations, arities and constants included, and every row must
+        hold tuples of the constraint's arity over its absorbed elements.
+        If not, this raises :class:`~repro.errors.StateError` naming the
+        constraint.
 
         Pure caches are rebuilt empty: the satisfiability memo and the
         kernels' tables refill on demand, so only cache-hit counters —
         never verdicts, violations or remainders — can differ from the
-        uninterrupted run.  Each remainder is kept as the decoded node and
-        interned into the new kernel at its entry's first update; the
-        first reground grounds every instance anew.
+        uninterrupted run.
         """
         _require_names(
             "monitor snapshot order",
@@ -626,18 +639,46 @@ class IntegrityMonitor:
                     f"monitor snapshot constraint {snap.name!r} cannot be "
                     f"monitored: {exc}"
                 ) from None
-            monitor._entries.append(
-                _ConstraintEntry(
-                    name=snap.name,
-                    constraint=snap.constraint,
-                    info=info,
-                    relevant=snap.relevant,
-                    restored=snap.remainder,
-                    violated_at=snap.violated_at,
-                    stats=MonitorStats.from_dict(snap.stats.as_dict()),
-                )
-            )
+            entry = monitor._entry(snap.name, snap.constraint, info)
+            entry.violated_at = snap.violated_at
+            entry.stats = MonitorStats.from_dict(snap.stats.as_dict())
+            monitor._load(entry, snap, history.now)
+            monitor._entries.append(entry)
         return monitor
+
+    def _load(
+        self, entry: _ConstraintEntry, snap: EntrySnapshot, now: int
+    ) -> None:
+        """Fill a restored entry's table from its snapshot rows."""
+        table = entry.table
+        kernel = self._progkernel
+        table.relevant = snap.relevant | table.constants
+        for rows, witness in ((snap.states, False), (snap.witnesses, True)):
+            for oid, tuples in rows:
+                state = kernel.intern(snap.kernel.formula(oid))
+                for values in tuples:
+                    _check_tuple(entry, values, witness)
+                    table.put(values, state)
+        if entry.violated_at is not None or table.const_letters:
+            return
+        # A pattern's own witness has seen all-false valuations at every
+        # instant so far: its template stepped now + 1 times on the empty
+        # mask, which runs into a cycle of states.
+        for pattern, template in table.templates.items():
+            if not is_witness(pattern) or pattern in table.where:
+                continue
+            state = template.root
+            seen: dict[int, int] = {}
+            steps = now + 1
+            while steps:
+                if state in seen:
+                    steps %= len(seen) - seen[state]
+                    seen.clear()
+                    continue
+                seen[state] = len(seen)
+                state = kernel.progress_id(state, 0)
+                steps -= 1
+            table.put(pattern, state)
 
     def is_satisfied(self, name: str) -> bool:
         if name not in self._constraints:
@@ -661,18 +702,12 @@ class IntegrityMonitor:
         state = self._history.current
         satisfied: dict[str, bool] = {}
         violated: set[str] = set()
-        if self._entries:
-            # Folded letters are the state's facts, the same for every
-            # entry: built and encoded once.
-            mask = self._progkernel.encode_state(state_to_props(state))
-            if self._masks is not None:
-                self._masks.append(mask)
-            for entry in self._entries:
-                if entry.violated_at is None:
-                    self._advance(entry, state, mask)
-                    if not self._decide(entry, instant):
-                        violated.add(entry.name)
-                satisfied[entry.name] = entry.violated_at is None
+        for entry in self._entries:
+            if entry.violated_at is None:
+                self._advance(entry, state)
+                if not self._decide(entry, instant):
+                    violated.add(entry.name)
+            satisfied[entry.name] = entry.violated_at is None
         if self._past is not None:
             report = self._past.append_state(state)
             satisfied.update(report.satisfied)
@@ -685,30 +720,28 @@ class IntegrityMonitor:
             ),
         )
 
-    def _advance(
-        self, entry: _ConstraintEntry, state: DatabaseState, mask: int
-    ) -> None:
-        """Incorporate the newest state, given with its mask, into the
-        entry's remainder: a reground if the state shows an element outside
-        the grounding's relevant set (its rebuilt remainder already
-        includes the new instant), otherwise one timed, hit-counted
-        progression step."""
-        visible = self._entry_domain(entry, state)
-        if not visible <= entry.relevant:
-            self._reground(entry, visible)
-            return
-        kernel = self._progkernel
+    def _advance(self, entry: _ConstraintEntry, state: DatabaseState) -> None:
+        """Incorporate the newest state into the entry's table: absorb the
+        elements it shows for the first time, then take one timed,
+        hit-counted progression step."""
+        table = entry.table
         stats = entry.stats
+        shown = self._entry_domain(entry, state)
+        fresh = shown - table.relevant
+        if fresh:
+            table.absorb(sorted(fresh))
+            stats.absorbed += len(fresh)
+        kernel = self._progkernel
         start = time.perf_counter()
         hits_before = kernel.hits
-        entry.remainder = kernel.progress_id(self._remainder_id(entry), mask)
+        table.step(state.relations, shown)
         stats.progress_time += time.perf_counter() - start
         stats.kernel_row_hits += kernel.hits - hits_before
         stats.progressions += 1
 
     def _entry_domain(
         self, entry: _ConstraintEntry, state: DatabaseState
-    ) -> frozenset[int]:
+    ) -> set[int]:
         """Elements of one state visible to this entry's constraint."""
         predicates = entry.predicates
         elements: set[int] = set()
@@ -716,117 +749,142 @@ class IntegrityMonitor:
             if pred in predicates:
                 for args in tuples:
                     elements.update(args)
-        return frozenset(elements)
+        return elements
 
-    def _reground(
-        self, entry: _ConstraintEntry, visible: frozenset[int]
-    ) -> None:
-        """Rebuild the entry's grounding over its relevant set (the
-        elements it had plus ``visible``, the current state's) and its
-        remainder up to the current instant, without reading the history.
-
-        Every instance the last grounding had keeps its chain and is
-        advanced from the last reground's instant over the mask log; only
-        the instances with a new element are grounded, and chained from
-        instant 0.  Progression distributes over ∧, so folding the chains
-        with ``pand_ids`` in ``cartesian(domain)`` order gives the
-        remainder a from-scratch reduction and replay would (DESIGN.md
-        §10.1).  Counts one progression per state, like the step-by-step
-        path.
-        """
-        stats = entry.stats
-        stats.regrounds += 1
-        entry.relevant |= visible
-        kernel = self._progkernel
-        grounder = entry.grounder
-        if grounder is None:
-            info = entry.info
-            grounder = entry.grounder = IdGrounder(
-                info.matrix,
-                info.external_universals,
-                GroundContext(self._history.constant_bindings),
-                kernel,
-            )
-        k = len(entry.info.external_universals)
-        keys = list(cartesian(ground_domain(entry.relevant, k), repeat=k))
-        masks = self._mask_log()
-        table = entry.chains
-        chains = [table.get(values, -1) for values in keys]
-        kept = [i for i, cid in enumerate(chains) if cid >= 0]
-        added = [i for i, cid in enumerate(chains) if cid < 0]
-        resumed = [chains[i] for i in kept]
-        grounded = [grounder.ground(keys[i]) for i in added]
-        start = time.perf_counter()
-        hits_before = kernel.hits
-        live = kernel.progress_replay(
-            resumed, masks[entry.chained :]
-        ) and kernel.progress_replay(grounded, masks)
-        for i, cid in zip(kept, resumed):
-            chains[i] = cid
-        for i, cid in zip(added, grounded):
-            chains[i] = cid
-        entry.chains = dict(zip(keys, chains))
-        entry.chained = len(masks)
-        entry.remainder = kernel.pand_ids(chains) if live else kernel.false_id
-        entry.restored = None
-        stats.progress_time += time.perf_counter() - start
-        stats.kernel_row_hits += kernel.hits - hits_before
-        stats.progressions += len(masks)
-
-    def _mask_log(self) -> list[int]:
-        """The mask log, built from the history on first use."""
-        if self._masks is None:
-            encode = self._progkernel.encode_state
-            self._masks = [
-                encode(state_to_props(state)) for state in self._history.states
-            ]
-        return self._masks
-
-    def _remainder_id(self, entry: _ConstraintEntry) -> int:
-        """The entry's remainder id, interning a restored remainder at its
-        first use."""
-        if entry.remainder is None:
-            assert entry.restored is not None
-            entry.remainder = self._progkernel.intern(entry.restored)
-            entry.restored = None
-        return entry.remainder
-
-    def _remainder_formula(self, entry: _ConstraintEntry) -> PTLFormula:
-        """The entry's remainder as its interned node."""
-        if entry.remainder is None:
-            assert entry.restored is not None
-            return entry.restored
-        return self._progkernel.formula(entry.remainder)
+    def _materialize(self, entry: _ConstraintEntry) -> int:
+        """The entry's remainder as one kernel id (DESIGN.md §10.1)."""
+        table = entry.table
+        # Witness tuples hold a placeholder, so no instance looks them up.
+        return materialize(
+            self._progkernel,
+            table.where,
+            table.relevant,
+            table.arity,
+            table.constants,
+        )
 
     def _decide(self, entry: _ConstraintEntry, instant: int) -> bool:
-        """The Lemma 4.2 decision on the entry's remainder id: constants by
-        id, then the memo, the all-false model and, last, a Büchi search
-        on the materialized remainder."""
+        """The Lemma 4.2 decision on the entry's distinct template states:
+        a ``false`` state; else the memo or the all-false model per state;
+        else, for letter-disjoint constraints, a Büchi search per state;
+        else one on the materialized remainder."""
         kernel = self._progkernel
-        remainder = self._remainder_id(entry)
-        if remainder == kernel.true_id:
-            return True
-        if remainder == kernel.false_id:
+        states = entry.table.states
+        if kernel.false_id in states:
             entry.violated_at = instant
             return False
-        cached = self._sat_cache.get(remainder)
-        if cached is not None:
-            entry.stats.sat_cache_hits += 1
-            ok = cached
-        else:
-            entry.stats.sat_calls += 1
-            start = time.perf_counter()
-            ok = kernel.holds_quiescent(remainder) or (
-                self._buchi.is_satisfiable(kernel.formula(remainder))
+        stats = entry.stats
+        cache = self._sat_cache
+        open_states: list[int] = []
+        for state in states:
+            cached = cache.get(state)
+            if cached is not None:
+                stats.sat_cache_hits += 1
+                ok = cached
+            elif kernel.holds_quiescent(state):
+                ok = self._remember(entry, state, True)
+            elif entry.disjoint:
+                ok = self._remember(entry, state, None)
+            else:
+                open_states.append(state)
+                continue
+            if not ok:
+                entry.violated_at = instant
+                return False
+        if open_states:
+            remainder = self._materialize(entry)
+            cached = cache.get(remainder)
+            if cached is not None:
+                stats.sat_cache_hits += 1
+                ok = cached
+            else:
+                ok = self._remember(entry, remainder, None)
+            if not ok:
+                entry.violated_at = instant
+                return False
+        return True
+
+    def _remember(
+        self, entry: _ConstraintEntry, oid: int, verdict: bool | None
+    ) -> bool:
+        """Memoize the satisfiability of ``oid``, deciding it with a Büchi
+        search unless ``verdict`` is given; counted as one call."""
+        stats = entry.stats
+        stats.sat_calls += 1
+        start = time.perf_counter()
+        if verdict is None:
+            verdict = self._buchi.is_satisfiable(
+                self._progkernel.formula(oid)
             )
-            entry.stats.sat_time += time.perf_counter() - start
-            if len(self._sat_cache) >= _SAT_CACHE_SIZE:
-                self._sat_cache.clear()
-                self._sat_cache_resets += 1
-            self._sat_cache[remainder] = ok
-        if not ok:
-            entry.violated_at = instant
-        return ok
+        stats.sat_time += time.perf_counter() - start
+        if len(self._sat_cache) >= _SAT_CACHE_SIZE:
+            self._sat_cache.clear()
+            self._sat_cache_resets += 1
+        self._sat_cache[oid] = verdict
+        return verdict
+
+
+def _shape(info: FormulaInfo) -> tuple[frozenset[str], frozenset[str], bool]:
+    """The relations and the constant symbols the constraint names, and
+    whether its distinct ground instances share no letter, from one walk
+    of the matrix.
+
+    They share none when every atom names every quantified variable and
+    each relation appears with one argument pattern: a letter then fixes
+    the whole assignment.  (An atom over constants only, or a 0-ary one,
+    names no variable.)  Equalities fold away under grounding.
+    """
+    variables = set(info.external_universals)
+    disjoint = bool(variables)
+    patterns: dict[str, tuple[Term, ...]] = {}
+    constants: set[str] = set()
+    for node in info.matrix.walk():
+        if isinstance(node, Atom):
+            terms: tuple[Term, ...] = node.args
+            if patterns.setdefault(node.pred, terms) != terms or {
+                t for t in terms if isinstance(t, Variable)
+            } != variables:
+                disjoint = False
+        elif isinstance(node, Eq):
+            terms = (node.left, node.right)
+        else:
+            continue
+        constants.update(t.name for t in terms if isinstance(t, Constant))
+    return frozenset(patterns), frozenset(constants), disjoint
+
+
+def _rows(table: Mapping[int, Iterable[Tuple]]) -> tuple[TableRow, ...]:
+    """A frozen copy of a table's rows, empty ones left out."""
+    rows = []
+    for state, tuples in table.items():
+        frozen = tuple(tuples)
+        if frozen:
+            rows.append((state, frozen))
+    return tuple(rows)
+
+
+def _check_tuple(entry: _ConstraintEntry, values: Tuple, witness: bool) -> None:
+    """Raise :class:`~repro.errors.StateError` unless a restored tuple is
+    one the entry's table could hold, and not one it holds already."""
+    table = entry.table
+    ok = (
+        isinstance(values, tuple)
+        and values not in table.where
+        and len(values) == table.arity
+        and all(type(value) in (int, Anon, Placeholder) for value in values)
+        and is_canonical(values)
+        and is_witness(values) == witness
+        and table.pattern(values) in table.templates
+        and all(
+            type(value) is not int or value in table.relevant
+            for value in values
+        )
+    )
+    if not ok:
+        raise StateError(
+            f"monitor snapshot entry {entry.name!r} holds a tuple its "
+            f"table cannot: {values!r:.60}"
+        )
 
 
 def _require_names(

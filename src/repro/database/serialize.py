@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..ptl.progkernel import ProgressionKernel
 
 #: Format tag written into (and required from) monitor snapshots.
-MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v5"
+MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v6"
 
 
 def vocabulary_to_dict(vocabulary: Vocabulary) -> dict[str, Any]:
@@ -243,7 +243,7 @@ def load_history(path: str) -> History:
 
 def _element_to_jsonable(element: object) -> Any:
     # Local import: repro.core imports this package at module load.
-    from ..core.grounding import Anon
+    from ..core.grounding import Anon, Placeholder
 
     if isinstance(element, bool):
         raise StateError(f"cannot serialize ground element {element!r}")
@@ -251,21 +251,23 @@ def _element_to_jsonable(element: object) -> Any:
         return element
     if isinstance(element, Anon):
         return ["z", element.index]
+    if isinstance(element, Placeholder):
+        return ["p", element.index]
     raise StateError(f"cannot serialize ground element {element!r}")
 
 
 def _element_from_jsonable(data: Any, where: str) -> Any:
-    from ..core.grounding import Anon
+    from ..core.grounding import Anon, Placeholder
 
     if isinstance(data, int) and not isinstance(data, bool):
         return data
     if (
         isinstance(data, (list, tuple))
         and len(data) == 2
-        and data[0] == "z"
+        and data[0] in ("z", "p")
         and isinstance(data[1], int)
     ):
-        return Anon(data[1])
+        return (Anon if data[0] == "z" else Placeholder)(data[1])
     raise StateError(f"{where}: malformed ground element {data!r}")
 
 
@@ -354,29 +356,6 @@ def ptl_to_jsonable(formula: PTLFormula) -> Any:
     return _jsonable_node(
         type(formula), [ptl_to_jsonable(op) for op in formula.children]
     )
-
-
-def kernel_ptl_to_jsonable(
-    kernel: "ProgressionKernel", oid: int, memo: dict[int, Any]
-) -> Any:
-    """:func:`ptl_to_jsonable` of ``kernel.formula(oid)``, read from the
-    kernel's id tables instead of the node, so no node is built.
-
-    ``memo`` maps ids already encoded (by this save) to their trees,
-    which the JSON writer then repeats.
-    """
-    cached = memo.get(oid)
-    if cached is not None:
-        return cached
-    cls, operands = kernel.node(oid)
-    if cls is Prop:
-        letter = kernel.formula(oid)
-        assert isinstance(letter, Prop)
-        parts: list[Any] = [letter.name]
-    else:
-        parts = [kernel_ptl_to_jsonable(kernel, op, memo) for op in operands]
-    tree = memo[oid] = _jsonable_node(cls, parts)
-    return tree
 
 
 def ptl_from_jsonable(data: Any, where: str = "snapshot") -> PTLFormula:
@@ -507,35 +486,199 @@ def _parse_constraint(text: str, where: str) -> Any:
         raise StateError(f"{where} does not parse: {exc}") from None
 
 
-def _entry_to_jsonable(snap: Any, memo: dict[int, Any]) -> dict[str, Any]:
-    """One entry; a live remainder is encoded from its kernel id, with
-    ``memo`` shared by the save's entries."""
+#: Operand count of each compound tag in a table's node list (``None``:
+#: two or more).
+_OPERANDS: dict[str, int | None] = {
+    "not": 1,
+    "and": None,
+    "or": None,
+    "implies": 2,
+    "next": 1,
+    "until": 2,
+    "weakuntil": 2,
+    "release": 2,
+    "eventually": 1,
+    "always": 1,
+}
+
+_CLASSES: dict[str, type] = {tag: cls for cls, tag in _TAGS.items()}
+
+
+def _dag_node(
+    kernel: "ProgressionKernel",
+    oid: int,
+    nodes: list[Any],
+    index: dict[int, int],
+) -> int:
+    """The position of kernel id ``oid`` in a node list, appending it and
+    its operands (operands first) if missing; read from the kernel's id
+    tables, so no formula node is built."""
+    from ..core.grounding import RelAtom
+
+    stack = [oid]
+    while stack:
+        top = stack[-1]
+        if top in index:
+            stack.pop()
+            continue
+        cls, operands = kernel.node(top)
+        missing = [op for op in operands if op not in index]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        if cls is Prop:
+            letter = kernel.formula(top)
+            assert isinstance(letter, Prop)
+            atom = letter.name
+            if not isinstance(atom, RelAtom):
+                raise StateError(
+                    f"cannot serialize table letter with name {atom!r}"
+                )
+            node = [
+                "rel",
+                atom.pred,
+                *(_element_to_jsonable(arg) for arg in atom.args),
+            ]
+        else:
+            tag = _TAGS.get(cls)
+            if tag is None:
+                raise StateError(
+                    f"cannot serialize PTL node of type {cls.__name__}"
+                )
+            node = [tag, *(index[op] for op in operands)]
+        index[top] = len(nodes)
+        nodes.append(node)
+    return index[oid]
+
+
+def _nodes_from_jsonable(data: Any, where: str) -> list[PTLFormula]:
+    """Decode a table's node list: each node names earlier ones by
+    position, and is built with the raw constructors (so interned)."""
+    from ..core.grounding import RelAtom
+
+    nodes: list[PTLFormula] = []
+    for node in decode_list(data, f"{where}: 'nodes'"):
+        if not isinstance(node, list) or not node:
+            raise StateError(f"{where}: malformed node {node!r:.60}")
+        tag, args = node[0], node[1:]
+        if tag == "rel" and args and isinstance(args[0], str):
+            nodes.append(
+                Prop(
+                    RelAtom(
+                        args[0],
+                        tuple(
+                            _element_from_jsonable(arg, where)
+                            for arg in args[1:]
+                        ),
+                    )
+                )
+            )
+            continue
+        if tag in ("true", "false") and not args:
+            nodes.append(PTLTrue() if tag == "true" else PTLFalse())
+            continue
+        count = _OPERANDS.get(tag, 0) if isinstance(tag, str) else 0
+        if (
+            count == 0
+            or (count is None and len(args) < 2)
+            or (count is not None and len(args) != count)
+            or not all(
+                type(arg) is int and 0 <= arg < len(nodes) for arg in args
+            )
+        ):
+            raise StateError(f"{where}: malformed node {node!r:.60}")
+        operands = [nodes[arg] for arg in args]
+        cls = _CLASSES[tag]
+        nodes.append(
+            cls(tuple(operands)) if count is None else cls(*operands)
+        )
+    return nodes
+
+
+def _rows_to_jsonable(
+    kernel: "ProgressionKernel",
+    rows: Any,
+    nodes: list[Any],
+    index: dict[int, int],
+) -> list[Any]:
+    """Table rows in canonical order: tuples sorted, rows by their first
+    tuple, and each state's nodes appended in that order."""
+    from ..core.lifted import tuple_key
+
+    ordered = sorted(
+        ((sorted(tuples, key=tuple_key), oid) for oid, tuples in rows),
+        key=lambda row: tuple_key(row[0][0]),
+    )
+    return [
+        [
+            _dag_node(kernel, oid, nodes, index),
+            [[_element_to_jsonable(value) for value in t] for t in tuples],
+        ]
+        for tuples, oid in ordered
+    ]
+
+
+def _rows_from_jsonable(
+    data: Any,
+    nodes: list[PTLFormula],
+    kernel: "ProgressionKernel",
+    where: str,
+) -> tuple[Any, ...]:
+    """Decode table rows into (id of ``kernel``, tuples) pairs."""
+    rows = []
+    for row in decode_list(data, where):
+        if (
+            not isinstance(row, list)
+            or len(row) != 2
+            or type(row[0]) is not int
+            or not 0 <= row[0] < len(nodes)
+        ):
+            raise StateError(f"{where}: malformed row {row!r:.60}")
+        tuples = tuple(
+            tuple(
+                _element_from_jsonable(value, where)
+                for value in decode_list(values, where)
+            )
+            for values in decode_list(row[1], where)
+        )
+        rows.append((kernel.intern(nodes[row[0]]), tuples))
+    return tuple(rows)
+
+
+def _entry_to_jsonable(snap: Any) -> dict[str, Any]:
+    """One entry: its table's states once each, as a node list, and its
+    rows in canonical order, so a load-then-save writes the same bytes."""
     from ..logic import to_str
 
-    source = snap.source
-    if isinstance(source, tuple):
-        remainder = kernel_ptl_to_jsonable(*source, memo)
-    else:
-        remainder = ptl_to_jsonable(source)
+    nodes: list[Any] = []
+    index: dict[int, int] = {}
+    states = _rows_to_jsonable(snap.kernel, snap.states, nodes, index)
+    witnesses = _rows_to_jsonable(snap.kernel, snap.witnesses, nodes, index)
     return {
         "name": snap.name,
         "constraint": to_str(snap.constraint),
-        "remainder": remainder,
         "relevant": sorted(snap.relevant),
         "violated_at": snap.violated_at,
         "stats": snap.stats.as_dict(),
+        "nodes": nodes,
+        "states": states,
+        "witnesses": witnesses,
     }
 
 
-def _entry_from_jsonable(data: Any, now: int) -> Any:
-    """Decode one snapshot entry of a monitor whose history ends at
-    instant ``now``."""
+def _entry_from_jsonable(
+    data: Any, history: History, kernel: "ProgressionKernel"
+) -> Any:
+    """Decode one snapshot entry of a monitor over ``history``, its
+    states interned into ``kernel``."""
     from ..core.monitor import EntrySnapshot
 
     if not isinstance(data, Mapping):
         raise StateError(
             f"snapshot entry must be an object, got {type(data).__name__}"
         )
+    now = history.now
     try:
         name = data["name"]
         if not isinstance(name, str):
@@ -551,14 +694,28 @@ def _entry_from_jsonable(data: Any, now: int) -> Any:
                 f"{where}: 'violated_at' must be null or an instant in "
                 f"[0, {now}], got {violated_at!r:.60}"
             )
+        constraint = _parse_constraint(
+            data["constraint"], f"{where}: 'constraint'"
+        )
+        nodes = _nodes_from_jsonable(data["nodes"], where)
+        bindings = history.constant_bindings
         return EntrySnapshot(
             name=name,
-            constraint=_parse_constraint(
-                data["constraint"], f"{where}: 'constraint'"
-            ),
-            source=ptl_from_jsonable(data["remainder"], where),
+            constraint=constraint,
             relevant=frozenset(
                 decode_list(data["relevant"], f"{where}: 'relevant'", int)
+            ),
+            constants=frozenset(
+                bindings[constant.name]
+                for constant in constraint.constants()
+                if constant.name in bindings
+            ),
+            kernel=kernel,
+            states=_rows_from_jsonable(
+                data["states"], nodes, kernel, f"{where}: 'states'"
+            ),
+            witnesses=_rows_from_jsonable(
+                data["witnesses"], nodes, kernel, f"{where}: 'witnesses'"
             ),
             violated_at=violated_at,
             stats=stats_from_jsonable(data["stats"], f"{where}: 'stats'"),
@@ -590,7 +747,6 @@ def monitor_to_dict(
 
     entries = monitor.snapshot_entries()
     progressed = {snap.name for snap in entries}
-    memo: dict[int, Any] = {}
     data: dict[str, Any] = {
         "format": MONITOR_SNAPSHOT_FORMAT,
         "config": monitor.snapshot_config(),
@@ -600,7 +756,7 @@ def monitor_to_dict(
             for name, formula in monitor.constraints.items()
             if name not in progressed
         },
-        "entries": [_entry_to_jsonable(snap, memo) for snap in entries],
+        "entries": [_entry_to_jsonable(snap) for snap in entries],
     }
     if with_history:
         data["history"] = history_to_dict(monitor.history)
@@ -619,6 +775,7 @@ def monitor_from_dict(
     document's own.
     """
     from ..core.monitor import IntegrityMonitor
+    from ..ptl.progkernel import ProgressionKernel
 
     if not isinstance(data, Mapping):
         raise StateError(
@@ -661,6 +818,9 @@ def monitor_from_dict(
         if "history" not in data:
             raise StateError("monitor snapshot is missing the 'history' key")
         history = history_from_dict(data["history"])
+    # The decoded states are interned here, and again into the restored
+    # monitor's own kernel.
+    kernel = ProgressionKernel()
     return IntegrityMonitor.from_snapshot(
         history,
         order,
@@ -670,6 +830,9 @@ def monitor_from_dict(
             )
             for name, text in past.items()
         },
-        [_entry_from_jsonable(entry, history.now) for entry in raw_entries],
+        [
+            _entry_from_jsonable(entry, history, kernel)
+            for entry in raw_entries
+        ],
         assume_safety=config["assume_safety"],
     )

@@ -98,6 +98,10 @@ def _all_p_prefix(length: int, width: int) -> list[frozenset[PTLFormula]]:
     return [state] * length
 
 
+#: Cold runs per prefix-sweep point; each phase keeps its best time.
+PREFIX_RUNS = 3
+
+
 def run(fast: bool = False) -> list[dict]:
     rows: list[dict] = []
 
@@ -109,17 +113,24 @@ def run(fast: bool = False) -> list[dict]:
         # Measure each point cold: the PTL core memoizes progression, NNF,
         # and automata across calls, which would otherwise turn every
         # sweep point after the first into a cache replay and hide the
-        # Lemma 4.2 phase shapes this experiment exists to show.
-        clear_all_caches()
-        result = check_extension_detailed(prefix, formula)
-        assert result.extendable
+        # Lemma 4.2 phase shapes this experiment exists to show.  Each
+        # phase is the best of PREFIX_RUNS cold runs, so one slow run (a
+        # collection, another process) does not set a point of a sweep
+        # whose shortest prefix takes a millisecond.
+        progress_s = sat_s = float("inf")
+        for _ in range(PREFIX_RUNS):
+            clear_all_caches()
+            result = check_extension_detailed(prefix, formula)
+            assert result.extendable
+            progress_s = min(progress_s, result.progression_seconds)
+            sat_s = min(sat_s, result.satisfiability_seconds)
         rows.append(
             {
                 "sweep": "prefix",
                 "t": length,
                 "|psi|": formula.size(),
-                "progress_s": result.progression_seconds,
-                "sat_s": result.satisfiability_seconds,
+                "progress_s": progress_s,
+                "sat_s": sat_s,
             }
         )
 

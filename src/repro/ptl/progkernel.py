@@ -36,9 +36,11 @@ This module compiles that lookup away, the same move
   :meth:`ProgressionKernel.intern` saw it first, so an id-keyed memo is as
   exact as an identity-keyed one over interned nodes;
 * :meth:`ProgressionKernel.progress_replay` advances a list of chain ids
-  through a whole state sequence (the monitor's per-instance reground
-  chains), and :meth:`ProgressionKernel.holds_quiescent` is the all-false
-  model check of :func:`repro.ptl.sat.quick_model_check`, both on ids.
+  through a whole state sequence (the trigger manager's per-conjunct
+  replays), :meth:`ProgressionKernel.rename` renames the letters of an id
+  (the monitor's template states, renamed onto their tuples), and
+  :meth:`ProgressionKernel.holds_quiescent` is the all-false model check
+  of :func:`repro.ptl.sat.quick_model_check`, all on ids.
 
 The recursive reference engine is *oracle-only*: the kernel never
 consults (nor populates) the reference progression memo on the supported
@@ -428,6 +430,58 @@ class ProgressionKernel:
         """The conjunct ids of ``oid`` when it is a conjunction, else
         ``(oid,)``: the chains :meth:`progress_replay` advances."""
         return self._conjuncts[oid] or (oid,)
+
+    def letters(self, oid: int) -> list[tuple[int, Prop]]:
+        """The letters of ``oid``, each with its one-bit state mask."""
+        members = self._letters.members
+        out: list[tuple[int, Prop]] = []
+        for bit in _iter_bits(self._letter_masks[oid]):
+            letter = members[bit]
+            assert isinstance(letter, Prop)
+            out.append((1 << bit, letter))
+        return out
+
+    def rename(
+        self, oid: int, letters: Mapping[int, int], memo: dict[int, int]
+    ) -> int:
+        """The id of ``formula(oid)`` with each letter id ``a`` of
+        ``letters`` replaced by ``letters[a]`` (other letters stay).
+
+        The renaming must be injective on the letters of ``oid``.  Then
+        it commutes with every smart-constructor mirror: constants, node
+        kinds and the identity of distinct operands are all preserved, so
+        no fold or dedup fires on the image that did not fire on the
+        source, and the image is the canonical id of the renamed
+        structure.  ``memo`` holds the ids already renamed under the same
+        ``letters``.
+        """
+        done = memo.get(oid)
+        if done is not None:
+            return done
+        kind = self._kinds[oid]
+        if kind == _K_PROP:
+            rid = letters.get(oid, oid)
+        elif kind == _K_TRUE or kind == _K_FALSE:
+            rid = oid
+        elif kind == _K_AND or kind == _K_OR:
+            parts = self._conjuncts[oid] or self._disjuncts[oid]
+            assert parts is not None
+            renamed = [self.rename(part, letters, memo) for part in parts]
+            rid = (
+                self.pand_ids(renamed)
+                if kind == _K_AND
+                else self.por_ids(renamed)
+            )
+        elif kind == _K_OTHER:
+            raise ValueError("cannot rename an out-of-fragment node")
+        else:
+            subs = self._subs[oid]
+            assert subs is not None
+            rid = self._node_id(
+                kind, tuple([self.rename(s, letters, memo) for s in subs])
+            )
+        memo[oid] = rid
+        return rid
 
     def encode_state(self, props: AbstractSet[Prop]) -> int:
         """One propositional state as a mask over the kernel's letter bits.

@@ -71,7 +71,7 @@ from ..logic.formulas import Formula
 __all__ = ["SERVICE_SNAPSHOT_FORMAT", "MonitorService"]
 
 #: Format tag stamped into :meth:`MonitorService.snapshot` payloads.
-SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v4"
+SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v5"
 
 #: Queue sentinel + item shape: (session, update, state, future).
 _QueueItem = tuple[

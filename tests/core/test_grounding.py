@@ -7,11 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.grounding as grounding_module
+import repro.core.lifted as lifted_module
 from repro.core.grounding import (
     Anon,
     EqAtom,
     GroundContext,
     IdGrounder,
+    Placeholder,
     RelAtom,
     build_axioms,
     decide_equality,
@@ -19,6 +21,7 @@ from repro.core.grounding import (
     ground,
     rel_prop,
 )
+from repro.core.lifted import LiftedTable, canonical_tuple
 from repro.database import vocabulary
 from repro.errors import ClassificationError, SchemaError
 from repro.logic import builders as b
@@ -188,7 +191,12 @@ VIP = b.const("vip")
 #: ``vip`` is bound to 2, a concrete element of every domain below, so
 #: the domains hold anonymous, diagonal and constant-valued assignments.
 ID_CONTEXT = GroundContext(constant_bindings={"vip": 2})
-ID_DOMAINS = [(1, 2, Anon(1), Anon(2)), (1, 2, 3, 4, Anon(1), Anon(2))]
+ID_DOMAINS = [
+    (1, 2, Anon(1), Anon(2)),
+    (1, 2, 3, 4, Anon(1), Anon(2)),
+    # Template patterns: placeholders next to constants' elements.
+    (2, Placeholder(1), Placeholder(2), Anon(1)),
+]
 
 _terms = st.sampled_from([X0, X1, VIP])
 _leaves = st.one_of(
@@ -277,6 +285,29 @@ class TestIdGrounder:
             _check_against_ground(
                 matrix, tuple(info.external_universals), domain
             )
+
+    @given(seed=st.integers(0, 500), quantifiers=st.integers(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_a_template_renamed_is_the_instance(self, seed, quantifiers):
+        # Grounding a tuple's pattern over placeholders and renaming the
+        # placeholders onto the tuple's elements gives the tuple's own
+        # instance id (DESIGN.md §10.1).
+        constraint = random_universal_constraint(
+            ID_V, ConstraintConfig(quantifiers=quantifiers, size=6, seed=seed)
+        )
+        info = require_universal(constraint)
+        matrix = b.or_(info.matrix, b.atom("Link", VIP, X0))
+        variables = tuple(info.external_universals)
+        kernel = ProgressionKernel()
+        grounder = IdGrounder(matrix, variables, ID_CONTEXT, kernel)
+        table = LiftedTable(kernel, grounder, len(variables), frozenset({2}))
+        domain = (1, 2, 3, Anon(1), Anon(2))
+        for values in cartesian(domain, repeat=len(variables)):
+            values = canonical_tuple(values)
+            template = grounder.ground(table.pattern(values))
+            assert lifted_module._renamed(
+                kernel, template, values, table.constants
+            ) == grounder.ground(values)
 
     @given(
         seed=st.integers(0, 500),

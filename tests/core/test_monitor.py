@@ -1,17 +1,15 @@
 """Tests for the online integrity monitor (regrounds, stats, violations)."""
 
 import json
-from itertools import product as cartesian
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.monitor as monitor_module
 import repro.core.reduction as reduction_module
 from repro.core import IntegrityMonitor, check_extension
-from repro.core.grounding import IdGrounder, rel_prop
-from repro.core.reduction import ground_domain
+from repro.core.grounding import IdGrounder
 from repro.core.monitor import MonitorStats
 from repro.database import (
     DatabaseState,
@@ -21,7 +19,6 @@ from repro.database import (
     monitor_to_dict,
     vocabulary,
 )
-from repro.database.serialize import kernel_ptl_to_jsonable, ptl_to_jsonable
 from repro.errors import NotSafetyError, NotUniversalError
 from repro.eval import evaluate_finite
 from repro.logic import parse
@@ -30,6 +27,10 @@ from repro.ptl.bitset import BuchiKernel
 from repro.ptl.formulas import intern_cache_info
 from repro.ptl.progression import progress_cache_clear, progress_cache_info
 from repro.service import MonitorService
+from repro.workloads.formulas import (
+    ConstraintConfig,
+    random_universal_constraint,
+)
 from repro.workloads.orders import (
     ORDER_VOCABULARY,
     clean_trace,
@@ -60,6 +61,24 @@ traces = st.lists(
 )
 
 
+# The random-constraint harness: a binary relation, and a constant the
+# history binds.
+RANDOM_V = vocabulary({"Sub": 1, "Fill": 1, "Link": 2}, constants=["Vip"])
+RANDOM_FIXED = {
+    "vip": parse("forall x . G (Link(x, Vip) & Sub(Vip) -> X G !Link(x, Vip))"),
+    "pair": parse("forall x y . G (Link(x, y) & x != y -> X G !Link(y, x))"),
+}
+random_facts = st.one_of(
+    st.tuples(st.sampled_from(["Sub", "Fill"]), st.tuples(st.integers(0, 4))),
+    st.tuples(
+        st.just("Link"), st.tuples(st.integers(0, 4), st.integers(0, 4))
+    ),
+)
+random_traces = st.lists(
+    st.lists(random_facts, max_size=3), min_size=1, max_size=4
+)
+
+
 def monitor_with(constraints, **kwargs):
     return IntegrityMonitor(constraints, History.empty(V), **kwargs)
 
@@ -75,6 +94,8 @@ HARNESS = {
     "ping": parse("forall x . G (Ping(x) -> X G !Ping(x))"),
 }
 
+FRONTS = ["monitor", "service", "restored", "restored-service"]
+
 harness_traces = st.lists(
     st.lists(
         st.tuples(
@@ -88,13 +109,69 @@ harness_traces = st.lists(
 )
 
 
-def _front(front):
-    history = History.empty(V)
+def _front(front, constraints=None, history=None):
+    history = History.empty(V) if history is None else history
     if front in ("service", "restored-service"):
-        service = MonitorService(HARNESS, history, shards=2)
-        assert service.shard_count == 2
-        return service
-    return IntegrityMonitor(HARNESS, history)
+        if constraints is None:
+            service = MonitorService(HARNESS, history, shards=2)
+            assert service.shard_count == 2
+            return service
+        return MonitorService(constraints, history, shards=2, lint="off")
+    if constraints is None:
+        return IntegrityMonitor(HARNESS, history)
+    return IntegrityMonitor(constraints, history, lint="off")
+
+
+def _check_every_instant(m, constraints, trace, vocab, front, cut):
+    """Feed ``trace`` to front ``m`` (sent through its JSON snapshot at
+    instant ``cut`` when the front is a restored one) and check every
+    report against the paper's decision on the whole prefix: verdicts,
+    new violations, violation instants, and live remainders that are the
+    oracle's own interned node.  Past-closed constraints are checked
+    against their finite-prefix meaning (the body held at every instant
+    so far).  Returns the last front."""
+    # A constraint can already fail on the initial history.
+    first_violation = dict(m.violations())
+    for instant, facts in enumerate(trace):
+        if front.startswith("restored") and instant == min(
+            cut, len(trace) - 1
+        ):
+            m = _restored(m)
+        state = DatabaseState.from_facts(vocab, facts)
+        if isinstance(m, MonitorService):
+            report = m.apply_state(state)
+        else:
+            report = m.append_state(state)
+        violations = m.violations()
+        fresh = tuple(
+            name
+            for name in constraints
+            if name in violations and name not in first_violation
+        )
+        assert report.new_violations == fresh
+        first_violation.update((name, report.instant) for name in fresh)
+        assert list(violations.items()) == [
+            (name, first_violation[name])
+            for name in constraints
+            if name in first_violation
+        ]
+        remainders = _remainders(m)
+        for name, constraint in constraints.items():
+            assert (name in violations) != report.satisfied[name]
+            if name not in remainders:
+                assert report.satisfied[name] == evaluate_finite(
+                    constraint, m.history, future="weak"
+                )
+                continue
+            oracle = check_extension(constraint, m.history, lint="off")
+            if name in violations:
+                # Frozen: a safety violation is irrecoverable, so the
+                # oracle must stay unsatisfiable from then on.
+                assert not oracle.potentially_satisfied
+                continue
+            assert oracle.potentially_satisfied
+            assert remainders[name] is oracle.remainder
+    return m
 
 
 def _restored(front):
@@ -231,16 +308,21 @@ class TestStrategies:
             {"once": submit_once, "fifo": fifo_fill}, trace
         )
 
-    def test_incremental_regrounds_only_on_new_elements(self, submit_once):
+    def test_absorbs_only_new_elements(self, submit_once):
         m = monitor_with({"once": submit_once})
         m.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
-        after_first = m.stats()["once"].regrounds
-        # Same element again: no reground needed.
-        m.append_state(DatabaseState.from_facts(V, [("Fill", (1,))]))
-        assert m.stats()["once"].regrounds == after_first
-        # Fresh element: reground.
-        m.append_state(DatabaseState.from_facts(V, [("Sub", (9,))]))
-        assert m.stats()["once"].regrounds == after_first + 1
+        assert m.stats()["once"].absorbed == 1
+        # Elements in a relation the constraint does not name: nothing to
+        # absorb.
+        m.append_state(
+            DatabaseState.from_facts(V, [("Fill", (1,)), ("Fill", (2,))])
+        )
+        assert m.stats()["once"].absorbed == 1
+        # A burst of two fresh elements.
+        m.append_state(
+            DatabaseState.from_facts(V, [("Sub", (8,)), ("Sub", (9,))])
+        )
+        assert m.stats()["once"].absorbed == 3
 
     def test_stats_track_time_and_cache_hits(self, submit_once):
         m = monitor_with({"once": submit_once})
@@ -326,74 +408,86 @@ class TestAgainstChecker:
 
     @given(
         trace=harness_traces,
-        front=st.sampled_from(
-            ["monitor", "service", "restored", "restored-service"]
-        ),
+        front=st.sampled_from(FRONTS),
         cut=st.integers(0, 3),
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_paper_decision_at_every_instant(self, trace, front, cut):
         # One differential harness for every monitor front end.  The
         # ground truth is the Theorem 4.1 reduction plus the Lemma 4.2
-        # decision, run from scratch on the whole prefix.  The monitor
-        # grounds over the same relevant set as the oracle, so its live
-        # remainders are the oracle's own interned node.  The past-closed
-        # audit rule is checked against its finite-prefix meaning: the
-        # body held at every instant so far.  "restored" and
-        # "restored-service" are sent through their JSON snapshot at
-        # instant `cut`.  Every front reports each violation once, at the
-        # instant it happens, in registration order.
-        m = _front(front)
-        first_violation: dict[str, int] = {}
-        for instant, facts in enumerate(trace):
-            if front.startswith("restored") and instant == min(
-                cut, len(trace) - 1
-            ):
-                m = _restored(m)
-            state = DatabaseState.from_facts(V, facts)
-            if isinstance(m, MonitorService):
-                report = m.apply_state(state)
-            else:
-                report = m.append_state(state)
-            violations = m.violations()
-            fresh = tuple(
-                name
-                for name in HARNESS
-                if name in violations and name not in first_violation
+        # decision, run from scratch on the whole prefix.  The monitor's
+        # tables materialize the oracle's own interned remainder.  The
+        # past-closed audit rule is checked against its finite-prefix
+        # meaning.  "restored" and "restored-service" are sent through
+        # their JSON snapshot at instant `cut`.  Every front reports each
+        # violation once, at the instant it happens, in registration
+        # order.
+        m = _check_every_instant(_front(front), HARNESS, trace, V, front, cut)
+        assert "audit" not in _remainders(m)
+
+    @given(
+        seeds=st.lists(st.integers(0, 10**6), min_size=2, max_size=2),
+        vip=st.integers(0, 4),
+        trace=random_traces,
+        front=st.sampled_from(FRONTS),
+        cut=st.integers(0, 3),
+    )
+    @example(
+        seeds=[7, 8],
+        vip=1,
+        trace=[
+            [("Sub", (0,)), ("Sub", (2,)), ("Link", (2, 3))],
+            [("Link", (3, 1)), ("Fill", (4,))],
+            [("Sub", (2,)), ("Link", (0, 2))],
+        ],
+        front="restored-service",
+        cut=1,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_constraints_match_the_paper_decision(
+        self, seeds, vip, trace, front, cut
+    ):
+        # The same harness over random universal safety constraints with
+        # one and two quantifiers, a constraint on a constant bound in
+        # the history and one that compares two variables, on traces
+        # whose states can show several fresh elements at once.
+        constraints = {
+            f"random_{k}": random_universal_constraint(
+                RANDOM_V, ConstraintConfig(quantifiers=k, size=5, seed=seed)
             )
-            assert report.new_violations == fresh
-            first_violation.update((name, report.instant) for name in fresh)
-            assert list(violations.items()) == [
-                (name, first_violation[name])
-                for name in HARNESS
-                if name in first_violation
-            ]
-            remainders = _remainders(m)
-            assert "audit" not in remainders
-            assert report.satisfied["audit"] == evaluate_finite(
-                AUDIT, m.history, future="weak"
-            )
-            assert ("audit" in violations) != report.satisfied["audit"]
-            for name, constraint in HARNESS.items():
-                if name == "audit":
-                    continue
-                oracle = check_extension(constraint, m.history)
-                if name in violations:
-                    # Frozen: a safety violation is irrecoverable, so the
-                    # oracle must stay unsatisfiable from then on.
-                    assert not report.satisfied[name]
-                    assert not oracle.potentially_satisfied
-                    continue
-                assert report.satisfied[name] == (
-                    oracle.potentially_satisfied
-                )
-                assert remainders[name] is oracle.remainder
+            for k, seed in enumerate(seeds, start=1)
+        }
+        constraints.update(RANDOM_FIXED)
+        history = History.empty(RANDOM_V, constant_bindings={"Vip": vip})
+        _check_every_instant(
+            _front(front, constraints, history),
+            constraints,
+            trace,
+            RANDOM_V,
+            front,
+            cut,
+        )
+
+    def test_violation_instant_over_an_initial_history(self):
+        # The prefix ending at instant 1 already fails, so that is the
+        # instant reported, not the construction instant.
+        history = History.from_facts(
+            V, [[("Sub", (1,))], [("Sub", (1,))], []]
+        )
+        assert not check_extension(
+            SUBMIT_ONCE, History(vocabulary=V, states=history.states[:2])
+        ).potentially_satisfied
+        monitor = IntegrityMonitor({"once": SUBMIT_ONCE}, history)
+        assert monitor.violations() == {"once": 1}
+        assert MonitorService({"once": SUBMIT_ONCE}, history).violations() == {
+            "once": 1
+        }
 
 
-class TestRegroundReuse:
-    """A reground grounds only the assignments its entry's last grounding
-    lacks; a restored monitor keeps no chain table, so its first reground
-    grounds everything."""
+class TestLiftedTable:
+    """Templates are grounded once per equality pattern; a fresh element
+    takes its witness tuples' states, so no update grounds, replays or
+    reads the history."""
 
     @staticmethod
     def count_groundings(monkeypatch):
@@ -408,42 +502,41 @@ class TestRegroundReuse:
         return calls
 
     @staticmethod
-    def known(m):
-        # FIFO_FILL has k = 2; with no fill it stays satisfied.
-        monitor = monitor_with({"fifo": FIFO_FILL})
-        monitor.append_state(
-            DatabaseState.from_facts(V, [("Sub", (e,)) for e in range(m)])
-        )
-        assert monitor.snapshot_entries()[0].relevant == set(range(m))
+    def fed(monitor, elements):
+        for element in elements:
+            monitor.append_state(
+                DatabaseState.from_facts(
+                    V, [("Sub", (element,)), ("Fill", (element - 1,))]
+                )
+            )
         return monitor
 
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_a_new_element_grounds_only_its_assignments(self, monkeypatch, m):
-        monitor = self.known(m)
-        regrounds = monitor.stats()["fifo"].regrounds
+    def test_no_update_grounds(self, monkeypatch):
         calls = self.count_groundings(monkeypatch)
-        monitor.append_state(DatabaseState.from_facts(V, [("Sub", (m,))]))
-        assert monitor.stats()["fifo"].regrounds == regrounds + 1
-        assert len(calls) == (m + 3) ** 2 - (m + 2) ** 2
-        assert all(m in values for values in calls)
-        assert monitor.cache_info()["ground_instances"] == (m + 3) ** 2
-
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_restored_monitor_grounds_everything_once(self, monkeypatch, m):
-        restored = _restored(self.known(m))
-        assert restored.cache_info()["ground_instances"] == 0
-        calls = self.count_groundings(monkeypatch)
-        restored.append_state(DatabaseState.from_facts(V, [("Sub", (m,))]))
-        assert len(calls) == (m + 3) ** 2
-        # The restored monitor reuses from its second reground on.
+        monitor = monitor_with({"fifo": FIFO_FILL})
+        # k = 2 and no constant: the patterns (z1,z1), (z1,z2), (p1,z1),
+        # (z1,p1), (p1,p1) and (p1,p2).
+        assert len(calls) == 6
         calls.clear()
-        restored.append_state(
-            DatabaseState.from_facts(V, [("Sub", (m + 1,))])
-        )
-        assert len(calls) == (m + 4) ** 2 - (m + 3) ** 2
+        self.fed(monitor, range(1, 5))
+        assert calls == []
+        assert monitor.stats()["fifo"].absorbed == 5
+        assert monitor.is_satisfied("fifo")
+
+    def test_restored_monitor_grounds_only_its_templates(self, monkeypatch):
+        monitor = self.fed(monitor_with({"fifo": FIFO_FILL}), range(1, 4))
+        calls = self.count_groundings(monkeypatch)
+        restored = _restored(monitor)
+        assert len(calls) == 6
+        calls.clear()
+        nine = DatabaseState.from_facts(V, [("Sub", (9,))])
+        restored.append_state(nine)
+        monitor.append_state(nine)
+        assert calls == []
+        assert restored.remainders()["fifo"] is monitor.remainders()["fifo"]
 
     @pytest.mark.parametrize("front", ["monitor", "service"])
-    def test_ground_instances_is_the_last_grounding_per_entry(self, front):
+    def test_table_tuples_counts_the_stored_tuples(self, front):
         m = _front(front)
         append = m.apply_state if front == "service" else m.append_state
         for element in range(4):
@@ -458,31 +551,20 @@ class TestRegroundReuse:
                 )
             )
         shards = m._shards if isinstance(m, MonitorService) else [m]
-        entries = [
-            snap for shard in shards for snap in shard.snapshot_entries()
-        ]
-        assert len(entries) == len(HARNESS) - 1
-        expected = 0
-        for snap in entries:
-            k = len(require_universal(snap.constraint).external_universals)
-            expected += (len(snap.relevant) + k) ** k
-        assert m.cache_info()["ground_instances"] == expected
-
-    def test_chains_follow_the_cartesian_order(self):
-        # The fold order that keeps the materialized remainder the node
-        # check_extension builds from pand over cartesian(domain).
-        monitor = monitor_with({"fifo": FIFO_FILL})
-        for element in (2, 1):
-            monitor.append_state(
-                DatabaseState.from_facts(V, [("Sub", (element,))])
+        tables = [entry.table for shard in shards for entry in shard._entries]
+        assert len(tables) == len(HARNESS) - 1
+        stored = 0
+        for table in tables:
+            by_state = sum(
+                len(tuples)
+                for rows in (table.states, table.witnesses)
+                for tuples in rows.values()
             )
-        (entry,) = monitor._entries
-        domain = ground_domain(entry.relevant, 2)
-        assert list(entry.chains) == list(cartesian(domain, repeat=2))
-        assert len(entry.chains) == 16
-        assert entry.chained == len(monitor.history)
+            assert by_state == len(table.where)
+            stored += by_state
+        assert m.cache_info()["table_tuples"] == stored > 0
 
-    def test_no_reground_reads_the_history(self, monkeypatch):
+    def test_no_update_reads_the_history(self, monkeypatch):
         calls = []
         real = reduction_module.constraint_relevant_elements
 
@@ -491,52 +573,29 @@ class TestRegroundReuse:
             return real(*args)
 
         monkeypatch.setattr(
-            monitor_module, "constraint_relevant_elements", counting
-        )
-        monkeypatch.setattr(
             reduction_module, "constraint_relevant_elements", counting
         )
         trace = clean_trace(60, seed=3)
         monitor = IntegrityMonitor(
             standard_constraints(), History.empty(ORDER_VOCABULARY)
         )
-        assert len(calls) == len(standard_constraints())
-        calls.clear()
         for state in trace.states():
             monitor.append_state(state)
-        assert sum(s.regrounds for s in monitor.stats().values()) > 10
+        assert sum(s.absorbed for s in monitor.stats().values()) > 10
         assert calls == []
         for name, constraint in standard_constraints().items():
             info = require_universal(constraint)
             (entry,) = [e for e in monitor._entries if e.name == name]
-            assert entry.relevant == real(monitor.history, info)
-
+            assert entry.table.relevant == real(monitor.history, info)
 
 class TestIdSpace:
-    """The monitor holds remainders as kernel ids: saves encode them
-    without building nodes, updates build none, and cache_info reports
-    the kernel and the reground caches."""
-
-    @given(trace=harness_traces)
-    @settings(max_examples=40, deadline=None)
-    def test_id_encoding_is_the_formula_encoding(self, trace):
-        m = _front("monitor")
-        for facts in trace:
-            m.append_state(DatabaseState.from_facts(V, facts))
-            for snap in m.snapshot_entries():
-                kernel, oid = snap.source
-                encoded = kernel_ptl_to_jsonable(kernel, oid, {})
-                assert encoded == ptl_to_jsonable(snap.remainder)
-            saved = monitor_to_dict(m)
-            assert [entry["remainder"] for entry in saved["entries"]] == [
-                ptl_to_jsonable(remainder)
-                for remainder in m.remainders().values()
-            ]
+    """The monitor works on kernel ids: updates build no formula node,
+    saves encode the tables from ids, and cache_info reports the kernel
+    and the tables."""
 
     def test_an_update_builds_no_formula_node(self, monkeypatch):
-        # A warmed-up fifo monitor: an update that regrounds for a new
-        # element builds that element's letters and nothing else, and a
-        # plain progression step builds no node at all.
+        # A warmed-up fifo monitor: neither an update that absorbs a new
+        # element nor a plain step builds a node, not even a letter.
         monitor = monitor_with({"fifo": FIFO_FILL})
         for element in range(4):
             monitor.append_state(
@@ -548,20 +607,33 @@ class TestIdSpace:
             raise AssertionError("no Büchi call expected")
 
         monkeypatch.setattr(BuchiKernel, "is_satisfiable", no_buchi)
-        before = intern_cache_info()["misses"]
-        monitor.append_state(DatabaseState.from_facts(V, [("Sub", (9,))]))
-        letters = {
-            rel_prop("Sub", (9,)),
-            rel_prop("Fill", (9,)),
-        }
-        assert intern_cache_info()["misses"] - before == len(letters)
-        assert monitor.stats()["fifo"].regrounds == 6
-        before = intern_cache_info()["misses"]
-        monitor.append_state(DatabaseState.from_facts(V, [("Fill", (1,))]))
-        assert intern_cache_info()["misses"] == before
+        for facts in ([("Sub", (9,))], [("Fill", (1,))]):
+            before = intern_cache_info()["misses"]
+            monitor.append_state(DatabaseState.from_facts(V, facts))
+            assert intern_cache_info()["misses"] == before
+        assert monitor.stats()["fifo"].absorbed == 5
         assert monitor.is_satisfied("fifo")
 
-    def test_cache_info_reports_the_kernel_and_reground_caches(self):
+    @given(trace=harness_traces)
+    @settings(max_examples=40, deadline=None)
+    def test_id_encoding_is_the_formula_encoding(self, trace):
+        # A live save encodes the tables from kernel ids; a restored
+        # monitor's tables come from decoded formulas.  Both write the
+        # same document, and EntrySnapshot.remainder is the monitor's
+        # remainder.
+        m = _front("monitor")
+        for facts in trace:
+            m.append_state(DatabaseState.from_facts(V, facts))
+            remainders = m.remainders()
+            for snap in m.snapshot_entries():
+                assert snap.remainder is remainders[snap.name]
+            saved = json.dumps(monitor_to_dict(m), sort_keys=True)
+            restored = monitor_from_dict(json.loads(saved))
+            assert json.dumps(monitor_to_dict(restored), sort_keys=True) == (
+                saved
+            )
+
+    def test_cache_info_reports_the_kernel_and_the_tables(self):
         service = _front("service")
         for element in range(4):
             service.apply_state(
@@ -577,14 +649,58 @@ class TestIdSpace:
             assert info["kernel_letters"] == kernel.letters
             assert info["kernel_transitions"] == kernel.transitions
             assert info["kernel_evictions"] == kernel.evictions
-            assert info["mask_log"] == len(shard.history)
-            assert info["grounder_memo"] == sum(
-                entry.grounder.memo_size() for entry in shard._entries
+            assert info["table_tuples"] == sum(
+                len(entry.table.where) for entry in shard._entries
             )
+            assert info["grounder_memo"] == sum(
+                entry.table.grounder.memo_size() for entry in shard._entries
+            )
+            assert "ground_instances" not in info
+            assert "mask_log" not in info
             for key, value in info.items():
                 total[key] = total.get(key, 0) + value
         assert service.cache_info() == total
         assert total["grounder_memo"] > 0
+
+
+class TestBounds:
+    """The long order stream: a fresh order id every second instant, each
+    filled at the next.  The kernel holds template states and template
+    letters only, so it stops growing while the tables grow with the
+    orders."""
+
+    @staticmethod
+    def stream(length):
+        for instant in range(1, length + 1):
+            order = (instant + 1) // 2
+            fact = ("Sub", (order,)) if instant % 2 else ("Fill", (order,))
+            yield DatabaseState.from_facts(ORDER_VOCABULARY, [fact])
+
+    @pytest.mark.parametrize(
+        "names, length",
+        [(("submit_once", "fill_once"), 1600), (("fifo_fill",), 200)],
+    )
+    def test_kernel_stays_flat_on_the_long_order_stream(self, names, length):
+        constraints = {
+            name: standard_constraints()[name] for name in names
+        }
+        monitor = IntegrityMonitor(
+            constraints, History.empty(ORDER_VOCABULARY)
+        )
+        quarter = None
+        for instant, state in enumerate(self.stream(length), start=1):
+            monitor.append_state(state)
+            if instant == length // 4:
+                quarter = monitor.cache_info()
+        end = monitor.cache_info()
+        assert monitor.violations() == {}
+        assert quarter is not None
+        for key in ("kernel_obligations", "kernel_letters"):
+            assert end[key] == quarter[key], key
+        assert end["table_tuples"] > quarter["table_tuples"]
+        assert end["table_tuples"] == sum(
+            len(entry.table.where) for entry in monitor._entries
+        )
 
 
 class TestKernelCounters:

@@ -152,13 +152,13 @@ class TestSnapshotValidation:
         with pytest.raises(StateError, match="format"):
             monitor_from_dict(data)
 
-    def test_v5_documents_carry_only_the_live_settings(self):
+    def test_v6_documents_carry_only_the_live_settings(self):
         monitor = IntegrityMonitor(
             {**CONSTRAINTS, "audit": AUDIT}, History.empty(V)
         )
         monitor.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
         data = json.loads(json.dumps(monitor_to_dict(monitor)))
-        assert data["format"] == "repro-monitor-snapshot/v5"
+        assert data["format"] == "repro-monitor-snapshot/v6"
         assert set(data) == {
             "format", "config", "order", "past", "entries", "history",
         }
@@ -170,12 +170,15 @@ class TestSnapshotValidation:
         assert [entry["name"] for entry in data["entries"]] == [
             "once", "order",
         ]
+        # Each entry holds its table, not a ground remainder: the states
+        # once each as a node list, and the tuples in each.
         for entry in data["entries"]:
             assert set(entry) == {
-                "name", "constraint", "remainder", "relevant",
-                "violated_at", "stats",
+                "name", "constraint", "relevant", "violated_at", "stats",
+                "nodes", "states", "witnesses",
             }
             assert "renames" not in entry["stats"]
+            assert "regrounds" not in entry["stats"]
 
     def test_rejects_v2_documents(self):
         data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
@@ -200,8 +203,44 @@ class TestSnapshotValidation:
                 known_elements=entry["relevant"], spare_pool=[], spare_map=[]
             )
         with pytest.raises(
-            StateError, match="expected 'repro-monitor-snapshot/v5'"
+            StateError, match="expected 'repro-monitor-snapshot/v6'"
         ):
+            monitor_from_dict(data)
+
+    def test_rejects_v5_documents(self):
+        # The ground layout: each entry with its remainder, no table.
+        data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
+        data["format"] = "repro-monitor-snapshot/v5"
+        for entry in data["entries"]:
+            for key in ("nodes", "states", "witnesses"):
+                del entry[key]
+            entry["remainder"] = ["true"]
+        with pytest.raises(
+            StateError, match="expected 'repro-monitor-snapshot/v6'"
+        ):
+            monitor_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "tuple_, rows",
+        [
+            ([1, 2], "states"),  # wrong arity
+            ([["z", 2]], "states"),  # anonymous elements numbered from z1
+            ([7], "states"),  # an element the table never absorbed
+            ([1], "witnesses"),  # a witness holds a placeholder
+            ([["p", 1]], "states"),  # ... and a real tuple none
+            ([1], "both"),  # a tuple in two states
+        ],
+    )
+    def test_rejects_a_tuple_the_table_cannot_hold(self, tuple_, rows):
+        monitor = IntegrityMonitor(CONSTRAINTS, History.empty(V))
+        monitor.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
+        data = json.loads(json.dumps(monitor_to_dict(monitor)))
+        entry = data["entries"][0]
+        if rows == "both":
+            entry["states"].append([0, [tuple_]])
+        else:
+            entry[rows] = [[len(entry["nodes"]) - 1, [tuple_]]]
+        with pytest.raises(StateError, match="tuple its table cannot"):
             monitor_from_dict(data)
 
     def test_rejects_v1_documents(self):

@@ -268,9 +268,9 @@ class TestServiceSnapshot:
         service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
         service.apply(Update.insert(("Sub", (1,))))
         data = json.loads(json.dumps(service.snapshot()))
-        assert data["format"] == "repro-service-snapshot/v4"
+        assert data["format"] == "repro-service-snapshot/v5"
         for shard in data["shards"]:
-            assert shard["format"] == "repro-monitor-snapshot/v5"
+            assert shard["format"] == "repro-monitor-snapshot/v6"
             assert "history" not in shard
             assert shard["entries"]
         restored = MonitorService.restore(data)
@@ -302,7 +302,19 @@ class TestServiceSnapshot:
         for shard in data["shards"]:
             shard["format"] = "repro-monitor-snapshot/v4"
         with pytest.raises(
-            StateError, match="expected 'repro-service-snapshot/v4'"
+            StateError, match="expected 'repro-service-snapshot/v5'"
+        ):
+            MonitorService.restore(data)
+
+    def test_restore_rejects_v4_document(self):
+        # A v4 service document holds v5 monitor shards, whose entries
+        # carry a ground remainder instead of a table.
+        data = MonitorService(CONSTRAINTS, History.empty(V)).snapshot()
+        data["format"] = "repro-service-snapshot/v4"
+        for shard in data["shards"]:
+            shard["format"] = "repro-monitor-snapshot/v5"
+        with pytest.raises(
+            StateError, match="expected 'repro-service-snapshot/v5'"
         ):
             MonitorService.restore(data)
 
@@ -386,13 +398,16 @@ PAST = ("shards", 0, "past", "audit")
 #: One field of a saved two-constraint service set to a value of the wrong
 #: type, violated_at to an impossible value, or a
 #: constraint text to one the monitor could not run.  Every bad text must
-#: be refused at restore: the progressed ones would otherwise fail only at
-#: the first reground, half-way through an update.
+#: be refused at restore: the progressed ones would otherwise fail only
+#: half-way through a later update.
 MALFORMED_FIELDS = {
     "service_stats": (("service_stats",), 5),
     "entry_stats": (ENTRY + ("stats",), 5),
     "stats_counter": (ENTRY + ("stats", "progressions"), "x"),
     "relevant": (ENTRY + ("relevant",), 5),
+    "table_nodes": (ENTRY + ("nodes",), 5),
+    "table_states": (ENTRY + ("states",), 5),
+    "table_witnesses": (ENTRY + ("witnesses",), 5),
     "order": (("order",), 5),
     "shards": (("shards",), 5),
     "entries": (("shards", 0, "entries"), 5),

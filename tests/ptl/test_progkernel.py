@@ -454,3 +454,56 @@ class TestIdMirrors:
         assert kernel.node(both) == (PAnd, (until, not_p))
         assert kernel.node(until) == (PUntil, (p, q))
         assert kernel.node(p) == (Prop, ())
+
+
+class TestRename:
+    """An injective renaming of letters commutes with the smart
+    constructors and with progression (DESIGN.md §10.1)."""
+
+    SMART = {
+        PNot: pnot,
+        PNext: pnext,
+        PEventually: peventually,
+        PAlways: palways,
+        PImplies: pimplies,
+        PUntil: puntil,
+        PWeakUntil: pweak_until,
+        PRelease: prelease,
+    }
+
+    @classmethod
+    def renamed(cls, formula):
+        """``formula`` with each ``p_i`` as ``q_i``, rebuilt through the
+        smart constructors."""
+        if isinstance(formula, Prop):
+            return prop("q" + formula.name[1:])
+        if isinstance(formula, (PAnd, POr)):
+            smart = pand if isinstance(formula, PAnd) else por
+            return smart(*(cls.renamed(op) for op in formula.operands))
+        if not formula.children:
+            return formula
+        return cls.SMART[type(formula)](
+            *(cls.renamed(child) for child in formula.children)
+        )
+
+    @given(formula=ptl_formulas(), states=state_seqs)
+    @settings(max_examples=200, deadline=None)
+    def test_rename_commutes_with_progression(self, formula, states):
+        kernel = ProgressionKernel()
+        letters = {
+            kernel.intern(prop(f"p{i}")): kernel.intern(prop(f"q{i}"))
+            for i in range(3)
+        }
+        oid = kernel.intern(formula)
+        image = kernel.rename(oid, letters, {})
+        assert kernel.formula(image) is self.renamed(formula)
+        for state in states:
+            oid = kernel.progress_id(oid, kernel.encode_state(state))
+            image = kernel.progress_id(
+                image,
+                kernel.encode_state(
+                    frozenset(self.renamed(letter) for letter in state)
+                ),
+            )
+            assert kernel.rename(oid, letters, {}) == image
+            assert kernel.formula(image) is self.renamed(kernel.formula(oid))

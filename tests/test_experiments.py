@@ -130,7 +130,7 @@ class TestA1Strategies:
             row["strategy"]: row for row in rows if row["regime"] == "growing"
         }
         incremental, scratch = growing["incremental"], growing["scratch"]
-        assert incremental["regrounds"] < scratch["regrounds"]
+        assert incremental["absorbed"] < scratch["absorbed"]
         assert incremental["progressions"] < scratch["progressions"]
 
 
