@@ -153,7 +153,7 @@ def _sum_stats(monitor: IntegrityMonitor) -> dict[str, Any]:
         totals["progressions"] += stats.progressions
         totals["sat_calls"] += stats.sat_calls
         totals["sat_cache_hits"] += stats.sat_cache_hits
-        totals["absorbed"] += getattr(stats, "absorbed", 0)
+        totals["absorbed"] += stats.absorbed
         totals["progress_cache_hits"] += getattr(
             stats, "progress_cache_hits", 0
         )

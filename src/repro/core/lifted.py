@@ -49,6 +49,10 @@ from .reduction import ground_domain
 #: A tuple of the table: one element per quantified variable.
 Tuple = tuple[GroundElement, ...]
 
+#: The renaming memo of a table is emptied once it holds more than four
+#: times the tuples stored and more than this many renamings.
+RENAMED_MIN = 4096
+
 #: A template letter that mentions a placeholder: its state bit, its
 #: relation, and the tuple-to-arguments function for a tuple of the
 #: template's pattern.
@@ -107,7 +111,9 @@ class LiftedTable:
     each stored tuple's state.  ``members`` lists, per non-constant
     element, the tuples made with it, each with its template and whether
     it is a witness (tuples that went ``true`` since stay listed; ``where``
-    no longer has them).
+    no longer has them).  ``version`` grows whenever the table changes,
+    so :meth:`remainder` reuses its last build until then, and
+    ``renamed`` memoizes each (state, tuple) renaming it has made.
     """
 
     __slots__ = (
@@ -122,6 +128,10 @@ class LiftedTable:
         "members",
         "templates",
         "const_letters",
+        "version",
+        "renamed",
+        "_keys",
+        "_built",
         "_places",
     )
 
@@ -144,6 +154,10 @@ class LiftedTable:
         self.templates: dict[Tuple, _Template] = {}
         #: The letters over constants alone, as (bit, relation, arguments).
         self.const_letters: list[tuple[int, str, Tuple]] = []
+        self.version = 0
+        self.renamed: dict[tuple[int, Tuple], int] = {}
+        self._keys: tuple[frozenset[int], list[Tuple]] = (frozenset(), [])
+        self._built: tuple[int, int] | None = None
         self._places = _placeholders(arity)
         # Every pattern, each as its own tuple: the real tuples over
         # constants and anonymous elements, and one witness per pattern
@@ -217,6 +231,7 @@ class LiftedTable:
             return
         if template is None:
             template = self.templates[self.pattern(values)]
+        self.version += 1
         self.where[values] = state
         witness = is_witness(values)
         table = self.witnesses if witness else self.states
@@ -265,6 +280,7 @@ class LiftedTable:
             for values, state, template in made:
                 self.put(values, state, template)
             self.relevant = self.relevant | {element}
+            self.version += 1
 
     def step(
         self, relations: Mapping[str, AbstractSet[tuple]], shown: Iterable[int]
@@ -317,6 +333,7 @@ class LiftedTable:
                     moves.append((state, succ))
             if not moves:
                 continue
+            self.version += 1
             moved = [(succ, table.pop(state)) for state, succ in moves]
             for succ, tuples in moved:
                 if succ == true_id:
@@ -335,6 +352,8 @@ class LiftedTable:
                     bucket |= tuples
         for (state, mask), members_of in groups.items():
             succ = progress(state, mask)
+            if succ != state:
+                self.version += 1
             if succ == true_id:
                 for values, _witness in members_of:
                     del where[values]
@@ -351,6 +370,32 @@ class LiftedTable:
     def size(self) -> int:
         """Tuples stored, witnesses included."""
         return len(self.where)
+
+    def remainder(self) -> int:
+        """The remainder as one kernel id (:func:`materialize`), built
+        again only when the table has changed since the last build.  The
+        renaming memo is emptied once it outgrows four times the tuples
+        stored (and ``RENAMED_MIN``)."""
+        built = self._built
+        if built is not None and built[0] == self.version:
+            return built[1]
+        if len(self.renamed) > max(RENAMED_MIN, 4 * len(self.where)):
+            self.renamed.clear()
+        if self._keys[0] is not self.relevant:
+            self._keys = (
+                self.relevant,
+                instance_keys(self.relevant, self.arity),
+            )
+        # Witness tuples hold a placeholder, so no instance looks them up.
+        remainder = materialize(
+            self.kernel,
+            self.where,
+            self._keys[1],
+            self.constants,
+            self.renamed,
+        )
+        self._built = (self.version, remainder)
+        return remainder
 
 
 def is_canonical(values: Tuple) -> bool:
@@ -422,24 +467,39 @@ def canonical_tuple(values: Sequence[GroundElement]) -> Tuple:
     return tuple(out)
 
 
+def instance_keys(relevant: frozenset[int], arity: int) -> list[Tuple]:
+    """The Theorem 4.1 instances' tuples in the order of
+    ``cartesian(ground_domain(relevant, arity))``, anonymous elements
+    renumbered by first occurrence, each tuple once."""
+    keys: dict[Tuple, None] = {}
+    for values in cartesian(ground_domain(relevant, arity), repeat=arity):
+        keys.setdefault(canonical_tuple(values), None)
+    return list(keys)
+
+
 def materialize(
     kernel: ProgressionKernel,
     where: Mapping[Tuple, int],
-    relevant: frozenset[int],
-    arity: int,
+    keys: Iterable[Tuple],
     constants: frozenset[int],
+    renamed: dict[tuple[int, Tuple], int] | None = None,
 ) -> int:
-    """The remainder as one id: ``pand_ids`` over
-    ``cartesian(ground_domain(relevant, arity))`` of each instance's
-    tuple state renamed onto it, the node the Theorem 4.1 reduction of
-    the same history progresses to (DESIGN.md §10.1)."""
+    """The remainder as one id: ``pand_ids`` over the instances' tuples
+    ``keys`` (:func:`instance_keys`) of each one's state renamed onto it,
+    the node the Theorem 4.1 reduction of the same history progresses to
+    (DESIGN.md §10.1).  ``renamed``, if given, memoizes each (state,
+    tuple) renaming."""
+    memo: dict[tuple[int, Tuple], int] = {} if renamed is None else renamed
     ids: list[int] = []
-    for values in cartesian(ground_domain(relevant, arity), repeat=arity):
-        key = canonical_tuple(values)
+    for key in keys:
         state = where.get(key)
         if state is None:
             continue
-        ids.append(_renamed(kernel, state, key, constants))
+        pair = (state, key)
+        rid = memo.get(pair)
+        if rid is None:
+            rid = memo[pair] = _renamed(kernel, state, key, constants)
+        ids.append(rid)
     return kernel.pand_ids(ids)
 
 

@@ -62,7 +62,14 @@ from ..ptl.formulas import PTLFormula
 from ..ptl.progkernel import ProgKernelInfo, ProgressionKernel
 from .checker import validate_constraint
 from .grounding import Anon, GroundContext, IdGrounder, Placeholder
-from .lifted import LiftedTable, Tuple, is_canonical, is_witness, materialize
+from .lifted import (
+    LiftedTable,
+    Tuple,
+    instance_keys,
+    is_canonical,
+    is_witness,
+    materialize,
+)
 from .plan import MonitorPlan, plan_constraints
 from .reduction import check_vocabulary
 
@@ -174,9 +181,11 @@ class EntrySnapshot:
     (property-tested).
 
     ``states`` lists the real tuples by state and ``witnesses`` the
-    witness tuples a restore cannot recompute, both as ids of ``kernel``
-    (a live monitor's own kernel: its ids are never reassigned, so the
-    rows stay valid, and a save encodes them without building nodes).
+    witness tuples a restore cannot recompute, both as ids of ``kernel``:
+    a live monitor's own kernel (its ids are never reassigned, so the
+    rows stay valid, and a save encodes them without building nodes), or
+    the one a decoded snapshot was interned into, which the restored
+    monitor adopts as its own.
     Tuples in state ``true`` are left out.  ``relevant`` holds the
     elements the table has absorbed, and ``constants`` the constraint's
     constants' elements.  :attr:`remainder` builds the remainder the
@@ -206,11 +215,9 @@ class EntrySnapshot:
         where = {
             values: state for state, tuples in self.states for values in tuples
         }
-        arity = len(next(iter(where), ()))
+        keys = instance_keys(self.relevant, len(next(iter(where), ())))
         return self.kernel.formula(
-            materialize(
-                self.kernel, where, self.relevant, arity, self.constants
-            )
+            materialize(self.kernel, where, keys, self.constants)
         )
 
 
@@ -339,9 +346,11 @@ class IntegrityMonitor:
         past: Mapping[str, Formula],
         *,
         assume_safety: bool,
+        kernel: ProgressionKernel | None = None,
     ) -> None:
-        """The settings, empty caches and past side shared by construction
-        and restore; progressed entries are added by the caller."""
+        """The settings, empty caches (or the given progression kernel)
+        and past side shared by construction and restore; progressed
+        entries are added by the caller."""
         self._assume_safety = assume_safety
         self._history = history
         # Registration order, which every merged report follows.
@@ -356,7 +365,7 @@ class IntegrityMonitor:
         self._sat_cache: dict[int, bool] = {}
         self._sat_cache_resets = 0
         self._buchi = BuchiKernel()
-        self._progkernel = ProgressionKernel()
+        self._progkernel = ProgressionKernel() if kernel is None else kernel
         self._entries: list[_ConstraintEntry] = []
         self._past: PastMonitor | None = None
         if past:
@@ -456,6 +465,9 @@ class IntegrityMonitor:
           its ``max_states``);
         * ``table_tuples``, the tuples the tables store: every real or
           witness tuple whose state is not ``true``;
+        * ``rename_memo``, the (state, tuple) renamings the tables keep
+          for their materialized remainders (each emptied once it holds
+          more than four times its tuples and ``RENAMED_MIN``);
         * the progression kernel's ``kernel_obligations``,
           ``kernel_letters``, ``kernel_transitions`` and
           ``kernel_evictions`` (:meth:`progression_kernel_info`): rows are
@@ -470,6 +482,9 @@ class IntegrityMonitor:
             "buchi_states": self._buchi.stats()["states"],
             "buchi_resets": self._buchi.resets,
             "table_tuples": sum(entry.table.size() for entry in self._entries),
+            "rename_memo": sum(
+                len(entry.table.renamed) for entry in self._entries
+            ),
             "kernel_obligations": kernel.obligations,
             "kernel_letters": kernel.letters,
             "kernel_transitions": kernel.transitions,
@@ -503,7 +518,7 @@ class IntegrityMonitor:
         that is the point of the history-less regime — so they do not
         appear here."""
         return {
-            entry.name: self._progkernel.formula(self._materialize(entry))
+            entry.name: self._progkernel.formula(entry.table.remainder())
             for entry in self._entries
         }
 
@@ -570,11 +585,12 @@ class IntegrityMonitor:
 
         The table *is* the evaluation (DESIGN.md §12), so no history
         prefix is re-progressed and no satisfiability call is made here.
-        Each entry's templates are compiled again and its rows interned
-        into the new kernel (hash consing makes the restored states, and
-        so the remainders, pointer-identical to what an uninterrupted run
-        would hold, which the resume-equivalence property test asserts
-        with ``is``).  Witness tuples left out of the snapshot are the
+        The monitor adopts the entries' kernel as its own, so their rows
+        are its ids as they stand, and each entry's templates are compiled
+        again into it (hash consing makes the restored states, and so the
+        remainders, pointer-identical to what an uninterrupted run would
+        hold, which the resume-equivalence property test asserts with
+        ``is``).  Witness tuples left out of the snapshot are the
         patterns' own, recomputed from the template and ``history.now``.
         Violated entries come back frozen at their recorded instant.  The
         past-closed constraints in ``past`` are rebuilt by replaying
@@ -623,6 +639,7 @@ class IntegrityMonitor:
                 {name: by_name[name] for name in order},
                 past,
                 assume_safety=assume_safety,
+                kernel=entries[0].kernel if entries else None,
             )
         except (SchemaError, EvaluationError) as exc:
             raise StateError(
@@ -655,7 +672,11 @@ class IntegrityMonitor:
         table.relevant = snap.relevant | table.constants
         for rows, witness in ((snap.states, False), (snap.witnesses, True)):
             for oid, tuples in rows:
-                state = kernel.intern(snap.kernel.formula(oid))
+                state = (
+                    oid
+                    if snap.kernel is kernel
+                    else kernel.intern(snap.kernel.formula(oid))
+                )
                 for values in tuples:
                     _check_tuple(entry, values, witness)
                     table.put(values, state)
@@ -751,71 +772,42 @@ class IntegrityMonitor:
                     elements.update(args)
         return elements
 
-    def _materialize(self, entry: _ConstraintEntry) -> int:
-        """The entry's remainder as one kernel id (DESIGN.md §10.1)."""
-        table = entry.table
-        # Witness tuples hold a placeholder, so no instance looks them up.
-        return materialize(
-            self._progkernel,
-            table.where,
-            table.relevant,
-            table.arity,
-            table.constants,
-        )
-
     def _decide(self, entry: _ConstraintEntry, instant: int) -> bool:
         """The Lemma 4.2 decision on the entry's distinct template states:
-        a ``false`` state; else the memo or the all-false model per state;
-        else, for letter-disjoint constraints, a Büchi search per state;
-        else one on the materialized remainder."""
+        a ``false`` state fails; a letter-disjoint constraint holds when
+        each state is satisfiable on its own (§8's model merge); any other
+        holds when every state holds on the all-false model, and else its
+        materialized remainder is decided."""
         kernel = self._progkernel
         states = entry.table.states
         if kernel.false_id in states:
+            ok = False
+        elif entry.disjoint:
+            ok = all(self._satisfiable(entry, state) for state in states)
+        elif all(kernel.holds_quiescent(state) for state in states):
+            ok = True
+        else:
+            # Each state may be satisfiable while instances sharing a
+            # letter contradict each other, so only the conjunction tells.
+            ok = self._satisfiable(entry, entry.table.remainder())
+        if not ok:
             entry.violated_at = instant
-            return False
-        stats = entry.stats
-        cache = self._sat_cache
-        open_states: list[int] = []
-        for state in states:
-            cached = cache.get(state)
-            if cached is not None:
-                stats.sat_cache_hits += 1
-                ok = cached
-            elif kernel.holds_quiescent(state):
-                ok = self._remember(entry, state, True)
-            elif entry.disjoint:
-                ok = self._remember(entry, state, None)
-            else:
-                open_states.append(state)
-                continue
-            if not ok:
-                entry.violated_at = instant
-                return False
-        if open_states:
-            remainder = self._materialize(entry)
-            cached = cache.get(remainder)
-            if cached is not None:
-                stats.sat_cache_hits += 1
-                ok = cached
-            else:
-                ok = self._remember(entry, remainder, None)
-            if not ok:
-                entry.violated_at = instant
-                return False
-        return True
+        return ok
 
-    def _remember(
-        self, entry: _ConstraintEntry, oid: int, verdict: bool | None
-    ) -> bool:
-        """Memoize the satisfiability of ``oid``, deciding it with a Büchi
-        search unless ``verdict`` is given; counted as one call."""
+    def _satisfiable(self, entry: _ConstraintEntry, oid: int) -> bool:
+        """Is ``oid`` satisfiable: the memo, else the all-false model,
+        else a Büchi search, counted as one call and memoized."""
+        cached = self._sat_cache.get(oid)
         stats = entry.stats
+        if cached is not None:
+            stats.sat_cache_hits += 1
+            return cached
         stats.sat_calls += 1
         start = time.perf_counter()
-        if verdict is None:
-            verdict = self._buchi.is_satisfiable(
-                self._progkernel.formula(oid)
-            )
+        kernel = self._progkernel
+        verdict = kernel.holds_quiescent(oid) or self._buchi.is_satisfiable(
+            kernel.formula(oid)
+        )
         stats.sat_time += time.perf_counter() - start
         if len(self._sat_cache) >= _SAT_CACHE_SIZE:
             self._sat_cache.clear()

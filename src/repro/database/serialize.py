@@ -307,7 +307,8 @@ def _prop_name_from_jsonable(data: Any, where: str) -> Any:
         return RelAtom(
             data[1],
             tuple(
-                _element_from_jsonable(arg, where) for arg in data[2]
+                _element_from_jsonable(arg, where)
+                for arg in decode_list(data[2], where)
             ),
         )
     if tag == "eq" and len(data) == 3:
@@ -318,22 +319,44 @@ def _prop_name_from_jsonable(data: Any, where: str) -> Any:
     raise StateError(f"{where}: malformed letter name {data!r}")
 
 
+#: Each node tag's class and operand count (``None``: two or more),
+#: shared by both decoders; the leaves, ``prop`` in a tree and ``rel`` in
+#: a table's node list, are decoded apart.
+_NODES: dict[str, tuple[type, int | None]] = {
+    "true": (PTLTrue, 0),
+    "false": (PTLFalse, 0),
+    "not": (PNot, 1),
+    "and": (PAnd, None),
+    "or": (POr, None),
+    "implies": (PImplies, 2),
+    "next": (PNext, 1),
+    "until": (PUntil, 2),
+    "weakuntil": (PWeakUntil, 2),
+    "release": (PRelease, 2),
+    "eventually": (PEventually, 1),
+    "always": (PAlways, 1),
+}
+
 #: The tag of each node class, shared by both encoders.
 _TAGS: dict[type, str] = {
-    PTLTrue: "true",
-    PTLFalse: "false",
     Prop: "prop",
-    PNot: "not",
-    PAnd: "and",
-    POr: "or",
-    PImplies: "implies",
-    PNext: "next",
-    PUntil: "until",
-    PWeakUntil: "weakuntil",
-    PRelease: "release",
-    PEventually: "eventually",
-    PAlways: "always",
+    **{cls: tag for tag, (cls, _count) in _NODES.items()},
 }
+
+
+def _node_from_parts(
+    tag: Any, operands: list[PTLFormula], data: Any, where: str
+) -> PTLFormula:
+    """The interned node of ``tag`` over its decoded operands, built with
+    the raw constructor; :class:`StateError` on an unknown tag or a wrong
+    operand count."""
+    spec = _NODES.get(tag) if isinstance(tag, str) else None
+    if spec is None:
+        raise StateError(f"{where}: unknown PTL node tag {tag!r:.60}")
+    cls, count = spec
+    if len(operands) < 2 if count is None else len(operands) != count:
+        raise StateError(f"{where}: malformed PTL node {data!r:.60}")
+    return cls(tuple(operands)) if count is None else cls(*operands)
 
 
 def _jsonable_node(cls: type, parts: list[Any]) -> Any:
@@ -367,56 +390,18 @@ def ptl_from_jsonable(data: Any, where: str = "snapshot") -> PTLFormula:
     pointer-identical remainders.
     """
     if not isinstance(data, (list, tuple)) or not data:
-        raise StateError(f"{where}: malformed PTL node {data!r}")
-    tag = data[0]
-    try:
-        if tag == "true":
-            return PTLTrue()
-        if tag == "false":
-            return PTLFalse()
-        if tag == "prop":
-            return Prop(_prop_name_from_jsonable(data[1], where))
-        if tag == "not":
-            return PNot(ptl_from_jsonable(data[1], where))
-        if tag == "and":
-            return PAnd(
-                tuple(ptl_from_jsonable(op, where) for op in data[1])
-            )
-        if tag == "or":
-            return POr(
-                tuple(ptl_from_jsonable(op, where) for op in data[1])
-            )
-        if tag == "implies":
-            return PImplies(
-                ptl_from_jsonable(data[1], where),
-                ptl_from_jsonable(data[2], where),
-            )
-        if tag == "next":
-            return PNext(ptl_from_jsonable(data[1], where))
-        if tag == "until":
-            return PUntil(
-                ptl_from_jsonable(data[1], where),
-                ptl_from_jsonable(data[2], where),
-            )
-        if tag == "weakuntil":
-            return PWeakUntil(
-                ptl_from_jsonable(data[1], where),
-                ptl_from_jsonable(data[2], where),
-            )
-        if tag == "release":
-            return PRelease(
-                ptl_from_jsonable(data[1], where),
-                ptl_from_jsonable(data[2], where),
-            )
-        if tag == "eventually":
-            return PEventually(ptl_from_jsonable(data[1], where))
-        if tag == "always":
-            return PAlways(ptl_from_jsonable(data[1], where))
-    except (IndexError, TypeError, ValueError) as exc:
-        raise StateError(
-            f"{where}: malformed PTL node {data!r}: {exc}"
-        ) from None
-    raise StateError(f"{where}: unknown PTL node tag {tag!r}")
+        raise StateError(f"{where}: malformed PTL node {data!r:.60}")
+    tag, parts = data[0], list(data[1:])
+    if tag == "prop" and len(parts) == 1:
+        return Prop(_prop_name_from_jsonable(parts[0], where))
+    if tag in ("and", "or"):
+        # An n-ary node holds its operands in one list.
+        if len(parts) != 1:
+            raise StateError(f"{where}: malformed PTL node {data!r:.60}")
+        parts = decode_list(parts[0], where)
+    return _node_from_parts(
+        tag, [ptl_from_jsonable(part, where) for part in parts], data, where
+    )
 
 
 # --------------------------------------------------------------------------
@@ -484,24 +469,6 @@ def _parse_constraint(text: str, where: str) -> Any:
         return parse(text)
     except FormulaError as exc:
         raise StateError(f"{where} does not parse: {exc}") from None
-
-
-#: Operand count of each compound tag in a table's node list (``None``:
-#: two or more).
-_OPERANDS: dict[str, int | None] = {
-    "not": 1,
-    "and": None,
-    "or": None,
-    "implies": 2,
-    "next": 1,
-    "until": 2,
-    "weakuntil": 2,
-    "release": 2,
-    "eventually": 1,
-    "always": 1,
-}
-
-_CLASSES: dict[str, type] = {tag: cls for cls, tag in _TAGS.items()}
 
 
 def _dag_node(
@@ -575,23 +542,10 @@ def _nodes_from_jsonable(data: Any, where: str) -> list[PTLFormula]:
                 )
             )
             continue
-        if tag in ("true", "false") and not args:
-            nodes.append(PTLTrue() if tag == "true" else PTLFalse())
-            continue
-        count = _OPERANDS.get(tag, 0) if isinstance(tag, str) else 0
-        if (
-            count == 0
-            or (count is None and len(args) < 2)
-            or (count is not None and len(args) != count)
-            or not all(
-                type(arg) is int and 0 <= arg < len(nodes) for arg in args
-            )
-        ):
+        if not all(type(arg) is int and 0 <= arg < len(nodes) for arg in args):
             raise StateError(f"{where}: malformed node {node!r:.60}")
-        operands = [nodes[arg] for arg in args]
-        cls = _CLASSES[tag]
         nodes.append(
-            cls(tuple(operands)) if count is None else cls(*operands)
+            _node_from_parts(tag, [nodes[arg] for arg in args], node, where)
         )
     return nodes
 
@@ -818,8 +772,8 @@ def monitor_from_dict(
         if "history" not in data:
             raise StateError("monitor snapshot is missing the 'history' key")
         history = history_from_dict(data["history"])
-    # The decoded states are interned here, and again into the restored
-    # monitor's own kernel.
+    # The decoded states are interned into the kernel the restored monitor
+    # adopts as its own.
     kernel = ProgressionKernel()
     return IntegrityMonitor.from_snapshot(
         history,

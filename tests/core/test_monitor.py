@@ -67,6 +67,12 @@ RANDOM_V = vocabulary({"Sub": 1, "Fill": 1, "Link": 2}, constants=["Vip"])
 RANDOM_FIXED = {
     "vip": parse("forall x . G (Link(x, Vip) & Sub(Vip) -> X G !Link(x, Vip))"),
     "pair": parse("forall x y . G (Link(x, y) & x != y -> X G !Link(y, x))"),
+    # Instances share the letter Fill(Vip), and a live state fails on the
+    # all-false model, so only their conjunction tells a violation.
+    "shared": parse(
+        "forall x . G ((Sub(x) -> X G Fill(Vip)) & "
+        "(Link(x, x) -> X G !Fill(Vip)))"
+    ),
 }
 random_facts = st.one_of(
     st.tuples(st.sampled_from(["Sub", "Fill"]), st.tuples(st.integers(0, 4))),
@@ -443,6 +449,19 @@ class TestAgainstChecker:
         front="restored-service",
         cut=1,
     )
+    @example(
+        # Each live state of "shared" is satisfiable on its own, and the
+        # first one is the whole remainder at instant 0; at instant 1 the
+        # two contradict each other.
+        seeds=[7, 8],
+        vip=0,
+        trace=[
+            [("Sub", (0,)), ("Fill", (0,))],
+            [("Link", (3, 3)), ("Fill", (0,))],
+        ],
+        front="monitor",
+        cut=0,
+    )
     @settings(max_examples=60, deadline=None)
     def test_random_constraints_match_the_paper_decision(
         self, seeds, vip, trace, front, cut
@@ -654,6 +673,9 @@ class TestIdSpace:
             )
             assert info["grounder_memo"] == sum(
                 entry.table.grounder.memo_size() for entry in shard._entries
+            )
+            assert info["rename_memo"] == sum(
+                len(entry.table.renamed) for entry in shard._entries
             )
             assert "ground_instances" not in info
             assert "mask_log" not in info
