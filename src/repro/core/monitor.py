@@ -783,7 +783,20 @@ class IntegrityMonitor:
         if kernel.false_id in states:
             ok = False
         elif entry.disjoint:
-            ok = all(self._satisfiable(entry, state) for state in states)
+            # The memo is read inline: this runs on every update of every
+            # letter-disjoint constraint.
+            cache = self._sat_cache
+            stats = entry.stats
+            ok = True
+            for state in states:
+                verdict = cache.get(state)
+                if verdict is None:
+                    verdict = self._satisfiable(entry, state)
+                else:
+                    stats.sat_cache_hits += 1
+                if not verdict:
+                    ok = False
+                    break
         elif all(kernel.holds_quiescent(state) for state in states):
             ok = True
         else:
