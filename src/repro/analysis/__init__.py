@@ -14,7 +14,6 @@ from .affect import (
     RelationProfile,
     UpdateDependencyIndex,
     affect_set,
-    index_for,
 )
 from .hierarchy import (
     RETIRABLE_CLASSES,
@@ -26,7 +25,7 @@ from .hierarchy import (
     classify_ptl_hierarchy,
     is_past_closed,
 )
-from .idle import IdleClass, idle_class, ptl_idle_class, static_verdict
+from .idle import IdleClass, idle_class, static_verdict
 
 __all__ = [
     "AffectSet",
@@ -34,7 +33,6 @@ __all__ = [
     "RelationProfile",
     "UpdateDependencyIndex",
     "affect_set",
-    "index_for",
     "HierarchyClass",
     "HierarchyInfo",
     "SAFE_CLASSES",
@@ -45,6 +43,5 @@ __all__ = [
     "is_past_closed",
     "IdleClass",
     "idle_class",
-    "ptl_idle_class",
     "static_verdict",
 ]

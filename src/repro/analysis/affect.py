@@ -28,12 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..logic.formulas import Atom, Formula, Iff, Implies, Not
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..database.updates import Update
     from ..database.vocabulary import Vocabulary
 
 __all__ = [
@@ -121,23 +120,6 @@ class AffectSet:
         if p is None:
             return False
         return p.negative > 0 if kind == "insert" else p.positive > 0
-
-    def touched_by(self, update: "Update") -> bool:
-        """Does the update mention any relation the constraint mentions?
-
-        This is the *coarse* (polarity-blind) test: the sound criterion for
-        reusing the previous restricted state during progression.
-        """
-        rels = self.relations()
-        return any(pred in rels for pred, _ in update.inserts) or any(
-            pred in rels for pred, _ in update.deletes
-        )
-
-    def affected_by(self, update: "Update") -> bool:
-        """Polarity-aware: can the update possibly *falsify* the constraint?"""
-        return any(
-            self.can_violate(pred, "insert") for pred, _ in update.inserts
-        ) or any(self.can_violate(pred, "delete") for pred, _ in update.deletes)
 
     @property
     def pure_negative(self) -> bool:
@@ -232,28 +214,6 @@ class UpdateDependencyIndex:
         """The affect set of the named constraint."""
         return self.affects[name]
 
-    def touched_by_update(self, update: "Update") -> frozenset[str]:
-        """Constraints mentioning any relation the update touches.
-
-        Polarity-blind — this is what licenses skipping a re-progression,
-        not merely skipping a violation check.
-        """
-        out: set[str] = set()
-        for pred, _ in update.inserts:
-            out.update(self.monitored_by.get(pred, ()))
-        for pred, _ in update.deletes:
-            out.update(self.monitored_by.get(pred, ()))
-        return frozenset(out)
-
-    def affected_by_update(self, update: "Update") -> frozenset[str]:
-        """Constraints the update can possibly falsify (polarity-aware)."""
-        out: set[str] = set()
-        for pred, _ in update.inserts:
-            out.update(self.insert_violates.get(pred, ()))
-        for pred, _ in update.deletes:
-            out.update(self.delete_violates.get(pred, ()))
-        return frozenset(out)
-
     def relations(self) -> frozenset[str]:
         """Every relation mentioned by at least one constraint."""
         return frozenset(self.monitored_by)
@@ -309,11 +269,3 @@ class UpdateDependencyIndex:
             },
         }
 
-
-def index_for(
-    constraints: Mapping[str, Formula] | Iterable[tuple[str, Formula]],
-) -> UpdateDependencyIndex:
-    """Convenience constructor accepting mapping or pair-iterable input."""
-    if not isinstance(constraints, Mapping):
-        constraints = dict(constraints)
-    return UpdateDependencyIndex(constraints)

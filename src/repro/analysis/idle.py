@@ -26,26 +26,14 @@ from itertools import product as _cartesian
 from ..errors import ClassificationError
 from ..logic.classify import FormulaInfo, classify, uses_future, uses_past
 from ..logic.formulas import Atom, Formula
-from ..ptl.formulas import (
-    PAlways,
-    PEventually,
-    PNext,
-    PRelease,
-    PTLFormula,
-    PUntil,
-    PWeakUntil,
-    pand,
-)
+from ..ptl.formulas import PTLFormula, pand
 from ..ptl.sat import is_satisfiable
 
 __all__ = [
     "IdleClass",
     "idle_class",
-    "ptl_idle_class",
     "static_verdict",
 ]
-
-_PTL_TEMPORAL = (PNext, PUntil, PWeakUntil, PRelease, PEventually, PAlways)
 
 
 class IdleClass(Enum):
@@ -65,20 +53,6 @@ def idle_class(formula: Formula) -> IdleClass:
     if not any(isinstance(node, Atom) for node in formula.walk()):
         return IdleClass.STATE_INDEPENDENT
     if not uses_future(formula):
-        return IdleClass.PAST_CLOSED
-    return IdleClass.LIVE
-
-
-def ptl_idle_class(formula: PTLFormula) -> IdleClass:
-    """Classify a propositional remainder the same way.
-
-    A remainder with no letters is constant; one with letters but no
-    temporal connective is a pure state formula, decided by the very next
-    state and never again.
-    """
-    if not formula.propositions():
-        return IdleClass.STATE_INDEPENDENT
-    if not any(isinstance(node, _PTL_TEMPORAL) for node in formula.walk()):
         return IdleClass.PAST_CLOSED
     return IdleClass.LIVE
 

@@ -5,12 +5,6 @@ Grounding and the Theorem 4.1 reduction, the potential-satisfaction checker
 trigger machinery.
 """
 
-from .analysis import (
-    AnalysisResult,
-    equivalent_universal,
-    implies_universal,
-    redundant_constraints,
-)
 from .checker import (
     CheckResult,
     certify,
@@ -58,7 +52,6 @@ from .triggers import (
 )
 
 __all__ = [
-    "AnalysisResult",
     "Anon",
     "CheckResult",
     "ConstraintPlan",
@@ -85,18 +78,15 @@ __all__ = [
     "decode_lasso",
     "decode_state",
     "eq_prop",
-    "equivalent_universal",
     "fires",
     "firings",
     "ground",
     "ground_domain",
-    "implies_universal",
     "parallel_map",
     "partition_constraints",
     "plan_constraints",
     "potentially_satisfied",
     "reduce_universal",
-    "redundant_constraints",
     "rel_prop",
     "resolve_jobs",
     "split_chunks",

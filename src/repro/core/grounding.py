@@ -31,17 +31,16 @@ names are the structured :class:`GroundAtom` values below, so decoding a
 propositional model back into database states (the witness direction) is a
 lookup, not a parse.
 
-:func:`ground` builds ``psi[f]`` as a formula; it serves the from-scratch
-checker, triggers and lint, and is the oracle of :class:`IdGrounder`, which
-builds the same ``psi[f]`` directly as an id of a
-:class:`~repro.ptl.progkernel.ProgressionKernel` for the online monitor.
+:func:`ground` builds ``psi[f]`` as a formula.  It is the one grounder:
+the from-scratch checker, triggers and lint call it per assignment, and
+the online monitor calls it once per equality pattern to build its
+templates (:mod:`repro.core.lifted`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 from ..errors import ClassificationError, SchemaError
 from ..logic.formulas import (
@@ -63,7 +62,6 @@ from ..logic.formulas import (
     WeakUntil,
 )
 from ..logic.terms import Constant, Term, Variable
-from ..ptl.progkernel import ProgressionKernel
 from ..ptl.formulas import (
     PFALSE,
     PTRUE,
@@ -167,9 +165,11 @@ def eq_prop(left: GroundElement, right: GroundElement) -> Prop:
 
 
 def decide_equality(left: GroundElement, right: GroundElement) -> bool:
-    """Ground truth of ``left = right`` under the Lemma 4.1 conventions."""
-    if isinstance(left, Anon) or isinstance(right, Anon):
-        return left == right
+    """Ground truth of ``left = right`` under the Lemma 4.1 conventions.
+
+    Anonymous elements and placeholders are each distinct from every
+    other element, so this is element equality.
+    """
     return left == right
 
 
@@ -219,6 +219,13 @@ def ground(
     This is the paper's ``psi[f]`` operation: substitute the assignment into
     every atom and read the result as a propositional letter.  In folded
     mode, equalities and anonymous-argument atoms become constants.
+
+    A conjunction stops at its first ``false`` operand, a disjunction at
+    its first ``true`` one and an implication at a ``false`` antecedent:
+    the smart constructors fold such an operand to the same constant
+    whatever the other operands are, so the node is the one grounding
+    every operand would give, and the letters of the skipped operands
+    are never built.
     """
     match matrix:
         case TrueFormula():
@@ -239,13 +246,26 @@ def ground(
         case Not(operand=op):
             return pnot(ground(op, assignment, context))
         case And(operands=ops):
-            return pand(*(ground(op, assignment, context) for op in ops))
+            conjuncts: list[PTLFormula] = []
+            for op in ops:
+                part = ground(op, assignment, context)
+                if part is PFALSE:
+                    return PFALSE
+                conjuncts.append(part)
+            return pand(*conjuncts)
         case Or(operands=ops):
-            return por(*(ground(op, assignment, context) for op in ops))
+            disjuncts: list[PTLFormula] = []
+            for op in ops:
+                part = ground(op, assignment, context)
+                if part is PTRUE:
+                    return PTRUE
+                disjuncts.append(part)
+            return por(*disjuncts)
         case Implies(antecedent=a, consequent=c):
-            return pimplies(
-                ground(a, assignment, context), ground(c, assignment, context)
-            )
+            antecedent = ground(a, assignment, context)
+            if antecedent is PFALSE:
+                return PTRUE
+            return pimplies(antecedent, ground(c, assignment, context))
         case Iff(left=left, right=right):
             gl = ground(left, assignment, context)
             gr = ground(right, assignment, context)
@@ -276,241 +296,6 @@ def ground(
                 f"matrix of a universal constraint cannot contain "
                 f"{type(matrix).__name__} (quantifier or past connective)"
             )
-
-
-#: A compiled subformula: assignment values (in quantifier order) -> id.
-_Compiled = Callable[[tuple[GroundElement, ...]], int]
-
-#: The kernel mirror of each unary and binary smart constructor.
-_MIRRORS: dict[type, str] = {
-    Not: "pnot_id",
-    Next: "pnext_id",
-    Eventually: "peventually_id",
-    Always: "palways_id",
-    Until: "puntil_id",
-    WeakUntil: "pweak_until_id",
-    Release: "prelease_id",
-}
-
-#: The compound matrix nodes :class:`IdGrounder` translates, as
-#: :func:`ground` does.
-_COMPOUND = frozenset({And, Or, Implies, Iff, *_MIRRORS})
-
-
-class IdGrounder:
-    """``psi[f]`` built directly in a kernel's id space, compiled once per
-    constraint.
-
-    :meth:`ground` returns the :class:`~repro.ptl.progkernel.ProgressionKernel`
-    id of :func:`ground`'s formula for the same assignment and context,
-    through the kernel's id-level smart constructors, so
-    ``kernel.formula(grounder.ground(values))`` is the very node
-    :func:`ground` builds.  No formula node is built on the way, apart
-    from the letters: their bits are keyed by :class:`Prop`.
-
-    * Constants short-circuit: an operand that grounds to ``false`` ends a
-      conjunction (``true`` a disjunction, a ``false`` antecedent an
-      implication) before the other operands are grounded.
-    * A subformula whose free variables are fewer than its parent's (for
-      the matrix: than the quantified ones) keeps a memo keyed by their
-      values, so a subformula over elements already grounded is never
-      rebuilt; closed subformulas are grounded once, at compile time.
-      Letters are memoized by relation and arguments.
-
-    Variables and constants are resolved at compile time, so an unbound
-    constant or a free variable raises here, as :func:`ground` would on
-    any assignment.
-    """
-
-    def __init__(
-        self,
-        matrix: Formula,
-        quantifiers: Sequence[Variable],
-        context: GroundContext,
-        kernel: ProgressionKernel,
-    ) -> None:
-        self._kernel = kernel
-        self._context = context
-        self._slots = {var: slot for slot, var in enumerate(quantifiers)}
-        self._memos: list[dict[object, int]] = []
-        # Letter ids by (relation, arguments): an atom that occurs several
-        # times builds its letter once.
-        self._letters: dict[tuple[str, tuple[GroundElement, ...]], int] = {}
-        root, free = self._compile(matrix)
-        self._root = self._memoized(
-            root, free, frozenset(range(len(quantifiers)))
-        )
-
-    def ground(self, values: tuple[GroundElement, ...]) -> int:
-        """The id of ``psi[f]`` for the assignment mapping the ``i``-th
-        quantified variable to ``values[i]``."""
-        return self._root(values)
-
-    def memo_size(self) -> int:
-        """Ids held by the subformula and letter memos."""
-        return sum(len(memo) for memo in self._memos) + len(self._letters)
-
-    def _compile(self, node: Formula) -> tuple[_Compiled, frozenset[int]]:
-        """The compiled form of ``node`` and the slots of its free
-        variables, each operand memoized as the class docstring says."""
-        if isinstance(node, (Atom, Eq)):
-            return self._compile_atom(node)
-        cls = type(node)
-        kernel = self._kernel
-        true_id = kernel.true_id
-        false_id = kernel.false_id
-        if cls is TrueFormula or cls is FalseFormula:
-            constant = true_id if cls is TrueFormula else false_id
-            return (lambda values: constant), frozenset()
-        if cls not in _COMPOUND:
-            raise ClassificationError(
-                f"matrix of a universal constraint cannot contain "
-                f"{cls.__name__} (quantifier or past connective)"
-            )
-        parts = [self._compile(child) for child in node.children]
-        slots = frozenset(slot for _fn, free in parts for slot in free)
-        ops = [self._memoized(op, free, slots) for op, free in parts]
-        if cls is And:
-            pand_ids = kernel.pand_ids
-
-            def conjunction(values: tuple[GroundElement, ...]) -> int:
-                ids = []
-                for op in ops:
-                    rid = op(values)
-                    if rid == false_id:
-                        return false_id
-                    ids.append(rid)
-                return pand_ids(ids)
-
-            return conjunction, slots
-        if cls is Or:
-            por_ids = kernel.por_ids
-
-            def disjunction(values: tuple[GroundElement, ...]) -> int:
-                ids = []
-                for op in ops:
-                    rid = op(values)
-                    if rid == true_id:
-                        return true_id
-                    ids.append(rid)
-                return por_ids(ids)
-
-            return disjunction, slots
-        if cls is Implies:
-            antecedent, consequent = ops
-            pimplies_id = kernel.pimplies_id
-
-            def implication(values: tuple[GroundElement, ...]) -> int:
-                left = antecedent(values)
-                if left == false_id:
-                    return true_id
-                return pimplies_id(left, consequent(values))
-
-            return implication, slots
-        if cls is Iff:
-            left_op, right_op = ops
-
-            def equivalence(values: tuple[GroundElement, ...]) -> int:
-                left = left_op(values)
-                right = right_op(values)
-                both = kernel.pand_ids((left, right))
-                neither = kernel.pand_ids(
-                    (kernel.pnot_id(left), kernel.pnot_id(right))
-                )
-                return kernel.por_ids((both, neither))
-
-            return equivalence, slots
-        mirror = getattr(kernel, _MIRRORS[cls])
-        if len(ops) == 1:
-            (sub,) = ops
-
-            def apply_unary(values: tuple[GroundElement, ...]) -> int:
-                return mirror(sub(values))
-
-            return apply_unary, slots
-        left_op, right_op = ops
-
-        def apply_binary(values: tuple[GroundElement, ...]) -> int:
-            return mirror(left_op(values), right_op(values))
-
-        return apply_binary, slots
-
-    def _compile_atom(
-        self, node: Atom | Eq
-    ) -> tuple[_Compiled, frozenset[int]]:
-        """A ground letter, or its folded constant."""
-        kernel = self._kernel
-        context = self._context
-        terms = node.args if isinstance(node, Atom) else (node.left, node.right)
-        picks: list[tuple[int, GroundElement]] = []
-        for term in terms:
-            if isinstance(term, Variable):
-                if term not in self._slots:
-                    raise ClassificationError(
-                        f"variable {term.name!r} is not externally quantified"
-                    )
-                picks.append((self._slots[term], 0))
-            else:
-                picks.append((-1, context.resolve(term, {})))
-
-        def resolve(
-            values: tuple[GroundElement, ...]
-        ) -> tuple[GroundElement, ...]:
-            return tuple(
-                [values[slot] if slot >= 0 else fixed for slot, fixed in picks]
-            )
-
-        fold = context.fold
-        free = frozenset(slot for slot, _ in picks if slot >= 0)
-        if isinstance(node, Eq):
-
-            def equality(values: tuple[GroundElement, ...]) -> int:
-                left, right = resolve(values)
-                if fold:
-                    if decide_equality(left, right):
-                        return kernel.true_id
-                    return kernel.false_id
-                return kernel.intern(eq_prop(left, right))
-
-            return equality, free
-        pred = node.pred
-        letters = self._letters
-
-        def letter(values: tuple[GroundElement, ...]) -> int:
-            args = resolve(values)
-            if fold and any(isinstance(a, Anon) for a in args):
-                return kernel.false_id
-            key = (pred, args)
-            rid = letters.get(key)
-            if rid is None:
-                rid = letters[key] = kernel.intern(rel_prop(pred, args))
-            return rid
-
-        return letter, free
-
-    def _memoized(
-        self, fn: _Compiled, free: frozenset[int], outer: frozenset[int]
-    ) -> _Compiled:
-        """``fn`` behind a memo keyed by its free variables' values, when
-        those are fewer than its parent's (a parent reached once per key
-        gains nothing from it); closed operands are grounded now."""
-        if not free:
-            rid = fn(())
-            return lambda values: rid
-        if free == outer:
-            return fn
-        memo: dict[object, int] = {}
-        self._memos.append(memo)
-        key = itemgetter(*sorted(free))
-
-        def memoized(values: tuple[GroundElement, ...]) -> int:
-            k = key(values)
-            rid = memo.get(k)
-            if rid is None:
-                rid = memo[k] = fn(values)
-            return rid
-
-        return memoized
 
 
 def build_axioms(

@@ -11,10 +11,11 @@ kernel ids of template states, each with the tuples in it (DESIGN.md
 
 * **Templates.**  A tuple's *pattern* records which positions hold equal
   elements, which hold a constant's element and which hold an anonymous
-  ``z_i``.  Its template is ``psi`` grounded by the
-  :class:`~repro.core.grounding.IdGrounder` over the pattern itself, with
-  a :class:`~repro.core.grounding.Placeholder` for each class of equal
-  non-constant elements; anonymous positions fold as in Theorem 4.1.
+  ``z_i``.  Its template is ``psi`` grounded by
+  :func:`~repro.core.grounding.ground` over the pattern itself, with a
+  :class:`~repro.core.grounding.Placeholder` for each class of equal
+  non-constant elements, and interned in the kernel once; anonymous
+  positions fold as in Theorem 4.1.
 * **Tuples.**  The real tuples are the Theorem 4.1 instances over
   ``R_D ∪ {z1..zk}``, anonymous elements numbered by first occurrence
   (instances that differ only there are the same formula).  *Witness*
@@ -35,13 +36,16 @@ from itertools import product as cartesian
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
+from ..logic.formulas import Formula
+from ..logic.terms import Variable
 from ..ptl.progkernel import ProgressionKernel
 from .grounding import (
     Anon,
+    GroundContext,
     GroundElement,
-    IdGrounder,
     Placeholder,
     RelAtom,
+    ground,
     rel_prop,
 )
 from .reduction import ground_domain
@@ -118,7 +122,6 @@ class LiftedTable:
 
     __slots__ = (
         "kernel",
-        "grounder",
         "arity",
         "constants",
         "relevant",
@@ -138,12 +141,13 @@ class LiftedTable:
     def __init__(
         self,
         kernel: ProgressionKernel,
-        grounder: IdGrounder,
-        arity: int,
+        matrix: Formula,
+        variables: Sequence[Variable],
+        context: GroundContext,
         constants: frozenset[int],
     ) -> None:
+        arity = len(variables)
         self.kernel = kernel
-        self.grounder = grounder
         self.arity = arity
         self.constants = constants
         self.relevant = constants
@@ -169,7 +173,10 @@ class LiftedTable:
         ]
         for values in cartesian(domain, repeat=arity):
             if is_canonical(values):
-                self.templates[values] = self._compile(values)
+                root = kernel.intern(
+                    ground(matrix, dict(zip(variables, values)), context)
+                )
+                self.templates[values] = self._template(values, root)
 
     def seed(self) -> None:
         """Start every pattern's own tuple at its template: the table
@@ -197,11 +204,11 @@ class LiftedTable:
                 out.append(place)
         return tuple(out)
 
-    def _compile(self, pattern: Tuple) -> _Template:
-        """Ground the pattern's template and sort its letters into open
-        ones and the entry's letters over constants alone."""
+    def _template(self, pattern: Tuple, root: int) -> _Template:
+        """The pattern's template, grounded as ``root``, with its letters
+        sorted into open ones and the entry's letters over constants
+        alone."""
         kernel = self.kernel
-        root = self.grounder.ground(pattern)
         first = {
             value: position
             for position, value in reversed(list(enumerate(pattern)))

@@ -61,7 +61,7 @@ from ..ptl.bitset import BuchiKernel
 from ..ptl.formulas import PTLFormula
 from ..ptl.progkernel import ProgKernelInfo, ProgressionKernel
 from .checker import validate_constraint
-from .grounding import Anon, GroundContext, IdGrounder, Placeholder
+from .grounding import Anon, GroundContext, Placeholder
 from .lifted import (
     LiftedTable,
     Tuple,
@@ -388,16 +388,11 @@ class IntegrityMonitor:
         still empty."""
         bindings = self._history.constant_bindings
         predicates, constants, disjoint = _shape(info)
-        grounder = IdGrounder(
+        table = LiftedTable(
+            self._progkernel,
             info.matrix,
             info.external_universals,
             GroundContext(bindings),
-            self._progkernel,
-        )
-        table = LiftedTable(
-            self._progkernel,
-            grounder,
-            len(info.external_universals),
             frozenset(bindings[name] for name in constants),
         )
         return _ConstraintEntry(
@@ -471,9 +466,7 @@ class IntegrityMonitor:
         * the progression kernel's ``kernel_obligations``,
           ``kernel_letters``, ``kernel_transitions`` and
           ``kernel_evictions`` (:meth:`progression_kernel_info`): rows are
-          bounded and evicted, ids and letter bits are not;
-        * ``grounder_memo``, the ids the per-constraint grounders keep for
-          subformulas over fewer variables than their parent's.
+          bounded and evicted, ids and letter bits are not.
         """
         kernel = self._progkernel.info()
         return {
@@ -489,9 +482,6 @@ class IntegrityMonitor:
             "kernel_letters": kernel.letters,
             "kernel_transitions": kernel.transitions,
             "kernel_evictions": kernel.evictions,
-            "grounder_memo": sum(
-                entry.table.grounder.memo_size() for entry in self._entries
-            ),
         }
 
     def progression_kernel_info(self) -> ProgKernelInfo:

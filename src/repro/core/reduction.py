@@ -161,9 +161,10 @@ def reduce_universal(
     never slower.
 
     This is the from-scratch construction (the checker, triggers and
-    lint).  The online monitor builds the same conjunction incrementally,
-    in its progression kernel's id space
-    (:class:`~repro.core.grounding.IdGrounder`).
+    lint).  The online monitor reaches the same conjunction without it:
+    it grounds one template per equality pattern and renames the
+    templates' states onto the instances
+    (:class:`~repro.core.lifted.LiftedTable`).
     """
     if scope not in ("constraint", "full"):
         raise ValueError(f"scope must be 'constraint' or 'full', got {scope!r}")

@@ -13,7 +13,6 @@ from .relevant import (
     fresh_elements,
     irrelevant_elements,
     relevant_elements,
-    restricted_to_relevant,
 )
 from .serialize import (
     MONITOR_SNAPSHOT_FORMAT,
@@ -33,7 +32,7 @@ from .serialize import (
     vocabulary_to_dict,
 )
 from .state import DatabaseState, Fact
-from .updates import Update, UpdateLog, diff_states
+from .updates import Update, diff_states
 from .vocabulary import BUILTIN_PREDICATES, Vocabulary, vocabulary
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "LassoDatabase",
     "MONITOR_SNAPSHOT_FORMAT",
     "Update",
-    "UpdateLog",
     "Vocabulary",
     "canonical_form",
     "diff_states",
@@ -61,7 +59,6 @@ __all__ = [
     "ptl_from_jsonable",
     "ptl_to_jsonable",
     "relevant_elements",
-    "restricted_to_relevant",
     "state_from_dict",
     "state_to_dict",
     "vocabulary",

@@ -64,12 +64,3 @@ def canonical_form(history: History) -> History:
     mapping = {value: index for index, value in enumerate(relevant)}
     return history.rename(mapping)
 
-
-def restricted_to_relevant(history: History) -> History:
-    """The restriction ``D|R_D`` — every stored tuple survives.
-
-    This is a no-op on the stored facts (all their components are relevant
-    by definition) but normalizes states that were built with a wider
-    vocabulary view; used in tests of Lemma 4.1.
-    """
-    return history.restrict(history.relevant_elements())

@@ -9,7 +9,8 @@ what applications hand to the online monitor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
 from ..errors import StateError
 from .state import DatabaseState, Fact
 
@@ -77,32 +78,6 @@ class Update:
             inserts=self.inserts | other.inserts,
             deletes=self.deletes | other.deletes,
         )
-
-
-@dataclass
-class UpdateLog:
-    """An append-only record of the updates applied to a history.
-
-    The monitor keeps one so a history can be re-derived (and the reduction
-    re-run from scratch) when the relevant domain grows; it also powers
-    replay in tests.
-    """
-
-    initial: DatabaseState
-    updates: list[Update] = field(default_factory=list)
-
-    def append(self, update: Update) -> None:
-        self.updates.append(update)
-
-    def replay(self) -> list[DatabaseState]:
-        """All states, from the initial one through every update."""
-        states = [self.initial]
-        for update in self.updates:
-            states.append(update.apply(states[-1]))
-        return states
-
-    def __len__(self) -> int:
-        return len(self.updates)
 
 
 def diff_states(before: DatabaseState, after: DatabaseState) -> Update:

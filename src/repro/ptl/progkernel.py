@@ -26,15 +26,18 @@ This module compiles that lookup away, the same move
   constants, ``¬``, ``∧``, ``∨``, ``→``, ``X``, ``U``, ``W``, ``R``,
   ``F``, ``G``) has an id-space rule keyed by a per-id kind tag computed
   at intern time, and successors are reassembled through id-level mirrors
-  of the smart constructors (:meth:`ProgressionKernel.pand_ids` for
-  :func:`~repro.ptl.formulas.pand`, and one mirror per constructor) — the
-  table only ever contains rows the workload actually exercised, exactly
-  like the Büchi kernel's lazily grown state space;
-* the mirrors build *virtual* ids (id-space metadata, no node) that
-  :meth:`ProgressionKernel.formula` materializes on first observation, and
-  ids are canonical: one id per structure, whichever of a mirror or
-  :meth:`ProgressionKernel.intern` saw it first, so an id-keyed memo is as
-  exact as an identity-keyed one over interned nodes;
+  of the four smart constructors the rules need
+  (:meth:`ProgressionKernel.pand_ids` for :func:`~repro.ptl.formulas.pand`,
+  and likewise ``por_ids``, ``pnot_id`` and ``pimplies_id``; a temporal
+  successor is the obligation's own id or an operand's) — the table only
+  ever contains rows the workload actually exercised, exactly like the
+  Büchi kernel's lazily grown state space;
+* the mirrors and :meth:`ProgressionKernel.rename` build *virtual* ids
+  (id-space metadata, no node) that :meth:`ProgressionKernel.formula`
+  materializes on first observation, and ids are canonical: one id per
+  structure, whichever of a mirror or :meth:`ProgressionKernel.intern`
+  saw it first, so an id-keyed memo is as exact as an identity-keyed one
+  over interned nodes;
 * :meth:`ProgressionKernel.progress_replay` advances a list of chain ids
   through a whole state sequence (the trigger manager's per-conjunct
   replays), :meth:`ProgressionKernel.rename` renames the letters of an id
@@ -363,12 +366,12 @@ class ProgressionKernel:
     def formula(self, oid: int) -> PTLFormula:
         """The obligation formula carrying id ``oid``.
 
-        Ids built by the mirrors (:meth:`pand_ids`, :meth:`puntil_id`, ...)
-        are *virtual* — kind tag, operand ids and letter mask only — and
-        the node itself is built here, on first observation, through the
-        raw constructors, which intern it.  Operands of a virtual node may
-        themselves be virtual (canonical forms nest freely), so
-        materialization walks iteratively.
+        Ids built by the mirrors (:meth:`pand_ids`, :meth:`pnot_id`, ...)
+        and by :meth:`rename` are *virtual* — kind tag, operand ids and
+        letter mask only — and the node itself is built here, on first
+        observation, through the raw constructors, which intern it.
+        Operands of a virtual node may themselves be virtual (canonical
+        forms nest freely), so materialization walks iteratively.
         """
         members = self._oblig.members
         result = members[oid]
@@ -488,8 +491,9 @@ class ProgressionKernel:
 
         Every letter of the state is indexed (bits are stable, so encoding
         can never go stale); letters no indexed formula mentions are
-        sliced away by the per-row ``&`` anyway.  The monitor encodes each
-        state once and keeps the mask, so there is no memo here.
+        sliced away by the per-row ``&`` anyway.  Its callers (the trigger
+        manager's replays and the formula-level helpers below) encode each
+        state once, so there is no memo here.
         """
         bit = self._letters.bit
         mask = 0
@@ -935,59 +939,6 @@ class ProgressionKernel:
         if consequent == self.false_id:
             return self.pnot_id(antecedent)
         return self._node_id(_K_IMPLIES, (antecedent, consequent))
-
-    def pnext_id(self, body: int) -> int:
-        """:func:`~repro.ptl.formulas.pnext` mirrored on ids."""
-        if body == self.true_id or body == self.false_id:
-            return body
-        return self._node_id(_K_NEXT, (body,))
-
-    def puntil_id(self, left: int, right: int) -> int:
-        """:func:`~repro.ptl.formulas.puntil` mirrored on ids (``true U
-        b`` is the raw ``F b``, as there)."""
-        if right == self.true_id or right == self.false_id:
-            return right
-        if left == self.false_id:
-            return right
-        if left == self.true_id:
-            return self._node_id(_K_EVENTUALLY, (right,))
-        return self._node_id(_K_UNTIL, (left, right))
-
-    def pweak_until_id(self, left: int, right: int) -> int:
-        """:func:`~repro.ptl.formulas.pweak_until` mirrored on ids."""
-        if right == self.true_id or left == self.true_id:
-            return self.true_id
-        if left == self.false_id:
-            return right
-        if right == self.false_id:
-            return self._node_id(_K_ALWAYS, (left,))
-        return self._node_id(_K_WEAK, (left, right))
-
-    def prelease_id(self, left: int, right: int) -> int:
-        """:func:`~repro.ptl.formulas.prelease` mirrored on ids."""
-        if right == self.true_id or right == self.false_id:
-            return right
-        if left == self.true_id:
-            return right
-        if left == self.false_id:
-            return self._node_id(_K_ALWAYS, (right,))
-        return self._node_id(_K_RELEASE, (left, right))
-
-    def peventually_id(self, body: int) -> int:
-        """:func:`~repro.ptl.formulas.peventually` mirrored on ids."""
-        if body == self.true_id or body == self.false_id:
-            return body
-        if self._kinds[body] == _K_EVENTUALLY:
-            return body
-        return self._node_id(_K_EVENTUALLY, (body,))
-
-    def palways_id(self, body: int) -> int:
-        """:func:`~repro.ptl.formulas.palways` mirrored on ids."""
-        if body == self.true_id or body == self.false_id:
-            return body
-        if self._kinds[body] == _K_ALWAYS:
-            return body
-        return self._node_id(_K_ALWAYS, (body,))
 
     def _node_id(self, kind: int, subs: tuple[int, ...]) -> int:
         """The id of the unary/binary node of ``kind`` over ``subs``: the

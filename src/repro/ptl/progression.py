@@ -40,10 +40,13 @@ hit/miss/eviction counters and the derived hit rate so long runs can detect
 LRU thrash.
 
 **Compiled engine.**  The table-driven
-:class:`repro.ptl.progkernel.ProgressionKernel` (with
+:class:`repro.ptl.progkernel.ProgressionKernel` is the production path:
+each monitor and trigger manager owns one and progresses kernel ids
+through it.  This module's recursive rewriting is its cross-validation
+oracle (the formula-level helpers
 :func:`~repro.ptl.progkernel.progress_sequence_compiled` and
-:func:`~repro.ptl.progkernel.progress_trace_compiled`) is the production
-path; this module's recursive rewriting is its cross-validation oracle.
+:func:`~repro.ptl.progkernel.progress_trace_compiled` serve the tests
+that compare the two).
 The kernel runs every rewrite rule natively on integer ids, so its
 traffic never consults nor populates this module's memo — the two
 engines' caches are fully isolated (regression-tested), and this LRU sees

@@ -4,8 +4,8 @@ import pytest
 
 from repro import parse
 from repro.analysis import AffectSet, UpdateDependencyIndex, affect_set
-from repro.analysis.affect import Polarity, RelationProfile, index_for
-from repro.database import Update, vocabulary
+from repro.analysis.affect import Polarity, RelationProfile
+from repro.database import vocabulary
 
 SUBMIT_ONCE = parse("forall x . G (Sub(x) -> X G !Sub(x))")
 FIFO_FILL = parse(
@@ -63,16 +63,6 @@ class TestAffectSet:
         with pytest.raises(ValueError, match="unknown update kind"):
             aff.can_violate("Sub", "upsert")
 
-    def test_touched_and_affected_by(self):
-        aff = affect_set(SUBMIT_ONCE)
-        ins_sub = Update.insert(("Sub", (1,)))
-        del_sub = Update.delete(("Sub", (1,)))
-        ins_fill = Update.insert(("Fill", (1,)))
-        assert aff.touched_by(ins_sub) and aff.affected_by(ins_sub)
-        # Deleting Sub touches the constraint but cannot falsify it.
-        assert aff.touched_by(del_sub) and not aff.affected_by(del_sub)
-        assert not aff.touched_by(ins_fill)
-
     def test_pairs_view(self):
         aff = affect_set(FIFO_FILL)
         assert set(aff.pairs()) == {
@@ -93,7 +83,7 @@ class TestAffectSet:
         empty = AffectSet()
         assert empty.state_independent
         assert empty.pairs() == ()
-        assert not empty.touched_by(Update.insert(("Sub", (1,))))
+        assert not empty.can_violate("Sub", "insert")
 
 
 class TestUpdateDependencyIndex:
@@ -113,15 +103,6 @@ class TestUpdateDependencyIndex:
             "Fill": ("fifo",),
         }
         assert index.delete_violates == {"Fill": ("fifo",)}
-
-    def test_touched_vs_affected(self):
-        index = self.make_index()
-        del_sub = Update.delete(("Sub", (1,)))
-        assert index.touched_by_update(del_sub) == {"once", "fifo"}
-        assert index.affected_by_update(del_sub) == frozenset()
-        ins_fill = Update.insert(("Fill", (1,)))
-        assert index.touched_by_update(ins_fill) == {"fifo"}
-        assert index.affected_by_update(ins_fill) == {"fifo"}
 
     def test_constraints_and_relations(self):
         index = self.make_index()
@@ -149,10 +130,6 @@ class TestUpdateDependencyIndex:
         assert once["pure_negative"] is True
         assert once["state_independent"] is False
         assert doc["relations"]["Fill"]["monitored_by"] == ["fifo"]
-
-    def test_index_for_accepts_pairs(self):
-        index = index_for([("once", SUBMIT_ONCE)])
-        assert index.constraints() == ("once",)
 
 
 class TestRelationProfile:

@@ -2,8 +2,6 @@
 
 from repro import classify, parse
 from repro.analysis import IdleClass, idle_class, static_verdict
-from repro.analysis.idle import ptl_idle_class
-from repro.ptl import PTRUE, palways, pand, pnot, prop
 
 
 class TestIdleClass:
@@ -23,19 +21,6 @@ class TestIdleClass:
     def test_future_constraint_is_live(self):
         f = parse("forall x . G (Sub(x) -> X G !Sub(x))")
         assert idle_class(f) is IdleClass.LIVE
-
-
-class TestPtlIdleClass:
-    def test_no_letters(self):
-        assert ptl_idle_class(PTRUE) is IdleClass.STATE_INDEPENDENT
-        assert ptl_idle_class(pnot(PTRUE)) is IdleClass.STATE_INDEPENDENT
-
-    def test_state_formula(self):
-        f = pand(prop("a"), pnot(prop("b")))
-        assert ptl_idle_class(f) is IdleClass.PAST_CLOSED
-
-    def test_temporal_remainder(self):
-        assert ptl_idle_class(palways(prop("a"))) is IdleClass.LIVE
 
 
 class TestStaticVerdict:

@@ -3,7 +3,7 @@
 from itertools import product as cartesian
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.grounding as grounding_module
@@ -12,7 +12,6 @@ from repro.core.grounding import (
     Anon,
     EqAtom,
     GroundContext,
-    IdGrounder,
     Placeholder,
     RelAtom,
     build_axioms,
@@ -27,9 +26,35 @@ from repro.errors import ClassificationError, SchemaError
 from repro.logic import builders as b
 from repro.logic import parse, var
 from repro.logic.classify import require_universal
-from repro.logic.formulas import FalseFormula, TrueFormula
+from repro.logic.formulas import (
+    Always,
+    And,
+    Eventually,
+    FalseFormula,
+    Iff,
+    Implies,
+    Next,
+    Not,
+    Or,
+    Release,
+    TrueFormula,
+    Until,
+    WeakUntil,
+)
 from repro.logic.transform import strip_universal_prefix
 from repro.ptl import PFALSE, PTRUE, PAlways, Prop, evaluate_lasso, LassoModel
+from repro.ptl.formulas import (
+    palways,
+    pand,
+    peventually,
+    pimplies,
+    pnext,
+    pnot,
+    por,
+    prelease,
+    puntil,
+    pweak_until,
+)
 from repro.ptl.progkernel import ProgressionKernel
 from repro.workloads import ConstraintConfig, random_universal_constraint
 
@@ -183,7 +208,7 @@ class TestLiteralGrounding:
         )
 
 
-# -- the id grounder -------------------------------------------------------
+# -- templates and the short-circuit ---------------------------------------
 
 ID_V = vocabulary({"Sub": 1, "Fill": 1, "Link": 2})
 X0, X1 = var("x0"), var("x1")
@@ -230,68 +255,59 @@ def _extend(children):
 #: every connective ``ground`` translates.
 matrices = st.recursive(_leaves, _extend, max_leaves=8)
 
-
-def _virtual_ids(kernel):
-    return [
-        oid
-        for oid, member in enumerate(kernel._oblig.members)
-        if member is None
-    ]
-
-
-def _check_against_ground(matrix, quantifiers, domain, context=ID_CONTEXT):
-    """Every assignment over ``domain``: the id grounder's materialized
-    instance is ground()'s node, and every id it created is canonical."""
-    kernel = ProgressionKernel()
-    grounder = IdGrounder(matrix, quantifiers, context, kernel)
-    pairs = []
-    for values in cartesian(domain, repeat=len(quantifiers)):
-        pairs.append((values, grounder.ground(values)))
-    virtual = _virtual_ids(kernel)
-    for values, rid in pairs:
-        expected = ground(matrix, dict(zip(quantifiers, values)), context)
-        assert kernel.formula(rid) is expected, values
-    for oid in virtual:
-        assert kernel.intern(kernel.formula(oid)) == oid
-    # Materializing created no second id for any structure.
-    assert _virtual_ids(kernel) == []
-    assert len(set(kernel._oblig.members)) == len(kernel._oblig.members)
+#: The smart constructor of each compound matrix node.
+_CONSTRUCTORS = {
+    And: pand,
+    Or: por,
+    Implies: pimplies,
+    Iff: lambda gl, gr: por(pand(gl, gr), pand(pnot(gl), pnot(gr))),
+    Not: pnot,
+    Next: pnext,
+    Eventually: peventually,
+    Always: palways,
+    Until: puntil,
+    WeakUntil: pweak_until,
+    Release: prelease,
+}
 
 
-class TestIdGrounder:
-    """The id grounder builds ground()'s instance, in the kernel's id
-    space, with canonical ids (DESIGN.md §10)."""
+def eager_ground(matrix, assignment, context):
+    """ground() without the short-circuit: every operand is grounded
+    before its smart constructor folds them."""
+    build = _CONSTRUCTORS.get(type(matrix))
+    if build is None:
+        return ground(matrix, assignment, context)
+    return build(
+        *(eager_ground(child, assignment, context) for child in matrix.children)
+    )
+
+
+class TestTemplateGrounding:
+    """ground() builds the monitor's templates (DESIGN.md §10.1); its
+    short-circuit changes no node."""
 
     @given(matrix=matrices, which=st.integers(0, len(ID_DOMAINS) - 1))
     @settings(max_examples=150, deadline=None)
-    def test_every_connective_materializes_to_the_ground_node(
-        self, matrix, which
-    ):
-        _check_against_ground(matrix, (X0, X1), ID_DOMAINS[which])
-        # The literal construction keeps equality and anonymous letters.
+    def test_short_circuit_changes_no_node(self, matrix, which):
+        # Folded over every domain, and literal (equality and anonymous
+        # letters kept) over the first one.
         literal = GroundContext(constant_bindings={"vip": 2}, fold=False)
-        _check_against_ground(matrix, (X0, X1), ID_DOMAINS[0], literal)
-
-    @given(seed=st.integers(0, 500), quantifiers=st.integers(1, 2))
-    @settings(max_examples=80, deadline=None)
-    def test_random_universal_constraints(self, seed, quantifiers):
-        constraint = random_universal_constraint(
-            ID_V, ConstraintConfig(quantifiers=quantifiers, size=6, seed=seed)
-        )
-        info = require_universal(constraint)
-        # Conjoin a constant atom so constant-valued assignments matter.
-        matrix = b.or_(info.matrix, b.atom("Link", VIP, X0))
-        for domain in ID_DOMAINS:
-            _check_against_ground(
-                matrix, tuple(info.external_universals), domain
-            )
+        for domain, context in (
+            (ID_DOMAINS[which], ID_CONTEXT),
+            (ID_DOMAINS[0], literal),
+        ):
+            for values in cartesian(domain, repeat=2):
+                assignment = {X0: values[0], X1: values[1]}
+                assert ground(matrix, assignment, context) is eager_ground(
+                    matrix, assignment, context
+                ), values
 
     @given(seed=st.integers(0, 500), quantifiers=st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
     def test_a_template_renamed_is_the_instance(self, seed, quantifiers):
         # Grounding a tuple's pattern over placeholders and renaming the
         # placeholders onto the tuple's elements gives the tuple's own
-        # instance id (DESIGN.md §10.1).
+        # instance id (DESIGN.md §10.1); the table holds that template.
         constraint = random_universal_constraint(
             ID_V, ConstraintConfig(quantifiers=quantifiers, size=6, seed=seed)
         )
@@ -299,45 +315,33 @@ class TestIdGrounder:
         matrix = b.or_(info.matrix, b.atom("Link", VIP, X0))
         variables = tuple(info.external_universals)
         kernel = ProgressionKernel()
-        grounder = IdGrounder(matrix, variables, ID_CONTEXT, kernel)
-        table = LiftedTable(kernel, grounder, len(variables), frozenset({2}))
+        table = LiftedTable(
+            kernel, matrix, variables, ID_CONTEXT, frozenset({2})
+        )
+
+        def instance(values):
+            return kernel.intern(
+                ground(matrix, dict(zip(variables, values)), ID_CONTEXT)
+            )
+
         domain = (1, 2, 3, Anon(1), Anon(2))
         for values in cartesian(domain, repeat=len(variables)):
             values = canonical_tuple(values)
-            template = grounder.ground(table.pattern(values))
+            pattern = table.pattern(values)
+            template = instance(pattern)
+            assert table.templates[pattern].root == template
             assert lifted_module._renamed(
                 kernel, template, values, table.constants
-            ) == grounder.ground(values)
+            ) == instance(values)
 
-    @given(
-        seed=st.integers(0, 500),
-        quantifiers=st.integers(1, 2),
-        old=st.integers(0, 3),
-        new=st.integers(1, 3),
-    )
-    # A false conjunct short-circuits Sub(x1) away for every old assignment,
-    # so the letter Sub(0) is first built for a new one.
-    @example(seed=174, quantifiers=2, old=1, new=1)
-    @settings(max_examples=60, deadline=None)
-    def test_subformulas_over_old_elements_are_never_rebuilt(
-        self, seed, quantifiers, old, new
-    ):
-        # The grounder's memo: growing the domain after every assignment
-        # over the old one is grounded builds no letter a one-pass
-        # grounding of the grown domain would not build (nothing is built
-        # twice), and every new instance is still ground()'s node.
-        constraint = random_universal_constraint(
-            ID_V, ConstraintConfig(quantifiers=quantifiers, size=5, seed=seed)
+    def test_constants_short_circuit(self, monkeypatch):
+        # A false conjunct ends the conjunction before the letters of the
+        # others are built: the diagonal and anonymous fifo instances
+        # build no letter at all.
+        matrix = matrix_of(
+            "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) U "
+            "(Sub(y) & ((!Fill(x)) U (Fill(y) & !Fill(x))))))"
         )
-        info = require_universal(constraint)
-        variables = tuple(info.external_universals)
-        anonymous = tuple(Anon(i + 1) for i in range(quantifiers))
-        before = list(cartesian(tuple(range(old)) + anonymous, repeat=quantifiers))
-        after = list(
-            cartesian(tuple(range(old + new)) + anonymous, repeat=quantifiers)
-        )
-        added = [values for values in after if values not in before]
-        assert len(added) == len(after) - len(before)
         letters = []
         real_rel_prop = grounding_module.rel_prop
 
@@ -345,57 +349,30 @@ class TestIdGrounder:
             letters.append((pred, args))
             return real_rel_prop(pred, args)
 
-        def letters_built(grounder, assignments):
-            letters.clear()
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(grounding_module, "rel_prop", counting_rel_prop)
-                ids = [grounder.ground(values) for values in assignments]
-            return len(letters), ids
-
-        kernel = ProgressionKernel()
-        grounder = IdGrounder(info.matrix, variables, ID_CONTEXT, kernel)
-        first, _ids = letters_built(grounder, before)
-        then, ids = letters_built(grounder, added)
-        scratch = IdGrounder(
-            info.matrix, variables, ID_CONTEXT, ProgressionKernel()
+        monkeypatch.setattr(grounding_module, "rel_prop", counting_rel_prop)
+        assert ground(matrix, {x: 1, y: 1}, ID_CONTEXT) is PTRUE
+        assert ground(matrix, {x: Anon(1), y: 1}, ID_CONTEXT) is PTRUE
+        assert letters == []
+        off_diagonal = {x: 1, y: 2}
+        assert ground(matrix, off_diagonal, ID_CONTEXT) is eager_ground(
+            matrix, off_diagonal, ID_CONTEXT
         )
-        once, _ids = letters_built(scratch, after)
-        assert first + then == once
-        for values, rid in zip(added, ids):
-            expected = ground(
-                info.matrix, dict(zip(variables, values)), ID_CONTEXT
-            )
-            assert kernel.formula(rid) is expected
+        assert ("Sub", (1,)) in letters
 
-    def test_constants_short_circuit(self):
-        # A false conjunct ends the conjunction before the letters of the
-        # others are built: the diagonal and anonymous fifo instances
-        # cost no letter at all.
-        matrix = matrix_of(
-            "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) U "
-            "(Sub(y) & ((!Fill(x)) U (Fill(y) & !Fill(x))))))"
-        )
-        kernel = ProgressionKernel()
-        grounder = IdGrounder(matrix, (x, y), ID_CONTEXT, kernel)
-        letters_before = kernel.info().letters
-        assert grounder.ground((1, 1)) == kernel.true_id
-        assert grounder.ground((Anon(1), 1)) == kernel.true_id
-        assert kernel.info().letters == letters_before
-        assert kernel.formula(grounder.ground((1, 2))) is ground(
-            matrix, {x: 1, y: 2}, ID_CONTEXT
-        )
-
-    def test_refuses_what_ground_refuses(self):
-        kernel = ProgressionKernel()
-        with pytest.raises(ClassificationError):
-            IdGrounder(matrix_of("forall x . Sub(y)"), (x,), ID_CONTEXT, kernel)
-        with pytest.raises(SchemaError):
-            IdGrounder(
-                matrix_of("forall x . Sub(Nope)"), (x,), ID_CONTEXT, kernel
-            )
-        for text in (
-            "forall x . G (Sub(x) -> Y Sub(x))",
-            "forall x . G (exists y . q(x, y))",
-        ):
+    def test_refuses_what_no_template_can_hold(self):
+        # A free variable, an unbound constant, a past connective and an
+        # internal quantifier, on an instance's and a template's element.
+        for element in (1, Placeholder(1)):
+            assignment = {x: element}
             with pytest.raises(ClassificationError):
-                IdGrounder(matrix_of(text), (x,), ID_CONTEXT, kernel)
+                ground(matrix_of("forall x . Sub(y)"), assignment, ID_CONTEXT)
+            with pytest.raises(SchemaError):
+                ground(
+                    matrix_of("forall x . Sub(Nope)"), assignment, ID_CONTEXT
+                )
+            for text in (
+                "forall x . G (Sub(x) -> Y Sub(x))",
+                "forall x . G (exists y . q(x, y))",
+            ):
+                with pytest.raises(ClassificationError):
+                    ground(matrix_of(text), assignment, ID_CONTEXT)

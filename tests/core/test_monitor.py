@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.lifted as lifted_module
 import repro.core.monitor as monitor_module
 import repro.core.reduction as reduction_module
 from repro.core import IntegrityMonitor, check_extension
-from repro.core.grounding import IdGrounder
 from repro.core.monitor import MonitorStats
 from repro.database import (
     DatabaseState,
@@ -511,13 +511,13 @@ class TestLiftedTable:
     @staticmethod
     def count_groundings(monkeypatch):
         calls = []
-        real_ground = IdGrounder.ground
+        real_ground = lifted_module.ground
 
-        def counting_ground(self, values):
-            calls.append(values)
-            return real_ground(self, values)
+        def counting_ground(matrix, assignment, context):
+            calls.append(assignment)
+            return real_ground(matrix, assignment, context)
 
-        monkeypatch.setattr(IdGrounder, "ground", counting_ground)
+        monkeypatch.setattr(lifted_module, "ground", counting_ground)
         return calls
 
     @staticmethod
@@ -671,18 +671,26 @@ class TestIdSpace:
             assert info["table_tuples"] == sum(
                 len(entry.table.where) for entry in shard._entries
             )
-            assert info["grounder_memo"] == sum(
-                entry.table.grounder.memo_size() for entry in shard._entries
-            )
             assert info["rename_memo"] == sum(
                 len(entry.table.renamed) for entry in shard._entries
             )
-            assert "ground_instances" not in info
-            assert "mask_log" not in info
+            # Exactly the keys whose bounds DESIGN.md §10.1 states.
+            assert set(info) == {
+                "sat_cache_entries",
+                "sat_cache_resets",
+                "buchi_states",
+                "buchi_resets",
+                "table_tuples",
+                "rename_memo",
+                "kernel_obligations",
+                "kernel_letters",
+                "kernel_transitions",
+                "kernel_evictions",
+            }
             for key, value in info.items():
                 total[key] = total.get(key, 0) + value
         assert service.cache_info() == total
-        assert total["grounder_memo"] > 0
+        assert total["table_tuples"] > 0
 
 
 class TestBounds:

@@ -1,4 +1,4 @@
-"""Tests for updates, update logs, and state diffs."""
+"""Tests for updates and state diffs."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.analysis import UpdateDependencyIndex
 from repro.database import (
     DatabaseState,
     Update,
-    UpdateLog,
     diff_states,
     vocabulary,
 )
@@ -55,19 +54,6 @@ class TestUpdate:
             Update.insert(("p", (1,))) | Update.delete(("p", (1,)))
 
 
-class TestUpdateLog:
-    def test_replay(self):
-        log = UpdateLog(initial=state())
-        log.append(Update.insert(("p", (1,))))
-        log.append(Update.insert(("p", (2,))))
-        log.append(Update.delete(("p", (1,))))
-        states = log.replay()
-        assert len(states) == 4
-        assert states[-1].holds("p", (2,))
-        assert not states[-1].holds("p", (1,))
-        assert len(log) == 3
-
-
 class TestDiff:
     def test_diff_roundtrip(self):
         a = state(("p", (1,)), ("p", (2,)))
@@ -86,9 +72,6 @@ class TestDeltaEdgeCases:
     def test_noop_update_touches_nothing(self):
         u = Update.noop()
         assert u.touched_elements() == frozenset()
-        index = UpdateDependencyIndex({"c": parse("forall x . G p(x)")})
-        assert index.touched_by_update(u) == frozenset()
-        assert index.affected_by_update(u) == frozenset()
 
     def test_diff_ignores_redundant_insert(self):
         # Re-inserting a present fact while deleting another one: the
@@ -104,10 +87,9 @@ class TestDeltaEdgeCases:
     def test_duplicate_insert_then_delete_across_instants(self):
         # Inserting a fact that is already there is a semantic no-op;
         # the later delete is the only observable transition.
-        log = UpdateLog(initial=state(("p", (1,))))
-        log.append(Update.insert(("p", (1,))))
-        log.append(Update.delete(("p", (1,))))
-        states = log.replay()
+        states = [state(("p", (1,)))]
+        for update in (Update.insert(("p", (1,))), Update.delete(("p", (1,)))):
+            states.append(update.apply(states[-1]))
         assert states[0] == states[1]
         assert diff_states(states[0], states[1]).is_noop()
         assert not states[2].holds("p", (1,))
@@ -124,10 +106,10 @@ class TestDeltaEdgeCases:
     def test_update_on_relation_outside_vocabulary(self):
         # The update itself is schema-agnostic; applying it to a state
         # over a vocabulary without the relation fails loudly, and the
-        # dependence index classifies it as touching no constraint.
+        # dependence index lists no constraint over the relation.
         u = Update.insert(("q", (1,)))
         with pytest.raises(SchemaError, match="q"):
             u.apply(state(("p", (1,))))
         index = UpdateDependencyIndex({"c": parse("forall x . G p(x)")})
-        assert index.touched_by_update(u) == frozenset()
-        assert index.affected_by_update(u) == frozenset()
+        assert "q" not in index.monitored_by
+        assert "q" not in index.insert_violates
