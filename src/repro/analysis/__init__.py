@@ -3,9 +3,8 @@
 Everything here is computed *before* any history arrives: which relations a
 constraint mentions and with what polarity (:mod:`.affect`), and how a
 formula behaves across instants that do not touch it (:mod:`.idle`).  The
-TIC12x lint passes, ``repro-tic analyze-deps`` and the trigger manager's
-sweep skip consume these; DESIGN.md section 9 carries the soundness
-arguments.
+TIC12x lint passes and ``repro-tic analyze-deps`` consume these; DESIGN.md
+section 9 carries the soundness arguments.
 """
 
 from .affect import (

@@ -7,7 +7,8 @@ template progressed through ``f``'s own letter valuations, renamed onto
 ``f``, and instances that have seen the same valuations share a template
 state.  A :class:`LiftedTable` holds a constraint's remainder that way:
 kernel ids of template states, each with the tuples in it (DESIGN.md
-§10.1).
+§10.1).  The trigger manager keeps one per trigger, over the universal
+closure of its negated condition (§10.2).
 
 * **Templates.**  A tuple's *pattern* records which positions hold equal
   elements, which hold a constant's element and which hold an anonymous
@@ -36,8 +37,9 @@ from itertools import product as cartesian
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
-from ..logic.formulas import Formula
-from ..logic.terms import Variable
+from ..logic.classify import FormulaInfo
+from ..logic.formulas import Atom, Eq, Formula
+from ..logic.terms import Constant, Term, Variable
 from ..ptl.progkernel import ProgressionKernel
 from .grounding import (
     Anon,
@@ -84,6 +86,35 @@ def tuple_key(values: Tuple) -> tuple[tuple[int, int], ...]:
     """A total order on tuples: concrete elements, then anonymous ones,
     then placeholders, each by number."""
     return tuple(_element_key(value) for value in values)
+
+
+def _shape(info: FormulaInfo) -> tuple[frozenset[str], frozenset[str], bool]:
+    """The relations and the constant symbols a universal constraint
+    names, and whether its distinct ground instances share no letter,
+    from one walk of the matrix.
+
+    They share none when every atom names every quantified variable and
+    each relation appears with one argument pattern: a letter then fixes
+    the whole assignment.  (An atom over constants only, or a 0-ary one,
+    names no variable.)  Equalities fold away under grounding.
+    """
+    variables = set(info.external_universals)
+    disjoint = bool(variables)
+    patterns: dict[str, tuple[Term, ...]] = {}
+    constants: set[str] = set()
+    for node in info.matrix.walk():
+        if isinstance(node, Atom):
+            terms: tuple[Term, ...] = node.args
+            if patterns.setdefault(node.pred, terms) != terms or {
+                t for t in terms if isinstance(t, Variable)
+            } != variables:
+                disjoint = False
+        elif isinstance(node, Eq):
+            terms = (node.left, node.right)
+        else:
+            continue
+        constants.update(t.name for t in terms if isinstance(t, Constant))
+    return frozenset(patterns), frozenset(constants), disjoint
 
 
 class _Template:
@@ -289,6 +320,25 @@ class LiftedTable:
             self.relevant = self.relevant | {element}
             self.version += 1
 
+    def advance(
+        self,
+        relations: Mapping[str, AbstractSet[tuple]],
+        predicates: AbstractSet[str],
+    ) -> int:
+        """Take in one state: absorb the elements it shows for the first
+        time in the relations ``predicates`` names, then :meth:`step`.
+        Returns how many elements were absorbed."""
+        shown: set[int] = set()
+        for pred, tuples in relations.items():
+            if pred in predicates:
+                for args in tuples:
+                    shown.update(args)
+        fresh = shown - self.relevant
+        if fresh:
+            self.absorb(sorted(fresh))
+        self.step(relations, shown)
+        return len(fresh)
+
     def step(
         self, relations: Mapping[str, AbstractSet[tuple]], shown: Iterable[int]
     ) -> None:
@@ -379,30 +429,92 @@ class LiftedTable:
         return len(self.where)
 
     def remainder(self) -> int:
-        """The remainder as one kernel id (:func:`materialize`), built
-        again only when the table has changed since the last build.  The
-        renaming memo is emptied once it outgrows four times the tuples
-        stored (and ``RENAMED_MIN``)."""
+        """The remainder as one kernel id, the :meth:`conjunction` of the
+        Theorem 4.1 instances' tuples, built again only when the table has
+        changed since the last build."""
         built = self._built
         if built is not None and built[0] == self.version:
             return built[1]
-        if len(self.renamed) > max(RENAMED_MIN, 4 * len(self.where)):
-            self.renamed.clear()
         if self._keys[0] is not self.relevant:
             self._keys = (
                 self.relevant,
                 instance_keys(self.relevant, self.arity),
             )
         # Witness tuples hold a placeholder, so no instance looks them up.
-        remainder = materialize(
-            self.kernel,
-            self.where,
-            self._keys[1],
-            self.constants,
-            self.renamed,
-        )
+        remainder = self.conjunction(self._keys[1])
         self._built = (self.version, remainder)
         return remainder
+
+    def conjunction(self, keys: Iterable[Tuple]) -> int:
+        """``pand_ids`` of the states of the stored tuples among ``keys``,
+        each renamed onto its tuple (:func:`materialize`).  The renaming
+        memo is emptied once it outgrows four times the tuples stored (and
+        ``RENAMED_MIN``)."""
+        if len(self.renamed) > max(RENAMED_MIN, 4 * len(self.where)):
+            self.renamed.clear()
+        return materialize(
+            self.kernel, self.where, keys, self.constants, self.renamed
+        )
+
+    # -- trigger groups (DESIGN.md §10.2) -------------------------------------
+
+    def group_key(self, values: Iterable[int]) -> Tuple:
+        """The leading positions that read ``values``: each element the
+        table has absorbed as itself, every other as a placeholder,
+        numbered by first occurrence."""
+        places = self._places
+        classes: dict[int, Placeholder] = {}
+        key: list[GroundElement] = []
+        for value in values:
+            if value in self.relevant:
+                key.append(value)
+                continue
+            place = classes.get(value)
+            if place is None:
+                place = classes[value] = places[len(classes) + 1]
+            key.append(place)
+        return tuple(key)
+
+    def groups(self, width: int) -> dict[Tuple, list[Tuple]]:
+        """The stored tuples by their first ``width`` positions, each tuple
+        with a placeholder those positions do not hold left out."""
+        groups: dict[Tuple, list[Tuple]] = {}
+        for values in self.where:
+            head = values[:width]
+            # Placeholders are numbered by first occurrence, so the head
+            # holds exactly the numbers up to its highest.
+            top = max(
+                (v.index for v in head if isinstance(v, Placeholder)),
+                default=0,
+            )
+            if any(
+                isinstance(v, Placeholder) and v.index > top
+                for v in values[width:]
+            ):
+                continue
+            group = groups.get(head)
+            if group is None:
+                groups[head] = [values]
+            else:
+                group.append(values)
+        return groups
+
+
+def constraint_table(
+    kernel: ProgressionKernel, info: FormulaInfo, bindings: Mapping[str, int]
+) -> tuple[LiftedTable, frozenset[str], bool]:
+    """An empty table for a universal constraint over a history's constant
+    bindings, with the relations it reads and whether its distinct ground
+    instances share no letter (:func:`_shape`)."""
+    predicates, constants, disjoint = _shape(info)
+    table = LiftedTable(
+        kernel,
+        info.matrix,
+        info.external_universals,
+        GroundContext(bindings),
+        frozenset(bindings[name] for name in constants),
+    )
+    return table, predicates, disjoint
 
 
 def is_canonical(values: Tuple) -> bool:
@@ -491,11 +603,11 @@ def materialize(
     constants: frozenset[int],
     renamed: dict[tuple[int, Tuple], int] | None = None,
 ) -> int:
-    """The remainder as one id: ``pand_ids`` over the instances' tuples
-    ``keys`` (:func:`instance_keys`) of each one's state renamed onto it,
-    the node the Theorem 4.1 reduction of the same history progresses to
-    (DESIGN.md §10.1).  ``renamed``, if given, memoizes each (state,
-    tuple) renaming."""
+    """``pand_ids`` over the stored tuples among ``keys`` of each one's
+    state renamed onto it.  Over the instances' tuples
+    (:func:`instance_keys`) this is the remainder, the node the Theorem
+    4.1 reduction of the same history progresses to (DESIGN.md §10.1).
+    ``renamed``, if given, memoizes each (state, tuple) renaming."""
     memo: dict[tuple[int, Tuple], int] = {} if renamed is None else renamed
     ids: list[int] = []
     for key in keys:
@@ -516,12 +628,13 @@ def _renamed(
     values: Tuple,
     constants: frozenset[int],
 ) -> int:
-    """A template state renamed onto a real tuple: placeholder ``j`` is
-    the tuple's ``j``-th distinct non-constant element."""
-    elements: list[int] = []
+    """A template state renamed onto a tuple: placeholder ``j`` is the
+    tuple's ``j``-th distinct non-constant element, where a witness
+    tuple's own placeholders count as elements."""
+    elements: list[GroundElement] = []
     for value in values:
         if (
-            isinstance(value, int)
+            not isinstance(value, Anon)
             and value not in constants
             and value not in elements
         ):

@@ -55,16 +55,16 @@ from ..errors import (
     StateError,
 )
 from ..logic.classify import FormulaInfo
-from ..logic.formulas import Atom, Eq, Formula
-from ..logic.terms import Constant, Term, Variable
+from ..logic.formulas import Formula
 from ..ptl.bitset import BuchiKernel
 from ..ptl.formulas import PTLFormula
 from ..ptl.progkernel import ProgKernelInfo, ProgressionKernel
 from .checker import validate_constraint
-from .grounding import Anon, GroundContext, Placeholder
+from .grounding import Anon, Placeholder
 from .lifted import (
     LiftedTable,
     Tuple,
+    constraint_table,
     instance_keys,
     is_canonical,
     is_witness,
@@ -386,14 +386,8 @@ class IntegrityMonitor:
     ) -> _ConstraintEntry:
         """A progressed entry with its templates compiled and its table
         still empty."""
-        bindings = self._history.constant_bindings
-        predicates, constants, disjoint = _shape(info)
-        table = LiftedTable(
-            self._progkernel,
-            info.matrix,
-            info.external_universals,
-            GroundContext(bindings),
-            frozenset(bindings[name] for name in constants),
+        table, predicates, disjoint = constraint_table(
+            self._progkernel, info, self._history.constant_bindings
         )
         return _ConstraintEntry(
             name=name,
@@ -732,35 +726,17 @@ class IntegrityMonitor:
         )
 
     def _advance(self, entry: _ConstraintEntry, state: DatabaseState) -> None:
-        """Incorporate the newest state into the entry's table: absorb the
-        elements it shows for the first time, then take one timed,
-        hit-counted progression step."""
-        table = entry.table
-        stats = entry.stats
-        shown = self._entry_domain(entry, state)
-        fresh = shown - table.relevant
-        if fresh:
-            table.absorb(sorted(fresh))
-            stats.absorbed += len(fresh)
+        """Incorporate the newest state into the entry's table (absorb,
+        then step: :meth:`~repro.core.lifted.LiftedTable.advance`), timed
+        and hit-counted."""
         kernel = self._progkernel
+        stats = entry.stats
         start = time.perf_counter()
         hits_before = kernel.hits
-        table.step(state.relations, shown)
+        stats.absorbed += entry.table.advance(state.relations, entry.predicates)
         stats.progress_time += time.perf_counter() - start
         stats.kernel_row_hits += kernel.hits - hits_before
         stats.progressions += 1
-
-    def _entry_domain(
-        self, entry: _ConstraintEntry, state: DatabaseState
-    ) -> set[int]:
-        """Elements of one state visible to this entry's constraint."""
-        predicates = entry.predicates
-        elements: set[int] = set()
-        for pred, tuples in state.relations.items():
-            if pred in predicates:
-                for args in tuples:
-                    elements.update(args)
-        return elements
 
     def _decide(self, entry: _ConstraintEntry, instant: int) -> bool:
         """The Lemma 4.2 decision on the entry's distinct template states:
@@ -817,35 +793,6 @@ class IntegrityMonitor:
             self._sat_cache_resets += 1
         self._sat_cache[oid] = verdict
         return verdict
-
-
-def _shape(info: FormulaInfo) -> tuple[frozenset[str], frozenset[str], bool]:
-    """The relations and the constant symbols the constraint names, and
-    whether its distinct ground instances share no letter, from one walk
-    of the matrix.
-
-    They share none when every atom names every quantified variable and
-    each relation appears with one argument pattern: a letter then fixes
-    the whole assignment.  (An atom over constants only, or a 0-ary one,
-    names no variable.)  Equalities fold away under grounding.
-    """
-    variables = set(info.external_universals)
-    disjoint = bool(variables)
-    patterns: dict[str, tuple[Term, ...]] = {}
-    constants: set[str] = set()
-    for node in info.matrix.walk():
-        if isinstance(node, Atom):
-            terms: tuple[Term, ...] = node.args
-            if patterns.setdefault(node.pred, terms) != terms or {
-                t for t in terms if isinstance(t, Variable)
-            } != variables:
-                disjoint = False
-        elif isinstance(node, Eq):
-            terms = (node.left, node.right)
-        else:
-            continue
-        constants.update(t.name for t in terms if isinstance(t, Constant))
-    return frozenset(patterns), frozenset(constants), disjoint
 
 
 def _rows(table: Mapping[int, Iterable[Tuple]]) -> tuple[TableRow, ...]:

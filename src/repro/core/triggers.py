@@ -19,38 +19,38 @@ elements are injected through reserved constant symbols, since formulas
 cannot mention raw universe elements.
 
 :func:`fires` and :func:`firings` decide the definition from scratch with
-the reference engines; :class:`TriggerManager` runs the same decision
-incrementally on the compiled kernels the monitor uses, and is tested
-against them.
+the reference engines.  :class:`TriggerManager` runs the same decision
+incrementally on the monitor's engine: one lifted template-state table per
+trigger (:mod:`repro.core.lifted`), which each state steps once, and is
+tested against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as cartesian
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterator, Mapping, Sequence
 
-from ..analysis.affect import affect_set
 from ..database.history import History
+from ..database.state import DatabaseState
 from ..database.vocabulary import Vocabulary
-from ..errors import ClassificationError
-from ..logic.builders import not_
+from ..errors import ClassificationError, StateError
+from ..logic.builders import forall, not_
 from ..logic.formulas import Formula
 from ..logic.terms import Constant, Variable
 from ..logic.transform import nnf, substitute
 from ..ptl.bitset import BuchiKernel
-from ..ptl.formulas import PFALSE, PTLFalse, PTLFormula, PTLTrue
 from ..ptl.progkernel import ProgressionKernel
-from ..ptl.sat import quick_model_check
 from .checker import potentially_satisfied, validate_constraint
-from .reduction import reduce_universal
+from .lifted import LiftedTable, Tuple, constraint_table
+from .reduction import check_vocabulary
 
 #: A ground substitution: values for the condition's free variables.
 Substitution = Mapping[Variable, int]
 
 _PARAM_PREFIX = "__trig_"
 
-#: Bound of :class:`TriggerManager`'s remainder memo, in remainders.
+#: Bound of :class:`TriggerManager`'s verdict memo, in kernel ids.
 _REMAINDER_MEMO_SIZE = 4096
 
 
@@ -180,8 +180,18 @@ def candidate_substitutions(
     With ``include_fresh`` one untouched element is added as the
     representative of the (infinitely many) irrelevant elements.
     """
-    parameters = trigger.parameters()
-    domain = sorted(history.relevant_elements())
+    return _candidates(
+        trigger.parameters(), history.relevant_elements(), include_fresh
+    )
+
+
+def _candidates(
+    parameters: Sequence[Variable],
+    relevant: AbstractSet[int],
+    include_fresh: bool = True,
+) -> Iterator[Substitution]:
+    """:func:`candidate_substitutions` over the relevant set ``relevant``."""
+    domain = sorted(relevant)
     if include_fresh:
         fresh = 0
         taken = set(domain)
@@ -227,30 +237,34 @@ class TriggerManager:
     ``lint="strict"`` refuses unanalyzable conditions up front with
     :class:`repro.errors.LintError`; ``lint="warn"`` (default) surfaces
     warning-severity diagnostics; ``lint="off"`` skips the gate (errors
-    then surface per-firing from the extension checker, as before).
+    then surface at the first :meth:`check`).
 
-    Each pending substitution takes the monitor's Lemma 4.2 step: the
-    reduction of ``¬Cθ`` is progressed through one table-driven
-    :class:`repro.ptl.progkernel.ProgressionKernel` and the remainder is
-    decided on one bitset :class:`repro.ptl.bitset.BuchiKernel`, both
-    owned by the manager and shared by every trigger and substitution.
-    Firings equal :func:`firings`, the from-scratch definition
-    (property-tested).  Two more savings make the ``R_D^k`` sweep cheap:
+    Triggers run on the monitor's engine.  The manager keeps one
+    :class:`~repro.core.lifted.LiftedTable` per trigger over the closure
+    ``∀x̄ nnf(¬C)``, the condition's parameters ``x̄`` leading, built at
+    the first :meth:`check` from that history's constant bindings.  Each
+    state goes through every table once, by the monitor's absorb-then-step
+    (:meth:`~repro.core.lifted.LiftedTable.advance`), so a check reads
+    only the states no earlier check consumed, and grounds and replays
+    nothing: its cost does not grow with the history's length.  A history
+    that does not extend the last one checked raises
+    :class:`~repro.errors.StateError`.
 
-    * the verdict is memoized per *interned remainder* (identity-keyed
-      dict): substitutions whose ``¬Cθ`` progress to the same remainder —
-      common once a trigger's obligation reaches a fixpoint across quiet
-      instants — decide once and hit the memo ever after (``memo_hits``
-      counts them).  The memo holds at most ``_REMAINDER_MEMO_SIZE``
-      remainders and is emptied when full (``memo_resets`` counts it);
-    * a static sweep skip: when a trigger's negated condition has only
-      negative relation occurrences, an instant whose state is empty on
-      the condition's relations cannot create a *new* firing
-      (satisfiability of every pending remainder is preserved — DESIGN.md
-      §9.3), so the whole sweep is skipped (``skipped_sweeps`` counts
-      them).  Guarded by a consecutive-check and a
-      relevant-elements-unchanged test so the skipped verdicts are exactly
-      the ones the full sweep would produce.
+    A substitution θ fires iff its *group* is unsatisfiable: the stored
+    tuples whose leading positions read θ, where each element of θ the
+    table has not absorbed reads as a placeholder, numbered by first
+    occurrence, and a tuple with any other placeholder is left out
+    (:meth:`~repro.core.lifted.LiftedTable.groups`, DESIGN.md §10.2).  A
+    group with a ``false`` state fires.  A one-tuple group, which is all
+    a trigger without an inner ``∃`` has, is decided on its state; a
+    larger one holds when every state holds on the all-false model, and
+    else its conjunction, each state renamed onto its tuple, is decided.
+    Decisions are memoized per kernel id (``memo_hits``; the memo holds at
+    most ``_REMAINDER_MEMO_SIZE`` ids and is emptied when full, counted in
+    ``memo_resets``); a new one (``decisions``) is the all-false model,
+    else a Büchi search on the manager's
+    :class:`repro.ptl.bitset.BuchiKernel`.  Firings equal :func:`firings`,
+    the from-scratch definition (property-tested).
 
     :meth:`stats` reports these counters with the memo's size and the
     Büchi kernel's resets.
@@ -284,24 +298,19 @@ class TriggerManager:
         self._log: list[Firing] = []
         self._progkernel = ProgressionKernel()
         self._buchi = BuchiKernel()
-        #: Lemma 4.2 verdict per interned remainder (identity-keyed).
-        self._remainder_memo: dict[PTLFormula, bool] = {}
+        #: Lemma 4.2 verdict per kernel id.
+        self._verdicts: dict[int, bool] = {}
         self.memo_hits = 0
         self.memo_resets = 0
         self.decisions = 0
-        # Static per-trigger analysis: a sweep may be skipped only when the
-        # negated condition is purely negative in its relation occurrences
-        # (or mentions no relation at all) — the polarity half of the
-        # skip lemma.  Keyed by position, like the two maps below.
-        self._prunable: list[bool] = []
-        for trigger in triggers:
-            aff = affect_set(not_(trigger.condition))
-            self._prunable.append(aff.pure_negative or aff.state_independent)
-        # History length at the last sweep of each trigger (consecutive
-        # check) and the relevant-element set it ranged over.
-        self._last_checked: dict[int, int] = {}
-        self._last_relevant: dict[int, frozenset[int]] = {}
-        self.skipped_sweeps = 0
+        # Per trigger, its table and the relations it reads; built at the
+        # first check.
+        self._tables: list[tuple[LiftedTable, frozenset[str]]] | None = None
+        # The states consumed so far: how many, the last one, and the
+        # elements they show.
+        self._consumed = 0
+        self._last: DatabaseState | None = None
+        self._shown: set[int] = set()
 
     @property
     def log(self) -> list[Firing]:
@@ -309,98 +318,33 @@ class TriggerManager:
         return list(self._log)
 
     def stats(self) -> dict[str, int]:
-        """Work and cache counters: decisions, remainder-memo hits, size
-        and resets, skipped sweeps, and the Büchi kernel's resets."""
+        """Work and cache counters: decisions, verdict-memo hits, size and
+        resets, and the Büchi kernel's resets."""
         return {
             "decisions": self.decisions,
             "memo_hits": self.memo_hits,
-            "memo_entries": len(self._remainder_memo),
+            "memo_entries": len(self._verdicts),
             "memo_resets": self.memo_resets,
-            "skipped_sweeps": self.skipped_sweeps,
             "buchi_resets": self._buchi.resets,
         }
 
-    def _remainder(
-        self, trigger: Trigger, history: History, substitution: Substitution
-    ) -> PTLFormula:
-        """The Lemma 4.2 remainder of ``¬Cθ`` over the history, progressed
-        in the manager's kernel."""
-        negated, augmented = _negated_instance(
-            trigger.condition, history, substitution
-        )
-        info = validate_constraint(negated, assume_safety=self._assume_safety)
-        reduction = reduce_universal(augmented, info)
-        kernel = self._progkernel
-        encode = kernel.encode_state
-        chains = list(kernel.conjunct_ids(kernel.intern(reduction.formula)))
-        if not kernel.progress_replay(
-            chains, [encode(props) for props in reduction.prefix]
-        ):
-            return PFALSE
-        return kernel.formula(kernel.pand_ids(chains))
-
-    def _fires(self, remainder: PTLFormula) -> bool:
-        """Duality verdict from a remainder: fire iff it is unsatisfiable."""
-        if isinstance(remainder, PTLFalse):
-            return True
-        if isinstance(remainder, PTLTrue):
-            return False
-        memo = self._remainder_memo
-        known = memo.get(remainder)
-        if known is not None:
-            self.memo_hits += 1
-            return known
-        if len(memo) >= _REMAINDER_MEMO_SIZE:
-            memo.clear()
-            self.memo_resets += 1
-        self.decisions += 1
-        fired = not (
-            quick_model_check(remainder)
-            or self._buchi.is_satisfiable(remainder)
-        )
-        memo[remainder] = fired
-        return fired
-
-    def _can_skip_sweep(
-        self, index: int, trigger: Trigger, history: History
-    ) -> bool:
-        """Is the whole sweep of ``trigger`` provably firing-free here?
-
-        All four guards are required: (1) the static polarity condition,
-        (2) this instant's state is empty on the condition's relations,
-        (3) the previous instant was actually swept (so the preserved
-        verdicts exist), (4) no new relevant element appeared (so the
-        candidate substitution set is the one those verdicts cover).
-        """
-        if not self._prunable[index]:
-            return False
-        if self._last_checked.get(index) != len(history.states) - 1:
-            return False
-        relevant = frozenset(history.relevant_elements())
-        if self._last_relevant.get(index) != relevant:
-            return False
-        predicates = {
-            pred for pred, _arity in trigger.condition.predicates()
-        }
-        current = history.current.relations
-        return all(not current.get(pred) for pred in predicates)
-
     def check(self, history: History) -> list[Firing]:
         """Detect new firings at the history's current instant and run their
-        actions."""
+        actions.  ``history`` must extend the one of the last check."""
+        tables = self._consume(history)
+        relevant = self._shown.union(history.constant_bindings.values())
         new: list[Firing] = []
-        for index, trigger in enumerate(self._triggers):
-            if self._can_skip_sweep(index, trigger, history):
-                self.skipped_sweeps += 1
-                self._last_checked[index] = len(history.states)
-                continue
-            for substitution in candidate_substitutions(trigger, history):
+        for trigger, (table, _predicates) in zip(self._triggers, tables):
+            parameters = trigger.parameters()
+            groups = table.groups(len(parameters))
+            for substitution in _candidates(parameters, relevant):
                 key = (trigger.name, _substitution_key(substitution))
                 # Already-fired pairs stay fired (safety violations are
                 # irrecoverable) — skip the re-decision entirely.
-                if key in self._fired or not self._fires(
-                    self._remainder(trigger, history, substitution)
-                ):
+                if key in self._fired:
+                    continue
+                head = table.group_key(substitution.values())
+                if not self._fires(table, groups.get(head, ())):
                     continue
                 firing = Firing(
                     trigger=trigger.name,
@@ -412,8 +356,79 @@ class TriggerManager:
                 self._log.append(firing)
                 if trigger.action is not None:
                     trigger.action(history, dict(firing.values()))
-            self._last_checked[index] = len(history.states)
-            self._last_relevant[index] = frozenset(
-                history.relevant_elements()
-            )
         return new
+
+    def _consume(
+        self, history: History
+    ) -> list[tuple[LiftedTable, frozenset[str]]]:
+        """Take the states no check has consumed through every table,
+        building the tables at the first check."""
+        states = history.states
+        consumed = self._consumed
+        if len(states) < consumed or (
+            consumed and states[consumed - 1] != self._last
+        ):
+            raise StateError(
+                f"the trigger manager has consumed {consumed} states; a "
+                "check's history must extend them"
+            )
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = [
+                self._table(trigger, history) for trigger in self._triggers
+            ]
+        for position in range(consumed, len(states)):
+            state = states[position]
+            for table, predicates in tables:
+                table.advance(state.relations, predicates)
+            self._shown |= state.active_domain()
+        self._consumed = len(states)
+        self._last = states[-1]
+        return tables
+
+    def _table(
+        self, trigger: Trigger, history: History
+    ) -> tuple[LiftedTable, frozenset[str]]:
+        """The trigger's seeded table over ``∀x̄ nnf(¬C)``, and the
+        relations it reads."""
+        closure = forall(trigger.parameters(), nnf(not_(trigger.condition)))
+        info = validate_constraint(closure, assume_safety=self._assume_safety)
+        check_vocabulary(history, info)
+        table, predicates, _disjoint = constraint_table(
+            self._progkernel, info, history.constant_bindings
+        )
+        table.seed()
+        return table, predicates
+
+    def _fires(self, table: LiftedTable, group: Sequence[Tuple]) -> bool:
+        """Duality verdict for one substitution: fire iff the conjunction
+        of its group's states, each renamed onto its tuple, is
+        unsatisfiable."""
+        kernel = self._progkernel
+        states = [table.where[values] for values in group]
+        if kernel.false_id in states:
+            return True
+        if len(states) == 1:
+            return not self._satisfiable(states[0])
+        if all(kernel.holds_quiescent(state) for state in states):
+            return False
+        return not self._satisfiable(table.conjunction(group))
+
+    def _satisfiable(self, oid: int) -> bool:
+        """Is ``oid`` satisfiable: the memo, else the all-false model,
+        else a Büchi search, counted as one decision and memoized."""
+        memo = self._verdicts
+        known = memo.get(oid)
+        if known is not None:
+            self.memo_hits += 1
+            return known
+        if len(memo) >= _REMAINDER_MEMO_SIZE:
+            memo.clear()
+            self.memo_resets += 1
+        self.decisions += 1
+        kernel = self._progkernel
+        verdict = kernel.holds_quiescent(oid) or self._buchi.is_satisfiable(
+            kernel.formula(oid)
+        )
+        memo[oid] = verdict
+        return verdict

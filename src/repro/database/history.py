@@ -193,38 +193,7 @@ class History:
         """
         return self.extended(update.apply(self.current))
 
-    def truncated(self, length: int) -> "History":
-        """The prefix ``(D0, ..., D_{length-1})``."""
-        if not 1 <= length <= len(self.states):
-            raise StateError(
-                f"cannot truncate a {len(self.states)}-state history "
-                f"to length {length}"
-            )
-        return History(
-            vocabulary=self.vocabulary,
-            states=self.states[:length],
-            constant_bindings=self.constant_bindings,
-        )
-
     # -- Lemma 4.1 machinery -----------------------------------------------
-
-    def restrict(self, universe: frozenset[int]) -> "History":
-        """The restriction ``D|A`` to a subset of the universe.
-
-        ``universe`` must contain the interpretations of all constants
-        (Section 4's proviso).
-        """
-        missing = frozenset(self.constant_bindings.values()) - universe
-        if missing:
-            raise StateError(
-                "restriction universe must contain all constant "
-                f"interpretations; missing {sorted(missing)}"
-            )
-        return History(
-            vocabulary=self.vocabulary,
-            states=tuple(state.restrict(universe) for state in self.states),
-            constant_bindings=self.constant_bindings,
-        )
 
     def rename(self, mapping: Mapping[int, int]) -> "History":
         """Apply an injective renaming of universe elements everywhere."""

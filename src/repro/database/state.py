@@ -135,24 +135,6 @@ class DatabaseState:
             relations={p: frozenset(ts) for p, ts in relations.items() if ts},
         )
 
-    def restrict(self, universe: frozenset[int]) -> "DatabaseState":
-        """The restriction ``D|A`` of the state to a subset of the universe.
-
-        Keeps exactly the tuples all of whose components lie in ``universe``
-        (Section 4 of the paper).
-        """
-        return DatabaseState(
-            vocabulary=self.vocabulary,
-            relations={
-                pred: frozenset(
-                    args
-                    for args in tuples
-                    if all(value in universe for value in args)
-                )
-                for pred, tuples in self.relations.items()
-            },
-        )
-
     def rename(self, mapping: Mapping[int, int]) -> "DatabaseState":
         """Apply an injective renaming of universe elements."""
         values = list(mapping.values())

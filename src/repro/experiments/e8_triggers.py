@@ -8,13 +8,10 @@ counts reported per trigger.
 
 from __future__ import annotations
 
-from ..core.checker import potentially_satisfied
-from ..core.triggers import Trigger, TriggerManager, _augment_history, _instantiate
+from ..core.triggers import Trigger, TriggerManager, fires
 from ..database.history import History
-from ..logic.builders import not_
 from ..logic.parser import parse
 from ..logic.terms import Variable
-from ..logic.transform import nnf
 from ..workloads.orders import ORDER_VOCABULARY, trace_with_duplicate
 from .common import print_table
 
@@ -48,13 +45,7 @@ def run(fast: bool = False) -> list[dict]:
         # Exhaustive duality verification at this instant.
         for name, trigger in triggers.items():
             for element in sorted(history.relevant_elements()):
-                substitution = {X: element}
-                instantiated, bindings = _instantiate(
-                    trigger.condition, substitution
-                )
-                negated = nnf(not_(instantiated))
-                augmented = _augment_history(history, bindings)
-                not_pot = not potentially_satisfied(negated, augmented)
+                not_pot = fires(trigger, history, {X: element})
                 fired_ever = any(
                     f.trigger == name and f.values() == {"x": element}
                     for f in firings
@@ -80,7 +71,7 @@ def run(fast: bool = False) -> list[dict]:
         rows,
         note=f"duality verified pointwise: {duality_agreements}/"
         f"{duality_checks} (trigger fires iff !C-theta not potentially "
-        "satisfied); remainder memo: "
+        "satisfied); verdict memo: "
         f"{manager.memo_hits} hits / {manager.decisions} decisions",
     )
     assert duality_agreements == duality_checks

@@ -31,8 +31,7 @@ TIC123    warning   statically idle constraint: no relation occurs at
 Codes are append-only, continuing the TIC11x sequence at 120.  TIC120 and
 TIC121 need a vocabulary to compare against and stay silent without one;
 TIC122/TIC123 are purely formula-local.  DESIGN.md §9 carries the
-polarity soundness argument these passes (and the trigger manager's
-sweep skip) rest on.
+polarity soundness argument these passes rest on.
 """
 
 from __future__ import annotations

@@ -38,12 +38,11 @@ This module compiles that lookup away, the same move
   structure, whichever of a mirror or :meth:`ProgressionKernel.intern`
   saw it first, so an id-keyed memo is as exact as an identity-keyed one
   over interned nodes;
-* :meth:`ProgressionKernel.progress_replay` advances a list of chain ids
-  through a whole state sequence (the trigger manager's per-conjunct
-  replays), :meth:`ProgressionKernel.rename` renames the letters of an id
-  (the monitor's template states, renamed onto their tuples), and
-  :meth:`ProgressionKernel.holds_quiescent` is the all-false model check
-  of :func:`repro.ptl.sat.quick_model_check`, all on ids.
+* :meth:`ProgressionKernel.rename` renames the letters of an id (the
+  template states of the monitor and the trigger manager, renamed onto
+  their tuples), and :meth:`ProgressionKernel.holds_quiescent` is the
+  all-false model check of :func:`repro.ptl.sat.quick_model_check`, both
+  on ids.
 
 The recursive reference engine is *oracle-only*: the kernel never
 consults (nor populates) the reference progression memo on the supported
@@ -58,7 +57,7 @@ progression is faithful").
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import AbstractSet, Any, Iterable, Mapping, Sequence
+from typing import AbstractSet, Any, Iterable, Mapping
 
 from .bitset import ClosureIndex, _iter_bits
 from .formulas import (
@@ -84,9 +83,6 @@ from .progression import progress
 __all__ = [
     "ProgressionKernel",
     "ProgKernelInfo",
-    "progress_compiled",
-    "progress_sequence_compiled",
-    "progress_trace_compiled",
     "progkernel_cache_clear",
     "progkernel_cache_info",
 ]
@@ -429,11 +425,6 @@ class ProgressionKernel:
         )
         return _TYPE_OF_KIND[kind], operands or ()
 
-    def conjunct_ids(self, oid: int) -> tuple[int, ...]:
-        """The conjunct ids of ``oid`` when it is a conjunction, else
-        ``(oid,)``: the chains :meth:`progress_replay` advances."""
-        return self._conjuncts[oid] or (oid,)
-
     def letters(self, oid: int) -> list[tuple[int, Prop]]:
         """The letters of ``oid``, each with its one-bit state mask."""
         members = self._letters.members
@@ -491,9 +482,10 @@ class ProgressionKernel:
 
         Every letter of the state is indexed (bits are stable, so encoding
         can never go stale); letters no indexed formula mentions are
-        sliced away by the per-row ``&`` anyway.  Its callers (the trigger
-        manager's replays and the formula-level helpers below) encode each
-        state once, so there is no memo here.
+        sliced away by the per-row ``&`` anyway.  Its one caller,
+        :meth:`progress_formula`, through which the tests drive the
+        kernel against the reference engine, encodes each state once, so
+        there is no memo here.
         """
         bit = self._letters.bit
         mask = 0
@@ -512,63 +504,6 @@ class ProgressionKernel:
             return self._miss(oid, masked)
         self.hits += 1
         return succ
-
-    def progress_replay(
-        self, chains: list[int], state_masks: Sequence[int]
-    ) -> bool:
-        """Advance every chain id in ``chains``, in place, through a whole
-        state sequence; False as soon as one chain reaches ``false``.
-
-        Progression commutes with conjunction: the ``PAnd`` rewrite rule
-        progresses each conjunct independently and conjoins, so after any
-        number of steps a conjunction's remainder is :meth:`pand_ids` of
-        its conjuncts' individually progressed chains — flattening,
-        constant folding and first-occurrence dedup included, because
-        duplicates progress identically and order is preserved (DESIGN.md
-        §10).  Chaining one obligation at a time touches one small
-        transition row at a time and never reassembles the (large)
-        intermediate conjunctions; a chain that reaches a constant stops.
-        When one chain is falsified the rest are left part-way: their
-        conjunction is ``false`` whatever they hold.
-        """
-        masks = self._letter_masks
-        trans = self._trans
-        true_id = self.true_id
-        false_id = self.false_id
-        hits = 0
-        # The per-chain loop re-binds the letter mask and transition row
-        # only when the obligation moves: self-loops dominate monitoring
-        # chains, and eviction clears rows in place (the dict object is
-        # stable), so the bindings stay valid across misses.
-        miss = self._miss
-        for position, current in enumerate(chains):
-            if current == true_id:
-                continue
-            if current == false_id:
-                self.hits += hits
-                return False
-            row_get = trans[current].get
-            letters = masks[current]
-            for mask in state_masks:
-                cm = letters & mask
-                sid = row_get(cm)
-                if sid is None:
-                    sid = miss(current, cm)
-                else:
-                    hits += 1
-                if sid != current:
-                    current = sid
-                    if current == false_id:
-                        chains[position] = current
-                        self.hits += hits
-                        return False
-                    if current == true_id:
-                        break
-                    row_get = trans[current].get
-                    letters = masks[current]
-            chains[position] = current
-        self.hits += hits
-        return True
 
     def progress_formula(
         self, formula: PTLFormula, props: AbstractSet[Prop]
@@ -1064,51 +999,11 @@ class ProgressionKernel:
 
 
 # --------------------------------------------------------------------------
-# Module-level default kernel (process-wide, like the satisfiability ones)
+# Module-level default kernel: process-wide, like the satisfiability ones.
+# Nothing progresses through it; ``repro.ptl.caches`` resets and reports it.
 # --------------------------------------------------------------------------
 
 _DEFAULT_KERNEL = ProgressionKernel()
-
-
-def progress_compiled(
-    formula: PTLFormula, current: AbstractSet[Prop]
-) -> PTLFormula:
-    """One compiled progression step via the process-wide kernel."""
-    return _DEFAULT_KERNEL.progress_formula(formula, current)
-
-
-def progress_sequence_compiled(
-    formula: PTLFormula, states: Iterable[AbstractSet[Prop]]
-) -> PTLFormula:
-    """Compiled :func:`repro.ptl.progression.progress_sequence`."""
-    kernel = _DEFAULT_KERNEL
-    oid = kernel.intern(formula)
-    constants = (kernel.true_id, kernel.false_id)
-    for current in states:
-        if oid in constants:
-            break
-        oid = kernel.progress_id(oid, kernel.encode_state(current))
-    return kernel.formula(oid)
-
-
-def progress_trace_compiled(
-    formula: PTLFormula, states: Sequence[AbstractSet[Prop]]
-) -> list[PTLFormula]:
-    """Compiled :func:`repro.ptl.progression.progress_trace` (same
-    constant-padding contract)."""
-    kernel = _DEFAULT_KERNEL
-    oid = kernel.intern(formula)
-    constants = (kernel.true_id, kernel.false_id)
-    trace = [formula]
-    for current in states:
-        if oid in constants:
-            break
-        oid = kernel.progress_id(oid, kernel.encode_state(current))
-        trace.append(kernel.formula(oid))
-    missing = len(states) + 1 - len(trace)
-    if missing > 0:
-        trace.extend([kernel.formula(oid)] * missing)
-    return trace
 
 
 def progkernel_cache_clear() -> None:

@@ -43,10 +43,9 @@ LRU thrash.
 :class:`repro.ptl.progkernel.ProgressionKernel` is the production path:
 each monitor and trigger manager owns one and progresses kernel ids
 through it.  This module's recursive rewriting is its cross-validation
-oracle (the formula-level helpers
-:func:`~repro.ptl.progkernel.progress_sequence_compiled` and
-:func:`~repro.ptl.progkernel.progress_trace_compiled` serve the tests
-that compare the two).
+oracle: the kernel's tests drive
+:meth:`~repro.ptl.progkernel.ProgressionKernel.progress_formula` against
+:func:`progress`.
 The kernel runs every rewrite rule natively on integer ids, so its
 traffic never consults nor populates this module's memo — the two
 engines' caches are fully isolated (regression-tested), and this LRU sees

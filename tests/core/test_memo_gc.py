@@ -10,8 +10,8 @@ failure mode: every step discards its formula objects, allocates fresh
 structurally-distinct garbage to encourage id reuse, runs a full
 ``gc.collect()``, and checks verdicts against an undisturbed reference.
 The monitor and trigger sweeps cover the interned side too (progression
-kernel rows, the trigger remainder memo), which key on stable kernel
-ids/interned nodes by construction.
+kernel rows, the trigger verdict memo), which key on stable kernel ids
+by construction.
 """
 
 import gc
@@ -102,9 +102,9 @@ class TestMonitorUnderGC:
 
 class TestTriggersUnderGC:
     def test_trigger_firings_stable(self):
-        """The trigger remainder memo is identity-keyed on *interned*
-        remainders (pinned by the manager) — churn plus collection must
-        not change which substitutions fire."""
+        """The trigger verdict memo is keyed by kernel ids, which the
+        manager's kernel never reassigns — churn plus collection must not
+        change which substitutions fire."""
 
         def build():
             return TriggerManager(

@@ -14,7 +14,7 @@ from repro.core import (
     potentially_satisfied,
 )
 from repro.database import DatabaseState, History, vocabulary
-from repro.errors import ClassificationError
+from repro.errors import ClassificationError, StateError
 from repro.logic import not_, parse, var
 from repro.logic.transform import nnf
 from repro.workloads.orders import ORDER_VOCABULARY, trace_with_duplicate
@@ -152,9 +152,56 @@ class TestManager:
                 ]
             )
 
+    def test_history_must_extend_the_last_checked(self):
+        manager = TriggerManager([Trigger("resub", RESUBMIT)])
+        manager.check(history([("Sub", (1,))], [], []))
+        # Shorter than the last history checked.
+        with pytest.raises(StateError, match="extend"):
+            manager.check(history([("Sub", (1,))], []))
+        # Longer, but its last consumed state differs.
+        with pytest.raises(StateError, match="extend"):
+            manager.check(history([("Sub", (1,))], [], [("Sub", (2,))], []))
+        # Equal states by value extend it; the refused checks changed
+        # nothing.
+        fired = manager.check(
+            history([("Sub", (1,))], [], [], [("Sub", (1,))])
+        )
+        assert [(f.instant, f.values()) for f in fired] == [(3, {"x": 1})]
+
+    def test_a_check_reads_only_new_states(self):
+        # Each check gets a history whose consumed states, save the last
+        # one (compared by value), fail when read.
+        triggers = ORACLE_TRIGGERS
+        manager = TriggerManager(triggers, lint="off")
+        trace = [
+            [("Sub", (1,))],
+            [("Fill", (2,))],
+            [],
+            [("Sub", (1,)), ("Sub", (3,))],
+            [("Fill", (3,))],
+        ]
+        reported = set()
+        h = History.empty(V)
+        consumed = 0
+        for position, state_facts in enumerate(trace):
+            h = h.extended(DatabaseState.from_facts(V, state_facts))
+            if position == 2:
+                continue
+            expected = [
+                firing
+                for trigger in triggers
+                for firing in firings(trigger, h)
+                if (firing.trigger, firing.substitution) not in reported
+            ]
+            assert manager.check(_sealed(h, consumed - 1)) == expected
+            reported.update((f.trigger, f.substitution) for f in expected)
+            consumed = len(h.states)
+        assert reported
+
     def test_remainder_memo_hits(self):
-        """Quiet instants progress ¬Cθ to the same interned remainder, so
-        the Lemma 4.2 decision is made once and memoized thereafter."""
+        """Quiet instants keep a substitution's group in the same template
+        state, so the Lemma 4.2 decision is made once and memoized
+        thereafter."""
         manager = _duplicate_workload_manager(ORDER_TRIGGERS)
         assert manager.decisions > 0
         assert manager.memo_hits > 0
@@ -172,6 +219,31 @@ class TestManager:
         assert unbounded.log  # the duplicate workload fires
 
 
+class _Sealed(tuple):
+    """A history's states; reading one before ``readable`` fails."""
+
+    readable = 0
+
+    def __getitem__(self, index):
+        if not isinstance(index, int) or index % len(self) < self.readable:
+            raise AssertionError(f"state {index} read again")
+        return tuple.__getitem__(self, index)
+
+    def __iter__(self):
+        raise AssertionError("every state read again")
+
+
+def _sealed(h, readable):
+    """``h`` with its states before ``readable`` sealed."""
+    states = _Sealed(h.states)
+    states.readable = readable
+    sealed = object.__new__(History)
+    object.__setattr__(sealed, "vocabulary", h.vocabulary)
+    object.__setattr__(sealed, "states", states)
+    object.__setattr__(sealed, "constant_bindings", h.constant_bindings)
+    return sealed
+
+
 facts = st.lists(
     st.tuples(st.sampled_from(["Sub", "Fill"]), st.tuples(st.integers(0, 3))),
     max_size=2,
@@ -187,9 +259,19 @@ ORACLE_TRIGGERS = (
     # Fires for every y once x is resubmitted, so an element that first
     # appears in Fill, while Sub is quiet, brings new firings.
     Trigger("resub_any", parse("F (Sub(x) & X F Sub(x)) & y = y")),
-    # Its negation G (Sub(x) -> X Fill(x)) mentions Fill positively, so
-    # the sweep skip never applies to it.
+    # Its negation G (Sub(x) -> X Fill(x)) mentions Fill positively.
     Trigger("unfilled", parse("F (Sub(x) & X !Fill(x))")),
+    # An inner exists: a substitution's group holds one tuple per y, so
+    # groups have many tuples.
+    Trigger("filled_after", parse("exists y . F (Sub(x) & X Fill(y))")),
+    # The tuples of a group share the letters of Sub(x), so a group
+    # whose states fail the all-false model is decided by a Büchi search
+    # on its conjunction.
+    Trigger(
+        "unfilled_any", parse("exists y . F (Sub(x) & X !(Fill(y) W Sub(x)))")
+    ),
+    # Closed: its one group is every real tuple, placeholders left out.
+    Trigger("some_resub", parse("exists y . F (Sub(y) & X F Sub(y))")),
 )
 
 
@@ -216,12 +298,12 @@ def run_against_oracle(triggers, trace):
 
 
 class TestTriggerEquivalence:
-    """The manager's incremental sweep (compiled kernels, remainder memo,
-    sweep skip) against :func:`firings`, the paper's definition decided
-    from scratch on the whole history."""
+    """The manager's incremental sweep (lifted tables, verdict memo)
+    against :func:`firings`, the paper's definition decided from scratch
+    on the whole history."""
 
     # A new element arriving through Fill alone, and a quiet instant
-    # after an unchecked one: the cases the sweep skip must not skip.
+    # after an unchecked one.
     @example(trace=[([("Sub", (1,))], True)] * 2 + [([("Fill", (2,))], True)])
     @example(
         trace=[([("Sub", (1,))], True), ([("Sub", (1,))], False), ([], True)]
@@ -232,11 +314,10 @@ class TestTriggerEquivalence:
         run_against_oracle(ORACLE_TRIGGERS, trace)
 
     def test_quiet_sweeps_are_skipped(self):
+        # Quiet instants step each table state once, and the
+        # resubmission at the last instant is still caught after them.
         trace = [[("Sub", (1,))], [], [], [("Sub", (1,))]]
         manager = run_against_oracle(
             (Trigger("resub", RESUBMIT),), [(f, True) for f in trace]
         )
-        assert manager.skipped_sweeps > 0
-        # The resubmission at the last instant is still caught after the
-        # skipped sweeps.
         assert any(f.instant == 4 for f in manager.log)

@@ -90,17 +90,6 @@ class TestGrowth:
         assert h2.current.holds("p", (1,))  # persists
         assert h2.current.holds("p", (2,))
 
-    def test_truncated(self):
-        h = History.from_facts(VPLAIN, [[("p", (1,))], [], []])
-        assert len(h.truncated(2)) == 2
-
-    def test_truncate_bounds(self):
-        h = History.empty(VPLAIN)
-        with pytest.raises(StateError):
-            h.truncated(0)
-        with pytest.raises(StateError):
-            h.truncated(5)
-
 
 class TestRelevantElements:
     def test_includes_all_states_and_constants(self):
@@ -121,19 +110,6 @@ class TestRelevantElements:
 
 
 class TestRestrictionRenaming:
-    def test_restrict_requires_constants(self):
-        h = History.from_facts(V, [[("p", (3,))]], {"c": 9})
-        with pytest.raises(StateError, match="constant"):
-            h.restrict(frozenset({3}))
-
-    def test_restrict(self):
-        h = History.from_facts(
-            V, [[("p", (3,)), ("edge", (3, 4))]], {"c": 9}
-        )
-        r = h.restrict(frozenset({3, 9}))
-        assert r[0].holds("p", (3,))
-        assert not r[0].holds("edge", (3, 4))
-
     def test_rename_remaps_constants_too(self):
         h = History.from_facts(V, [[("p", (3,))]], {"c": 3})
         r = h.rename({3: 30})

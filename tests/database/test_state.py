@@ -78,11 +78,6 @@ class TestEqualityAndHash:
 
 
 class TestRestrictionAndRenaming:
-    def test_restrict_keeps_inside_tuples(self):
-        s = state(("edge", (1, 2)), ("edge", (1, 9)))
-        r = s.restrict(frozenset({1, 2}))
-        assert r.holds("edge", (1, 2)) and not r.holds("edge", (1, 9))
-
     def test_rename(self):
         s = state(("edge", (1, 2)))
         r = s.rename({1: 10, 2: 20})

@@ -1,7 +1,7 @@
 """The compiled progression kernel pinned to the reference engine.
 
-Every test compares :class:`repro.ptl.progkernel.ProgressionKernel` (and
-the module-level convenience functions) against the recursive
+Every test compares :class:`repro.ptl.progkernel.ProgressionKernel`
+against the recursive
 :func:`repro.ptl.progression.progress` on the same inputs.  Because both
 sides intern through :mod:`repro.ptl.formulas`, agreement is asserted as
 pointer identity, not mere equality — the strongest form the faithfulness
@@ -32,20 +32,17 @@ from repro.ptl.formulas import (
     prelease,
     pweak_until,
 )
+import repro.ptl.progkernel as progkernel_module
 from repro.ptl.progkernel import (
     ProgressionKernel,
     progkernel_cache_clear,
     progkernel_cache_info,
-    progress_compiled,
-    progress_sequence_compiled,
-    progress_trace_compiled,
 )
 from repro.ptl.progression import (
     progress,
     progress_cache_clear,
     progress_cache_info,
     progress_sequence,
-    progress_trace,
 )
 
 from repro.ptl.sat import quick_model_check
@@ -95,18 +92,18 @@ class TestKernelMatchesReference:
     @settings(max_examples=200, deadline=None)
     def test_replay_matches_reference_sequence(self, formula, states):
         # Progression distributes over top-level conjuncts (DESIGN.md
-        # §10, "Replay distribution"): chaining each conjunct through
-        # progress_replay and folding with pand_ids must give the very
-        # object the reference stepwise sequence produces.
+        # §10, "Conjunct distribution"), which `materialize` rests on:
+        # chaining each conjunct with progress_id and folding with
+        # pand_ids must give the very object the reference stepwise
+        # sequence produces.
         kernel = ProgressionKernel()
         oid = kernel.intern(formula)
-        masks = [kernel.encode_state(state) for state in states]
-        chains = list(kernel.conjunct_ids(oid))
-        if kernel.progress_replay(chains, masks):
-            final = kernel.pand_ids(chains)
-        else:
-            final = kernel.false_id
-        replayed = kernel.formula(final)
+        kind, operands = kernel.node(oid)
+        chains = list(operands) if kind is PAnd else [oid]
+        for state in states:
+            mask = kernel.encode_state(state)
+            chains = [kernel.progress_id(chain, mask) for chain in chains]
+        replayed = kernel.formula(kernel.pand_ids(chains))
         assert replayed is progress_sequence(formula, states)
 
 
@@ -175,28 +172,8 @@ class TestEviction:
 
 
 class TestModuleLevelFunctions:
-    @given(formula=ptl_formulas(), state=prop_states())
-    @settings(max_examples=100, deadline=None)
-    def test_progress_compiled(self, formula, state):
-        assert progress_compiled(formula, state) is progress(formula, state)
-
-    @given(formula=ptl_formulas(), states=state_seqs)
-    @settings(max_examples=100, deadline=None)
-    def test_sequence_parity(self, formula, states):
-        assert progress_sequence_compiled(
-            formula, states
-        ) is progress_sequence(formula, states)
-
-    @given(formula=ptl_formulas(), states=state_seqs)
-    @settings(max_examples=100, deadline=None)
-    def test_trace_parity(self, formula, states):
-        compiled = progress_trace_compiled(formula, states)
-        reference = progress_trace(formula, states)
-        assert len(compiled) == len(reference)
-        assert all(a is b for a, b in zip(compiled, reference))
-
     def test_cache_clear_resets_default_kernel(self):
-        progress_compiled(
+        progkernel_module._DEFAULT_KERNEL.progress_formula(
             puntil(prop("p0"), prop("p1")), frozenset({prop("p0")})
         )
         assert progkernel_cache_info()["obligations"] > 2
@@ -230,18 +207,6 @@ class TestDiagnostics:
         assert stats["reference_delegations"] == 0
         assert stats["misses_by_rule"]["always"] >= 1
         assert sum(stats["misses_by_rule"].values()) == stats["misses"]
-
-    def test_constants_short_circuit_sequences(self):
-        # PFALSE after one step: the sequence must stop progressing.
-        f = prop("p0")
-        out = progress_sequence_compiled(
-            f, [frozenset(), frozenset({prop("p0")})]
-        )
-        assert out is PFALSE
-        trace = progress_trace_compiled(
-            f, [frozenset(), frozenset({prop("p0")})]
-        )
-        assert trace == [f, PFALSE, PFALSE]
 
 
 #: One entry per native rewrite rule: (constructor over random operand
