@@ -21,8 +21,8 @@ Subcommands:
   (past-closed constraints on the history-less evaluator, the rest on the
   compiled progression kernel with bitset Büchi decisions) and report
   violations with their detection instants.
-* ``serve``    — stream a history through the sharded
-  :class:`repro.service.MonitorService`; ``--stop-at``/``--snapshot-out``
+* ``serve``    — stream a history through the monitor service
+  (:class:`repro.service.MonitorService`); ``--stop-at``/``--snapshot-out``
   checkpoint mid-stream and ``--resume-from`` resumes a killed run with
   identical verdicts (DESIGN.md §12).
 * ``experiment`` — run one of the paper-claim experiments (E1..E9, A1..A3)
@@ -31,7 +31,8 @@ Subcommands:
 Exit codes are scriptable (CI-friendly): 0 — success / no findings;
 1 — analysis failure (constraint violated, lint errors, non-decidable
 class under ``classify --strict``); 2 — usage or input errors (syntax
-errors, unknown experiment, malformed history files).
+errors, unknown experiment, missing, unreadable or malformed history and
+snapshot files).
 """
 
 from __future__ import annotations
@@ -535,10 +536,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             constant_bindings=history.constant_bindings,
         )
         service = MonitorService(
-            constraints,
-            initial,
-            shards=args.shards,
-            assume_safety=args.assume_safety,
+            constraints, initial, assume_safety=args.assume_safety
         )
         states = history.states[1:]
     names = {}
@@ -565,7 +563,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.snapshot_out:
         service.save(args.snapshot_out)
         print(f"snapshot written to {args.snapshot_out} "
-              f"(instant {service.now}, {service.shard_count} shard(s))")
+              f"(instant {service.now})")
     violations = service.violations()
     if not violations:
         print(f"no violations through instant {service.now}")
@@ -706,16 +704,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="stream a history through the sharded monitor service "
-        "with checkpoint/resume",
+        help="stream a history through the monitor service with "
+        "checkpoint/resume",
     )
     serve.add_argument("history", help="path to a history JSON file")
     serve.add_argument("--constraint", action="append", default=[],
                        help="constraint (repeatable; not allowed with "
                        "--resume-from)")
-    serve.add_argument("--shards", type=_bounded_int(1), default=1,
-                       help="max relation-disjoint constraint shards "
-                       "(default 1)")
     serve.add_argument("--session", default="cli",
                        help="session name for the stream counters "
                        "(default 'cli')")
@@ -747,7 +742,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as error:
         print(f"syntax error: {error}", file=sys.stderr)
         return 2
-    except ReproError as error:
+    except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

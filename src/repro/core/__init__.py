@@ -27,12 +27,7 @@ from .grounding import (
 )
 from .monitor import EntrySnapshot, IntegrityMonitor, MonitorStats, UpdateReport
 from .parallel import parallel_map, resolve_jobs, split_chunks
-from .plan import (
-    ConstraintPlan,
-    MonitorPlan,
-    partition_constraints,
-    plan_constraints,
-)
+from .plan import ConstraintPlan, MonitorPlan, plan_constraints
 from .reduction import (
     Reduction,
     constraint_relevant_elements,
@@ -83,7 +78,6 @@ __all__ = [
     "ground",
     "ground_domain",
     "parallel_map",
-    "partition_constraints",
     "plan_constraints",
     "potentially_satisfied",
     "reduce_universal",

@@ -353,6 +353,9 @@ class IntegrityMonitor:
         entries are added by the caller."""
         self._assume_safety = assume_safety
         self._history = history
+        # The instant of an update whose recheck has not returned: set
+        # while the entries step, and left set if one raises.
+        self._unsettled: int | None = None
         # Registration order, which every merged report follows.
         self._constraints = dict(constraints)
         self._plan: MonitorPlan | None = None
@@ -522,7 +525,10 @@ class IntegrityMonitor:
         A live entry leaves out each witness tuple that is its pattern's
         own and whose state a restore recomputes (:meth:`from_snapshot`);
         a violated entry, which never steps again, keeps no witnesses.
+        After a half-applied update (:meth:`append_state`) this raises
+        :class:`~repro.errors.StateError`.
         """
+        self._require_settled()
         out: list[EntrySnapshot] = []
         for entry in self._entries:
             table = entry.table
@@ -692,15 +698,32 @@ class IntegrityMonitor:
 
     def apply(self, update: Update) -> UpdateReport:
         """Apply an update and re-check every constraint."""
-        self._history = self._history.updated(update)
-        return self._recheck()
+        return self.append_state(update.apply(self._history.current))
 
     def append_state(self, state: DatabaseState) -> UpdateReport:
-        """Append a full next state (alternative to delta updates)."""
+        """Append a full next state (alternative to delta updates).
+
+        A state the vocabulary refuses leaves the monitor as it was.  An
+        exception raised once the state has moved the history leaves the
+        entries part-stepped: from then on every update and
+        :meth:`snapshot_entries` raise :class:`~repro.errors.StateError`.
+        """
+        self._require_settled()
         self._history = self._history.extended(state)
-        return self._recheck()
+        self._unsettled = self._history.now
+        report = self._recheck()
+        self._unsettled = None
+        return report
 
     # -- internals -----------------------------------------------------------
+
+    def _require_settled(self) -> None:
+        if self._unsettled is not None:
+            raise StateError(
+                f"the update to instant {self._unsettled} failed after it "
+                "moved the history; a half-applied monitor takes no update "
+                "and no snapshot"
+            )
 
     def _recheck(self) -> UpdateReport:
         instant = self._history.now

@@ -21,9 +21,8 @@ every other class     ``progression``  the Theorem 4.1 reduction,
 (:func:`repro.analysis.hierarchy.is_past_closed`) when it is built, and
 builds its :class:`MonitorPlan` only when asked.  This module is purely
 static: :func:`plan_constraints` labels a set for ``repro-tic plan`` and
-the monitor's ``plan``, and :func:`partition_constraints` splits a set
-into relation-disjoint shards for :class:`repro.service.MonitorService`.
-DESIGN.md section 11 carries the soundness argument per backend.
+the monitor's ``plan``.  DESIGN.md section 11 carries the soundness
+argument per backend.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from ..logic.formulas import Formula
 __all__ = [
     "ConstraintPlan",
     "MonitorPlan",
-    "partition_constraints",
     "plan_constraints",
 ]
 
@@ -158,72 +156,3 @@ def plan_constraints(
         )
     return MonitorPlan(entries=tuple(entries))
 
-
-def partition_constraints(
-    constraints: Mapping[str, Formula] | Sequence[Formula],
-    shards: int,
-) -> list[dict[str, Formula]]:
-    """Split a constraint set into at most ``shards`` relation-disjoint
-    groups for parallel monitoring.
-
-    Two constraints that mention a common database relation are kept in
-    the same group (union-find over relation names), so an update to any
-    relation touches exactly one group and per-group monitors never
-    disagree about a shared domain.  Built-in arithmetic predicates
-    (``leq``/``succ``/``Zero``) are rigid and history-independent, so
-    they do not force a merge.  Connected components are packed
-    largest-first into the emptiest bin; registration order is preserved
-    inside each group and groups are ordered by their earliest
-    constraint.  Purely static, like :func:`plan_constraints`.
-
-    >>> from ..logic import parse
-    >>> parts = partition_constraints({
-    ...     "a": parse("forall x . G !Sub(x)"),
-    ...     "b": parse("forall x . G !Fill(x)"),
-    ...     "c": parse("forall x . G (Fill(x) -> X !Fill(x))"),
-    ... }, 2)
-    >>> [sorted(part) for part in parts]
-    [['a'], ['b', 'c']]
-    """
-    from ..database.vocabulary import BUILTIN_PREDICATES
-
-    if shards < 1:
-        raise ValueError(f"shard count must be positive, got {shards}")
-    if not isinstance(constraints, Mapping):
-        constraints = {
-            f"constraint_{index}": formula
-            for index, formula in enumerate(constraints)
-        }
-    names = list(constraints)
-    parent = list(range(len(names)))
-
-    def find(index: int) -> int:
-        root = index
-        while parent[root] != root:
-            root = parent[root]
-        while parent[index] != root:
-            parent[index], index = root, parent[index]
-        return root
-
-    owner: dict[str, int] = {}
-    for index, name in enumerate(names):
-        for pred, _arity in constraints[name].predicates():
-            if pred in BUILTIN_PREDICATES:
-                continue
-            if pred in owner:
-                parent[find(index)] = find(owner[pred])
-            else:
-                owner[pred] = index
-    components: dict[int, list[int]] = {}
-    for index in range(len(names)):
-        components.setdefault(find(index), []).append(index)
-    ordered = sorted(components.values(), key=lambda comp: (-len(comp), comp))
-    bins: list[list[int]] = [[] for _ in range(min(shards, len(ordered)))]
-    for component in ordered:
-        target = min(range(len(bins)), key=lambda b: (len(bins[b]), b))
-        bins[target].extend(component)
-    bins.sort(key=min)
-    return [
-        {names[index]: constraints[names[index]] for index in sorted(group)}
-        for group in bins
-    ]

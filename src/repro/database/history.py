@@ -37,7 +37,9 @@ class History:
         The sequence of database states; always non-empty.
     constant_bindings:
         Interpretation of each declared constant symbol as a universe
-        element — the same in every state (constants are rigid).
+        element — the same in every state (constants are rigid).  Like
+        facts (:meth:`~repro.database.vocabulary.Vocabulary.check_fact`),
+        a binding is a natural, never ``True``/``False``.
     """
 
     vocabulary: Vocabulary
@@ -56,7 +58,9 @@ class History:
         for symbol, value in self.constant_bindings.items():
             if symbol not in self.vocabulary.constant_symbols:
                 raise SchemaError(f"undeclared constant symbol {symbol!r}")
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or (
+                value < 0
+            ):
                 raise SchemaError(
                     f"constant {symbol!r} must denote a natural, got {value!r}"
                 )

@@ -184,10 +184,14 @@ def history_from_dict(data: dict[str, Any]) -> History:
     )
     if not states:
         raise StateError("serialized history has no states")
+    bindings = data.get("constant_bindings", {})
+    if not isinstance(bindings, Mapping):
+        raise StateError(
+            "serialized history 'constant_bindings' must be an object, "
+            f"got {bindings!r:.60}"
+        )
     return History(
-        vocabulary=vocabulary,
-        states=states,
-        constant_bindings=dict(data.get("constant_bindings", {})),
+        vocabulary=vocabulary, states=states, constant_bindings=bindings
     )
 
 
@@ -223,9 +227,14 @@ def dump_history(history: History, path: str) -> None:
 
 
 def load_history(path: str) -> History:
-    """Read a history from a JSON file."""
+    """Read a history from a JSON file; :class:`StateError` naming the
+    file if it is not JSON."""
     with open(path, "r", encoding="utf-8") as handle:
-        return history_from_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise StateError(f"history file {path!r} is not JSON: {exc}") from None
+    return history_from_dict(data)
 
 
 # --------------------------------------------------------------------------
@@ -680,28 +689,23 @@ def _entry_from_jsonable(
         ) from None
 
 
-def monitor_to_dict(
-    monitor: Any, with_history: bool = True
-) -> dict[str, Any]:
+def monitor_to_dict(monitor: Any) -> dict[str, Any]:
     """Serialize a running :class:`repro.core.IntegrityMonitor`.
 
     The snapshot holds the settings, the registration ``order``, the
-    text of every past-closed constraint (``past``) and, per progressed
-    constraint, the progressed remainder and its grounding's relevant
-    set (``entries``) — everything
+    text of every past-closed constraint (``past``), per progressed
+    constraint its table and relevant set (``entries``), and the
+    ``history`` — everything
     :meth:`repro.core.IntegrityMonitor.from_snapshot` needs to resume
     with verdicts identical to an uninterrupted run.  Each constraint
     text is written once.  Derived caches are deliberately not
     persisted; see :class:`repro.core.EntrySnapshot`.
-    ``with_history=False`` leaves the history out, for a container that
-    stores one copy for all its monitors and hands it back to
-    :func:`monitor_from_dict`.
     """
     from ..logic import to_str
 
     entries = monitor.snapshot_entries()
     progressed = {snap.name for snap in entries}
-    data: dict[str, Any] = {
+    return {
         "format": MONITOR_SNAPSHOT_FORMAT,
         "config": monitor.snapshot_config(),
         "order": list(monitor.constraints),
@@ -711,22 +715,17 @@ def monitor_to_dict(
             if name not in progressed
         },
         "entries": [_entry_to_jsonable(snap) for snap in entries],
+        "history": history_to_dict(monitor.history),
     }
-    if with_history:
-        data["history"] = history_to_dict(monitor.history)
-    return data
 
 
-def monitor_from_dict(
-    data: dict[str, Any], history: History | None = None
-) -> Any:
+def monitor_from_dict(data: dict[str, Any]) -> Any:
     """Inverse of :func:`monitor_to_dict`: rebuild the monitor, resumed.
 
     Validates the format tag and config before touching any entry, so a
     checkpoint from a different format (or a truncated file) fails with
     :class:`repro.errors.StateError` instead of an attribute error
-    mid-restore.  A given ``history`` is used as it is, in place of the
-    document's own.
+    mid-restore.
     """
     from ..core.monitor import IntegrityMonitor
     from ..ptl.progkernel import ProgressionKernel
@@ -759,6 +758,7 @@ def monitor_from_dict(
         raw_entries = decode_list(
             data["entries"], "monitor snapshot 'entries'"
         )
+        history_data = data["history"]
     except KeyError as exc:
         raise StateError(
             f"monitor snapshot is missing the {exc.args[0]!r} key"
@@ -768,10 +768,7 @@ def monitor_from_dict(
             raise StateError(
                 f"monitor snapshot past constraint {name!r} must be a string"
             )
-    if history is None:
-        if "history" not in data:
-            raise StateError("monitor snapshot is missing the 'history' key")
-        history = history_from_dict(data["history"])
+    history = history_from_dict(history_data)
     # The decoded states are interned into the kernel the restored monitor
     # adopts as its own.
     kernel = ProgressionKernel()

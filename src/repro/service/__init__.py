@@ -1,4 +1,4 @@
-"""Streaming monitor service: sharding, sessions, checkpoint/resume.
+"""Streaming monitor service: sessions, checkpoint/resume.
 
 See :mod:`repro.service.streaming` for the design narrative.
 """

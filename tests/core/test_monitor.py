@@ -92,8 +92,7 @@ def monitor_with(constraints, **kwargs):
 # The audit rule is past-closed: every front runs it on the history-less
 # evaluator.
 AUDIT = parse("forall x . G (Fill(x) -> Y O Sub(x))")
-# Ping shares no relation with the other constraints, so a two-shard
-# service really splits the set.
+# Ping shares no relation with the other constraints.
 HARNESS = {
     **CONSTRAINTS,
     "audit": AUDIT,
@@ -119,10 +118,8 @@ def _front(front, constraints=None, history=None):
     history = History.empty(V) if history is None else history
     if front in ("service", "restored-service"):
         if constraints is None:
-            service = MonitorService(HARNESS, history, shards=2)
-            assert service.shard_count == 2
-            return service
-        return MonitorService(constraints, history, shards=2, lint="off")
+            return MonitorService(HARNESS, history)
+        return MonitorService(constraints, history, lint="off")
     if constraints is None:
         return IntegrityMonitor(HARNESS, history)
     return IntegrityMonitor(constraints, history, lint="off")
@@ -188,12 +185,9 @@ def _restored(front):
 
 
 def _remainders(front):
-    shards = front._shards if isinstance(front, MonitorService) else [front]
-    return {
-        name: remainder
-        for shard in shards
-        for name, remainder in shard.remainders().items()
-    }
+    if isinstance(front, MonitorService):
+        front = front._monitor
+    return front.remainders()
 
 
 class TestBasics:
@@ -569,8 +563,8 @@ class TestLiftedTable:
                     ],
                 )
             )
-        shards = m._shards if isinstance(m, MonitorService) else [m]
-        tables = [entry.table for shard in shards for entry in shard._entries]
+        monitor = m._monitor if isinstance(m, MonitorService) else m
+        tables = [entry.table for entry in monitor._entries]
         assert len(tables) == len(HARNESS) - 1
         stored = 0
         for table in tables:
@@ -660,37 +654,34 @@ class TestIdSpace:
                     V, [("Sub", (element,)), ("Fill", ((element + 3) % 4,))]
                 )
             )
-        total: dict[str, int] = {}
-        for shard in service._shards:
-            info = shard.cache_info()
-            kernel = shard.progression_kernel_info()
-            assert info["kernel_obligations"] == kernel.obligations
-            assert info["kernel_letters"] == kernel.letters
-            assert info["kernel_transitions"] == kernel.transitions
-            assert info["kernel_evictions"] == kernel.evictions
-            assert info["table_tuples"] == sum(
-                len(entry.table.where) for entry in shard._entries
-            )
-            assert info["rename_memo"] == sum(
-                len(entry.table.renamed) for entry in shard._entries
-            )
-            # Exactly the keys whose bounds DESIGN.md §10.1 states.
-            assert set(info) == {
-                "sat_cache_entries",
-                "sat_cache_resets",
-                "buchi_states",
-                "buchi_resets",
-                "table_tuples",
-                "rename_memo",
-                "kernel_obligations",
-                "kernel_letters",
-                "kernel_transitions",
-                "kernel_evictions",
-            }
-            for key, value in info.items():
-                total[key] = total.get(key, 0) + value
-        assert service.cache_info() == total
-        assert total["table_tuples"] > 0
+        monitor = service._monitor
+        info = service.cache_info()
+        kernel = monitor.progression_kernel_info()
+        assert info == monitor.cache_info()
+        assert info["kernel_obligations"] == kernel.obligations
+        assert info["kernel_letters"] == kernel.letters
+        assert info["kernel_transitions"] == kernel.transitions
+        assert info["kernel_evictions"] == kernel.evictions
+        assert info["table_tuples"] == sum(
+            len(entry.table.where) for entry in monitor._entries
+        )
+        assert info["rename_memo"] == sum(
+            len(entry.table.renamed) for entry in monitor._entries
+        )
+        # Exactly the keys whose bounds DESIGN.md §10.1 states.
+        assert set(info) == {
+            "sat_cache_entries",
+            "sat_cache_resets",
+            "buchi_states",
+            "buchi_resets",
+            "table_tuples",
+            "rename_memo",
+            "kernel_obligations",
+            "kernel_letters",
+            "kernel_transitions",
+            "kernel_evictions",
+        }
+        assert info["table_tuples"] > 0
 
 
 class TestBounds:
@@ -809,28 +800,6 @@ class TestBoundedSatCache:
         assert info["sat_cache_entries"] <= 2
         assert reports == expected
         assert bounded.remainders() == unbounded.remainders()
-
-    def test_service_sums_its_shards_cache_info(self, monkeypatch):
-        def run():
-            service = MonitorService(HARNESS, History.empty(V), shards=2)
-            reports = [
-                service.apply_state(DatabaseState.from_facts(V, facts))
-                for facts in self.TRACE
-            ]
-            return service, reports
-
-        unbounded, expected = run()
-        assert unbounded.cache_info()["sat_cache_resets"] == 0
-        monkeypatch.setattr(monitor_module, "_SAT_CACHE_SIZE", 2)
-        bounded, reports = run()
-        info = bounded.cache_info()
-        shards = [shard.cache_info() for shard in bounded._shards]
-        assert len(shards) == 2
-        assert info == {
-            key: sum(shard[key] for shard in shards) for key in shards[0]
-        }
-        assert info["sat_cache_resets"] > 0
-        assert reports == expected
 
 
 class TestMonitorStatsRoundTrip:

@@ -258,15 +258,14 @@ class TestSnapshotValidation:
 
     def test_rejects_planned_documents(self):
         # The layout of the removed planned-monitor snapshot.
-        monitor = IntegrityMonitor(CONSTRAINTS, History.empty(V))
-        full = monitor_to_dict(monitor, with_history=False)
+        full = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
         data = {
             "format": "repro-planned-snapshot/v3",
             "config": full["config"],
             "order": full["order"],
             "constraints": {},
+            "history": full.pop("history"),
             "full": full,
-            "history": monitor_to_dict(monitor)["history"],
         }
         with pytest.raises(StateError, match="format"):
             monitor_from_dict(data)

@@ -1,11 +1,11 @@
-"""The streaming monitor service: shards, sessions, checkpoint/resume.
+"""The streaming monitor service: sessions, checkpoint/resume.
 
-Sharding is an optimization, never a semantics change: a sharded
-:class:`repro.service.MonitorService` must report exactly the verdicts
-of an unsharded :class:`repro.core.monitor.IntegrityMonitor`
-(hypothesis-pinned below).  The async
-front adds per-session FIFO ordering and the snapshot adds kill/resume —
-both asserted directly.  Async tests drive the event loop through
+:class:`repro.service.MonitorService` is one
+:class:`repro.core.monitor.IntegrityMonitor` behind a FIFO front (its
+verdicts are checked against the paper's decision in
+``tests/core/test_monitor.py::TestAgainstChecker``).  The async front adds
+per-session FIFO ordering and the snapshot adds kill/resume — both
+asserted directly.  Async tests drive the event loop through
 ``asyncio.run`` inside synchronous test functions (no pytest-asyncio in
 the CI image).
 """
@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IntegrityMonitor, partition_constraints
+import repro.core.lifted as lifted_module
+from repro.core import IntegrityMonitor
 from repro.database import DatabaseState, History, Update, vocabulary
 from repro.errors import EvaluationError, SchemaError, StateError
 from repro.logic import parse
@@ -53,76 +54,13 @@ def _report_key(report):
     return (report.instant, report.satisfied, report.new_violations)
 
 
-class TestPartition:
-    def test_relation_sharing_merges(self):
-        parts = partition_constraints(
-            {
-                "a": parse("forall x . G !Sub(x)"),
-                "b": parse("forall x . G (Sub(x) -> X Fill(x))"),
-                "c": parse("forall x . G !Ping(x)"),
-            },
-            3,
-        )
-        assert [sorted(p) for p in parts] == [["a", "b"], ["c"]]
-
-    def test_respects_shard_bound(self):
-        constraints = {
-            f"c{i}": parse(f"forall x . G !P{i}(x)") for i in range(5)
-        }
-        parts = partition_constraints(constraints, 2)
-        assert len(parts) == 2
-        assert sorted(name for p in parts for name in p) == sorted(
-            constraints
-        )
-
-    def test_builtins_do_not_merge(self):
-        parts = partition_constraints(
-            {
-                "a": parse("forall x y . G !(Sub(x) & leq(x, y))"),
-                "b": parse("forall x y . G !(Fill(x) & leq(x, y))"),
-            },
-            2,
-        )
-        assert len(parts) == 2
-
-    def test_rejects_nonpositive_shards(self):
-        with pytest.raises(ValueError):
-            partition_constraints(CONSTRAINTS, 0)
-
-    def test_partition_of_everything_into_one(self):
-        parts = partition_constraints(CONSTRAINTS, 1)
-        assert len(parts) == 1
-        assert tuple(parts[0]) == tuple(CONSTRAINTS)
-
-
-class TestShardedEquivalence:
-    @settings(max_examples=20, deadline=None)
-    @given(trace=traces, shards=st.integers(1, 4))
-    def test_sharded_matches_unsharded(self, trace, shards):
-        states = _states(trace)
-        service = MonitorService(
-            CONSTRAINTS, History.empty(V), shards=shards
-        )
-        reference = IntegrityMonitor(CONSTRAINTS, History.empty(V))
-        for state in states:
-            got = service.apply_state(state)
-            expected = reference.append_state(state)
-            assert _report_key(got) == _report_key(expected)
-        assert service.violations() == reference.violations()
-
-    def test_shard_count_follows_components(self):
-        service = MonitorService(CONSTRAINTS, History.empty(V), shards=8)
-        # once+audit share Sub/Fill; ping_once is its own component.
-        assert service.shard_count == 2
-
+class TestSessions:
     def test_update_surface(self):
-        service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
+        service = MonitorService(CONSTRAINTS, History.empty(V))
         service.apply(Update.insert(("Sub", (1,))))
         report = service.apply(Update.insert(("Sub", (1,))))
         assert not report.satisfied["once"]
 
-
-class TestSessions:
     def test_stream_counters_per_session(self):
         service = MonitorService(CONSTRAINTS, History.empty(V))
         service.apply_state(DatabaseState.empty(V), session="alpha")
@@ -133,9 +71,7 @@ class TestSessions:
 
     def test_interleaved_sessions_apply_in_submission_order(self):
         async def run():
-            service = MonitorService(
-                CONSTRAINTS, History.empty(V), shards=2
-            )
+            service = MonitorService(CONSTRAINTS, History.empty(V))
             await service.start()
             try:
                 # Two producers interleaving on one queue: global order
@@ -222,14 +158,12 @@ class TestSessions:
 
 class TestServiceSnapshot:
     @settings(max_examples=15, deadline=None)
-    @given(trace=traces, cut=st.integers(0, 5), shards=st.integers(1, 3))
-    def test_kill_and_restore_matches_uninterrupted(
-        self, trace, cut, shards
-    ):
+    @given(trace=traces, cut=st.integers(0, 5))
+    def test_kill_and_restore_matches_uninterrupted(self, trace, cut):
         cut = min(cut, len(trace))
         states = _states(trace)
-        ref = MonitorService(CONSTRAINTS, History.empty(V), shards=shards)
-        live = MonitorService(CONSTRAINTS, History.empty(V), shards=shards)
+        ref = MonitorService(CONSTRAINTS, History.empty(V))
+        live = MonitorService(CONSTRAINTS, History.empty(V))
         for state in states[:cut]:
             ref.apply_state(state, session="s")
             live.apply_state(state, session="s")
@@ -238,7 +172,6 @@ class TestServiceSnapshot:
         clear_all_caches()
         gc.collect()
         resumed = MonitorService.restore(json.loads(blob))
-        assert resumed.shard_count == ref.shard_count
         for state in states[cut:]:
             assert _report_key(resumed.apply_state(state)) == _report_key(
                 ref.apply_state(state)
@@ -254,7 +187,7 @@ class TestServiceSnapshot:
         assert resumed.sessions() == {"alpha": 2, "beta": 1}
 
     def test_save_load_file_round_trip(self, tmp_path):
-        service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
+        service = MonitorService(CONSTRAINTS, History.empty(V))
         service.apply(Update.insert(("Sub", (1,))))
         path = tmp_path / "service.json"
         service.save(path)
@@ -265,18 +198,17 @@ class TestServiceSnapshot:
         assert data["format"] == SERVICE_SNAPSHOT_FORMAT
 
     def test_history_written_once_and_shared_on_restore(self):
-        service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
+        service = MonitorService(CONSTRAINTS, History.empty(V))
         service.apply(Update.insert(("Sub", (1,))))
         data = json.loads(json.dumps(service.snapshot()))
-        assert data["format"] == "repro-service-snapshot/v5"
-        for shard in data["shards"]:
-            assert shard["format"] == "repro-monitor-snapshot/v6"
-            assert "history" not in shard
-            assert shard["entries"]
+        assert data["format"] == "repro-service-snapshot/v6"
+        assert set(data) == {"format", "service_stats", "history", "shards"}
+        [monitor] = data["shards"]
+        assert monitor["format"] == "repro-monitor-snapshot/v6"
+        assert "history" not in monitor
+        assert monitor["entries"]
         restored = MonitorService.restore(data)
-        assert restored.shard_count == 2
-        for shard in restored._shards:
-            assert shard.history is restored.history
+        assert restored.history is restored._monitor.history
         assert restored.now == service.now
         state = DatabaseState.from_facts(V, [("Fill", (2,))])
         assert _report_key(restored.apply_state(state)) == _report_key(
@@ -295,6 +227,27 @@ class TestServiceSnapshot:
         with pytest.raises(StateError, match="format"):
             MonitorService.restore(data)
 
+    def test_restore_rejects_v5_document(self):
+        # A v5 service document records the shard layout and the
+        # registration order beside its shards.
+        data = MonitorService(CONSTRAINTS, History.empty(V)).snapshot()
+        data.update(
+            format="repro-service-snapshot/v5",
+            config={"shards": 1},
+            order=list(CONSTRAINTS),
+        )
+        with pytest.raises(
+            StateError, match="expected 'repro-service-snapshot/v6'"
+        ):
+            MonitorService.restore(data)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_restore_rejects_other_than_one_monitor(self, count):
+        data = MonitorService(CONSTRAINTS, History.empty(V)).snapshot()
+        data["shards"] = data["shards"] * count
+        with pytest.raises(StateError, match="exactly one monitor"):
+            MonitorService.restore(data)
+
     def test_restore_rejects_v3_document(self):
         # A v3 service document holds v4 monitor shards.
         data = MonitorService(CONSTRAINTS, History.empty(V)).snapshot()
@@ -302,7 +255,7 @@ class TestServiceSnapshot:
         for shard in data["shards"]:
             shard["format"] = "repro-monitor-snapshot/v4"
         with pytest.raises(
-            StateError, match="expected 'repro-service-snapshot/v5'"
+            StateError, match="expected 'repro-service-snapshot/v6'"
         ):
             MonitorService.restore(data)
 
@@ -314,7 +267,7 @@ class TestServiceSnapshot:
         for shard in data["shards"]:
             shard["format"] = "repro-monitor-snapshot/v5"
         with pytest.raises(
-            StateError, match="expected 'repro-service-snapshot/v5'"
+            StateError, match="expected 'repro-service-snapshot/v6'"
         ):
             MonitorService.restore(data)
 
@@ -325,9 +278,7 @@ class TestServiceSnapshot:
         service = MonitorService(
             {name: CONSTRAINTS[name] for name in ("once", "ping_once")},
             History.empty(V),
-            shards=2,
         )
-        assert service.shard_count == 2
         with pytest.raises(SchemaError):
             service.apply_state(
                 DatabaseState.from_facts(V, [("Ping", (True,))])
@@ -343,17 +294,53 @@ class TestServiceSnapshot:
         assert MonitorService.load(path).now == 0
 
     def test_snapshot_refuses_half_applied_update(self, monkeypatch):
-        service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
+        # An entry's table step, or else the past side, fails after the
+        # state passed validation and moved the history.
+        def failing(*args):
+            raise RuntimeError("failure after validation")
 
-        def failing(state):
-            raise RuntimeError("shard failure")
-
-        monkeypatch.setattr(service._shards[1], "append_state", failing)
-        with pytest.raises(RuntimeError):
+        for fault in ("entry", "past"):
+            service = MonitorService(CONSTRAINTS, History.empty(V))
             service.apply(Update.insert(("Sub", (1,))))
-        assert service._shards[0].now != service.now
-        with pytest.raises(StateError, match="half-applied"):
-            service.snapshot()
+            monitor = service._monitor
+            if fault == "entry":
+                monkeypatch.setattr(
+                    lifted_module.LiftedTable, "advance", failing
+                )
+            else:
+                monkeypatch.setattr(monitor._past, "append_state", failing)
+            state = DatabaseState.from_facts(V, [("Fill", (1,))])
+            with pytest.raises(RuntimeError):
+                service.apply_state(state)
+            monkeypatch.undo()
+            assert service.now == 2
+            with pytest.raises(StateError, match="half-applied"):
+                service.snapshot()
+            with pytest.raises(StateError, match="half-applied"):
+                monitor.snapshot_entries()
+            with pytest.raises(StateError, match="instant 2"):
+                service.apply(Update.insert(("Sub", (2,))))
+            with pytest.raises(StateError, match="half-applied"):
+                monitor.append_state(DatabaseState.empty(V))
+            assert service.now == 2
+            assert service.sessions() == {"default": 1}
+
+    def test_refused_state_leaves_the_service_savable(self):
+        # A state over another vocabulary is refused before it moves the
+        # history, so the service stays whole at its old instant.
+        service = MonitorService(CONSTRAINTS, History.empty(V))
+        service.apply(Update.insert(("Sub", (1,))))
+        other = vocabulary({"Other": 1})
+        with pytest.raises(SchemaError):
+            service.apply_state(
+                DatabaseState.from_facts(other, [("Other", (1,))])
+            )
+        restored = MonitorService.restore(service.snapshot())
+        assert restored.now == service.now == 1
+        state = DatabaseState.from_facts(V, [("Sub", (1,))])
+        assert _report_key(restored.apply_state(state)) == _report_key(
+            service.apply_state(state)
+        )
 
     def test_restore_rejects_wrong_format(self):
         with pytest.raises(StateError, match="format"):
@@ -366,28 +353,30 @@ class TestServiceSnapshot:
         with pytest.raises(StateError, match="shards"):
             MonitorService.restore(data)
 
-    def _two_shard_snapshot(self):
-        service = MonitorService(CONSTRAINTS, History.empty(V), shards=2)
+    def _order(self):
+        """The saved monitor's registration order."""
+        service = MonitorService(CONSTRAINTS, History.empty(V))
         service.apply(Update.insert(("Ping", (1,))))
-        return json.loads(json.dumps(service.snapshot()))
+        data = json.loads(json.dumps(service.snapshot()))
+        return data, data["shards"][0]["order"]
 
     def test_restore_rejects_order_missing_a_constraint(self):
         # Restored, the service would report no verdict for ping_once.
-        data = self._two_shard_snapshot()
-        data["order"].remove("ping_once")
+        data, order = self._order()
+        order.remove("ping_once")
         with pytest.raises(StateError, match=r"missing \['ping_once'\]"):
             MonitorService.restore(data)
 
     def test_restore_rejects_order_repeating_a_constraint(self):
-        data = self._two_shard_snapshot()
-        data["order"].append("once")
+        data, order = self._order()
+        order.append("once")
         with pytest.raises(StateError, match=r"repeated \['once'\]"):
             MonitorService.restore(data)
 
     def test_restore_rejects_order_naming_an_unknown_constraint(self):
-        # Restored, the first update would fail after the shards moved.
-        data = self._two_shard_snapshot()
-        data["order"].append("ghost")
+        # Restored, the first update would fail half-way.
+        data, order = self._order()
+        order.append("ghost")
         with pytest.raises(StateError, match=r"extra \['ghost'\]"):
             MonitorService.restore(data)
 
@@ -408,7 +397,7 @@ MALFORMED_FIELDS = {
     "table_nodes": (ENTRY + ("nodes",), 5),
     "table_states": (ENTRY + ("states",), 5),
     "table_witnesses": (ENTRY + ("witnesses",), 5),
-    "order": (("order",), 5),
+    "order": (("shards", 0, "order"), 5),
     "shards": (("shards",), 5),
     "entries": (("shards", 0, "entries"), 5),
     "violated_at_text": (ENTRY + ("violated_at",), "soon"),

@@ -30,6 +30,12 @@ class TestConstruction:
         with pytest.raises(SchemaError, match="undeclared"):
             History.from_facts(VPLAIN, [[]], {"nope": 1})
 
+    def test_bool_binding_rejected(self):
+        # bool is an int subclass; a binding, like a fact's element, must
+        # still be a plain natural.
+        with pytest.raises(SchemaError, match="natural"):
+            History.from_facts(V, [[]], {"c": True})
+
     def test_constant_lookup(self):
         h = History.from_facts(V, [[]], {"c": 7})
         assert h.constant("c") == 7

@@ -76,6 +76,16 @@ class TestStateValidation:
         with pytest.raises(StateError, match="vocabulary"):
             history_from_dict({"states": []})
 
+    def test_constant_bindings_must_be_a_mapping(self):
+        with pytest.raises(StateError, match="constant_bindings"):
+            history_from_dict(
+                {
+                    "vocabulary": {"predicates": {"Sub": 1}},
+                    "constant_bindings": [1],
+                    "states": [{}],
+                }
+            )
+
     def test_vocabulary_arity_must_be_nonnegative_int(self):
         with pytest.raises(StateError):
             vocabulary_from_dict({"predicates": {"Sub": -1}})

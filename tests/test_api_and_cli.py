@@ -103,10 +103,11 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--shards", "0"], ["--shards", "-2"], ["--stop-at", "-3"]],
+        [["--shards", "2"], ["--stop-at", "soon"], ["--stop-at", "-3"]],
     )
     def test_serve_refuses_out_of_range_flags(self, history_file, flags):
-        # A usage error, not exit 1, which would read as a violation.
+        # A usage error, not exit 1, which would read as a violation; the
+        # service has one monitor, so --shards is an unknown flag.
         with pytest.raises(SystemExit) as exit_info:
             main(
                 [
@@ -137,7 +138,7 @@ class TestCLI:
             ]
         )
         assert code == 0
-        assert "(instant 0," in capsys.readouterr().out
+        assert "(instant 0)" in capsys.readouterr().out
         data = json.loads(snapshot.read_text())
         assert len(data["history"]["states"]) == 1
         # A snapshot already past the bound replays nothing more.
@@ -158,3 +159,47 @@ class TestCLI:
         assert resumed.read_text() == snapshot.read_text()
         # Without a bound the run goes on to the duplicate at t=2.
         assert main(["serve", history_file, "--resume-from", str(snapshot)]) == 1
+
+    @pytest.mark.parametrize("command", ["check", "monitor", "serve"])
+    def test_missing_history_is_an_input_error(self, tmp_path, command, capsys):
+        once = "forall x . G (Sub(x) -> X G !Sub(x))"
+        missing = str(tmp_path / "missing.json")
+        argv = (
+            [command, once, missing]
+            if command == "check"
+            else [command, missing, "--constraint", once]
+        )
+        assert main(argv) == 2
+        assert "missing.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "monitor", "serve"])
+    def test_truncated_history_is_an_input_error(
+        self, history_file, tmp_path, command, capsys
+    ):
+        once = "forall x . G (Sub(x) -> X G !Sub(x))"
+        truncated = tmp_path / "truncated.json"
+        text = open(history_file, encoding="utf-8").read()
+        truncated.write_text(text[: len(text) // 2])
+        argv = (
+            [command, once, str(truncated)]
+            if command == "check"
+            else [command, str(truncated), "--constraint", once]
+        )
+        assert main(argv) == 2
+        assert "truncated.json" in capsys.readouterr().err
+
+    def test_truncated_snapshot_is_an_input_error(
+        self, history_file, tmp_path, capsys
+    ):
+        once = "forall x . G (Sub(x) -> X G !Sub(x))"
+        snapshot = tmp_path / "snapshot.json"
+        argv = ["serve", history_file, "--constraint", once, "--stop-at", "1"]
+        assert main([*argv, "--snapshot-out", str(snapshot)]) == 0
+        text = snapshot.read_text()
+        snapshot.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        assert main(["serve", history_file, "--resume-from", str(snapshot)]) == 2
+        assert "snapshot.json" in capsys.readouterr().err
+        missing = str(tmp_path / "gone.json")
+        assert main(["serve", history_file, "--resume-from", missing]) == 2
+        assert "gone.json" in capsys.readouterr().err

@@ -125,24 +125,11 @@ class TestGenerator:
 
 
 class TestServiceIntegration:
-    def test_multi_field_set_shards_by_field(self):
-        specs = (StalenessSpec("price", 2), StalenessSpec("quote", 2))
-        constraints = staleness_constraints(specs)
-        service = MonitorService(
-            constraints,
-            History.empty(staleness_vocabulary(specs)),
-            shards=4,
-        )
-        # Each field's stamp/use/drop relations are private to the
-        # field, so the partition gives one shard per field.
-        assert service.shard_count == 2
-
     def test_end_to_end_detection_through_service(self):
         trace = trace_with_stale_use(length=18, budget=2, at=10)
         service = MonitorService(
             staleness_constraints((StalenessSpec("price", 2),)),
             History.empty(trace.vocabulary),
-            shards=2,
         )
         for state in trace.states():
             service.apply_state(state, session="feed")
