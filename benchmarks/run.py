@@ -350,8 +350,8 @@ def bench_e6_monitoring_resumed(smoke: bool) -> dict[str, dict[str, Any]]:
     stand-in for a fresh interpreter.  ``restore_latency_s`` times
     ``monitor_from_dict`` alone — the Lemma 4.2 resume cost, independent
     of how much history precedes the cut — and ``snapshot_bytes`` the
-    serialized size (O(t) for the history log, O(1) live state per
-    constraint).  The harness asserts ``resumed_match`` (violation map
+    serialized size (the state at the cut plus the live state per
+    constraint; no history log).  The harness asserts ``resumed_match`` (violation map
     equality with the uninterrupted reference) and
     ``remainders_identical`` (pointer identity of final remainders,
     exact via hash-consing) before writing the report; a stale memo

@@ -13,7 +13,7 @@ evaluator and progresses the rest.  The other classes are reports
 
 ``past-closed``
     ``forall* . G A`` with ``A`` past-only: the exact shape
-    :func:`repro.pasteval.monitor.past_body` accepts, checkable at
+    :func:`past_body` accepts, checkable at
     history-less cost with no satisfiability engine at all.
 ``bounded-future``
     The NNF tense skeleton uses no temporal operator beyond ``X``: every
@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from ..errors import ClassificationError
 from ..logic.classify import (
     is_past_formula,
     is_pure_first_order,
@@ -58,6 +59,7 @@ from ..logic.formulas import (
     Eq,
     Eventually,
     FalseFormula,
+    Forall,
     Formula,
     Next,
     Not,
@@ -306,6 +308,34 @@ def is_past_closed(formula: Formula) -> bool:
     """
     _prefix, matrix = strip_universal_prefix(formula)
     return isinstance(matrix, Always) and is_past_formula(matrix.body)
+
+
+def past_body(constraint: Formula) -> Formula:
+    """``forall* A`` for a past-closed ``forall* G A``: the formula the
+    monitor's history-less evaluator checks at every instant.
+
+    Raises
+    ------
+    ClassificationError
+        If the constraint is not of the ``forall* G (past)`` shape.
+    """
+    prefix, matrix = strip_universal_prefix(constraint)
+    if not isinstance(matrix, Always):
+        raise ClassificationError(
+            "a past-closed constraint has the form "
+            "'forall* . G (past formula)' (Proposition 2.1); the matrix "
+            f"is not of the form G A: {matrix}"
+        )
+    body = matrix.body
+    if not is_past_formula(body):
+        raise ClassificationError(
+            "the body under G must be a past formula; "
+            f"found future connectives in: {body}"
+        )
+    result: Formula = body
+    for variable in reversed(prefix):
+        result = Forall(variable, result)
+    return result
 
 
 def classify_ptl_hierarchy(formula: PTLFormula) -> HierarchyInfo:

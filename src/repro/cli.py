@@ -24,7 +24,8 @@ Subcommands:
 * ``serve``    — stream a history through the monitor service
   (:class:`repro.service.MonitorService`); ``--stop-at``/``--snapshot-out``
   checkpoint mid-stream and ``--resume-from`` resumes a killed run with
-  identical verdicts (DESIGN.md §12).
+  identical verdicts (DESIGN.md §12), refusing a history whose state at
+  the snapshot's instant is not the snapshot's.
 * ``experiment`` — run one of the paper-claim experiments (E1..E9, A1..A3)
   and print its table.
 
@@ -32,7 +33,7 @@ Exit codes are scriptable (CI-friendly): 0 — success / no findings;
 1 — analysis failure (constraint violated, lint errors, non-decidable
 class under ``classify --strict``); 2 — usage or input errors (syntax
 errors, unknown experiment, missing, unreadable or malformed history and
-snapshot files).
+snapshot files, a history that does not continue the resumed snapshot).
 """
 
 from __future__ import annotations
@@ -517,10 +518,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   "constraint set comes from the snapshot", file=sys.stderr)
             return 2
         service = MonitorService.load(args.resume_from)
-        if service.now >= len(history) - 1:
-            print(f"snapshot is already at instant {service.now}; "
+        now = service.now
+        if now < len(history) and history.states[now] != service.current:
+            print(f"the history's state at instant {now} is not the "
+                  "snapshot's: it does not continue the snapshotted run",
+                  file=sys.stderr)
+            return 2
+        if now >= len(history) - 1:
+            print(f"snapshot is already at instant {now}; "
                   "nothing left to replay")
-        states = history.states[service.now + 1:]
+        states = history.states[now + 1:]
     else:
         if not args.constraint:
             print("--constraint is required unless --resume-from is given",
@@ -723,7 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "the replay (or after --stop-at)")
     serve.add_argument("--resume-from", metavar="PATH",
                        help="restore the service from a snapshot and "
-                       "replay only the remaining states")
+                       "replay only the remaining states (the history's "
+                       "state at the snapshot's instant must be the "
+                       "snapshot's)")
     serve.set_defaults(func=_cmd_serve)
 
     exp = sub.add_parser("experiment", help="run a paper-claim experiment")

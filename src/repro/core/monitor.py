@@ -9,12 +9,19 @@ constraint as its only history-dependent state, so an update costs one
 progression step plus one satisfiability check, independent of ``t``.
 
 Constraints of the ``forall* G (past)`` shape (Proposition 2.1) need none
-of this.  The monitor sends them at construction to one internal
-:class:`repro.pasteval.monitor.PastMonitor`, which evaluates the past body
-at each new instant at history-less cost with no satisfiability engine,
-and progresses the rest.  The split is the syntactic test
-:func:`repro.analysis.hierarchy.is_past_closed`, and one report per update
-merges both sides in registration order.
+of this.  The monitor holds each of them as an entry with its own
+:class:`~repro.pasteval.incremental.IncrementalPastEvaluator`, which
+evaluates the past body at each new instant at history-less cost with no
+satisfiability engine, and progresses the rest.  The split is the
+syntactic test :func:`repro.analysis.hierarchy.is_past_closed`; the
+entries of both kinds sit in one list in registration order, and one pass
+per update steps them all.
+
+Neither kind reads the history, so the monitor keeps none: only the
+vocabulary, the constant bindings, the state at :attr:`IntegrityMonitor
+.now` and the entries.  Its checkpoint is the entries' tables
+(:meth:`IntegrityMonitor.snapshot_entries`), and a restore decodes them
+without replaying anything (Lemma 4.2; DESIGN.md §12).
 
 The monitor works in the progression kernel's id space throughout
 (:mod:`repro.ptl.progkernel`), and holds each progressed constraint as a
@@ -42,9 +49,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from ..analysis.hierarchy import is_past_closed
+from ..analysis.hierarchy import is_past_closed, past_body
 from ..database.history import History
 from ..database.state import DatabaseState
 from ..database.updates import Update
@@ -58,6 +65,7 @@ from ..logic.classify import FormulaInfo
 from ..logic.formulas import Formula
 from ..ptl.bitset import BuchiKernel
 from ..ptl.formulas import PTLFormula
+from ..pasteval.incremental import IncrementalPastEvaluator, Table
 from ..ptl.progkernel import ProgKernelInfo, ProgressionKernel
 from .checker import validate_constraint
 from .grounding import Anon, Placeholder
@@ -72,9 +80,6 @@ from .lifted import (
 )
 from .plan import MonitorPlan, plan_constraints
 from .reduction import check_vocabulary
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..pasteval.monitor import PastMonitor
 
 #: Bound of the monitor-wide satisfiability memo, in remainders.
 _SAT_CACHE_SIZE = 4096
@@ -93,11 +98,11 @@ class MonitorStats:
     harness can report where time goes.
 
     ``past_updates``/``past_memory`` are filled for past-closed
-    constraints, by the monitor's
-    :class:`repro.pasteval.monitor.PastMonitor` side — updates evaluated
-    by the incremental past evaluator and its current table footprint
-    (entries, not bytes) — so a mixed set reports one coherent stats
-    object across both sides.
+    constraints: the states the entry's incremental past evaluator has
+    consumed (it stops, as a progressed entry does, at the violation) and
+    its current table footprint (rows, not bytes), with ``progress_time``
+    carrying the evaluation seconds; so a mixed set reports one stats
+    shape for both kinds.
 
     ``stream_updates`` is filled by :class:`repro.service.MonitorService`:
     per-session counts of the updates this stats object's owner has
@@ -165,6 +170,19 @@ class _ConstraintEntry:
     stats: MonitorStats = field(default_factory=MonitorStats)
 
 
+@dataclass
+class _PastEntry:
+    name: str
+    constraint: Formula
+    # The past body's evaluator, which keeps the previous instant's tables.
+    evaluator: IncrementalPastEvaluator
+    violated_at: int | None = None
+    stats: MonitorStats = field(default_factory=MonitorStats)
+
+
+#: A monitored constraint: progressed, or past-closed.
+_Entry = _ConstraintEntry | _PastEntry
+
 #: One table row: a template-state id and the tuples in that state.
 TableRow = tuple[int, tuple[Tuple, ...]]
 
@@ -222,6 +240,22 @@ class EntrySnapshot:
 
 
 @dataclass(frozen=True)
+class PastSnapshot:
+    """The complete resume state of one past-closed constraint: its
+    evaluator's seen-set and the previous-instant tables of its memory
+    slots (:meth:`~repro.pasteval.incremental.IncrementalPastEvaluator
+    .resume`), by slot number.  A violated entry never steps again, so it
+    keeps neither."""
+
+    name: str
+    constraint: Formula
+    seen: frozenset[int]
+    tables: Mapping[int, Table]
+    violated_at: int | None
+    stats: MonitorStats
+
+
+@dataclass(frozen=True)
 class UpdateReport:
     """Result of applying one update.
 
@@ -249,13 +283,14 @@ class IntegrityMonitor:
     constraints.
 
     Constraints are routed once, at construction, by
-    :func:`repro.analysis.hierarchy.is_past_closed`.  Past-closed ones
-    (``forall* G A`` with ``A`` past-only) go to one internal
-    :class:`repro.pasteval.monitor.PastMonitor` and are checked at
-    history-less cost with no satisfiability engine; a past body that
-    names an undeclared relation or an unbound constant is refused here
-    (:class:`~repro.errors.SchemaError`,
-    :class:`~repro.errors.EvaluationError`).  Every other constraint is
+    :func:`repro.analysis.hierarchy.is_past_closed`.  Each past-closed one
+    (``forall* G A`` with ``A`` past-only) becomes an entry holding an
+    :class:`~repro.pasteval.incremental.IncrementalPastEvaluator` for
+    ``forall* A``, checked at history-less cost with no satisfiability
+    engine; a past body that names an undeclared relation or an unbound
+    constant is refused here (:class:`~repro.errors.SchemaError`,
+    :class:`~repro.errors.EvaluationError`).  Such an entry is violated at
+    the first instant where ``A`` fails.  Every other constraint is
     progressed.  :attr:`plan` labels the split for ``repro-tic plan``
     (:mod:`repro.core.plan`).
 
@@ -265,11 +300,15 @@ class IntegrityMonitor:
     constraint with error diagnostics (:class:`repro.errors.LintError`
     listing all of them), ``lint="off"`` skips the gate.  Past-closed
     constraints are validated by shape instead
-    (:func:`repro.pasteval.monitor.past_body`): the TIC004 reduction lint
+    (:func:`repro.analysis.hierarchy.past_body`): the TIC004 reduction lint
     does not apply to an engine that never grounds.
 
-    Each update takes the Lemma 4.2 step once per live progressed
-    constraint: progress its table, then decide it.  Template grounding,
+    The monitor keeps no history: the initial one goes through the update
+    path at construction, and then only the state at :attr:`now`
+    (:attr:`current`) is kept.  Each update steps every live entry once,
+    in registration order: a past-closed entry evaluates its body, and a
+    progressed entry takes the Lemma 4.2 step (progress its table, then
+    decide it).  A violated entry of either kind is frozen.  Template grounding,
     progression and the all-false model check run on the ids of one
     table-driven :class:`repro.ptl.progkernel.ProgressionKernel`, and
     Büchi decisions on one bitset :class:`repro.ptl.bitset.BuchiKernel`,
@@ -314,14 +353,10 @@ class IntegrityMonitor:
                 f"constraint_{index}": formula
                 for index, formula in enumerate(constraints)
             }
-        past = {
-            name: formula
-            for name, formula in constraints.items()
-            if is_past_closed(formula)
-        }
-        self._setup(initial, constraints, past, assume_safety=assume_safety)
+        self._setup(initial, -1, assume_safety=assume_safety)
         for name, formula in constraints.items():
-            if name in past:
+            if is_past_closed(formula):
+                self._entries.append(self._past_entry(name, formula))
                 continue
             info = validate_constraint(
                 formula, assume_safety=assume_safety, lint=lint
@@ -333,31 +368,29 @@ class IntegrityMonitor:
         # The initial history goes through the update path, decided at
         # every instant, so a violation is reported at the first instant
         # whose prefix fails.
-        for instant, state in enumerate(initial.states):
-            for entry in self._entries:
-                if entry.violated_at is None:
-                    self._advance(entry, state)
-                    self._decide(entry, instant)
+        for state in initial.states:
+            self._recheck(state)
 
     def _setup(
         self,
-        history: History,
-        constraints: Mapping[str, Formula],
-        past: Mapping[str, Formula],
+        current: History,
+        now: int,
         *,
         assume_safety: bool,
         kernel: ProgressionKernel | None = None,
     ) -> None:
-        """The settings, empty caches (or the given progression kernel)
-        and past side shared by construction and restore; progressed
-        entries are added by the caller."""
+        """The settings and empty caches (or the given progression
+        kernel) shared by construction and restore, over ``current``'s
+        vocabulary, constant bindings and last state; the entries are
+        added by the caller."""
         self._assume_safety = assume_safety
-        self._history = history
+        self._vocabulary = current.vocabulary
+        self._bindings = dict(current.constant_bindings)
+        self._current = current.current
+        self._now = now
         # The instant of an update whose recheck has not returned: set
         # while the entries step, and left set if one raises.
         self._unsettled: int | None = None
-        # Registration order, which every merged report follows.
-        self._constraints = dict(constraints)
         self._plan: MonitorPlan | None = None
         # Monitor-wide satisfiability memo, shared across constraints and
         # keyed by kernel id: template states (and, for shared-letter
@@ -369,20 +402,8 @@ class IntegrityMonitor:
         self._sat_cache_resets = 0
         self._buchi = BuchiKernel()
         self._progkernel = ProgressionKernel() if kernel is None else kernel
-        self._entries: list[_ConstraintEntry] = []
-        self._past: PastMonitor | None = None
-        if past:
-            from ..pasteval.monitor import PastMonitor
-
-            self._past = PastMonitor(
-                past,
-                history.vocabulary,
-                constant_bindings=history.constant_bindings,
-            )
-            # PastMonitor starts before instant 0; replay the history so
-            # both sides agree on "now".
-            for state in history.states:
-                self._past.append_state(state)
+        # Every constraint, in registration order.
+        self._entries: list[_Entry] = []
 
     def _entry(
         self, name: str, constraint: Formula, info: FormulaInfo
@@ -390,7 +411,7 @@ class IntegrityMonitor:
         """A progressed entry with its templates compiled and its table
         still empty."""
         table, predicates, disjoint = constraint_table(
-            self._progkernel, info, self._history.constant_bindings
+            self._progkernel, info, self._bindings
         )
         return _ConstraintEntry(
             name=name,
@@ -401,51 +422,61 @@ class IntegrityMonitor:
             predicates=predicates,
         )
 
+    def _past_entry(self, name: str, constraint: Formula) -> _PastEntry:
+        """A past-closed entry whose evaluator has consumed no state."""
+        body = past_body(constraint)
+        for symbol in sorted(c.name for c in body.constants()):
+            if symbol not in self._bindings:
+                raise EvaluationError(
+                    f"constant symbol {symbol!r} of constraint {name!r} "
+                    "is not bound"
+                )
+        try:
+            evaluator = IncrementalPastEvaluator(body, self._vocabulary)
+        except SchemaError as exc:
+            raise SchemaError(f"constraint {name!r}: {exc}") from None
+        for symbol, value in self._bindings.items():
+            evaluator.bind_constant(symbol, value)
+        return _PastEntry(name=name, constraint=constraint, evaluator=evaluator)
+
     # -- public surface ------------------------------------------------------
 
     @property
-    def history(self) -> History:
-        """The monitored history (grows with every update)."""
-        return self._history
+    def current(self) -> DatabaseState:
+        """The state at :attr:`now`, which :meth:`apply` applies its
+        update to."""
+        return self._current
 
     @property
     def now(self) -> int:
-        return self._history.now
+        return self._now
 
     @property
     def constraints(self) -> dict[str, Formula]:
         """Every monitored constraint, in registration order."""
-        return dict(self._constraints)
+        return {entry.name: entry.constraint for entry in self._entries}
 
     @property
     def plan(self) -> MonitorPlan:
         """The dispatch plan this monitor executes, built on first read
         (the skeleton walk of every constraint is not needed to route)."""
         if self._plan is None:
-            self._plan = plan_constraints(self._constraints)
+            self._plan = plan_constraints(self.constraints)
         return self._plan
 
     def violations(self) -> dict[str, int]:
         """Violated constraints and the instant each was first violated,
         in registration order."""
-        found = {
+        return {
             entry.name: entry.violated_at
             for entry in self._entries
             if entry.violated_at is not None
         }
-        if self._past is not None:
-            found.update(self._past.violations())
-        return {
-            name: found[name] for name in self._constraints if name in found
-        }
 
     def stats(self) -> dict[str, MonitorStats]:
         """Per-constraint work counters, one :class:`MonitorStats` shape
-        for both sides."""
-        merged = {entry.name: entry.stats for entry in self._entries}
-        if self._past is not None:
-            merged.update(self._past.stats())
-        return {name: merged[name] for name in self._constraints}
+        for both kinds."""
+        return {entry.name: entry.stats for entry in self._entries}
 
     def cache_info(self) -> dict[str, int]:
         """Sizes and resets of everything the monitor holds (bounds in
@@ -466,15 +497,14 @@ class IntegrityMonitor:
           bounded and evicted, ids and letter bits are not.
         """
         kernel = self._progkernel.info()
+        tables = [entry.table for entry in self._progressed()]
         return {
             "sat_cache_entries": len(self._sat_cache),
             "sat_cache_resets": self._sat_cache_resets,
             "buchi_states": self._buchi.stats()["states"],
             "buchi_resets": self._buchi.resets,
-            "table_tuples": sum(entry.table.size() for entry in self._entries),
-            "rename_memo": sum(
-                len(entry.table.renamed) for entry in self._entries
-            ),
+            "table_tuples": sum(table.size() for table in tables),
+            "rename_memo": sum(len(table.renamed) for table in tables),
             "kernel_obligations": kernel.obligations,
             "kernel_letters": kernel.letters,
             "kernel_transitions": kernel.transitions,
@@ -490,14 +520,12 @@ class IntegrityMonitor:
     def reset(self) -> None:
         """Zero every per-constraint work counter.
 
-        Monitoring state (history, remainders, violations) is untouched:
+        Monitoring state (tables, remainders, violations) is untouched:
         this exists so benchmark shapes measuring successive phases on one
         monitor cannot leak counters across runs.
         """
         for entry in self._entries:
             entry.stats.reset()
-        if self._past is not None:
-            self._past.reset()
 
     def remainders(self) -> dict[str, PTLFormula]:
         """The current progressed remainder of each progressed constraint,
@@ -506,7 +534,7 @@ class IntegrityMonitor:
         appear here."""
         return {
             entry.name: self._progkernel.formula(entry.table.remainder())
-            for entry in self._entries
+            for entry in self._progressed()
         }
 
     # -- snapshot / restore --------------------------------------------------
@@ -515,22 +543,45 @@ class IntegrityMonitor:
         """The constructor settings a restore must be performed with."""
         return {"assume_safety": self._assume_safety}
 
-    def snapshot_entries(self) -> list[EntrySnapshot]:
-        """Export every progressed constraint's resume state (see
-        :class:`EntrySnapshot`).
+    def snapshot_current(self) -> History:
+        """The state at :attr:`now` as a one-state history, with the
+        vocabulary and constant bindings a restore is performed over."""
+        return History(
+            vocabulary=self._vocabulary,
+            states=(self._current,),
+            constant_bindings=self._bindings,
+        )
+
+    def snapshot_entries(self) -> list[EntrySnapshot | PastSnapshot]:
+        """Export every constraint's resume state, in registration order
+        (see :class:`EntrySnapshot` and :class:`PastSnapshot`).
 
         The monitor itself is left untouched — taking a snapshot is
         observationally free.  The rows are copied as kernel ids, and a
         node is built only when :attr:`EntrySnapshot.remainder` is read.
         A live entry leaves out each witness tuple that is its pattern's
         own and whose state a restore recomputes (:meth:`from_snapshot`);
-        a violated entry, which never steps again, keeps no witnesses.
+        a violated entry, which never steps again, keeps no witnesses and,
+        if past-closed, no tables.
         After a half-applied update (:meth:`append_state`) this raises
         :class:`~repro.errors.StateError`.
         """
         self._require_settled()
-        out: list[EntrySnapshot] = []
+        out: list[EntrySnapshot | PastSnapshot] = []
         for entry in self._entries:
+            if isinstance(entry, _PastEntry):
+                live = entry.violated_at is None
+                out.append(
+                    PastSnapshot(
+                        name=entry.name,
+                        constraint=entry.constraint,
+                        seen=entry.evaluator.seen if live else frozenset(),
+                        tables=entry.evaluator.memory() if live else {},
+                        violated_at=entry.violated_at,
+                        stats=MonitorStats.from_dict(entry.stats.as_dict()),
+                    )
+                )
+                continue
             table = entry.table
             witnesses: tuple[TableRow, ...] = ()
             if entry.violated_at is None:
@@ -564,98 +615,92 @@ class IntegrityMonitor:
     @classmethod
     def from_snapshot(
         cls,
-        history: History,
-        order: Sequence[str],
-        past: Mapping[str, Formula],
-        entries: Sequence[EntrySnapshot],
+        current: History,
+        now: int,
+        entries: Sequence[EntrySnapshot | PastSnapshot],
         *,
         assume_safety: bool = False,
     ) -> "IntegrityMonitor":
-        """Rebuild a monitor from snapshot state, resuming mid-history.
+        """Rebuild a monitor from snapshot state, resuming at instant
+        ``now``, whose state is ``current``'s one state; ``entries`` lists
+        every constraint once, in registration order.
 
-        The table *is* the evaluation (DESIGN.md §12), so no history
-        prefix is re-progressed and no satisfiability call is made here.
-        The monitor adopts the entries' kernel as its own, so their rows
+        The tables *are* the evaluation (DESIGN.md §12), so nothing is
+        replayed and no satisfiability call is made here.  The monitor
+        adopts the progressed entries' kernel as its own, so their rows
         are its ids as they stand, and each entry's templates are compiled
         again into it (hash consing makes the restored states, and so the
         remainders, pointer-identical to what an uninterrupted run would
         hold, which the resume-equivalence property test asserts with
         ``is``).  Witness tuples left out of the snapshot are the
-        patterns' own, recomputed from the template and ``history.now``.
-        Violated entries come back frozen at their recorded instant.  The
-        past-closed constraints in ``past`` are rebuilt by replaying
-        ``history`` through the history-less tables: table updates only,
-        no grounding and no satisfiability call.
+        patterns' own, recomputed from the template and ``now``.  A
+        past-closed entry's evaluator resumes from its seen-set and memory
+        tables.  Violated entries come back frozen at their recorded
+        instant.
 
-        ``order`` must list every constraint of ``past`` and ``entries``
-        exactly once, and the split must be the one
-        :func:`~repro.analysis.hierarchy.is_past_closed` gives.  Every
-        constraint must be one the constructor accepts over ``history``,
-        relations, arities and constants included, and every row must
-        hold tuples of the constraint's arity over its absorbed elements.
-        If not, this raises :class:`~repro.errors.StateError` naming the
-        constraint.
+        Every constraint must be one the constructor accepts over
+        ``current``, every progressed row must hold tuples of the
+        constraint's arity over its absorbed elements, and every past
+        table must be one its evaluator could hold
+        (:meth:`~repro.pasteval.incremental.IncrementalPastEvaluator.resume`).
+        If not, or if a name is listed twice, this raises
+        :class:`~repro.errors.StateError` naming the constraint.
 
         Pure caches are rebuilt empty: the satisfiability memo and the
         kernels' tables refill on demand, so only cache-hit counters —
         never verdicts, violations or remainders — can differ from the
         uninterrupted run.
         """
-        _require_names(
-            "monitor snapshot order",
-            list(order),
-            [*past, *(snap.name for snap in entries)],
-        )
-        for name, formula in past.items():
-            if not is_past_closed(formula):
-                raise StateError(
-                    f"monitor snapshot lists {name!r} as past-closed, but "
-                    "it is not of the forall* G (past) form"
-                )
-        for snap in entries:
-            if is_past_closed(snap.constraint):
-                raise StateError(
-                    f"monitor snapshot progresses {snap.name!r}, but it is "
-                    "past-closed and must be listed as such"
-                )
-        by_name = {
-            **past,
-            **{snap.name: snap.constraint for snap in entries},
-        }
-        monitor = cls.__new__(cls)
-        try:
-            monitor._setup(
-                history,
-                {name: by_name[name] for name in order},
-                past,
-                assume_safety=assume_safety,
-                kernel=entries[0].kernel if entries else None,
-            )
-        except (SchemaError, EvaluationError) as exc:
+        names = [snap.name for snap in entries]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
             raise StateError(
-                f"monitor snapshot past constraint cannot be evaluated: {exc}"
-            ) from None
+                f"monitor snapshot lists the constraints {repeated} twice"
+            )
+        kernels = [s.kernel for s in entries if isinstance(s, EntrySnapshot)]
+        monitor = cls.__new__(cls)
+        monitor._setup(
+            current,
+            now,
+            assume_safety=assume_safety,
+            kernel=next(iter(kernels), None),
+        )
         for snap in entries:
             try:
-                info = validate_constraint(
-                    snap.constraint, assume_safety=assume_safety, lint="off"
-                )
-                check_vocabulary(history, info)
-            except (ClassificationError, SchemaError) as exc:
+                entry = monitor._restored(snap, current)
+            except (ClassificationError, EvaluationError, SchemaError) as exc:
                 raise StateError(
                     f"monitor snapshot constraint {snap.name!r} cannot be "
                     f"monitored: {exc}"
                 ) from None
-            entry = monitor._entry(snap.name, snap.constraint, info)
             entry.violated_at = snap.violated_at
             entry.stats = MonitorStats.from_dict(snap.stats.as_dict())
-            monitor._load(entry, snap, history.now)
             monitor._entries.append(entry)
         return monitor
 
-    def _load(
-        self, entry: _ConstraintEntry, snap: EntrySnapshot, now: int
-    ) -> None:
+    def _restored(
+        self, snap: EntrySnapshot | PastSnapshot, current: History
+    ) -> _Entry:
+        """The entry ``snap`` describes, its table or evaluator filled."""
+        if isinstance(snap, PastSnapshot):
+            past = self._past_entry(snap.name, snap.constraint)
+            if snap.violated_at is None:
+                try:
+                    past.evaluator.resume(snap.seen, snap.tables)
+                except StateError as exc:
+                    raise StateError(
+                        f"monitor snapshot entry {snap.name!r}: {exc}"
+                    ) from None
+            return past
+        info = validate_constraint(
+            snap.constraint, assume_safety=self._assume_safety, lint="off"
+        )
+        check_vocabulary(current, info)
+        entry = self._entry(snap.name, snap.constraint, info)
+        self._load(entry, snap)
+        return entry
+
+    def _load(self, entry: _ConstraintEntry, snap: EntrySnapshot) -> None:
         """Fill a restored entry's table from its snapshot rows."""
         table = entry.table
         kernel = self._progkernel
@@ -670,7 +715,7 @@ class IntegrityMonitor:
                 for values in tuples:
                     _check_tuple(entry, values, witness)
                     table.put(values, state)
-        if entry.violated_at is not None or table.const_letters:
+        if snap.violated_at is not None or table.const_letters:
             return
         # A pattern's own witness has seen all-false valuations at every
         # instant so far: its template stepped now + 1 times on the empty
@@ -680,7 +725,7 @@ class IntegrityMonitor:
                 continue
             state = template.root
             seen: dict[int, int] = {}
-            steps = now + 1
+            steps = self._now + 1
             while steps:
                 if state in seen:
                     steps %= len(seen) - seen[state]
@@ -692,26 +737,34 @@ class IntegrityMonitor:
             table.put(pattern, state)
 
     def is_satisfied(self, name: str) -> bool:
-        if name not in self._constraints:
-            raise KeyError(name)
-        return name not in self.violations()
+        for entry in self._entries:
+            if entry.name == name:
+                return entry.violated_at is None
+        raise KeyError(name)
 
     def apply(self, update: Update) -> UpdateReport:
-        """Apply an update and re-check every constraint."""
-        return self.append_state(update.apply(self._history.current))
+        """Apply an update to :attr:`current` and re-check every
+        constraint."""
+        return self.append_state(update.apply(self._current))
 
     def append_state(self, state: DatabaseState) -> UpdateReport:
         """Append a full next state (alternative to delta updates).
 
-        A state the vocabulary refuses leaves the monitor as it was.  An
-        exception raised once the state has moved the history leaves the
-        entries part-stepped: from then on every update and
+        A state over another vocabulary is refused with
+        :class:`~repro.errors.SchemaError` and leaves the monitor as it
+        was.  An exception raised once the state has moved :attr:`now`
+        leaves the entries part-stepped: from then on every update and
         :meth:`snapshot_entries` raise :class:`~repro.errors.StateError`.
         """
         self._require_settled()
-        self._history = self._history.extended(state)
-        self._unsettled = self._history.now
-        report = self._recheck()
+        if state.vocabulary is not self._vocabulary and (
+            state.vocabulary != self._vocabulary
+        ):
+            raise SchemaError(
+                "every state must be over the monitor's vocabulary"
+            )
+        self._unsettled = self._now + 1
+        report = self._recheck(state)
         self._unsettled = None
         return report
 
@@ -721,32 +774,48 @@ class IntegrityMonitor:
         if self._unsettled is not None:
             raise StateError(
                 f"the update to instant {self._unsettled} failed after it "
-                "moved the history; a half-applied monitor takes no update "
+                "moved the monitor; a half-applied monitor takes no update "
                 "and no snapshot"
             )
 
-    def _recheck(self) -> UpdateReport:
-        instant = self._history.now
-        state = self._history.current
+    def _progressed(self) -> list[_ConstraintEntry]:
+        return [e for e in self._entries if isinstance(e, _ConstraintEntry)]
+
+    def _recheck(self, state: DatabaseState) -> UpdateReport:
+        """Make ``state`` the next instant's and step every live entry
+        there, in registration order."""
+        self._current = state
+        self._now += 1
+        instant = self._now
         satisfied: dict[str, bool] = {}
-        violated: set[str] = set()
+        violated: list[str] = []
         for entry in self._entries:
             if entry.violated_at is None:
-                self._advance(entry, state)
-                if not self._decide(entry, instant):
-                    violated.add(entry.name)
+                if isinstance(entry, _PastEntry):
+                    ok = self._evaluate(entry, state)
+                else:
+                    self._advance(entry, state)
+                    ok = self._decide(entry)
+                if not ok:
+                    entry.violated_at = instant
+                    violated.append(entry.name)
             satisfied[entry.name] = entry.violated_at is None
-        if self._past is not None:
-            report = self._past.append_state(state)
-            satisfied.update(report.satisfied)
-            violated.update(report.new_violations)
         return UpdateReport(
             instant=instant,
-            satisfied={name: satisfied[name] for name in self._constraints},
-            new_violations=tuple(
-                name for name in self._constraints if name in violated
-            ),
+            satisfied=satisfied,
+            new_violations=tuple(violated),
         )
+
+    def _evaluate(self, entry: _PastEntry, state: DatabaseState) -> bool:
+        """Does the entry's past body hold at the newest state?  Timed
+        and counted."""
+        stats = entry.stats
+        start = time.perf_counter()
+        holds = entry.evaluator.advance(state)
+        stats.progress_time += time.perf_counter() - start
+        stats.past_updates += 1
+        stats.past_memory = entry.evaluator.memory_size
+        return holds
 
     def _advance(self, entry: _ConstraintEntry, state: DatabaseState) -> None:
         """Incorporate the newest state into the entry's table (absorb,
@@ -761,7 +830,7 @@ class IntegrityMonitor:
         stats.kernel_row_hits += kernel.hits - hits_before
         stats.progressions += 1
 
-    def _decide(self, entry: _ConstraintEntry, instant: int) -> bool:
+    def _decide(self, entry: _ConstraintEntry) -> bool:
         """The Lemma 4.2 decision on the entry's distinct template states:
         a ``false`` state fails; a letter-disjoint constraint holds when
         each state is satisfiable on its own (§8's model merge); any other
@@ -770,13 +839,12 @@ class IntegrityMonitor:
         kernel = self._progkernel
         states = entry.table.states
         if kernel.false_id in states:
-            ok = False
-        elif entry.disjoint:
+            return False
+        if entry.disjoint:
             # The memo is read inline: this runs on every update of every
             # letter-disjoint constraint.
             cache = self._sat_cache
             stats = entry.stats
-            ok = True
             for state in states:
                 verdict = cache.get(state)
                 if verdict is None:
@@ -784,17 +852,13 @@ class IntegrityMonitor:
                 else:
                     stats.sat_cache_hits += 1
                 if not verdict:
-                    ok = False
-                    break
-        elif all(kernel.holds_quiescent(state) for state in states):
-            ok = True
-        else:
-            # Each state may be satisfiable while instances sharing a
-            # letter contradict each other, so only the conjunction tells.
-            ok = self._satisfiable(entry, entry.table.remainder())
-        if not ok:
-            entry.violated_at = instant
-        return ok
+                    return False
+            return True
+        if all(kernel.holds_quiescent(state) for state in states):
+            return True
+        # Each state may be satisfiable while instances sharing a letter
+        # contradict each other, so only the conjunction tells.
+        return self._satisfiable(entry, entry.table.remainder())
 
     def _satisfiable(self, entry: _ConstraintEntry, oid: int) -> bool:
         """Is ``oid`` satisfiable: the memo, else the all-false model,
@@ -849,27 +913,4 @@ def _check_tuple(entry: _ConstraintEntry, values: Tuple, witness: bool) -> None:
         raise StateError(
             f"monitor snapshot entry {entry.name!r} holds a tuple its "
             f"table cannot: {values!r:.60}"
-        )
-
-
-def _require_names(
-    what: str, names: Sequence[str], expected: Iterable[str]
-) -> None:
-    """Raise :class:`~repro.errors.StateError` unless ``names`` and
-    ``expected`` list the same constraints, each exactly once."""
-    listed = list(expected)
-    missing = sorted(set(listed).difference(names))
-    extra = sorted({str(name) for name in names if name not in listed})
-    repeated = sorted(
-        {
-            str(name)
-            for sequence in (names, listed)
-            for name in sequence
-            if sequence.count(name) > 1
-        }
-    )
-    if missing or extra or repeated:
-        raise StateError(
-            f"{what} must list every constraint exactly once: missing "
-            f"{missing}, extra {extra}, repeated {repeated}"
         )

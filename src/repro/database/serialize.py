@@ -20,19 +20,18 @@ checkpoint must be distinguishable from a library bug.
 **Monitor snapshots.** :func:`monitor_to_dict` / :func:`monitor_from_dict`
 serialize a whole :class:`repro.core.IntegrityMonitor` mid-history.  The
 paper's Lemma 4.2 loop keeps the progressed remainder as the only
-history-dependent state, so the snapshot is small — remainders plus
-each grounding's relevant set, no derived caches — and restoring a
-progressed constraint is O(1) in the history length (DESIGN.md §12): no
-reground, no prefix re-progression, no satisfiability call.  Past-closed
-constraints are stored as their text only and rebuilt by replaying the
-history through the history-less tables.  PTL remainders are serialized
-*structurally* (:func:`ptl_to_jsonable`) and decoded through the raw node
-constructors, which the hash-consing metaclass interns — so restored
-remainders are pointer-identical to the ones an uninterrupted run holds,
-and the monitor's identity-based fixed-point tests keep working across a
-restart.  A live monitor holds its remainders as progression-kernel ids;
-a save encodes them from the ids into the same tree, without building
-the formula nodes.
+history-dependent state, and the history-less past evaluator its
+previous-instant tables, so the snapshot holds no history: the state at
+``now`` and, per constraint in registration order, its table and relevant
+set, or its evaluator's seen-set and memory tables — no derived caches.
+Restoring is O(1) in the history length (DESIGN.md §12): no reground, no
+replay, no satisfiability call.  PTL states are serialized *structurally*
+and decoded through the raw node constructors, which the hash-consing
+metaclass interns — so restored remainders are pointer-identical to the
+ones an uninterrupted run holds, and the monitor's identity-based
+fixed-point tests keep working across a restart.  A live monitor holds
+its remainders as progression-kernel ids; a save encodes them from the
+ids into the same tree, without building the formula nodes.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Mapping
 
-from ..errors import FormulaError, StateError
+from ..errors import FormulaError, SchemaError, StateError
 from ..ptl.formulas import (
     PAlways,
     PAnd,
@@ -66,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..ptl.progkernel import ProgressionKernel
 
 #: Format tag written into (and required from) monitor snapshots.
-MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v6"
+MONITOR_SNAPSHOT_FORMAT = "repro-monitor-snapshot/v7"
 
 
 def vocabulary_to_dict(vocabulary: Vocabulary) -> dict[str, Any]:
@@ -92,7 +91,13 @@ def vocabulary_from_dict(data: dict[str, Any]) -> Vocabulary:
             )
     return Vocabulary(
         predicates=dict(predicates),
-        constant_symbols=frozenset(data.get("constants", ())),
+        constant_symbols=frozenset(
+            decode_list(
+                data.get("constants", []),
+                "serialized vocabulary 'constants'",
+                str,
+            )
+        ),
     )
 
 
@@ -205,18 +210,28 @@ def lasso_to_dict(lasso: LassoDatabase) -> dict[str, Any]:
 
 
 def lasso_from_dict(data: dict[str, Any]) -> LassoDatabase:
+    decode_mapping(data, "a serialized lasso")
+    for key in ("vocabulary", "stem", "loop"):
+        if key not in data:
+            raise StateError(f"serialized lasso is missing the {key!r} key")
     vocabulary = vocabulary_from_dict(data["vocabulary"])
+    stem, loop = (
+        tuple(
+            state_from_dict(vocabulary, entry, where=f"{part} state {index}")
+            for index, entry in enumerate(
+                decode_list(data[part], f"serialized lasso {part!r}")
+            )
+        )
+        for part in ("stem", "loop")
+    )
+    bindings = data.get("constant_bindings", {})
     return LassoDatabase(
         vocabulary=vocabulary,
-        stem=tuple(
-            state_from_dict(vocabulary, entry, where=f"stem state {index}")
-            for index, entry in enumerate(data["stem"])
+        stem=stem,
+        loop=loop,
+        constant_bindings=dict(
+            decode_mapping(bindings, "serialized lasso 'constant_bindings'")
         ),
-        loop=tuple(
-            state_from_dict(vocabulary, entry, where=f"loop state {index}")
-            for index, entry in enumerate(data["loop"])
-        ),
-        constant_bindings=dict(data.get("constant_bindings", {})),
     )
 
 
@@ -610,38 +625,74 @@ def _rows_from_jsonable(
 
 
 def _entry_to_jsonable(snap: Any) -> dict[str, Any]:
-    """One entry: its table's states once each, as a node list, and its
-    rows in canonical order, so a load-then-save writes the same bytes."""
+    """One entry in canonical order, so a load-then-save writes the same
+    bytes.  A progressed entry holds its table's states once each, as a
+    node list, and its rows; a past-closed one its evaluator's seen-set
+    and memory tables (sorted ``[slot, rows]`` pairs)."""
+    from ..core.lifted import tuple_key
+    from ..core.monitor import PastSnapshot
     from ..logic import to_str
 
-    nodes: list[Any] = []
-    index: dict[int, int] = {}
-    states = _rows_to_jsonable(snap.kernel, snap.states, nodes, index)
-    witnesses = _rows_to_jsonable(snap.kernel, snap.witnesses, nodes, index)
-    return {
+    data: dict[str, Any] = {
         "name": snap.name,
         "constraint": to_str(snap.constraint),
-        "relevant": sorted(snap.relevant),
         "violated_at": snap.violated_at,
         "stats": snap.stats.as_dict(),
-        "nodes": nodes,
-        "states": states,
-        "witnesses": witnesses,
     }
+    if isinstance(snap, PastSnapshot):
+        data["seen"] = sorted(snap.seen)
+        data["tables"] = [
+            [
+                slot,
+                [
+                    [_element_to_jsonable(value) for value in row]
+                    for row in sorted(rows, key=tuple_key)
+                ],
+            ]
+            for slot, rows in sorted(snap.tables.items())
+        ]
+        return data
+    nodes: list[Any] = []
+    index: dict[int, int] = {}
+    data["relevant"] = sorted(snap.relevant)
+    data["states"] = _rows_to_jsonable(snap.kernel, snap.states, nodes, index)
+    data["witnesses"] = _rows_to_jsonable(
+        snap.kernel, snap.witnesses, nodes, index
+    )
+    data["nodes"] = nodes
+    return data
+
+
+def _past_tables_from_jsonable(data: Any, where: str) -> dict[int, Any]:
+    """Decode a past-closed entry's ``[slot, rows]`` pairs, each slot
+    once."""
+    tables: dict[int, Any] = {}
+    for pair in decode_list(data, where):
+        if not (isinstance(pair, list) and len(pair) == 2) or (
+            type(pair[0]) is not int or pair[0] in tables
+        ):
+            raise StateError(f"{where}: malformed table {pair!r:.60}")
+        tables[pair[0]] = frozenset(
+            tuple(_element_from_jsonable(v, where) for v in decode_list(r, where))
+            for r in decode_list(pair[1], where)
+        )
+    return tables
 
 
 def _entry_from_jsonable(
-    data: Any, history: History, kernel: "ProgressionKernel"
+    data: Any, current: History, now: int, kernel: "ProgressionKernel"
 ) -> Any:
-    """Decode one snapshot entry of a monitor over ``history``, its
-    states interned into ``kernel``."""
-    from ..core.monitor import EntrySnapshot
+    """Decode one snapshot entry of a monitor at instant ``now`` over
+    ``current``'s vocabulary and bindings; a progressed entry's states are
+    interned into ``kernel``.  The kind is the constructor's routing test,
+    :func:`~repro.analysis.hierarchy.is_past_closed`."""
+    from ..analysis.hierarchy import is_past_closed
+    from ..core.monitor import EntrySnapshot, PastSnapshot
 
     if not isinstance(data, Mapping):
         raise StateError(
             f"snapshot entry must be an object, got {type(data).__name__}"
         )
-    now = history.now
     try:
         name = data["name"]
         if not isinstance(name, str):
@@ -660,8 +711,22 @@ def _entry_from_jsonable(
         constraint = _parse_constraint(
             data["constraint"], f"{where}: 'constraint'"
         )
+        stats = stats_from_jsonable(data["stats"], f"{where}: 'stats'")
+        if is_past_closed(constraint):
+            return PastSnapshot(
+                name=name,
+                constraint=constraint,
+                seen=frozenset(
+                    decode_list(data["seen"], f"{where}: 'seen'", int)
+                ),
+                tables=_past_tables_from_jsonable(
+                    data["tables"], f"{where}: 'tables'"
+                ),
+                violated_at=violated_at,
+                stats=stats,
+            )
         nodes = _nodes_from_jsonable(data["nodes"], where)
-        bindings = history.constant_bindings
+        bindings = current.constant_bindings
         return EntrySnapshot(
             name=name,
             constraint=constraint,
@@ -681,7 +746,7 @@ def _entry_from_jsonable(
                 data["witnesses"], nodes, kernel, f"{where}: 'witnesses'"
             ),
             violated_at=violated_at,
-            stats=stats_from_jsonable(data["stats"], f"{where}: 'stats'"),
+            stats=stats,
         )
     except KeyError as missing:
         raise StateError(
@@ -692,30 +757,23 @@ def _entry_from_jsonable(
 def monitor_to_dict(monitor: Any) -> dict[str, Any]:
     """Serialize a running :class:`repro.core.IntegrityMonitor`.
 
-    The snapshot holds the settings, the registration ``order``, the
-    text of every past-closed constraint (``past``), per progressed
-    constraint its table and relevant set (``entries``), and the
-    ``history`` — everything
+    The snapshot holds the settings (``config``), the instant ``now``,
+    the state at ``now`` as a one-state history document (``current``,
+    with the vocabulary and constant bindings), and every constraint's
+    resume state in registration order (``entries``) — everything
     :meth:`repro.core.IntegrityMonitor.from_snapshot` needs to resume
-    with verdicts identical to an uninterrupted run.  Each constraint
-    text is written once.  Derived caches are deliberately not
-    persisted; see :class:`repro.core.EntrySnapshot`.
+    with verdicts identical to an uninterrupted run.  No history is
+    written, and derived caches are deliberately not persisted; see
+    :class:`repro.core.EntrySnapshot`.
     """
-    from ..logic import to_str
-
-    entries = monitor.snapshot_entries()
-    progressed = {snap.name for snap in entries}
     return {
         "format": MONITOR_SNAPSHOT_FORMAT,
         "config": monitor.snapshot_config(),
-        "order": list(monitor.constraints),
-        "past": {
-            name: to_str(formula)
-            for name, formula in monitor.constraints.items()
-            if name not in progressed
-        },
-        "entries": [_entry_to_jsonable(snap) for snap in entries],
-        "history": history_to_dict(monitor.history),
+        "now": monitor.now,
+        "current": history_to_dict(monitor.snapshot_current()),
+        "entries": [
+            _entry_to_jsonable(snap) for snap in monitor.snapshot_entries()
+        ],
     }
 
 
@@ -725,7 +783,8 @@ def monitor_from_dict(data: dict[str, Any]) -> Any:
     Validates the format tag and config before touching any entry, so a
     checkpoint from a different format (or a truncated file) fails with
     :class:`repro.errors.StateError` instead of an attribute error
-    mid-restore.
+    mid-restore.  ``current`` is decoded as a history file is, so its
+    state and bindings are validated the same way.
     """
     from ..core.monitor import IntegrityMonitor
     from ..ptl.progkernel import ProgressionKernel
@@ -753,36 +812,33 @@ def monitor_from_dict(data: dict[str, Any]) -> Any:
             f"{config['assume_safety']!r:.60}"
         )
     try:
-        order = decode_list(data["order"], "monitor snapshot 'order'", str)
-        past = decode_mapping(data["past"], "monitor snapshot 'past'")
+        now = data["now"]
+        current_data = data["current"]
         raw_entries = decode_list(
             data["entries"], "monitor snapshot 'entries'"
         )
-        history_data = data["history"]
     except KeyError as exc:
         raise StateError(
             f"monitor snapshot is missing the {exc.args[0]!r} key"
         ) from None
-    for name, text in past.items():
-        if not isinstance(text, str):
-            raise StateError(
-                f"monitor snapshot past constraint {name!r} must be a string"
-            )
-    history = history_from_dict(history_data)
+    if type(now) is not int or now < 0:
+        raise StateError(
+            f"monitor snapshot 'now' must be an instant, got {now!r:.60}"
+        )
+    try:
+        current = history_from_dict(current_data)
+        if len(current) != 1:
+            raise StateError(f"{len(current)} states, not one")
+    except (SchemaError, StateError) as exc:
+        raise StateError(f"monitor snapshot 'current': {exc}") from None
     # The decoded states are interned into the kernel the restored monitor
     # adopts as its own.
     kernel = ProgressionKernel()
     return IntegrityMonitor.from_snapshot(
-        history,
-        order,
-        {
-            name: _parse_constraint(
-                text, f"monitor snapshot past constraint {name!r}"
-            )
-            for name, text in past.items()
-        },
+        current,
+        now,
         [
-            _entry_from_jsonable(entry, history, kernel)
+            _entry_from_jsonable(entry, current, now, kernel)
             for entry in raw_entries
         ],
         assume_safety=config["assume_safety"],

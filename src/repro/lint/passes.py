@@ -341,8 +341,8 @@ class PastRewritePass:
             "TIC006",
             Severity.INFO,
             "constraint has the shape 'forall* G (past formula)': it is a "
-            "safety property by construction and can be monitored "
-            "incrementally by repro.pasteval.monitor.PastMonitor with "
+            "safety property by construction, and repro.core.IntegrityMonitor "
+            "checks it on the history-less IncrementalPastEvaluator with "
             "constant work per update — no grounding or automata needed",
             paper=self.paper,
             node=matrix,

@@ -244,8 +244,8 @@ def require_universal(formula: Formula) -> FormulaInfo:
             raise NotUniversalError(
                 "constraint uses past-tense connectives; biquantified "
                 "formulas are future-only (Section 2).  'forall* G (past)' "
-                "constraints are monitored by "
-                "repro.pasteval.monitor.PastMonitor instead"
+                "constraints are checked by repro.core.IntegrityMonitor on "
+                "the history-less IncrementalPastEvaluator instead"
             )
         raise NotUniversalError(
             "constraint is not biquantified: a quantifier occurs with a "

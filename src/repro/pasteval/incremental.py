@@ -18,7 +18,10 @@ The idea: for every subformula, maintain the set of satisfying assignments
 so the evaluator only ever stores the previous instant's tables — memory
 ``O(|adom|^m)`` and per-update time ``O(|formula| * |adom|^m)`` where ``m``
 is the width (max number of free variables of a subformula), independent of
-``t``.
+``t``.  The next step reads only the seen-set below and the tables of the
+*memory slots* (the operand of each ``Y``, each ``O``, ``H`` and ``S``
+itself), so a checkpoint stores just these and the evaluator resumes from
+them (:meth:`IncrementalPastEvaluator.resume`).
 
 Assignments range over the infinite universe; tables are kept finite by the
 same genericity used throughout the library: elements never seen so far are
@@ -51,7 +54,12 @@ from typing import Callable, Collection, Mapping
 from ..core.grounding import Anon, GroundElement
 from ..database.state import DatabaseState
 from ..database.vocabulary import BUILTIN_PREDICATES, Vocabulary
-from ..errors import ClassificationError, EvaluationError, SchemaError
+from ..errors import (
+    ClassificationError,
+    EvaluationError,
+    SchemaError,
+    StateError,
+)
 from ..logic.classify import is_past_formula
 from ..logic.formulas import (
     And,
@@ -250,6 +258,16 @@ class IncrementalPastEvaluator:
                 "(no future-tense connectives)"
             )
         self._slots = _compile(formula, vocabulary)
+        # The slots whose previous-instant tables the next step reads.
+        self._memory = tuple(
+            sorted(
+                {
+                    slot.children[0] if slot.kind is Prev else number
+                    for number, slot in enumerate(self._slots)
+                    if slot.kind in (Prev, Once, Historically, Since)
+                }
+            )
+        )
         # Width: enough generic placeholders for every variable in scope.
         variables = {
             node.var
@@ -275,15 +293,16 @@ class IncrementalPastEvaluator:
         # read at the instant the seen-set grew.
         self._canonical: dict[int, list[Assignment]] = {}
         # Previous-instant tables, one per slot: the satisfying canonical
-        # assignments to the slot's sorted free variables.
+        # assignments to the slot's sorted free variables.  After a resume
+        # only the memory slots' are known until the next step.
         self._previous: list[Table] | None = None
-        self._instant = -1
+        self._resumed = False
 
     # -- configuration -------------------------------------------------------
 
     def bind_constant(self, symbol: str, value: int) -> None:
         """Fix the interpretation of a constant symbol (before advancing)."""
-        if self._instant >= 0:
+        if self._previous is not None:
             raise EvaluationError(
                 "constants must be bound before the first state"
             )
@@ -292,9 +311,45 @@ class IncrementalPastEvaluator:
     # -- state transitions -----------------------------------------------------
 
     @property
-    def instant(self) -> int:
-        """The instant of the last state consumed (-1 before the first)."""
-        return self._instant
+    def seen(self) -> frozenset[int]:
+        """The elements seen so far, the bound constants' values included
+        once a state has been consumed."""
+        return self._seen
+
+    def memory(self) -> dict[int, Table]:
+        """The tables the next step reads, by slot number: with
+        :attr:`seen`, the evaluator's whole state (:meth:`resume`)."""
+        if self._previous is None:
+            return {}
+        return {number: self._previous[number] for number in self._memory}
+
+    def resume(self, seen: frozenset[int], memory: Mapping[int, Table]) -> None:
+        """Continue as though the instant of this :attr:`seen` and
+        :meth:`memory` had just been consumed (bind the constants first);
+        a slot left out has an empty table.  Raises
+        :class:`~repro.errors.StateError` unless every slot is a memory
+        slot whose rows have its arity and hold only elements of ``seen``
+        and generics, and ``seen`` holds the bound constants' values."""
+        known = seen | {Anon(i + 1) for i in range(self._width)}
+        tables = [_EMPTY] * len(self._slots)
+        for number, rows in memory.items():
+            if number not in self._memory:
+                raise StateError(f"slot {number!r:.20} is no memory slot")
+            arity = len(self._slots[number].variables)
+            for row in rows:
+                if len(row) != arity or not known.issuperset(row):
+                    raise StateError(
+                        f"slot {number} cannot hold the row {row!r:.60}: it "
+                        f"takes {arity} seen or generic element(s)"
+                    )
+            tables[number] = frozenset(rows)
+        unseen = sorted(set(self._constant_bindings.values()) - seen)
+        if unseen:
+            raise StateError(f"seen lacks the bound constants' values {unseen}")
+        self._previous = None
+        self._rebuild(frozenset(seen))
+        self._previous = tables
+        self._resumed = True
 
     @property
     def memory_size(self) -> int:
@@ -325,18 +380,16 @@ class IncrementalPastEvaluator:
             )
         tables = self._fill(state.relations, grown)
         self._previous = tables
-        self._instant += 1
+        self._resumed = False
         return len(tables[-1]) == len(self._all[len(self._slots[-1].variables)])
 
     def current_value(self) -> bool:
         """Truth of the (closed) formula at the last consumed instant."""
-        if self._previous is None:
-            raise EvaluationError("no state has been consumed yet")
         if self._slots[-1].variables:
             raise EvaluationError(
                 "formula has free variables; use satisfying_assignments()"
             )
-        return () in self._previous[-1]
+        return () in self.satisfying_assignments()
 
     def satisfying_assignments(self) -> frozenset[Assignment]:
         """Canonical satisfying assignments of the formula's free variables.
@@ -344,8 +397,10 @@ class IncrementalPastEvaluator:
         Generic placeholders in a returned assignment stand for arbitrary
         distinct elements never seen so far.
         """
-        if self._previous is None:
-            raise EvaluationError("no state has been consumed yet")
+        if self._previous is None or self._resumed:
+            raise EvaluationError(
+                "no state has been consumed since the start or the resume"
+            )
         return self._previous[-1]
 
     # -- internals ------------------------------------------------------------

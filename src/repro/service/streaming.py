@@ -16,17 +16,16 @@ plus what only a service needs:
   :class:`~repro.core.monitor.MonitorStats` ``stream_updates`` map.
 
 * **checkpoint/resume** — :meth:`~MonitorService.snapshot` captures the
-  monitor's Lemma 4.2 state (its tables and their relevant sets via
-  :func:`repro.database.serialize.monitor_to_dict`; past-closed
-  constraints need only the history, replayed through the history-less
-  tables on restore) and the session counters.  A killed service
-  resumed with :meth:`~MonitorService.restore` produces verdicts
-  identical to the uninterrupted run — the whole point of progression
-  monitoring is that the remainder *is* the sufficient statistic, so
-  resuming costs O(1) decisions, not a re-progression of the prefix
-  (DESIGN.md §12).
+  monitor's state (via :func:`repro.database.serialize.monitor_to_dict`:
+  the state at ``now``, each progressed constraint's Lemma 4.2 table and
+  relevant set, and each past-closed constraint's evaluator tables) and
+  the session counters; no history.  A killed service resumed with
+  :meth:`~MonitorService.restore` produces verdicts identical to the
+  uninterrupted run — the whole point of progression monitoring is that
+  the remainder *is* the sufficient statistic, so resuming decodes the
+  tables and replays nothing (DESIGN.md §12).
 
-The history, verdicts, counters and caches are the monitor's own.  The
+The current state, verdicts, counters and caches are the monitor's own.  The
 synchronous surface (:meth:`~MonitorService.apply`,
 :meth:`~MonitorService.apply_state`) works without an event loop; the
 async methods are a thin ordered front over it.
@@ -55,7 +54,7 @@ from ..logic.formulas import Formula
 __all__ = ["SERVICE_SNAPSHOT_FORMAT", "MonitorService"]
 
 #: Format tag stamped into :meth:`MonitorService.snapshot` payloads.
-SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v6"
+SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v7"
 
 #: Queue sentinel + item shape: (session, update, state, future).
 _QueueItem = tuple[
@@ -88,8 +87,10 @@ class MonitorService:
     # -- introspection -------------------------------------------------------
 
     @property
-    def history(self) -> History:
-        return self._monitor.history
+    def current(self) -> DatabaseState:
+        """The state at :attr:`now`, which :meth:`apply` applies its
+        update to."""
+        return self._monitor.current
 
     @property
     def now(self) -> int:
@@ -143,7 +144,7 @@ class MonitorService:
         self, update: Update, session: str = "default"
     ) -> UpdateReport:
         """Apply a delta update on behalf of ``session``."""
-        return self.apply_state(update.apply(self.history.current), session)
+        return self.apply_state(update.apply(self.current), session)
 
     # -- async streaming front ----------------------------------------------
 
@@ -206,7 +207,7 @@ class MonitorService:
                 try:
                     if state is None:
                         assert update is not None
-                        state = update.apply(self.history.current)
+                        state = update.apply(self.current)
                     report = self.apply_state(state, session)
                 except Exception as exc:  # noqa: BLE001 - forwarded
                     if not future.cancelled():
@@ -224,8 +225,8 @@ class MonitorService:
 
         Holds the monitor's snapshot
         (:func:`~repro.database.serialize.monitor_to_dict`) as the one
-        item of ``shards``, with its ``history`` lifted to the top level,
-        and the session counters.  Call between updates — from the
+        item of ``shards``, and the session counters.  Call between
+        updates — from the
         consumer's thread or while the service is stopped.  After an
         update that failed half-way this raises
         :class:`~repro.errors.StateError`
@@ -235,14 +236,10 @@ class MonitorService:
         # module sees these calls too.
         from ..database.serialize import monitor_to_dict
 
-        monitor = monitor_to_dict(self._monitor)
         return {
             "format": SERVICE_SNAPSHOT_FORMAT,
             "service_stats": self._stats.as_dict(),
-            # Nested at the monitor's depth, the indented history of a
-            # saved file would take a quarter more bytes.
-            "history": monitor.pop("history"),
-            "shards": [monitor],
+            "shards": [monitor_to_dict(self._monitor)],
         }
 
     @classmethod
@@ -271,7 +268,6 @@ class MonitorService:
             stats = stats_from_jsonable(
                 data["service_stats"], "service snapshot 'service_stats'"
             )
-            history = data["history"]
             shards = decode_list(data["shards"], "service snapshot 'shards'")
         except KeyError as exc:
             raise StateError(
@@ -284,7 +280,7 @@ class MonitorService:
             )
         monitor = decode_mapping(shards[0], "service snapshot 'shards'")
         service = cls.__new__(cls)
-        service._monitor = monitor_from_dict({**monitor, "history": history})
+        service._monitor = monitor_from_dict(dict(monitor))
         service._stats = stats
         service._queue = None
         service._consumer = None

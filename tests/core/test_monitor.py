@@ -10,7 +10,7 @@ import repro.core.lifted as lifted_module
 import repro.core.monitor as monitor_module
 import repro.core.reduction as reduction_module
 from repro.core import IntegrityMonitor, check_extension
-from repro.core.monitor import MonitorStats
+from repro.core.monitor import EntrySnapshot, MonitorStats
 from repro.database import (
     DatabaseState,
     History,
@@ -125,11 +125,12 @@ def _front(front, constraints=None, history=None):
     return IntegrityMonitor(constraints, history, lint="off")
 
 
-def _check_every_instant(m, constraints, trace, vocab, front, cut):
-    """Feed ``trace`` to front ``m`` (sent through its JSON snapshot at
-    instant ``cut`` when the front is a restored one) and check every
-    report against the paper's decision on the whole prefix: verdicts,
-    new violations, violation instants, and live remainders that are the
+def _check_every_instant(m, constraints, history, trace, vocab, front, cut):
+    """Feed ``trace`` to front ``m``, built over ``history`` (sent through
+    its JSON snapshot at instant ``cut`` when the front is a restored
+    one), and check every report against the paper's decision on the
+    whole prefix, which the harness keeps itself: verdicts, new
+    violations, violation instants, and live remainders that are the
     oracle's own interned node.  Past-closed constraints are checked
     against their finite-prefix meaning (the body held at every instant
     so far).  Returns the last front."""
@@ -141,10 +142,12 @@ def _check_every_instant(m, constraints, trace, vocab, front, cut):
         ):
             m = _restored(m)
         state = DatabaseState.from_facts(vocab, facts)
+        history = history.extended(state)
         if isinstance(m, MonitorService):
             report = m.apply_state(state)
         else:
             report = m.append_state(state)
+        assert m.now == history.now and m.current == state
         violations = m.violations()
         fresh = tuple(
             name
@@ -163,10 +166,10 @@ def _check_every_instant(m, constraints, trace, vocab, front, cut):
             assert (name in violations) != report.satisfied[name]
             if name not in remainders:
                 assert report.satisfied[name] == evaluate_finite(
-                    constraint, m.history, future="weak"
+                    constraint, history, future="weak"
                 )
                 continue
-            oracle = check_extension(constraint, m.history, lint="off")
+            oracle = check_extension(constraint, history, lint="off")
             if name in violations:
                 # Frozen: a safety violation is irrecoverable, so the
                 # oracle must stay unsatisfiable from then on.
@@ -264,12 +267,15 @@ class TestBasics:
         report = m.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
         assert report.new_violations == ("once",)
 
-    def test_history_property_grows(self, submit_once):
+    def test_now_and_current_follow_the_updates(self, submit_once):
         m = monitor_with({"once": submit_once})
         assert m.now == 0
+        assert m.current == DatabaseState.empty(V)
         m.apply(Update.insert(("Sub", (1,))))
         assert m.now == 1
-        assert len(m.history) == 2
+        assert m.current == DatabaseState.from_facts(V, [("Sub", (1,))])
+        # The monitor keeps the state at `now`, not a history.
+        assert not hasattr(m, "history")
 
 
 def assert_strategies_agree(constraints, trace):
@@ -422,7 +428,11 @@ class TestAgainstChecker:
         # their JSON snapshot at instant `cut`.  Every front reports each
         # violation once, at the instant it happens, in registration
         # order.
-        m = _check_every_instant(_front(front), HARNESS, trace, V, front, cut)
+        history = History.empty(V)
+        m = _check_every_instant(
+            _front(front, history=history), HARNESS, history, trace, V, front,
+            cut,
+        )
         assert "audit" not in _remainders(m)
 
     @given(
@@ -475,6 +485,7 @@ class TestAgainstChecker:
         _check_every_instant(
             _front(front, constraints, history),
             constraints,
+            history,
             trace,
             RANDOM_V,
             front,
@@ -564,7 +575,7 @@ class TestLiftedTable:
                 )
             )
         monitor = m._monitor if isinstance(m, MonitorService) else m
-        tables = [entry.table for entry in monitor._entries]
+        tables = [entry.table for entry in monitor._progressed()]
         assert len(tables) == len(HARNESS) - 1
         stored = 0
         for table in tables:
@@ -596,10 +607,14 @@ class TestLiftedTable:
             monitor.append_state(state)
         assert sum(s.absorbed for s in monitor.stats().values()) > 10
         assert calls == []
+        history = History(
+            vocabulary=ORDER_VOCABULARY,
+            states=(DatabaseState.empty(ORDER_VOCABULARY), *trace.states()),
+        )
         for name, constraint in standard_constraints().items():
             info = require_universal(constraint)
             (entry,) = [e for e in monitor._entries if e.name == name]
-            assert entry.table.relevant == real(monitor.history, info)
+            assert entry.table.relevant == real(history, info)
 
 class TestIdSpace:
     """The monitor works on kernel ids: updates build no formula node,
@@ -639,7 +654,8 @@ class TestIdSpace:
             m.append_state(DatabaseState.from_facts(V, facts))
             remainders = m.remainders()
             for snap in m.snapshot_entries():
-                assert snap.remainder is remainders[snap.name]
+                if isinstance(snap, EntrySnapshot):
+                    assert snap.remainder is remainders[snap.name]
             saved = json.dumps(monitor_to_dict(m), sort_keys=True)
             restored = monitor_from_dict(json.loads(saved))
             assert json.dumps(monitor_to_dict(restored), sort_keys=True) == (
@@ -663,10 +679,10 @@ class TestIdSpace:
         assert info["kernel_transitions"] == kernel.transitions
         assert info["kernel_evictions"] == kernel.evictions
         assert info["table_tuples"] == sum(
-            len(entry.table.where) for entry in monitor._entries
+            len(entry.table.where) for entry in monitor._progressed()
         )
         assert info["rename_memo"] == sum(
-            len(entry.table.renamed) for entry in monitor._entries
+            len(entry.table.renamed) for entry in monitor._progressed()
         )
         # Exactly the keys whose bounds DESIGN.md §10.1 states.
         assert set(info) == {

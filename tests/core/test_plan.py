@@ -124,4 +124,4 @@ class TestPlannedMonitorSurface:
         assert monitor.now == 0
         monitor.apply(Update.insert(("Sub", (1,))))
         assert monitor.now == 1
-        assert len(monitor.history) == 2
+        assert monitor.current.relations == {"Sub": frozenset({(1,)})}

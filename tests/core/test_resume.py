@@ -117,7 +117,7 @@ class TestResumeEquivalence:
             "import json, sys\n"
             "from repro.database import monitor_from_dict, DatabaseState\n"
             "m = monitor_from_dict(json.load(open(sys.argv[1])))\n"
-            "r = m.append_state(DatabaseState.empty(m.history.vocabulary))\n"
+            "r = m.append_state(DatabaseState.empty(m.current.vocabulary))\n"
             "print(json.dumps([r.instant, r.satisfied, "
             "list(r.new_violations), m.violations()]))\n"
         )
@@ -152,33 +152,51 @@ class TestSnapshotValidation:
         with pytest.raises(StateError, match="format"):
             monitor_from_dict(data)
 
-    def test_v6_documents_carry_only_the_live_settings(self):
+    def test_v7_documents_carry_only_the_live_settings(self):
         monitor = IntegrityMonitor(
             {**CONSTRAINTS, "audit": AUDIT}, History.empty(V)
         )
         monitor.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
         data = json.loads(json.dumps(monitor_to_dict(monitor)))
-        assert data["format"] == "repro-monitor-snapshot/v6"
-        assert set(data) == {
-            "format", "config", "order", "past", "entries", "history",
-        }
+        assert data["format"] == "repro-monitor-snapshot/v7"
+        assert set(data) == {"format", "config", "now", "current", "entries"}
         assert set(data["config"]) == {"assume_safety"}
-        assert data["order"] == ["once", "order", "audit"]
-        # Each constraint text is written once: past-closed ones in
-        # `past`, progressed ones in their entry.
-        assert set(data["past"]) == {"audit"}
+        assert data["now"] == 1
+        # The state at `now` as a one-state history document, not the
+        # history.
+        assert data["current"]["states"] == [{"Sub": [[1]]}]
+        # Every constraint once, in registration order, each with its
+        # text; a progressed entry holds its table, not a ground
+        # remainder: the states once each as a node list, and the tuples
+        # in each.
         assert [entry["name"] for entry in data["entries"]] == [
-            "once", "order",
+            "once", "order", "audit",
         ]
-        # Each entry holds its table, not a ground remainder: the states
-        # once each as a node list, and the tuples in each.
-        for entry in data["entries"]:
-            assert set(entry) == {
-                "name", "constraint", "relevant", "violated_at", "stats",
-                "nodes", "states", "witnesses",
+        common = {"name", "constraint", "violated_at", "stats"}
+        for entry in data["entries"][:2]:
+            assert set(entry) == common | {
+                "relevant", "nodes", "states", "witnesses",
             }
             assert "renames" not in entry["stats"]
             assert "regrounds" not in entry["stats"]
+        # A past-closed entry holds its evaluator's seen-set and the
+        # tables of its memory slots: here the one of `O Sub(x)`.
+        audit = data["entries"][2]
+        assert set(audit) == common | {"seen", "tables"}
+        assert audit["seen"] == [1]
+        assert audit["tables"] == [[2, [[1]]]]
+
+    def test_a_violated_past_entry_keeps_no_tables(self):
+        monitor = IntegrityMonitor({"audit": AUDIT}, History.empty(V))
+        monitor.append_state(DatabaseState.from_facts(V, [("Fill", (1,))]))
+        data = json.loads(json.dumps(monitor_to_dict(monitor)))
+        (audit,) = data["entries"]
+        assert audit["violated_at"] == 1
+        assert audit["seen"] == [] and audit["tables"] == []
+        resaved = monitor_to_dict(monitor_from_dict(data))
+        assert json.dumps(resaved, sort_keys=True) == json.dumps(
+            data, sort_keys=True
+        )
 
     def test_rejects_v2_documents(self):
         data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
@@ -203,7 +221,7 @@ class TestSnapshotValidation:
                 known_elements=entry["relevant"], spare_pool=[], spare_map=[]
             )
         with pytest.raises(
-            StateError, match="expected 'repro-monitor-snapshot/v6'"
+            StateError, match="expected 'repro-monitor-snapshot/v7'"
         ):
             monitor_from_dict(data)
 
@@ -216,7 +234,24 @@ class TestSnapshotValidation:
                 del entry[key]
             entry["remainder"] = ["true"]
         with pytest.raises(
-            StateError, match="expected 'repro-monitor-snapshot/v6'"
+            StateError, match="expected 'repro-monitor-snapshot/v7'"
+        ):
+            monitor_from_dict(data)
+
+    def test_rejects_v6_documents(self):
+        # The history-replay layout: the registration order, the past
+        # constraints' texts and the whole history beside the entries.
+        monitor = IntegrityMonitor(
+            {**CONSTRAINTS, "audit": AUDIT}, History.empty(V)
+        )
+        data = monitor_to_dict(monitor)
+        data["format"] = "repro-monitor-snapshot/v6"
+        data["order"] = list(monitor.constraints)
+        data["past"] = {"audit": data["entries"].pop()["constraint"]}
+        data["history"] = data.pop("current")
+        del data["now"]
+        with pytest.raises(
+            StateError, match="expected 'repro-monitor-snapshot/v7'"
         ):
             monitor_from_dict(data)
 
@@ -249,7 +284,7 @@ class TestSnapshotValidation:
         with pytest.raises(StateError, match="format"):
             monitor_from_dict(data)
 
-    @pytest.mark.parametrize("key", ["history", "order", "past", "entries"])
+    @pytest.mark.parametrize("key", ["now", "current", "entries"])
     def test_rejects_missing_key(self, key):
         data = monitor_to_dict(IntegrityMonitor(CONSTRAINTS, History.empty(V)))
         del data[key]
@@ -262,19 +297,112 @@ class TestSnapshotValidation:
         data = {
             "format": "repro-planned-snapshot/v3",
             "config": full["config"],
-            "order": full["order"],
+            "order": list(CONSTRAINTS),
             "constraints": {},
-            "history": full.pop("history"),
+            "history": full.pop("current"),
             "full": full,
         }
         with pytest.raises(StateError, match="format"):
             monitor_from_dict(data)
 
 
+    @pytest.mark.parametrize(
+        "now, states",
+        [(-1, 1), ("1", 1), (True, 1), (1, 2)],
+        ids=["negative", "text", "bool", "two-states"],
+    )
+    def test_rejects_a_bad_now_or_current(self, now, states):
+        monitor = IntegrityMonitor(CONSTRAINTS, History.empty(V))
+        monitor.append_state(DatabaseState.empty(V))
+        data = json.loads(json.dumps(monitor_to_dict(monitor)))
+        data["now"] = now
+        data["current"]["states"] *= states
+        with pytest.raises(StateError, match="'now'|'current'"):
+            monitor_from_dict(data)
+
+
+    def test_rejects_current_binding_an_undeclared_constant(self):
+        # Decoded as a history file is, so a binding the vocabulary does
+        # not declare is refused, and named as the snapshot's.
+        monitor = IntegrityMonitor(CONSTRAINTS, History.empty(V))
+        data = json.loads(json.dumps(monitor_to_dict(monitor)))
+        data["current"]["constant_bindings"] = {"ghost": 1}
+        with pytest.raises(StateError, match="'current'.*ghost"):
+            monitor_from_dict(data)
+
+
+class TestPastTables:
+    """A past-closed entry's tables are validated on restore: a table
+    its evaluator could not hold would give wrong verdicts or fail
+    half-way through a later update."""
+
+    BOUND = vocabulary({"Sub": 1, "Fill": 1}, constants=["Vip"])
+
+    def snapshot(self):
+        # The audit body's one memory slot is 2, `O Sub(x)`, over one
+        # variable, so its evaluator has one generic, z1.
+        monitor = IntegrityMonitor(
+            {"once": SUBMIT_ONCE, "audit": AUDIT}, History.empty(V)
+        )
+        monitor.append_state(DatabaseState.from_facts(V, [("Sub", (1,))]))
+        data = json.loads(json.dumps(monitor_to_dict(monitor)))
+        return data, data["entries"][1]
+
+    def test_round_trip_resumes_the_tables(self):
+        data, audit = self.snapshot()
+        assert audit["tables"] == [[2, [[1]]]]
+        restored = monitor_from_dict(data)
+        report = restored.append_state(
+            DatabaseState.from_facts(V, [("Fill", (1,))])
+        )
+        assert report.satisfied["audit"]
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            [[2, [[1, 1]]]],  # a row of the wrong arity
+            [[2, [[]]]],  # ... and an empty one
+            [[2, [[7]]]],  # an element outside seen
+            [[2, [[["z", 2]]]]],  # a generic the evaluator does not have
+            [[2, [[["p", 1]]]]],  # a placeholder, which only tables hold
+            [[0, [[1]]]],  # slot 0, Fill(x), which no step reads
+            [[9, []]],  # a slot the body does not have
+            [[2, [[1]]], [2, []]],  # a slot listed twice
+            [[2, 5]],  # rows that are no list
+            [["2", []]],  # a slot that is no number
+        ],
+    )
+    def test_rejects_a_table_the_evaluator_cannot_hold(self, tables):
+        data, audit = self.snapshot()
+        audit["tables"] = tables
+        with pytest.raises(StateError, match="'audit'"):
+            monitor_from_dict(data)
+
+    def test_rejects_seen_without_a_bound_constant(self):
+        monitor = IntegrityMonitor(
+            {"vip": parse("G (Fill(Vip) -> Y O Sub(Vip))")},
+            History.empty(self.BOUND, {"Vip": 5}),
+        )
+        data = json.loads(json.dumps(monitor_to_dict(monitor)))
+        (vip,) = data["entries"]
+        assert vip["seen"] == [5]
+        vip["seen"] = []
+        with pytest.raises(StateError, match="'vip'.*bound constants"):
+            monitor_from_dict(data)
+
+    def test_rejects_seen_that_is_not_a_list_of_elements(self):
+        data, audit = self.snapshot()
+        audit["seen"] = ["1"]
+        with pytest.raises(StateError, match="'audit'.*'seen'"):
+            monitor_from_dict(data)
+
+
 class TestPlannedRestoreNames:
-    """A snapshot whose ``order`` or past/progression split disagrees
-    with its constraints is refused: restored, it would drop a verdict
-    or fail half-way through its first update."""
+    """Every constraint is one entry, in registration order, and the
+    entry's kind is the constructor's routing test; a document that
+    lists a name twice, or files a constraint as the other kind, is
+    refused: restored, it would drop a verdict or fail half-way through
+    its first update."""
 
     FILL_ONCE = parse("forall x . G (Fill(x) -> X G !Fill(x))")
 
@@ -285,45 +413,41 @@ class TestPlannedRestoreNames:
         )
         return json.loads(json.dumps(monitor_to_dict(monitor)))
 
-    def test_rejects_order_missing_a_constraint(self):
-        data = self.snapshot()
-        data["order"] = ["once", "audit"]
-        with pytest.raises(StateError, match=r"missing \['fill'\]"):
-            monitor_from_dict(data)
-
     def test_rejects_order_repeating_a_constraint(self):
+        # The same entry twice.
         data = self.snapshot()
-        data["order"] = ["once", "fill", "audit", "once"]
-        with pytest.raises(StateError, match=r"repeated \['once'\]"):
+        data["entries"].append(data["entries"][0])
+        with pytest.raises(StateError, match=r"\['once'\] twice"):
             monitor_from_dict(data)
 
     def test_rejects_constraint_without_progression_entry(self):
-        # A progressed constraint's text filed with the past-closed ones.
+        # A progressed constraint's text filed as a past-closed entry.
         data = self.snapshot()
-        data["order"].append("ghost")
-        data["past"]["ghost"] = data["entries"][0]["constraint"]
-        with pytest.raises(StateError, match="'ghost'.*past-closed"):
+        audit = data["entries"][2]
+        audit.update(name="ghost", constraint=data["entries"][0]["constraint"])
+        with pytest.raises(StateError, match="missing the 'nodes' key"):
             monitor_from_dict(data)
 
     def test_rejects_past_constraint_stored_as_an_entry(self):
+        # A past-closed constraint's text filed as a progressed entry.
         data = self.snapshot()
         entry = dict(data["entries"][0])
-        entry.update(name="ghost", constraint=data["past"]["audit"])
+        entry.update(name="ghost", constraint=data["entries"][2]["constraint"])
         data["entries"].append(entry)
-        data["order"].append("ghost")
-        with pytest.raises(StateError, match="'ghost'.*past-closed"):
+        with pytest.raises(StateError, match="missing the 'seen' key"):
             monitor_from_dict(data)
 
     def test_rejects_a_constraint_listed_twice(self):
+        # Two different constraints under one name.
         data = self.snapshot()
-        data["past"]["once"] = data["past"]["audit"]
-        with pytest.raises(StateError, match=r"repeated \['once'\]"):
+        data["entries"][2]["name"] = "once"
+        with pytest.raises(StateError, match=r"\['once'\] twice"):
             monitor_from_dict(data)
 
     def test_rejects_order_naming_no_constraint_text(self):
         data = self.snapshot()
-        data["order"].append("ghost")
-        with pytest.raises(StateError, match=r"extra \['ghost'\]"):
+        del data["entries"][1]["constraint"]
+        with pytest.raises(StateError, match="missing the 'constraint' key"):
             monitor_from_dict(data)
 
 

@@ -23,8 +23,14 @@ from repro.core import IntegrityMonitor
 from repro.database import DatabaseState, History, Update, vocabulary
 from repro.errors import EvaluationError, SchemaError, StateError
 from repro.logic import parse
+from repro.pasteval import IncrementalPastEvaluator
 from repro.ptl.caches import clear_all_caches
 from repro.service import SERVICE_SNAPSHOT_FORMAT, MonitorService
+from repro.workloads.staleness import (
+    StalenessSpec,
+    staleness_constraints,
+    staleness_predicates,
+)
 
 V = vocabulary({"Sub": 1, "Fill": 1, "Ping": 1})
 CONSTRAINTS = {
@@ -197,23 +203,59 @@ class TestServiceSnapshot:
         data = json.loads(path.read_text())
         assert data["format"] == SERVICE_SNAPSHOT_FORMAT
 
-    def test_history_written_once_and_shared_on_restore(self):
+    def test_snapshot_holds_tables_and_no_history(self):
         service = MonitorService(CONSTRAINTS, History.empty(V))
         service.apply(Update.insert(("Sub", (1,))))
         data = json.loads(json.dumps(service.snapshot()))
-        assert data["format"] == "repro-service-snapshot/v6"
-        assert set(data) == {"format", "service_stats", "history", "shards"}
+        assert data["format"] == "repro-service-snapshot/v7"
+        assert set(data) == {"format", "service_stats", "shards"}
         [monitor] = data["shards"]
-        assert monitor["format"] == "repro-monitor-snapshot/v6"
-        assert "history" not in monitor
-        assert monitor["entries"]
+        assert monitor["format"] == "repro-monitor-snapshot/v7"
+        assert set(monitor) == {"format", "config", "now", "current", "entries"}
+        assert [entry["name"] for entry in monitor["entries"]] == list(
+            CONSTRAINTS
+        )
         restored = MonitorService.restore(data)
-        assert restored.history is restored._monitor.history
         assert restored.now == service.now
+        assert restored.current == service.current
         state = DatabaseState.from_facts(V, [("Fill", (2,))])
         assert _report_key(restored.apply_state(state)) == _report_key(
             service.apply_state(state)
         )
+
+    def test_snapshot_stays_flat_on_a_long_stream(self):
+        # No history in the document: on a staleness stream whose state
+        # repeats every three instants, the saved service is as long at
+        # t = 1,600 as at t = 400 up to its counters (it grew with t
+        # while the document held the history).
+        specs = tuple(StalenessSpec(name, 2) for name in ("price", "stock"))
+        schema = {
+            relation: 1
+            for spec in specs
+            for relation in staleness_predicates(spec.field)
+        }
+        vocab = vocabulary(schema)
+        service = MonitorService(
+            staleness_constraints(specs), History.empty(vocab)
+        )
+        sizes = {}
+        for instant in range(1, 1601):
+            facts = [
+                (relation, (value,))
+                for spec in specs
+                for relation, values in zip(
+                    staleness_predicates(spec.field),
+                    (range(3), [instant % 3], [(instant + 1) % 3]),
+                )
+                for value in values
+            ]
+            service.apply_state(DatabaseState.from_facts(vocab, facts))
+            if instant in (400, 1600):
+                sizes[instant] = len(
+                    json.dumps(service.snapshot(), indent=2, sort_keys=True)
+                )
+        assert service.violations() == {}
+        assert abs(sizes[1600] - sizes[400]) <= 0.02 * sizes[400]
 
     def test_restore_rejects_v1_document(self):
         data = MonitorService(CONSTRAINTS, History.empty(V)).snapshot()
@@ -237,7 +279,25 @@ class TestServiceSnapshot:
             order=list(CONSTRAINTS),
         )
         with pytest.raises(
-            StateError, match="expected 'repro-service-snapshot/v6'"
+            StateError, match="expected 'repro-service-snapshot/v7'"
+        ):
+            MonitorService.restore(data)
+
+    def test_restore_rejects_v6_document(self):
+        # A v6 service document holds the history at the top level and v6
+        # monitor shards, which record the registration order and the
+        # past constraints' texts.
+        data = MonitorService(CONSTRAINTS, History.empty(V)).snapshot()
+        data["format"] = "repro-service-snapshot/v6"
+        [shard] = data["shards"]
+        data["history"] = shard.pop("current")
+        shard.update(
+            format="repro-monitor-snapshot/v6",
+            order=list(CONSTRAINTS),
+            past={"audit": shard["entries"].pop(1)["constraint"]},
+        )
+        with pytest.raises(
+            StateError, match="expected 'repro-service-snapshot/v7'"
         ):
             MonitorService.restore(data)
 
@@ -255,7 +315,7 @@ class TestServiceSnapshot:
         for shard in data["shards"]:
             shard["format"] = "repro-monitor-snapshot/v4"
         with pytest.raises(
-            StateError, match="expected 'repro-service-snapshot/v6'"
+            StateError, match="expected 'repro-service-snapshot/v7'"
         ):
             MonitorService.restore(data)
 
@@ -267,7 +327,7 @@ class TestServiceSnapshot:
         for shard in data["shards"]:
             shard["format"] = "repro-monitor-snapshot/v5"
         with pytest.raises(
-            StateError, match="expected 'repro-service-snapshot/v6'"
+            StateError, match="expected 'repro-service-snapshot/v7'"
         ):
             MonitorService.restore(data)
 
@@ -294,8 +354,8 @@ class TestServiceSnapshot:
         assert MonitorService.load(path).now == 0
 
     def test_snapshot_refuses_half_applied_update(self, monkeypatch):
-        # An entry's table step, or else the past side, fails after the
-        # state passed validation and moved the history.
+        # An entry's table step, or else a past-closed entry's evaluator,
+        # fails after the state passed validation and moved the monitor.
         def failing(*args):
             raise RuntimeError("failure after validation")
 
@@ -308,7 +368,9 @@ class TestServiceSnapshot:
                     lifted_module.LiftedTable, "advance", failing
                 )
             else:
-                monkeypatch.setattr(monitor._past, "append_state", failing)
+                monkeypatch.setattr(
+                    IncrementalPastEvaluator, "advance", failing
+                )
             state = DatabaseState.from_facts(V, [("Fill", (1,))])
             with pytest.raises(RuntimeError):
                 service.apply_state(state)
@@ -327,7 +389,7 @@ class TestServiceSnapshot:
 
     def test_refused_state_leaves_the_service_savable(self):
         # A state over another vocabulary is refused before it moves the
-        # history, so the service stays whole at its old instant.
+        # monitor, so the service stays whole at its old instant.
         service = MonitorService(CONSTRAINTS, History.empty(V))
         service.apply(Update.insert(("Sub", (1,))))
         other = vocabulary({"Other": 1})
@@ -353,36 +415,34 @@ class TestServiceSnapshot:
         with pytest.raises(StateError, match="shards"):
             MonitorService.restore(data)
 
-    def _order(self):
-        """The saved monitor's registration order."""
+    def _entries(self):
+        """The saved monitor's entries, in registration order."""
         service = MonitorService(CONSTRAINTS, History.empty(V))
         service.apply(Update.insert(("Ping", (1,))))
         data = json.loads(json.dumps(service.snapshot()))
-        return data, data["shards"][0]["order"]
-
-    def test_restore_rejects_order_missing_a_constraint(self):
-        # Restored, the service would report no verdict for ping_once.
-        data, order = self._order()
-        order.remove("ping_once")
-        with pytest.raises(StateError, match=r"missing \['ping_once'\]"):
-            MonitorService.restore(data)
+        return data, data["shards"][0]["entries"]
 
     def test_restore_rejects_order_repeating_a_constraint(self):
-        data, order = self._order()
-        order.append("once")
-        with pytest.raises(StateError, match=r"repeated \['once'\]"):
+        data, entries = self._entries()
+        entries.append(entries[0])
+        with pytest.raises(StateError, match=r"\['once'\] twice"):
             MonitorService.restore(data)
 
     def test_restore_rejects_order_naming_an_unknown_constraint(self):
-        # Restored, the first update would fail half-way.
-        data, order = self._order()
-        order.append("ghost")
-        with pytest.raises(StateError, match=r"extra \['ghost'\]"):
+        # An entry whose constraint names a relation the vocabulary does
+        # not declare: restored, the first update would fail half-way.
+        data, entries = self._entries()
+        ghost = dict(entries[0])
+        ghost.update(
+            name="ghost", constraint="forall x . G (Gh(x) -> X G !Gh(x))"
+        )
+        entries.append(ghost)
+        with pytest.raises(StateError, match="'ghost'.*undeclared"):
             MonitorService.restore(data)
 
 
 ENTRY = ("shards", 0, "entries", 0)
-PAST = ("shards", 0, "past", "audit")
+PAST = ("shards", 0, "entries", 1, "constraint")
 
 #: One field of a saved two-constraint service set to a value of the wrong
 #: type, violated_at to an impossible value, or a
@@ -397,7 +457,10 @@ MALFORMED_FIELDS = {
     "table_nodes": (ENTRY + ("nodes",), 5),
     "table_states": (ENTRY + ("states",), 5),
     "table_witnesses": (ENTRY + ("witnesses",), 5),
-    "order": (("shards", 0, "order"), 5),
+    "now": (("shards", 0, "now"), "soon"),
+    "current": (("shards", 0, "current"), 5),
+    "seen": (("shards", 0, "entries", 1, "seen"), 5),
+    "tables": (("shards", 0, "entries", 1, "tables"), 5),
     "shards": (("shards",), 5),
     "entries": (("shards", 0, "entries"), 5),
     "violated_at_text": (ENTRY + ("violated_at",), "soon"),

@@ -14,6 +14,8 @@ from repro.database import vocabulary
 from repro.database.serialize import (
     history_from_dict,
     history_to_dict,
+    lasso_from_dict,
+    lasso_to_dict,
     ptl_from_jsonable,
     ptl_to_jsonable,
     state_from_dict,
@@ -91,6 +93,34 @@ class TestStateValidation:
             vocabulary_from_dict({"predicates": {"Sub": -1}})
         with pytest.raises(StateError):
             vocabulary_from_dict({"predicates": {"Sub": "one"}})
+
+    def test_vocabulary_constants_string_is_not_a_list_of_symbols(self):
+        # Iterated, "vip" would declare the symbols v, i and p.
+        with pytest.raises(StateError, match="'constants'"):
+            vocabulary_from_dict({"predicates": {}, "constants": "vip"})
+
+    def test_vocabulary_constants_must_be_a_list(self):
+        with pytest.raises(StateError, match="'constants'"):
+            vocabulary_from_dict({"predicates": {}, "constants": 5})
+
+    def test_lasso_missing_key(self):
+        lasso = lasso_to_dict(self.lasso())
+        del lasso["loop"]
+        with pytest.raises(StateError, match="'loop'"):
+            lasso_from_dict(lasso)
+
+    def test_lasso_constant_bindings_must_be_a_mapping(self):
+        lasso = lasso_to_dict(self.lasso())
+        lasso["constant_bindings"] = [["vip", 1]]
+        with pytest.raises(StateError, match="'constant_bindings'"):
+            lasso_from_dict(lasso)
+
+    @staticmethod
+    def lasso():
+        from repro.database import DatabaseState, LassoDatabase
+
+        state = DatabaseState.from_facts(V, [("Sub", (1,))])
+        return LassoDatabase(vocabulary=V, stem=(state,), loop=(state,))
 
     def test_valid_history_still_round_trips(self):
         from repro.database import History

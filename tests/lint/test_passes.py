@@ -108,7 +108,7 @@ class TestPastRewritePass:
         (diag,) = report.by_code("TIC006")
         assert diag.severity is Severity.INFO
         assert diag.paper == "Proposition 2.1"
-        assert "PastMonitor" in diag.message
+        assert "IncrementalPastEvaluator" in diag.message
 
     def test_future_constraint_no_suggestion(self, submit_once):
         assert not lint_formula(submit_once).by_code("TIC006")

@@ -221,6 +221,7 @@ class TestRandomFormulas:
             past_formulas
         ),
         trace=growing_traces(),
+        cut=st.integers(0, 5),
     )
     # One closed child lifted into slots of two arities.
     @example(
@@ -236,11 +237,19 @@ class TestRandomFormulas:
             )
         ),
         trace=[[("Link", (0, 1))], [("Mark", (2,))]],
+        cut=1,
     )
     @settings(max_examples=200, deadline=None)
-    def test_tables_match_reference(self, formula, trace):
-        evaluator = IncrementalPastEvaluator(formula, RV)
-        evaluator.bind_constant("c", BINDINGS["c"])
+    def test_tables_match_reference(self, formula, trace, cut):
+        # At instant `cut` the evaluator is replaced by a fresh one
+        # resumed from its seen-set and memory tables, which must carry
+        # on as though it had never stopped.
+        def fresh():
+            evaluator = IncrementalPastEvaluator(formula, RV)
+            evaluator.bind_constant("c", BINDINGS["c"])
+            return evaluator
+
+        evaluator = fresh()
         bound = {
             node.var
             for node in formula.walk()
@@ -249,6 +258,10 @@ class TestRandomFormulas:
         width = max(1, len(bound | formula.free_variables()))
         subformulas = set(formula.walk())
         for instant in range(len(trace)):
+            if instant == cut > 0:
+                resumed = fresh()
+                resumed.resume(evaluator.seen, evaluator.memory())
+                evaluator = resumed
             verdict = evaluator.advance(
                 DatabaseState.from_facts(RV, trace[instant])
             )

@@ -140,7 +140,7 @@ class TestCLI:
         assert code == 0
         assert "(instant 0)" in capsys.readouterr().out
         data = json.loads(snapshot.read_text())
-        assert len(data["history"]["states"]) == 1
+        assert data["shards"][0]["now"] == 0
         # A snapshot already past the bound replays nothing more.
         resumed = tmp_path / "resumed.json"
         code = main(
@@ -159,6 +159,31 @@ class TestCLI:
         assert resumed.read_text() == snapshot.read_text()
         # Without a bound the run goes on to the duplicate at t=2.
         assert main(["serve", history_file, "--resume-from", str(snapshot)]) == 1
+
+    def test_serve_refuses_a_spliced_history(self, tmp_path, capsys):
+        # A snapshot taken at instant 2 of one history, resumed on another
+        # whose state at instant 2 differs, would check a run that never
+        # happened.
+        once = "forall x . G (Sub(x) -> X G !Sub(x))"
+        paths = {}
+        for name, third in (("a", [[2]]), ("b", [[3]])):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(
+                json.dumps(
+                    {
+                        "vocabulary": {"predicates": {"Sub": 1}},
+                        "states": [{"Sub": [[1]]}, {}, {"Sub": third}, {}],
+                    }
+                )
+            )
+        snapshot = tmp_path / "snapshot.json"
+        argv = ["serve", str(paths["a"]), "--constraint", once]
+        assert main([*argv, "--stop-at", "2", "--snapshot-out", str(snapshot)]) == 0
+        capsys.readouterr()
+        resume = ["--resume-from", str(snapshot)]
+        assert main(["serve", str(paths["b"]), *resume]) == 2
+        assert "instant 2" in capsys.readouterr().err
+        assert main(["serve", str(paths["a"]), *resume]) == 0
 
     @pytest.mark.parametrize("command", ["check", "monitor", "serve"])
     def test_missing_history_is_an_input_error(self, tmp_path, command, capsys):
