@@ -100,7 +100,9 @@ class MonitorStats:
     ``past_updates``/``past_memory`` are filled for past-closed
     constraints: the states the entry's incremental past evaluator has
     consumed (it stops, as a progressed entry does, at the violation) and
-    its current table footprint (rows, not bytes), with ``progress_time``
+    the rows its memory slots hold, which is all the next step reads and
+    all a checkpoint stores (counted when the stats are read, and kept
+    from the violation instant once violated), with ``progress_time``
     carrying the evaluation seconds; so a mixed set reports one stats
     shape for both kinds.
 
@@ -425,7 +427,8 @@ class IntegrityMonitor:
     def _past_entry(self, name: str, constraint: Formula) -> _PastEntry:
         """A past-closed entry whose evaluator has consumed no state."""
         body = past_body(constraint)
-        for symbol in sorted(c.name for c in body.constants()):
+        symbols = sorted(c.name for c in body.constants())
+        for symbol in symbols:
             if symbol not in self._bindings:
                 raise EvaluationError(
                     f"constant symbol {symbol!r} of constraint {name!r} "
@@ -435,8 +438,10 @@ class IntegrityMonitor:
             evaluator = IncrementalPastEvaluator(body, self._vocabulary)
         except SchemaError as exc:
             raise SchemaError(f"constraint {name!r}: {exc}") from None
-        for symbol, value in self._bindings.items():
-            evaluator.bind_constant(symbol, value)
+        # Only the body's constants: every bound value joins the seen-set,
+        # and so the domain of every table.
+        for symbol in symbols:
+            evaluator.bind_constant(symbol, self._bindings[symbol])
         return _PastEntry(name=name, constraint=constraint, evaluator=evaluator)
 
     # -- public surface ------------------------------------------------------
@@ -476,7 +481,15 @@ class IntegrityMonitor:
     def stats(self) -> dict[str, MonitorStats]:
         """Per-constraint work counters, one :class:`MonitorStats` shape
         for both kinds."""
+        self._count_past_memory()
         return {entry.name: entry.stats for entry in self._entries}
+
+    def _count_past_memory(self) -> None:
+        """Fill each live past-closed entry's ``past_memory``, which no
+        update counts."""
+        for entry in self._entries:
+            if isinstance(entry, _PastEntry) and entry.violated_at is None:
+                entry.stats.past_memory = entry.evaluator.memory_size
 
     def cache_info(self) -> dict[str, int]:
         """Sizes and resets of everything the monitor holds (bounds in
@@ -567,6 +580,7 @@ class IntegrityMonitor:
         :class:`~repro.errors.StateError`.
         """
         self._require_settled()
+        self._count_past_memory()
         out: list[EntrySnapshot | PastSnapshot] = []
         for entry in self._entries:
             if isinstance(entry, _PastEntry):
@@ -814,7 +828,9 @@ class IntegrityMonitor:
         holds = entry.evaluator.advance(state)
         stats.progress_time += time.perf_counter() - start
         stats.past_updates += 1
-        stats.past_memory = entry.evaluator.memory_size
+        if not holds:
+            # The entry never steps again, so its count stops here.
+            stats.past_memory = entry.evaluator.memory_size
         return holds
 
     def _advance(self, entry: _ConstraintEntry, state: DatabaseState) -> None:

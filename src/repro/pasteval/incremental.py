@@ -353,10 +353,10 @@ class IncrementalPastEvaluator:
 
     @property
     def memory_size(self) -> int:
-        """Stored table entries — the history-less memory footprint."""
+        """The rows :meth:`memory` holds — the history-less footprint."""
         if self._previous is None:
             return 0
-        return sum(len(table) for table in self._previous)
+        return sum(len(self._previous[number]) for number in self._memory)
 
     def advance(self, state: DatabaseState) -> bool:
         """Consume the next state; return the formula's truth value there.

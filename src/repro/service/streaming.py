@@ -9,11 +9,12 @@ concurrent *sessions*, and the process gets killed and restarted.
 plus what only a service needs:
 
 * **sessions** — the async front (:meth:`~MonitorService.start` /
-  :meth:`~MonitorService.submit`) funnels every producer through one
-  FIFO queue with a single consumer task, so updates are applied in
-  global arrival order and each session's updates in its own submission
-  order.  Per-session counts land in the service-level
-  :class:`~repro.core.monitor.MonitorStats` ``stream_updates`` map.
+  :meth:`~MonitorService.submit`) applies each update in the submitting
+  task and never suspends, so the event loop, which runs one coroutine at
+  a time, applies updates in global arrival order and each session's
+  updates in its own submission order.  Per-session counts land in the
+  service-level :class:`~repro.core.monitor.MonitorStats`
+  ``stream_updates`` map.
 
 * **checkpoint/resume** — :meth:`~MonitorService.snapshot` captures the
   monitor's state (via :func:`repro.database.serialize.monitor_to_dict`:
@@ -28,12 +29,11 @@ plus what only a service needs:
 The current state, verdicts, counters and caches are the monitor's own.  The
 synchronous surface (:meth:`~MonitorService.apply`,
 :meth:`~MonitorService.apply_state`) works without an event loop; the
-async methods are a thin ordered front over it.
+async methods are a thin front over it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -56,11 +56,6 @@ __all__ = ["SERVICE_SNAPSHOT_FORMAT", "MonitorService"]
 #: Format tag stamped into :meth:`MonitorService.snapshot` payloads.
 SERVICE_SNAPSHOT_FORMAT = "repro-service-snapshot/v7"
 
-#: Queue sentinel + item shape: (session, update, state, future).
-_QueueItem = tuple[
-    str, Update | None, DatabaseState | None, "asyncio.Future[UpdateReport]"
-]
-
 
 class MonitorService:
     """A session-aware, checkpointable streaming monitor.
@@ -81,8 +76,7 @@ class MonitorService:
             constraints, initial, assume_safety=assume_safety, lint=lint
         )
         self._stats = MonitorStats()
-        self._queue: asyncio.Queue[_QueueItem | None] | None = None
-        self._consumer: asyncio.Task[None] | None = None
+        self._started = False
 
     # -- introspection -------------------------------------------------------
 
@@ -149,74 +143,43 @@ class MonitorService:
     # -- async streaming front ----------------------------------------------
 
     async def start(self) -> None:
-        """Start the single-consumer ingest task.  Must run inside an
-        event loop; idempotent ``stop()`` is the counterpart."""
-        if self._consumer is not None:
+        """Open the async front; :meth:`stop` closes it, and a stopped
+        service may be started again."""
+        if self._started:
             raise RuntimeError("service already started")
-        self._queue = asyncio.Queue()
-        self._consumer = asyncio.create_task(self._ingest())
+        self._started = True
 
     async def stop(self) -> None:
-        """Drain the queue and stop the ingest task."""
-        if self._queue is None or self._consumer is None:
-            return
-        await self._queue.put(None)
-        await self._consumer
-        self._queue = None
-        self._consumer = None
+        """Close the async front.  Every submitted update has already
+        been applied, so there is nothing to drain."""
+        self._started = False
 
     async def submit(
         self, update: Update, session: str = "default"
     ) -> UpdateReport:
-        """Enqueue a delta update from ``session``; resolves with the
-        report once the update has been applied in order."""
-        return await self._enqueue(session, update=update)
+        """Apply a delta update from ``session`` (:meth:`apply`).
+
+        The update runs to completion before the call returns, without
+        suspending, so updates are applied in the order their ``submit``
+        calls run and each session's in its own submission order.
+        """
+        self._require_started()
+        return self.apply(update, session)
 
     async def submit_state(
         self, state: DatabaseState, session: str = "default"
     ) -> UpdateReport:
-        """Enqueue a full next state from ``session``."""
-        return await self._enqueue(session, state=state)
+        """Append a full next state from ``session`` (:meth:`apply_state`),
+        run to completion before the call returns, as :meth:`submit`."""
+        self._require_started()
+        return self.apply_state(state, session)
 
-    async def _enqueue(
-        self,
-        session: str,
-        *,
-        update: Update | None = None,
-        state: DatabaseState | None = None,
-    ) -> UpdateReport:
-        if self._queue is None:
+    def _require_started(self) -> None:
+        if not self._started:
             raise RuntimeError(
                 "service not started; call `await service.start()` first "
                 "(or use the synchronous apply/apply_state surface)"
             )
-        future: asyncio.Future[UpdateReport] = (
-            asyncio.get_running_loop().create_future()
-        )
-        await self._queue.put((session, update, state, future))
-        return await future
-
-    async def _ingest(self) -> None:
-        assert self._queue is not None
-        while True:
-            item = await self._queue.get()
-            try:
-                if item is None:
-                    return
-                session, update, state, future = item
-                try:
-                    if state is None:
-                        assert update is not None
-                        state = update.apply(self.current)
-                    report = self.apply_state(state, session)
-                except Exception as exc:  # noqa: BLE001 - forwarded
-                    if not future.cancelled():
-                        future.set_exception(exc)
-                else:
-                    if not future.cancelled():
-                        future.set_result(report)
-            finally:
-                self._queue.task_done()
 
     # -- checkpoint / resume -------------------------------------------------
 
@@ -225,10 +188,10 @@ class MonitorService:
 
         Holds the monitor's snapshot
         (:func:`~repro.database.serialize.monitor_to_dict`) as the one
-        item of ``shards``, and the session counters.  Call between
-        updates — from the
-        consumer's thread or while the service is stopped.  After an
-        update that failed half-way this raises
+        item of ``shards``, and the session counters.  Call it from the
+        thread that applies the updates, where every point falls between
+        two of them: each update runs to completion in one call.  After
+        an update that failed half-way this raises
         :class:`~repro.errors.StateError`
         (:meth:`~repro.core.monitor.IntegrityMonitor.append_state`).
         """
@@ -282,8 +245,7 @@ class MonitorService:
         service = cls.__new__(cls)
         service._monitor = monitor_from_dict(dict(monitor))
         service._stats = stats
-        service._queue = None
-        service._consumer = None
+        service._started = False
         return service
 
     def save(self, path: str | Path) -> None:

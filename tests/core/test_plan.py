@@ -105,7 +105,9 @@ class TestPlannedMonitorSurface:
         assert set(stats) == {"audit", "once"}
         # 2: the initial-state replay at construction plus the update.
         assert stats["audit"].past_updates == 2
-        assert stats["audit"].past_memory >= 1
+        # Violated at instant 1, when no Sub had been seen: the one
+        # memory slot, O Sub(x), held no row.
+        assert stats["audit"].past_memory == 0
         assert stats["once"].past_updates == 0
         monitor.reset()
         assert monitor.stats()["audit"].past_updates == 0

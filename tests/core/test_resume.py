@@ -390,6 +390,56 @@ class TestPastTables:
         with pytest.raises(StateError, match="'vip'.*bound constants"):
             monitor_from_dict(data)
 
+    ABC = vocabulary({"Sub": 1, "Fill": 1}, constants=["A", "B", "C"])
+
+    def abc_audit(self):
+        """The audit rule, which names no constant, over a history that
+        binds A, B and C."""
+        return IntegrityMonitor(
+            {"audit": AUDIT}, History.empty(self.ABC, {"A": 1, "B": 2, "C": 3})
+        )
+
+    def test_binds_only_the_constants_the_body_names(self):
+        # None of A, B and C joins the seen-set, and the verdicts are
+        # those of a history that binds no constant (3, C's value, is an
+        # element like any other).
+        monitor = self.abc_audit()
+        plain = IntegrityMonitor({"audit": AUDIT}, History.empty(V))
+        (audit,) = monitor.snapshot_entries()
+        assert audit.seen == frozenset()
+        seen = []
+        for facts in ([("Sub", (1,))], [("Fill", (1,))], [("Fill", (3,))]):
+            report = monitor.append_state(
+                DatabaseState.from_facts(self.ABC, facts)
+            )
+            assert report == plain.append_state(
+                DatabaseState.from_facts(V, facts)
+            )
+            (audit,) = monitor.snapshot_entries()
+            seen.append(audit.seen)
+        # A violated entry keeps no seen-set.
+        assert seen == [{1}, {1}, frozenset()]
+        assert monitor.violations() == plain.violations() == {"audit": 3}
+
+    def test_restores_seen_holding_unnamed_constants(self):
+        # A v7 document whose seen-set still carries the values of
+        # constants the body does not name restores and carries on.
+        monitor = self.abc_audit()
+        monitor.append_state(
+            DatabaseState.from_facts(self.ABC, [("Sub", (1,))])
+        )
+        data = json.loads(json.dumps(monitor_to_dict(monitor)))
+        (audit,) = data["entries"]
+        assert audit["seen"] == [1]
+        audit["seen"] = [1, 2, 3]
+        restored = monitor_from_dict(data)
+        for facts in ([("Fill", (1,))], [("Sub", (2,))], [("Fill", (3,))]):
+            state = DatabaseState.from_facts(self.ABC, facts)
+            assert restored.append_state(state) == monitor.append_state(
+                state
+            )
+        assert restored.violations() == {"audit": 4}
+
     def test_rejects_seen_that_is_not_a_list_of_elements(self):
         data, audit = self.snapshot()
         audit["seen"] = ["1"]

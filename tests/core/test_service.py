@@ -1,13 +1,13 @@
 """The streaming monitor service: sessions, checkpoint/resume.
 
 :class:`repro.service.MonitorService` is one
-:class:`repro.core.monitor.IntegrityMonitor` behind a FIFO front (its
+:class:`repro.core.monitor.IntegrityMonitor` behind an async front (its
 verdicts are checked against the paper's decision in
 ``tests/core/test_monitor.py::TestAgainstChecker``).  The async front adds
-per-session FIFO ordering and the snapshot adds kill/resume — both
-asserted directly.  Async tests drive the event loop through
-``asyncio.run`` inside synchronous test functions (no pytest-asyncio in
-the CI image).
+sessions, applied in arrival order and each in its own submission order,
+and the snapshot adds kill/resume — both asserted directly.  Async tests
+drive the event loop through ``asyncio.run`` inside synchronous test
+functions (no pytest-asyncio in the CI image).
 """
 
 import asyncio
@@ -152,7 +152,7 @@ class TestSessions:
                     await service.submit_state(
                         DatabaseState.from_facts(bad_vocab, [("Other", (1,))])
                     )
-                # The consumer survives a poisoned update.
+                # A refused update leaves the service serving.
                 report = await service.submit_state(DatabaseState.empty(V))
             finally:
                 await service.stop()
@@ -160,6 +160,100 @@ class TestSessions:
 
         report = asyncio.run(run())
         assert report.all_satisfied
+
+    def test_start_adds_no_task(self):
+        async def run():
+            service = MonitorService(CONSTRAINTS, History.empty(V))
+            before = asyncio.all_tasks()
+            await service.start()
+            try:
+                return before, asyncio.all_tasks()
+            finally:
+                await service.stop()
+
+        before, after = asyncio.run(run())
+        assert after == before
+
+    def test_a_cancelled_submitter_loses_no_report(self):
+        # Cancelled after one loop step, the submitter either holds the
+        # report of an applied update or applied nothing.
+        async def run():
+            service = MonitorService(CONSTRAINTS, History.empty(V))
+            await service.start()
+            try:
+                task = asyncio.create_task(
+                    service.submit_state(DatabaseState.empty(V))
+                )
+                await asyncio.sleep(0)
+                task.cancel()
+                try:
+                    report = await task
+                except asyncio.CancelledError:
+                    report = None
+            finally:
+                await service.stop()
+            return service, report
+
+        service, report = asyncio.run(run())
+        if report is None:
+            assert service.now == 0
+        else:
+            assert report.instant == service.now == 1
+
+    def test_stop_closes_the_front_and_start_reopens_it(self):
+        async def run():
+            service = MonitorService(CONSTRAINTS, History.empty(V))
+            await service.start()
+            with pytest.raises(RuntimeError, match="already started"):
+                await service.start()
+            await service.submit_state(DatabaseState.empty(V), session="a")
+            await service.stop()
+            with pytest.raises(RuntimeError, match="not started"):
+                await service.submit(Update.insert(("Sub", (1,))))
+            await service.start()
+            try:
+                report = await service.submit(Update.insert(("Sub", (1,))))
+            finally:
+                await service.stop()
+            return service, report
+
+        service, report = asyncio.run(run())
+        assert report.instant == service.now == 2
+        assert service.sessions() == {"a": 1, "default": 1}
+
+    @pytest.mark.parametrize("fault", ["entry", "past"])
+    def test_half_applied_submit_raises_in_the_submitter(
+        self, monkeypatch, fault
+    ):
+        def failing(*args):
+            raise RuntimeError("failure after validation")
+
+        owner = (
+            lifted_module.LiftedTable
+            if fault == "entry"
+            else IncrementalPastEvaluator
+        )
+
+        async def run():
+            service = MonitorService(CONSTRAINTS, History.empty(V))
+            await service.start()
+            try:
+                await service.submit(Update.insert(("Sub", (1,))))
+                monkeypatch.setattr(owner, "advance", failing)
+                with pytest.raises(RuntimeError, match="after validation"):
+                    await service.submit_state(
+                        DatabaseState.from_facts(V, [("Fill", (1,))])
+                    )
+                monkeypatch.undo()
+                with pytest.raises(StateError, match="instant 2"):
+                    await service.submit_state(DatabaseState.empty(V))
+            finally:
+                await service.stop()
+            return service
+
+        service = asyncio.run(run())
+        assert service.now == 2
+        assert service.sessions() == {"default": 1}
 
 
 class TestServiceSnapshot:

@@ -256,7 +256,13 @@ class TestRandomFormulas:
             if isinstance(node, (Exists, Forall))
         }
         width = max(1, len(bound | formula.free_variables()))
-        subformulas = set(formula.walk())
+        # The subformulas whose previous-instant tables the next step
+        # reads: each Y's operand, and each O, H and S.
+        remembered = {
+            node.body if isinstance(node, Prev) else node
+            for node in formula.walk()
+            if isinstance(node, (Prev, Once, Historically, Since))
+        }
         for instant in range(len(trace)):
             if instant == cut > 0:
                 resumed = fresh()
@@ -277,7 +283,7 @@ class TestRandomFormulas:
                 assert verdict == evaluate_past(formula, prefix)
             assert evaluator.memory_size == sum(
                 sum(_reference_table(sub, prefix, width).values())
-                for sub in subformulas
+                for sub in remembered
             )
 
 

@@ -4,7 +4,13 @@ import pytest
 
 from repro.analysis.hierarchy import past_body
 from repro.core import IntegrityMonitor
-from repro.database import DatabaseState, History, vocabulary
+from repro.database import (
+    DatabaseState,
+    History,
+    monitor_from_dict,
+    monitor_to_dict,
+    vocabulary,
+)
 from repro.errors import ClassificationError, EvaluationError, SchemaError
 from repro.logic import parse
 
@@ -86,6 +92,23 @@ class TestMonitoring:
             if footprint is None:
                 footprint = monitor.stats()["audit"].past_memory
         assert monitor.stats()["audit"].past_memory == footprint
+
+    def test_memory_counts_the_rows_a_checkpoint_stores(self):
+        monitor = audit_monitor()
+        assert monitor.stats()["audit"].past_memory == 0
+        for facts, rows in (
+            ([("Sub", (1,))], 1),
+            ([("Sub", (2,)), ("Fill", (1,))], 2),
+            ([], 2),
+        ):
+            monitor.append_state(state(*facts))
+            (snap,) = monitor.snapshot_entries()
+            assert snap.violated_at is None
+            assert sum(map(len, snap.tables.values())) == rows
+            assert monitor.stats()["audit"].past_memory == rows
+            assert snap.stats.past_memory == rows
+        restored = monitor_from_dict(monitor_to_dict(monitor))
+        assert restored.stats()["audit"].past_memory == 2
 
     def test_agreement_with_reference_evaluator(self):
         from repro.eval import evaluate_past
